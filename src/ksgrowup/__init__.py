@@ -7,7 +7,7 @@ from .barriers import (BarrierSpec, BoundaryReport, ResidualReport, ShiftReport,
 from .grids import (GradedGrid, RadialField, Snapshot, Table1D, interp,
                     make_graded_grid, mass_of, n_from_q, n_from_u,
                     origin_slope_extrapolated, q_from_rho, u_from_n, w_from_u)
-from .matching import (MatchingPath, b_of, closed_rate, gamma_monotone_check,
+from .matching import (MatchingPath, closed_rate, gamma_monotone_check,
                        gamma_of_a, gamma_onset_time, integrate_a)
 from .pde import (SlopeFit, SmallTimeReport, SolverConfig, Trajectory,
                   WTrajectory, l1_to_one, ordered_pair_test, slope_origin,

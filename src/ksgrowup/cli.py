@@ -7,8 +7,9 @@ status: 0 = all checks pass, 1 = a scientific check failed, 2 = numerical
 or configuration failure.  Outputs are deterministic: fixed tolerances, no
 randomness, floats written with 17 significant digits.
 
-Acceptance brackets (the numbers in DEFAULTS) are pre-registered here, not
-tuned after looking at a particular run.
+Every key has a default in the packaged ``defaults.ini``; a --config file
+overrides single keys.  Acceptance brackets (the numbers in that file) are
+pre-registered there, not tuned after looking at a particular run.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import configparser
 import sys
 import warnings
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -29,47 +31,9 @@ from .errors import NumericsError
 from .grids import Snapshot, make_graded_grid
 from .specialfn import SpecialFunctions, check_asymptotics
 
-DEFAULTS = {
-    "tabulate": {
-        "y_max": "1e6", "npd": "40", "sweep": "1e4,1e5,1e6",
-        "growth_tol": "1.35",
-    },
-    "match": {
-        "k_lower": "5.0", "k_upper": "6.0", "t_end": "1000",
-        "sigma_step": "0.005", "bracket_lo": "2.0", "bracket_hi": "3.0",
-        "bracket_window": "100,1000", "halving_rtol": "1e-8",
-    },
-    "certify": {
-        "k_lower": "5.0", "k_upper": "6.0", "k_lower_swap": "7.0",
-        "k_upper_swap": "5.0", "t_lo": "0.5", "t_hi": "1000",
-        "boundary_t_hi": "3000", "n_t": "48", "y_resolution": "40",
-        "npd": "40",
-    },
-    "solve": {
-        "n": "420", "x_min": "1e-8", "grading_ratio": "1.07",
-        "right_bc": "1.0", "t_end": "50", "dt_max": "0.05",
-        "dt_initial": "1e-7", "local_error_tol": "1e-6", "scheme": "be",
-        "newton_tol": "1e-11", "reg_epsilon": "0",
-        "output_times": "0.25,1,2,5,10,15,20,25,30,35,40,45,50",
-    },
-    "rate": {
-        "d_lo": "1.5", "d_hi": "3.5", "d_window": "20,50",
-        "r_lo": "0.4", "r_hi": "2.5", "trend_from": "10",
-        "trend_slope_tol": "1e-5",
-    },
-    "profile": {
-        "e_max": "0.6", "decrease_from": "10",
-    },
-    "sandwich": {
-        "k_lower": "5.0", "k_upper": "6.0", "shift_max": "2000",
-        "lattice": "0.25", "slack": "1e-9", "npd": "40",
-    },
-}
-
-
 def _load_config(path: str | None) -> configparser.ConfigParser:
     cfg = configparser.ConfigParser()
-    cfg.read_dict(DEFAULTS)
+    cfg.read_string(resources.files(__package__).joinpath("defaults.ini").read_text())
     if path is not None:
         if not Path(path).exists():
             raise NumericsError(f"config file not found: {path}")
@@ -84,6 +48,15 @@ def _floats(text: str) -> list[float]:
 def _say(quiet: bool, msg: str) -> None:
     if not quiet:
         print(msg)
+
+
+def _verdict(path: Path, failures: list[str], quiet: bool, **extra) -> int:
+    """Write {"failures", "ok", **extra} to path, print each failure, and
+    return the exit status: 1 if a check failed, else 0."""
+    ser.dump_json({"failures": failures, "ok": not failures, **extra}, path)
+    for f in failures:
+        _say(quiet, "FAIL: " + f)
+    return 1 if failures else 0
 
 
 def _trend_slope(t, v):
@@ -205,13 +178,7 @@ def cmd_match(cfg, out: Path, quiet: bool) -> int:
             failures.append(f"K={K}: |log a - sqrt(2t) - 5/2| not nonincreasing")
         _say(quiet, f"match K={K}: halving rel change {rel:.2e}, "
                     f"deviation range [{dev.min():.4f}, {dev.max():.4f}]")
-    ser.dump_json({"failures": failures, "ok": not failures},
-                  out / "match_verdict.json")
-    if failures:
-        for f in failures:
-            _say(quiet, "FAIL: " + f)
-        return 1
-    return 0
+    return _verdict(out / "match_verdict.json", failures, quiet)
 
 
 def _certify_artifacts(cfg, quiet: bool):
@@ -279,13 +246,7 @@ def cmd_certify(cfg, out: Path, quiet: bool) -> int:
         if not failed_as_predicted:
             failures.append(f"swapped {kind} K={K:g} unexpectedly matched")
 
-    ser.dump_json({"failures": failures, "swaps": swaps, "ok": not failures},
-                  out / "certify_verdict.json")
-    if failures:
-        for f in failures:
-            _say(quiet, "FAIL: " + f)
-        return 1
-    return 0
+    return _verdict(out / "certify_verdict.json", failures, quiet, swaps=swaps)
 
 
 def cmd_solve(cfg, out: Path, quiet: bool) -> int:
@@ -332,17 +293,10 @@ def cmd_rate(cfg, out: Path, quiet: bool, traj=None) -> int:
     if slope_r > float(sec["trend_slope_tol"]):
         failures.append(f"|r - 1| trend not decreasing (slope {slope_r:.2e})")
 
-    ser.dump_json({"failures": failures, "ok": not failures,
-                   "d_final": ser.fmt(rows[-1]["d"]),
-                   "r_final": ser.fmt(r_end),
-                   "d_trend_slope": ser.fmt(slope_d),
-                   "r_trend_slope": ser.fmt(slope_r)}, out / "rate_verdict.json")
     _say(quiet, f"rate: d(t_end) = {rows[-1]['d']:.4f}, r(t_end) = {r_end:.3f}")
-    if failures:
-        for f in failures:
-            _say(quiet, "FAIL: " + f)
-        return 1
-    return 0
+    return _verdict(out / "rate_verdict.json", failures, quiet,
+                    d_final=ser.fmt(rows[-1]["d"]), r_final=ser.fmt(r_end),
+                    d_trend_slope=ser.fmt(slope_d), r_trend_slope=ser.fmt(slope_r))
 
 
 def cmd_profile(cfg, out: Path, quiet: bool, traj=None) -> int:
@@ -369,15 +323,9 @@ def cmd_profile(cfg, out: Path, quiet: bool, traj=None) -> int:
                         + sec["decrease_from"])
     if rows and rows[-1][2] > float(sec["e_max"]):
         failures.append(f"E(t_end) = {rows[-1][2]:.3f} > {sec['e_max']}")
-    ser.dump_json({"failures": failures, "ok": not failures,
-                   "E_final": ser.fmt(rows[-1][2]) if rows else None},
-                  out / "profile_verdict.json")
     _say(quiet, f"profile: E(t_end) = {rows[-1][2]:.4f}")
-    if failures:
-        for f in failures:
-            _say(quiet, "FAIL: " + f)
-        return 1
-    return 0
+    return _verdict(out / "profile_verdict.json", failures, quiet,
+                    E_final=ser.fmt(rows[-1][2]) if rows else None)
 
 
 def cmd_sandwich(cfg, out: Path, quiet: bool, traj=None) -> int:
@@ -451,6 +399,7 @@ def _manifest(traj) -> dict:
         "dt_min_accepted": ser.fmt(float(traj.step_sizes.min())),
         "dt_max_accepted": ser.fmt(float(traj.step_sizes.max())),
         "newton_iters_max": int(traj.newton_iters.max()),
+        "newton_maxit_steps": int(np.sum(traj.newton_iters >= traj.config.max_newton)),
         "output_times": [ser.fmt(s.time) for s in traj.snapshots],
         "events": traj.events,
     }

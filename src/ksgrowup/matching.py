@@ -181,11 +181,6 @@ def integrate_a(K: float, t_end: float, sigma_step: float = 0.005,
     return path
 
 
-def b_of(path: MatchingPath) -> np.ndarray:
-    """b = a'/a^2 at the path samples."""
-    return path.a_prime / path.a ** 2
-
-
 def gamma_monotone_check(path: MatchingPath, loga_min: float = 3.0) -> bool:
     """True iff gamma is nonincreasing beyond the first sample with
     log a >= loga_min (the small-a transient is excluded)."""

@@ -21,9 +21,11 @@ w-form:  w_t = w_rr + 3 w_r / r + w^2 + (r/2) w w_r on (0,1), w_r(0,t)=0,
 w(1,t) = 8 xi; the diffusion is the radial Laplacian in 4 space dimensions,
 discretized by finite volumes with r^3 weights.
 
-Both forms step with backward Euler (optionally TR-BDF2), Newton on the
-full nonlinear system with the exact tridiagonal Jacobian, and local-error
-control by step doubling.
+Both forms share one implicit-step core: backward Euler (optionally
+TR-BDF2), one Newton loop (`_newton`) on the full nonlinear system with the
+exact tridiagonal Jacobian, and local-error control by step doubling.  Each
+form supplies only its residual with the Jacobian bands (`rhs_and_jac`) and
+the scale of its error tests (`scale`).
 """
 
 from __future__ import annotations
@@ -93,11 +95,41 @@ def steady_profile(a: float, grid: GradedGrid) -> Snapshot:
 
 
 # ---------------------------------------------------------------------------
+# shared Newton core
+
+
+def _newton(problem, u_start, coef, rhs, tol, maxit):
+    """Solve U - coef*F(U) = rhs on the problem's unknown rows.
+
+    Stops when the max-norm residual drops below tol.  After maxit
+    iterations the solve is still accepted when the last residual is below
+    problem.loose * problem.scale(U).
+    """
+    u = u_start.copy()
+    sl = slice(problem.ilo, len(u) - 1)
+    nrm = np.inf
+    for it in range(maxit):
+        F, sub, diag, sup = problem.rhs_and_jac(u)
+        R = u[sl] - coef * F - rhs
+        nrm = float(np.max(np.abs(R)))
+        if nrm < tol:
+            return u, it, True
+        ab = np.zeros((3, len(F)))
+        ab[0, 1:] = -coef * sup[:-1]
+        ab[1, :] = 1.0 - coef * diag
+        ab[2, :-1] = -coef * sub[1:]
+        u[sl] += solve_banded((1, 1), ab, -R)
+    return u, maxit, nrm < problem.loose * problem.scale(u)
+
+
+# ---------------------------------------------------------------------------
 # u-form spatial operator
 
 
 class _UProblem:
     ilo = 1   # first unknown slot (both boundary nodes are Dirichlet)
+    loose = 1e-7   # residual accepted after maxit Newton iterations
+    newton = _newton
 
     def __init__(self, grid: GradedGrid, xi: float, eps: float):
         x = grid.nodes
@@ -146,55 +178,32 @@ class _UProblem:
             g_val = (1.0 - th) * g_val + th * up_val
             dl = (1.0 - th) * dl + th * up_dl
             dr = (1.0 - th) * dr + th * up_dr
-        dl3 = 0.0
         if self.extrapolate_last:
             wa = u[-3] * (1.0 - u[-3])
             wb = u[-2] * (1.0 - u[-2])
             g_val[-1] = self.cA * wa + self.cB * wb
             dl[-1] = self.cB * (1.0 - 2.0 * u[-2])
             dr[-1] = 0.0
-            dl3 = self.cA * (1.0 - 2.0 * u[-3])
-        return g_val, dl, dr, dl3
+        return g_val, dl, dr
 
     def rhs_and_jac(self, u):
-        """F(u) at interior nodes and the tridiagonal flux derivatives."""
-        s = (u[1:] - u[:-1]) / self.h
-        g_val, g_dl, g_dr, g_dl3 = self._advective_face(u)
-        flux = self.xhat * s - g_val
-        d_l = -self.xhat / self.h - g_dl
-        d_r = self.xhat / self.h - g_dr
-        F = (flux[1:] - flux[:-1]) / self.dlt
-        return F, d_l, d_r
-
-    def full_rhs(self, u):
-        return self.rhs_and_jac(u)[0]
-
-    def newton(self, u_start, coef, rhs, tol, maxit):
-        """Solve U - coef*F(U) = rhs at interior nodes (Dirichlet ends).
+        """F(u) at interior nodes and its Jacobian bands (sub, diag, sup).
 
         The extrapolated last face couples the last row to u[N-3] outside
         the band; that entry is dropped from the Jacobian (the residual is
         exact, so only the convergence rate of the last row is affected).
         """
-        u = u_start.copy()
-        n_int = len(u) - 2
-        nrm = np.inf
-        for it in range(maxit):
-            F, d_l, d_r = self.rhs_and_jac(u)
-            R = u[1:-1] - coef * F - rhs
-            nrm = float(np.max(np.abs(R)))
-            if nrm < tol:
-                return u, it, True
-            lower = -coef * (-d_l[:-1]) / self.dlt
-            diag = 1.0 - coef * (d_l[1:] - d_r[:-1]) / self.dlt
-            upper = -coef * d_r[1:] / self.dlt
-            ab = np.zeros((3, n_int))
-            ab[0, 1:] = upper[:-1]
-            ab[1, :] = diag
-            ab[2, :-1] = lower[1:]
-            du = solve_banded((1, 1), ab, -R)
-            u[1:-1] += du
-        return u, maxit, nrm < 1e-7
+        s = (u[1:] - u[:-1]) / self.h
+        g_val, g_dl, g_dr = self._advective_face(u)
+        flux = self.xhat * s - g_val
+        d_l = -self.xhat / self.h - g_dl
+        d_r = self.xhat / self.h - g_dr
+        F = (flux[1:] - flux[:-1]) / self.dlt
+        return (F, -d_l[:-1] / self.dlt, (d_l[1:] - d_r[:-1]) / self.dlt,
+                d_r[1:] / self.dlt)
+
+    def scale(self, u):
+        return 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +216,7 @@ def _step_once(problem, u, dt, cfg):
         un, its, ok = problem.newton(u, dt, u[sl], cfg.newton_tol, cfg.max_newton)
         return un, ok, its
     gam = _TRBDF2_GAMMA
-    F0 = problem.full_rhs(u)
+    F0 = problem.rhs_and_jac(u)[0]
     rhs1 = u[sl] + 0.5 * gam * dt * F0
     u1, its1, ok1 = problem.newton(u, 0.5 * gam * dt, rhs1, cfg.newton_tol, cfg.max_newton)
     if not ok1:
@@ -220,7 +229,7 @@ def _step_once(problem, u, dt, cfg):
     return u2, ok1 and ok2, max(its1, its2)
 
 
-def _advance(problem, u0_vec, t_end, out_times, cfg, post_check, scale_fn):
+def _advance(problem, u0_vec, t_end, out_times, cfg, post_check):
     out_times = sorted(set(float(t) for t in out_times))
     if out_times and out_times[-1] > t_end + 1e-12:
         raise RangeError("output times beyond t_end")
@@ -261,7 +270,7 @@ def _advance(problem, u0_vec, t_end, out_times, cfg, post_check, scale_fn):
                         f"Newton failed at t = {t:.6g} with dt at the floor")
                 continue
             err = float(np.max(np.abs(u_full - u_two))) / (
-                cfg.local_error_tol * scale_fn(u_two))
+                cfg.local_error_tol * problem.scale(u_two))
             if err > 1.0:
                 dt = dtc * max(0.2, 0.85 * err ** (-exponent))
                 if dt < 1e-12:
@@ -324,8 +333,7 @@ def solve(u0: Snapshot, config: SolverConfig, t_end: float,
                 f"(worst drop {np.min(np.diff(u)):.3e})")
 
     outs, times, sizes, iters = _advance(
-        problem, u0.values.copy(), t_end, output_times, config,
-        post_check, scale_fn=lambda u: 1.0)
+        problem, u0.values.copy(), t_end, output_times, config, post_check)
     snaps = [Snapshot(grid=grid, values=np.clip(v, 0.0, hi), time=tt,
                       left_bc=0.0, right_bc=config.right_bc)
              for tt, v in sorted(outs.items())]
@@ -339,6 +347,8 @@ def solve(u0: Snapshot, config: SolverConfig, t_end: float,
 
 class _WProblem:
     ilo = 0   # node r = 0 is an unknown (Neumann axis condition)
+    loose = 1e-6   # relative to scale(w)
+    newton = _newton
 
     def __init__(self, r: np.ndarray, wbc: float):
         self.r = r
@@ -353,61 +363,36 @@ class _WProblem:
         self.d1l = -hp / (hm * (hm + hp))
         self.d1c = (hp - hm) / (hm * hp)
         self.d1r = hm / (hp * (hm + hp))
+        self.half_r = 0.5 * r[1:-1]
+        # diffusion part of the Jacobian: constant on a fixed grid
+        self.d0 = self.rf3[0] / self.h[0] / self.vol0
+        self.dl = (self.rf3[:-1] / self.h[:-1]) / self.vol
+        self.dr = (self.rf3[1:] / self.h[1:]) / self.vol
+        self.dlr = -(self.dl + self.dr)
 
     def freeze_blend(self, w):
         pass  # diffusion-dominated form; no upwind switch needed
 
-    def full_rhs(self, w):
+    def rhs_and_jac(self, w):
+        """F(w) at nodes 0..n-2 (Dirichlet at r = 1) and its Jacobian bands."""
         n = len(w)
-        s = (w[1:] - w[:-1]) / self.h
-        dif = self.rf3 * s
+        dif = self.rf3 * ((w[1:] - w[:-1]) / self.h)
+        wr = self.d1l * w[:-2] + self.d1c * w[1:-1] + self.d1r * w[2:]
+        adv = self.half_r * w[1:-1]
         F = np.empty(n - 1)
         F[0] = dif[0] / self.vol0 + w[0] ** 2
-        wr = self.d1l * w[:-2] + self.d1c * w[1:-1] + self.d1r * w[2:]
-        F[1:] = (dif[1:] - dif[:-1]) / self.vol + w[1:-1] ** 2 \
-            + 0.5 * self.r[1:-1] * w[1:-1] * wr
-        return F
+        F[1:] = (dif[1:] - dif[:-1]) / self.vol + w[1:-1] ** 2 + adv * wr
+        sub, diag, sup = np.empty(n - 1), np.empty(n - 1), np.empty(n - 1)
+        sub[0] = 0.0
+        sub[1:] = self.dl + adv * self.d1l
+        diag[0] = -self.d0 + 2.0 * w[0]
+        diag[1:] = self.dlr + 2.0 * w[1:-1] + self.half_r * wr + adv * self.d1c
+        sup[0] = self.d0
+        sup[1:] = self.dr + adv * self.d1r
+        return F, sub, diag, sup
 
-    def newton(self, w_start, coef, rhs, tol, maxit):
-        """Solve W - coef*F(W) = rhs at nodes 0..n-2 (Dirichlet at r = 1)."""
-        w = w_start.copy()
-        n = len(w)
-        r = self.r
-        nrm = np.inf
-        for it in range(maxit):
-            s = (w[1:] - w[:-1]) / self.h
-            dif = self.rf3 * s
-            F = np.empty(n)
-            F[0] = dif[0] / self.vol0 + w[0] ** 2
-            wr = self.d1l * w[:-2] + self.d1c * w[1:-1] + self.d1r * w[2:]
-            F[1:-1] = (dif[1:] - dif[:-1]) / self.vol + w[1:-1] ** 2 \
-                + 0.5 * r[1:-1] * w[1:-1] * wr
-            F[-1] = 0.0
-            R = w[:-1] - coef * F[:-1] - rhs
-            nrm = float(np.max(np.abs(R)))
-            if nrm < tol:
-                return w, it, True
-            d0 = self.rf3[0] / self.h[0] / self.vol0
-            dl = (self.rf3[:-1] / self.h[:-1]) / self.vol
-            dr = (self.rf3[1:] / self.h[1:]) / self.vol
-            adv = 0.5 * r[1:-1] * w[1:-1]
-            lo = np.zeros(n - 1)
-            di = np.zeros(n - 1)
-            up = np.zeros(n - 1)
-            di[0] = 1.0 - coef * (-d0 + 2.0 * w[0])
-            up[0] = -coef * d0
-            lo[1:] = -coef * (dl + adv * self.d1l)
-            di[1:] = 1.0 - coef * (-(dl + dr) + 2.0 * w[1:-1]
-                                   + 0.5 * r[1:-1] * wr + adv * self.d1c)
-            up_i = -coef * (dr + adv * self.d1r)
-            up[1:-1] = up_i[:-1]
-            ab = np.zeros((3, n - 1))
-            ab[0, 1:] = up[:-1]
-            ab[1, :] = di
-            ab[2, :-1] = lo[1:]
-            dw = solve_banded((1, 1), ab, -R)
-            w[:-1] += dw
-        return w, maxit, nrm < 1e-6 * max(1.0, float(np.max(np.abs(w))))
+    def scale(self, w):
+        return max(1.0, float(np.max(np.abs(w))))
 
 
 @dataclass
@@ -431,26 +416,22 @@ def solve_w(w0: RadialField, config: SolverConfig, t_end: float,
     if np.any(w0.values < -1e-12):
         raise ValueError("w must be nonnegative")
     problem = _WProblem(r, float(w0.values[-1]))
-    events = []
 
     def post_check(w, t):
         m = float(np.max(np.abs(w)))
         if m > config.blowup_cap:
-            events.append({"event": "blow-up-detected", "time": t, "sup": m})
             raise _BlowUp(t, m)
 
     try:
         outs, *_ = _advance(problem, w0.values.copy(), t_end, output_times,
-                            config, post_check,
-                            scale_fn=lambda w: max(1.0, float(np.max(np.abs(w)))))
+                            config, post_check)
     except _BlowUp as bu:
         return WTrajectory(config=config, fields=[], times=[],
                            events=[{"event": "blow-up-detected",
                                     "time": bu.t, "sup": bu.sup}])
     fields = [RadialField(r_nodes=r, values=v, total_mass=np.pi * float(v[-1]))
               for _, v in sorted(outs.items())]
-    return WTrajectory(config=config, fields=fields,
-                       times=sorted(outs.keys()), events=events)
+    return WTrajectory(config=config, fields=fields, times=sorted(outs.keys()))
 
 
 class _BlowUp(Exception):

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .barriers import ResidualReport
-from .grids import GradedGrid, RadialField, Snapshot
+from .grids import GradedGrid, Snapshot
 from .matching import MatchingPath
 from .specialfn import SpecialTable
 
@@ -34,10 +34,6 @@ def _csv(rows, header) -> str:
 
 def snapshot_to_csv(snap: Snapshot) -> str:
     return _csv(zip(snap.grid.nodes, snap.values), ["x", "value"])
-
-
-def radial_to_csv(field: RadialField) -> str:
-    return _csv(zip(field.r_nodes, field.values), ["r", "value"])
 
 
 def snapshot_to_json(snap: Snapshot) -> dict:

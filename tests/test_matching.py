@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ksgrowup import (MatchingPath, b_of, closed_rate, gamma_monotone_check,
+from ksgrowup import (MatchingPath, closed_rate, gamma_monotone_check,
                       gamma_of_a, gamma_onset_time, integrate_a)
 from ksgrowup.errors import InvalidKError, RangeError
 
@@ -96,9 +96,8 @@ class TestDerivedQuantities:
         assert abs(g * path_k5.loga_at(t) - 1.0) < 0.15
 
     def test_b_identity_and_positivity(self, path_k5):
-        b = b_of(path_k5)
-        assert np.allclose(b, path_k5.b, rtol=1e-14)
-        assert np.all(b > 0)
+        assert np.allclose(path_k5.b, path_k5.a_prime / path_k5.a ** 2, rtol=1e-14)
+        assert np.all(path_k5.b > 0)
 
     def test_b_a_loga_bracket(self, path_k5):
         # b a log a = 1 + 5/(2 log a) + K/log^2 a; inside [0.9, 1.1] once

@@ -6,11 +6,47 @@ from ksgrowup import (RadialField, Snapshot, SolverConfig, l1_to_one,
                       slope_origin_info, small_time_checks, solve, solve_w,
                       steady_profile, w_from_u)
 from ksgrowup.errors import ResolutionError
+from ksgrowup.pde import _UProblem, _WProblem
 
 
 def critical_snapshot(grid):
     return Snapshot(grid=grid, values=grid.nodes.copy(), time=0.0,
                     left_bc=0.0, right_bc=1.0)
+
+
+def _u_problem():
+    grid = make_graded_grid(120, 1e-6, 1.1)
+    x = grid.nodes
+    u = 2.0 * x / (3.0 * x + 1.0) * (1.0 + 0.2 * x * (1.0 - x) * np.sin(5.0 * x))
+    problem = _UProblem(grid, 0.5, 0.0)
+    problem.freeze_blend(u)       # upwinds the face at x = 0
+    return problem, u
+
+
+def _w_problem():
+    r = np.linspace(0.0, 1.0, 81)
+    w = 8.0 + 3.0 * np.cos(np.pi * r) + 2.0 * r ** 2
+    return _WProblem(r, float(w[-1])), w
+
+
+class TestJacobians:
+    @pytest.mark.parametrize("make", [_u_problem, _w_problem], ids=["u", "w"])
+    def test_bands_match_central_differences(self, make):
+        # xi != 1: the extrapolated last face of xi = 1 couples the last row
+        # to u[N-3], an entry the band leaves out on purpose
+        problem, u = make()
+        _, sub, diag, sup = problem.rhs_and_jac(u)
+        J = np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
+        rows = range(problem.ilo, len(u) - 1)
+        J_fd = np.empty_like(J)
+        for j, k in enumerate(rows):
+            step = 1e-6 * abs(u[k])
+            up, um = u.copy(), u.copy()
+            up[k] += step
+            um[k] -= step
+            J_fd[:, j] = (problem.rhs_and_jac(up)[0]
+                          - problem.rhs_and_jac(um)[0]) / (2.0 * step)
+        assert np.max(np.abs(J - J_fd)) <= 1e-8 * np.max(np.abs(J_fd))
 
 
 class TestSteadyStates:
