@@ -8,14 +8,19 @@ or configuration failure.  Outputs are deterministic: fixed tolerances, no
 randomness, floats written with 17 significant digits.
 
 Every key has a default in the packaged ``defaults.ini``; a --config file
-overrides single keys.  Acceptance brackets (the numbers in that file) are
+overrides single keys, and an unknown section or key in it is a
+configuration failure.  Acceptance brackets (the numbers in that file) are
 pre-registered there, not tuned after looking at a particular run.
+
+The barrier pair (``[barriers]``) is built once per run: certify certifies
+it, and sandwich orders the solution between exactly those barriers.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import sys
 import warnings
 from importlib import resources
@@ -31,13 +36,23 @@ from .errors import NumericsError
 from .grids import Snapshot, make_graded_grid
 from .specialfn import SpecialFunctions, check_asymptotics
 
-def _load_config(path: str | None) -> configparser.ConfigParser:
-    cfg = configparser.ConfigParser()
+class _Config(configparser.ConfigParser):
+    """One run's configuration; hashed by identity, so memoized work is per run."""
+    __hash__ = object.__hash__
+
+
+def _load_config(path: str | None) -> _Config:
+    cfg = _Config()
     cfg.read_string(resources.files(__package__).joinpath("defaults.ini").read_text())
     if path is not None:
         if not Path(path).exists():
             raise NumericsError(f"config file not found: {path}")
+        known = {name: set(cfg[name]) for name in cfg.sections()}
         cfg.read(path)
+        for name in cfg.sections():
+            unknown = sorted(set(cfg[name]) - known.get(name, set()))
+            if unknown:
+                raise NumericsError(f"{path}: [{name}] has no key {', '.join(unknown)}")
     return cfg
 
 
@@ -156,7 +171,7 @@ def cmd_match(cfg, out: Path, quiet: bool) -> int:
     step = float(sec["sigma_step"])
     failures = []
     for key in ("k_lower", "k_upper"):
-        K = float(sec[key])
+        K = float(cfg["barriers"][key])
         path = mat.integrate_a(K, t_end, sigma_step=step)
         path_half = mat.integrate_a(K, t_end, sigma_step=step / 2.0)
         rel = abs(path.a_at(t_end) - path_half.a_at(t_end)) / path_half.a_at(t_end)
@@ -181,24 +196,30 @@ def cmd_match(cfg, out: Path, quiet: bool) -> int:
     return _verdict(out / "match_verdict.json", failures, quiet)
 
 
-def _certify_artifacts(cfg, quiet: bool):
-    sec = cfg["certify"]
-    t_hi = float(sec["t_hi"])
-    bnd_hi = float(sec["boundary_t_hi"])
-    k_lo, k_up = float(sec["k_lower"]), float(sec["k_upper"])
-    path_lo = mat.integrate_a(k_lo, bnd_hi * 1.01)
-    path_up = mat.integrate_a(k_up, bnd_hi * 1.01)
-    y_max = float(path_up.a_at(bnd_hi * 1.01)) * 1.05
+@functools.lru_cache(maxsize=1)
+def _barriers(cfg, quiet: bool) -> tuple[bar.BarrierSpec, bar.BarrierSpec]:
+    """The (lower, upper) barriers at K = [barriers] k_lower, k_upper: one
+    matching path per K, long enough for certify's boundary scan and for
+    sandwich's largest shift, and one special-function table for both."""
+    sec = cfg["barriers"]
+    t_path = max(1.01 * float(cfg["certify"]["boundary_t_hi"]),
+                 float(cfg["solve"]["t_end"])
+                 + float(cfg["sandwich"]["shift_max"]) + 1.0)
+    path_lo = mat.integrate_a(float(sec["k_lower"]), t_path)
+    path_up = mat.integrate_a(float(sec["k_upper"]), t_path)
+    y_max = float(path_up.a_at(t_path)) * 1.05
     _say(quiet, f"building tables to y_max = {y_max:.3e} ...")
     funcs = SpecialFunctions(y_max, npd=int(sec["npd"]))
     table = funcs.table()
-    lower = bar.BarrierSpec(kind=bar.LOWER, path=path_lo, table=table, funcs=funcs)
-    upper = bar.BarrierSpec(kind=bar.UPPER, path=path_up, table=table, funcs=funcs)
-    return sec, t_hi, bnd_hi, lower, upper, table
+    return (bar.BarrierSpec(kind=bar.LOWER, path=path_lo, table=table, funcs=funcs),
+            bar.BarrierSpec(kind=bar.UPPER, path=path_up, table=table, funcs=funcs))
 
 
 def cmd_certify(cfg, out: Path, quiet: bool) -> int:
-    sec, t_hi, bnd_hi, lower, upper, table = _certify_artifacts(cfg, quiet)
+    lower, upper = _barriers(cfg, quiet)
+    sec = cfg["certify"]
+    t_hi = float(sec["t_hi"])
+    bnd_hi = float(sec["boundary_t_hi"])
     n_t = int(sec["n_t"])
     res = int(sec["y_resolution"])
     failures = []
@@ -237,7 +258,7 @@ def cmd_certify(cfg, out: Path, quiet: bool) -> int:
     for kind, K in ((bar.LOWER, float(sec["k_lower_swap"])),
                     (bar.UPPER, float(sec["k_upper_swap"]))):
         p = mat.integrate_a(K, bnd_hi * 1.01)
-        spec = bar.BarrierSpec(kind=kind, path=p, table=table)
+        spec = bar.BarrierSpec(kind=kind, path=p, table=lower.table)
         rep = bar.check_boundary_matching(spec, (1.0, bnd_hi), n_t=96)
         failed_as_predicted = rep.onset_t is None
         swaps[f"{kind}_K{K:g}"] = failed_as_predicted
@@ -332,21 +353,12 @@ def cmd_sandwich(cfg, out: Path, quiet: bool, traj=None) -> int:
     sec = cfg["sandwich"]
     if traj is None:
         traj = _run_critical(cfg, quiet)
-    t_end = traj.snapshots[-1].time
-    shift_max = float(sec["shift_max"])
-    path_lo = mat.integrate_a(float(sec["k_lower"]), t_end + 1.0)
-    path_up = mat.integrate_a(float(sec["k_upper"]), t_end + shift_max + 1.0)
-    y_max = float(path_up.a_at(t_end + shift_max + 1.0)) * 1.05
-    _say(quiet, f"building tables to y_max = {y_max:.3e} ...")
-    funcs = SpecialFunctions(y_max, npd=int(sec["npd"]))
-    table = funcs.table()
-    lower = bar.BarrierSpec(kind=bar.LOWER, path=path_lo, table=table)
-    upper = bar.BarrierSpec(kind=bar.UPPER, path=path_up, table=table)
+    lower, upper = _barriers(cfg, quiet)
     tau = 1.0 / (4.0 * max(traj.data_K, 1.0))
     t_min_upper = min((s.time for s in traj.snapshots if s.time >= tau),
                       default=tau)
     report = bar.find_time_shifts(
-        lower, upper, traj.snapshots, shift_max=shift_max,
+        lower, upper, traj.snapshots, shift_max=float(sec["shift_max"]),
         lattice=float(sec["lattice"]), slack=float(sec["slack"]),
         t_min_upper=t_min_upper)
     ok = report.worst_lower <= report.slack and report.worst_upper <= report.slack
@@ -401,7 +413,6 @@ def _manifest(traj) -> dict:
         "newton_iters_max": int(traj.newton_iters.max()),
         "newton_maxit_steps": int(np.sum(traj.newton_iters >= traj.config.max_newton)),
         "output_times": [ser.fmt(s.time) for s in traj.snapshots],
-        "events": traj.events,
     }
 
 

@@ -179,22 +179,3 @@ def integrate_a(K: float, t_end: float, sigma_step: float = 0.005,
     assert np.all(np.diff(ells) > 0.0)
     assert np.all(ells >= sigma_knots - 1e-10)
     return path
-
-
-def gamma_monotone_check(path: MatchingPath, loga_min: float = 3.0) -> bool:
-    """True iff gamma is nonincreasing beyond the first sample with
-    log a >= loga_min (the small-a transient is excluded)."""
-    mask = np.log(path.a) >= loga_min
-    if not np.any(mask):
-        return False
-    g = path.gamma[mask]
-    return bool(np.all(np.diff(g) <= 1e-14))
-
-
-def gamma_onset_time(path: MatchingPath) -> float:
-    """Empirical first sample time from which gamma is nonincreasing."""
-    g = path.gamma
-    bad = np.where(np.diff(g) > 1e-14)[0]
-    if len(bad) == 0:
-        return float(path.t[0])
-    return float(path.t[bad[-1] + 1])

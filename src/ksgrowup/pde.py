@@ -76,7 +76,6 @@ class Trajectory:
     step_times: np.ndarray
     step_sizes: np.ndarray
     newton_iters: np.ndarray
-    events: list = field(default_factory=list)
     data_K: float = np.nan
 
     def at(self, t: float) -> Snapshot:
@@ -133,8 +132,6 @@ class _UProblem:
 
     def __init__(self, grid: GradedGrid, xi: float, eps: float):
         x = grid.nodes
-        self.x = x
-        self.xi = xi
         self.h = np.diff(x)
         self.xhat = np.sqrt((x[:-1] + eps) * (x[1:] + eps))
         self.dlt = 0.5 * (x[2:] - x[:-2])
@@ -350,9 +347,7 @@ class _WProblem:
     loose = 1e-6   # relative to scale(w)
     newton = _newton
 
-    def __init__(self, r: np.ndarray, wbc: float):
-        self.r = r
-        self.wbc = wbc
+    def __init__(self, r: np.ndarray):
         rf = 0.5 * (r[:-1] + r[1:])
         self.h = np.diff(r)
         self.rf3 = rf ** 3
@@ -415,7 +410,7 @@ def solve_w(w0: RadialField, config: SolverConfig, t_end: float,
         raise ValueError("w grid must span [0, 1]")
     if np.any(w0.values < -1e-12):
         raise ValueError("w must be nonnegative")
-    problem = _WProblem(r, float(w0.values[-1]))
+    problem = _WProblem(r)
 
     def post_check(w, t):
         m = float(np.max(np.abs(w)))

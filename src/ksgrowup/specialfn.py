@@ -412,13 +412,6 @@ class SpecialFunctions:
                             f_pp=fpp, g_pp=gpp, h_pp=hpp)
 
 
-def min_M(funcs: SpecialFunctions, phi_scale: float = 1.0,
-          lattice: float = 0.5) -> float:
-    """Lattice-rounded admissible correction amplitude, clamped at 3."""
-    need = funcs.required_m(phi_scale=phi_scale)
-    return max(3.0, lattice * math.ceil(need / lattice))
-
-
 def build_component(i: int, y_max: float, npd: int = 40,
                     phi: PhiBlend | None = None, cutoff=smoothstep_cutoff) -> OperatorInverse:
     """The four auxiliary inverses behind the g/h asymptotics:

@@ -1,7 +1,10 @@
+import configparser
 import json
+from importlib import resources
 
 import pytest
 
+from ksgrowup import cli
 from ksgrowup.cli import main
 
 SMALL_SOLVE = """
@@ -38,6 +41,18 @@ class TestCommands:
     def test_missing_config_is_exit_2(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.ini"),
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("text, name", [
+        ("[solve]\nt_edn = 10\n", "t_edn"),          # a mistyped key
+        ("[sandwich]\nk_upper = 7\n", "k_upper"),    # moved to [barriers]
+        ("[sovle]\nt_end = 10\n", "sovle"),          # a mistyped section
+    ], ids=["key", "moved_key", "section"])
+    def test_unknown_config_key_is_exit_2(self, tmp_path, capsys, text, name):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text)
+        assert main(["solve", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert name in capsys.readouterr().err
 
     def test_solve_writes_snapshots(self, small_cfg, tmp_path):
         out = tmp_path / "o"
@@ -107,15 +122,41 @@ class TestCommands:
         assert not verdict["ok"]
         assert any("upper boundary" in f for f in verdict["failures"])
 
-    def test_all_pipeline_default_config(self, tmp_path):
-        # the full default pipeline must pass and fit a laptop budget
+    def test_all_pipeline_default_config(self, tmp_path, monkeypatch):
+        # the full default pipeline must pass and fit a laptop budget.  It
+        # reads every default key (a key nothing reads is dead), and builds
+        # two special-function tables: tabulate's, and the one barrier set
+        # that certify certifies and sandwich orders the solution between.
         import time
+        reads = set()
+        builds = []
+
+        class RecordingConfig(cli._Config):
+            def get(self, section, option, **kwargs):
+                reads.add((section, option))
+                return super().get(section, option, **kwargs)
+
+        class CountingFunctions(cli.SpecialFunctions):
+            def __init__(self, *args, **kwargs):
+                builds.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_Config", RecordingConfig)
+        monkeypatch.setattr(cli, "SpecialFunctions", CountingFunctions)
         out = tmp_path / "all"
         t0 = time.perf_counter()
         assert main(["all", "--out", str(out), "--quiet"]) == 0
         assert time.perf_counter() - t0 < 900.0
         assert json.loads((out / "summary.json").read_text())["ok"]
         assert json.loads((out / "sandwich.json").read_text())["ok"]
+
+        defaults = configparser.ConfigParser()
+        defaults.read_string(
+            resources.files("ksgrowup").joinpath("defaults.ini").read_text())
+        keys = {(name, key) for name in defaults.sections()
+                for key in defaults[name]}
+        assert keys - reads == set()
+        assert len(builds) == 2
 
     def test_sandwich_capped_shift_is_numeric_failure(self, small_cfg,
                                                       tmp_path):

@@ -26,7 +26,7 @@ def _u_problem():
 def _w_problem():
     r = np.linspace(0.0, 1.0, 81)
     w = 8.0 + 3.0 * np.cos(np.pi * r) + 2.0 * r ** 2
-    return _WProblem(r, float(w[-1])), w
+    return _WProblem(r), w
 
 
 class TestJacobians:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ksgrowup import (OperatorInverse, PhiBlend, SpecialFunctions,
                       apply_operator, build_component, check_asymptotics,
-                      min_M, quintic_cutoff, smoothstep_cutoff, w0)
+                      quintic_cutoff, smoothstep_cutoff, w0)
 from ksgrowup.errors import (ConstructionError, MTooSmallError, RangeError,
                              SingularInputError)
 
@@ -184,8 +184,8 @@ class TestSpecialFunctions:
         assert funcs_med.required_m_raw == 0.0
 
     def test_min_m_clamped(self, funcs_med):
-        assert min_M(funcs_med) == 3.0
-        assert min_M(funcs_med, phi_scale=2.0) == 3.0
+        assert funcs_med.M == 3.0
+        assert funcs_med.required_m(phi_scale=2.0) <= 3.0
 
     def test_amplitude_requirement_scales_inversely(self, funcs_med):
         # on a source with genuine negativity the needed amplitude halves
