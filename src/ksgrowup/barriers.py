@@ -265,6 +265,14 @@ class BoundaryReport:
     margins: np.ndarray     # relative margins, scaled by (a+1)
     times: np.ndarray
 
+    @property
+    def resolved_onset(self) -> float | None:
+        """onset_t when the scan bracketed it; an onset at the window's first
+        time only bounds the true onset from above, and then this is None."""
+        if self.onset_t is None or self.onset_t <= self.times[0]:
+            return None
+        return self.onset_t
+
 
 def boundary_margin(spec: BarrierSpec, t) -> np.ndarray:
     """Signed margin of the x = 1 matching inequality, scaled by (a+1).
@@ -435,6 +443,10 @@ def find_time_shifts(lower_spec: BarrierSpec, upper_spec: BarrierSpec,
                 "increase shift_max")
         upper_onset = bnd.onset_t
     start = max(0.0, lattice * np.ceil((upper_onset - t_min_upper) / lattice))
+    if start > shift_max:
+        raise OrderingFailureError(
+            f"the upper onset {upper_onset:.6g} needs a shift of at least "
+            f"{start:g} > shift_max = {shift_max:g}")
     T2 = _search_shift(
         lambda s: _upper_violation(upper_spec, snaps, s, t_min_upper),
         shift_max, lattice, slack, start=start)

@@ -148,7 +148,8 @@ def cmd_tabulate(cfg, out: Path, quiet: bool) -> int:
                     "ratio checks skipped")
         return 0
     report = check_asymptotics(tuple(sweep), npd=npd,
-                               growth_tol=float(sec["growth_tol"]), strict=False)
+                               growth_tol=float(sec["growth_tol"]), strict=False,
+                               funcs=funcs if y_max in sweep else None)
     ser.dump_json({"y_maxes": [ser.fmt(v) for v in report.y_maxes],
                    "ratios": {k: [ser.fmt(v) for v in seq]
                               for k, seq in report.ratios.items()},
@@ -197,12 +198,16 @@ def cmd_match(cfg, out: Path, quiet: bool) -> int:
 
 
 @functools.lru_cache(maxsize=1)
-def _barriers(cfg, quiet: bool) -> tuple[bar.BarrierSpec, bar.BarrierSpec]:
-    """The (lower, upper) barriers at K = [barriers] k_lower, k_upper: one
-    matching path per K, long enough for certify's boundary scan and for
-    sandwich's largest shift, and one special-function table for both."""
+def _barriers(cfg, quiet: bool) -> tuple[bar.BarrierSpec, bar.BarrierSpec,
+                                         bar.BoundaryReport, bar.BoundaryReport]:
+    """The (lower, upper) barriers at K = [barriers] k_lower, k_upper and
+    their x = 1 matching reports on certify's window [1, boundary_t_hi]:
+    one matching path per K, long enough for certify's boundary scan and
+    for sandwich's largest shift, and one special-function table for both.
+    Certify writes the reports; sandwich takes the onsets they resolve."""
     sec = cfg["barriers"]
-    t_path = max(1.01 * float(cfg["certify"]["boundary_t_hi"]),
+    bnd_hi = float(cfg["certify"]["boundary_t_hi"])
+    t_path = max(1.01 * bnd_hi,
                  float(cfg["solve"]["t_end"])
                  + float(cfg["sandwich"]["shift_max"]) + 1.0)
     path_lo = mat.integrate_a(float(sec["k_lower"]), t_path)
@@ -211,12 +216,14 @@ def _barriers(cfg, quiet: bool) -> tuple[bar.BarrierSpec, bar.BarrierSpec]:
     _say(quiet, f"building tables to y_max = {y_max:.3e} ...")
     funcs = SpecialFunctions(y_max, npd=int(sec["npd"]))
     table = funcs.table()
-    return (bar.BarrierSpec(kind=bar.LOWER, path=path_lo, table=table, funcs=funcs),
-            bar.BarrierSpec(kind=bar.UPPER, path=path_up, table=table, funcs=funcs))
+    specs = (bar.BarrierSpec(kind=bar.LOWER, path=path_lo, table=table, funcs=funcs),
+             bar.BarrierSpec(kind=bar.UPPER, path=path_up, table=table, funcs=funcs))
+    return specs + tuple(bar.check_boundary_matching(spec, (1.0, bnd_hi), n_t=96)
+                         for spec in specs)
 
 
 def cmd_certify(cfg, out: Path, quiet: bool) -> int:
-    lower, upper = _barriers(cfg, quiet)
+    lower, upper, bnd_lo, bnd_up = _barriers(cfg, quiet)
     sec = cfg["certify"]
     t_hi = float(sec["t_hi"])
     bnd_hi = float(sec["boundary_t_hi"])
@@ -241,10 +248,7 @@ def cmd_certify(cfg, out: Path, quiet: bool) -> int:
     if not mono:
         failures.append("lower barrier not increasing beyond threshold")
 
-    bnd_results = {}
-    for spec, name in ((lower, "lower"), (upper, "upper")):
-        rep = bar.check_boundary_matching(spec, (1.0, bnd_hi), n_t=96)
-        bnd_results[name] = rep
+    for rep, name in ((bnd_lo, "lower"), (bnd_up, "upper")):
         ser.dump_json({"kind": rep.kind, "K": ser.fmt(rep.K),
                        "onset_t": None if rep.onset_t is None else ser.fmt(rep.onset_t),
                        "ok_beyond": rep.ok_beyond},
@@ -353,14 +357,15 @@ def cmd_sandwich(cfg, out: Path, quiet: bool, traj=None) -> int:
     sec = cfg["sandwich"]
     if traj is None:
         traj = _run_critical(cfg, quiet)
-    lower, upper = _barriers(cfg, quiet)
+    lower, upper, bnd_lo, bnd_up = _barriers(cfg, quiet)
     tau = 1.0 / (4.0 * max(traj.data_K, 1.0))
     t_min_upper = min((s.time for s in traj.snapshots if s.time >= tau),
                       default=tau)
     report = bar.find_time_shifts(
         lower, upper, traj.snapshots, shift_max=float(sec["shift_max"]),
         lattice=float(sec["lattice"]), slack=float(sec["slack"]),
-        t_min_upper=t_min_upper)
+        t_min_upper=t_min_upper, lower_onset=bnd_lo.resolved_onset,
+        upper_onset=bnd_up.resolved_onset)
     ok = report.worst_lower <= report.slack and report.worst_upper <= report.slack
     ser.dump_json({"T1": ser.fmt(report.T1), "T2": ser.fmt(report.T2),
                    "lower_onset": ser.fmt(report.lower_onset),
@@ -411,7 +416,7 @@ def _manifest(traj) -> dict:
         "dt_min_accepted": ser.fmt(float(traj.step_sizes.min())),
         "dt_max_accepted": ser.fmt(float(traj.step_sizes.max())),
         "newton_iters_max": int(traj.newton_iters.max()),
-        "newton_maxit_steps": int(np.sum(traj.newton_iters >= traj.config.max_newton)),
+        "newton_loose_solves": int(traj.newton_loose_solves),
         "output_times": [ser.fmt(s.time) for s in traj.snapshots],
     }
 

@@ -25,7 +25,11 @@ Both forms share one implicit-step core: backward Euler (optionally
 TR-BDF2), one Newton loop (`_newton`) on the full nonlinear system with the
 exact tridiagonal Jacobian, and local-error control by step doubling.  Each
 form supplies only its residual with the Jacobian bands (`rhs_and_jac`) and
-the scale of its error tests (`scale`).
+the scale of its error tests (`scale`).  Newton stops at the residual
+tolerance `newton_tol`, or as soon as its last update is at round-off; in
+the fine cells the residual's own round-off can lie above `newton_tol`.  A
+solve that stops short of `newton_tol` is accepted only below the form's
+`loose` bar, and each such solve is counted in `newton_loose_solves`.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ from .errors import (MaximumPrincipleViolation, RangeError, ResolutionError,
 from .grids import GradedGrid, RadialField, Snapshot
 
 _TRBDF2_GAMMA = 2.0 - math.sqrt(2.0)
+# a Newton update no larger than this times max|U| is at round-off
+_ROUNDOFF = 8.0 * np.finfo(float).eps
 
 
 @dataclass
@@ -77,6 +83,7 @@ class Trajectory:
     step_sizes: np.ndarray
     newton_iters: np.ndarray
     data_K: float = np.nan
+    newton_loose_solves: int = 0   # solves accepted only by problem.loose
 
     def at(self, t: float) -> Snapshot:
         for s in self.snapshots:
@@ -100,25 +107,41 @@ def steady_profile(a: float, grid: GradedGrid) -> Snapshot:
 def _newton(problem, u_start, coef, rhs, tol, maxit):
     """Solve U - coef*F(U) = rhs on the problem's unknown rows.
 
-    Stops when the max-norm residual drops below tol.  After maxit
-    iterations the solve is still accepted when the last residual is below
-    problem.loose * problem.scale(U).
+    Stops when the max-norm residual drops below tol.  It also stops once
+    the last update max|dU| is at round-off, at most _ROUNDOFF * max|U|:
+    further iterations cannot move U, only the rounding of the residual
+    (Hairer & Wanner, Solving ODEs II, IV.8).  That solve, like one that
+    runs out of maxit iterations, is accepted when its residual is below
+    problem.loose * problem.scale(U), and each such loose acceptance is
+    counted in problem.loose_solves.
     """
     u = u_start.copy()
     sl = slice(problem.ilo, len(u) - 1)
     nrm = np.inf
+    du_max = np.inf
     for it in range(maxit):
         F, sub, diag, sup = problem.rhs_and_jac(u)
         R = u[sl] - coef * F - rhs
         nrm = float(np.max(np.abs(R)))
         if nrm < tol:
             return u, it, True
+        if du_max <= _ROUNDOFF * float(np.max(np.abs(u))):
+            return u, it, _accept_loose(problem, u, nrm)
         ab = np.zeros((3, len(F)))
         ab[0, 1:] = -coef * sup[:-1]
         ab[1, :] = 1.0 - coef * diag
         ab[2, :-1] = -coef * sub[1:]
-        u[sl] += solve_banded((1, 1), ab, -R)
-    return u, maxit, nrm < problem.loose * problem.scale(u)
+        du = solve_banded((1, 1), ab, -R)
+        u[sl] += du
+        du_max = float(np.max(np.abs(du)))
+    return u, maxit, _accept_loose(problem, u, nrm)
+
+
+def _accept_loose(problem, u, nrm):
+    """The loose residual test, counting each solve it accepts."""
+    ok = nrm < problem.loose * problem.scale(u)
+    problem.loose_solves += ok
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -127,16 +150,20 @@ def _newton(problem, u_start, coef, rhs, tol, maxit):
 
 class _UProblem:
     ilo = 1   # first unknown slot (both boundary nodes are Dirichlet)
-    loose = 1e-7   # residual accepted after maxit Newton iterations
+    loose = 1e-7   # residual accepted when Newton stalls or runs out of iterations
     newton = _newton
 
     def __init__(self, grid: GradedGrid, xi: float, eps: float):
         x = grid.nodes
         self.h = np.diff(x)
         self.xhat = np.sqrt((x[:-1] + eps) * (x[1:] + eps))
+        self.xhat_h = self.xhat / self.h
         self.dlt = 0.5 * (x[2:] - x[:-2])
         self.theta = np.zeros(len(self.h))     # upwind blend, frozen per step
         self.upwind_left = np.zeros(len(self.h), dtype=bool)
+        # faces with theta > 0, upwinded to the left and to the right node
+        self.blend_left = self.blend_right = np.zeros(0, dtype=int)
+        self.loose_solves = 0
         # quadratic extrapolation of u(1-u) to the last face when xi == 1
         self.extrapolate_last = (xi == 1.0)
         if self.extrapolate_last:
@@ -152,34 +179,39 @@ class _UProblem:
         pe = np.abs(speed) * self.h / np.maximum(self.xhat, 1e-300)
         self.theta = np.where(pe > 2.0, 1.0 - 2.0 / np.maximum(pe, 2.0), 0.0)
         self.upwind_left = speed > 0.0
+        blended = np.flatnonzero(self.theta)
+        left = self.upwind_left[blended]
+        self.blend_left, self.blend_right = blended[left], blended[~left]
 
     def _advective_face(self, u):
-        """Face value of u(1-u) and its derivatives wrt (u_left, u_right)."""
-        ul, ur = u[:-1], u[1:]
-        wl = ul * (1.0 - ul)
-        wr = ur * (1.0 - ur)
+        """Face value of u(1-u) and its derivatives wrt (u_left, u_right).
+
+        The geometric mean sqrt(w_l w_r) of w = u(1-u) where both nodes are
+        positive, else the arithmetic mean, blended towards the upwind node
+        on the faces freeze_blend flagged; at xi = 1 the last face is
+        extrapolated instead.
+        """
+        w = u * (1.0 - u)
+        s = 1.0 - 2.0 * u
+        wl, wr = w[:-1], w[1:]
         both_pos = (wl > 0.0) & (wr > 0.0)
-        wl_s = np.where(both_pos, wl, 1.0)
-        wr_s = np.where(both_pos, wr, 1.0)
-        geo = np.sqrt(wl_s * wr_s)
-        g_val = np.where(both_pos, geo, 0.5 * (wl + wr))
-        dl = np.where(both_pos, 0.5 * np.sqrt(wr_s / wl_s) * (1.0 - 2.0 * ul),
-                      0.5 * (1.0 - 2.0 * ul))
-        dr = np.where(both_pos, 0.5 * np.sqrt(wl_s / wr_s) * (1.0 - 2.0 * ur),
-                      0.5 * (1.0 - 2.0 * ur))
-        th = self.theta
-        if np.any(th > 0.0):
-            up_val = np.where(self.upwind_left, wl, wr)
-            up_dl = np.where(self.upwind_left, 1.0 - 2.0 * ul, 0.0)
-            up_dr = np.where(self.upwind_left, 0.0, 1.0 - 2.0 * ur)
-            g_val = (1.0 - th) * g_val + th * up_val
-            dl = (1.0 - th) * dl + th * up_dl
-            dr = (1.0 - th) * dr + th * up_dr
+        # sqrt(w_r/w_l) on geometric faces, 1 on arithmetic ones
+        root = np.sqrt(np.where(both_pos, wr, 1.0) / np.where(both_pos, wl, 1.0))
+        g_val = np.where(both_pos, wl * root, 0.5 * (wl + wr))
+        dl = 0.5 * s[:-1] * root
+        dr = 0.5 * s[1:] / root
+        kl, kr = self.blend_left, self.blend_right
+        th = self.theta[kl]
+        g_val[kl] = (1.0 - th) * g_val[kl] + th * w[kl]
+        dl[kl] = (1.0 - th) * dl[kl] + th * s[kl]
+        dr[kl] *= 1.0 - th
+        th = self.theta[kr]
+        g_val[kr] = (1.0 - th) * g_val[kr] + th * w[kr + 1]
+        dl[kr] *= 1.0 - th
+        dr[kr] = (1.0 - th) * dr[kr] + th * s[kr + 1]
         if self.extrapolate_last:
-            wa = u[-3] * (1.0 - u[-3])
-            wb = u[-2] * (1.0 - u[-2])
-            g_val[-1] = self.cA * wa + self.cB * wb
-            dl[-1] = self.cB * (1.0 - 2.0 * u[-2])
+            g_val[-1] = self.cA * w[-3] + self.cB * w[-2]
+            dl[-1] = self.cB * s[-2]
             dr[-1] = 0.0
         return g_val, dl, dr
 
@@ -193,8 +225,8 @@ class _UProblem:
         s = (u[1:] - u[:-1]) / self.h
         g_val, g_dl, g_dr = self._advective_face(u)
         flux = self.xhat * s - g_val
-        d_l = -self.xhat / self.h - g_dl
-        d_r = self.xhat / self.h - g_dr
+        d_l = -self.xhat_h - g_dl
+        d_r = self.xhat_h - g_dr
         F = (flux[1:] - flux[:-1]) / self.dlt
         return (F, -d_l[:-1] / self.dlt, (d_l[1:] - d_r[:-1]) / self.dlt,
                 d_r[1:] / self.dlt)
@@ -335,7 +367,8 @@ def solve(u0: Snapshot, config: SolverConfig, t_end: float,
                       left_bc=0.0, right_bc=config.right_bc)
              for tt, v in sorted(outs.items())]
     return Trajectory(config=config, snapshots=snaps, step_times=times,
-                      step_sizes=sizes, newton_iters=iters, data_K=data_K)
+                      step_sizes=sizes, newton_iters=iters, data_K=data_K,
+                      newton_loose_solves=problem.loose_solves)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +381,7 @@ class _WProblem:
     newton = _newton
 
     def __init__(self, r: np.ndarray):
+        self.loose_solves = 0
         rf = 0.5 * (r[:-1] + r[1:])
         self.h = np.diff(r)
         self.rf3 = rf ** 3
@@ -396,6 +430,7 @@ class WTrajectory:
     fields: list
     times: list
     events: list = field(default_factory=list)
+    newton_loose_solves: int = 0   # solves accepted only by problem.loose
 
 
 def solve_w(w0: RadialField, config: SolverConfig, t_end: float,
@@ -423,10 +458,12 @@ def solve_w(w0: RadialField, config: SolverConfig, t_end: float,
     except _BlowUp as bu:
         return WTrajectory(config=config, fields=[], times=[],
                            events=[{"event": "blow-up-detected",
-                                    "time": bu.t, "sup": bu.sup}])
+                                    "time": bu.t, "sup": bu.sup}],
+                           newton_loose_solves=problem.loose_solves)
     fields = [RadialField(r_nodes=r, values=v, total_mass=np.pi * float(v[-1]))
               for _, v in sorted(outs.items())]
-    return WTrajectory(config=config, fields=fields, times=sorted(outs.keys()))
+    return WTrajectory(config=config, fields=fields, times=sorted(outs.keys()),
+                       newton_loose_solves=problem.loose_solves)
 
 
 class _BlowUp(Exception):

@@ -324,9 +324,21 @@ class SpecialFunctions:
     Slow but pointwise accurate; use .table() for bulk evaluation.
     """
 
+    @staticmethod
+    def settings_of(y_max: float, M: float | None = None,
+                    phi: PhiBlend | None = None, npd: int = 40,
+                    order: int = 10, extra_nodes=(),
+                    strict_m: bool = True) -> tuple:
+        """Every argument the tables depend on, as SpecialFunctions(same
+        arguments).settings records them."""
+        return (float(y_max), M, phi if phi is not None else PhiBlend(), npd,
+                order, tuple(extra_nodes), strict_m)
+
     def __init__(self, y_max: float, M: float | None = None,
                  phi: PhiBlend | None = None, npd: int = 40,
                  order: int = 10, extra_nodes=(), strict_m: bool = True):
+        self.settings = self.settings_of(y_max, M, phi, npd, order, extra_nodes,
+                                         strict_m)
         self.y_max = float(y_max)
         self.phi = phi if phi is not None else PhiBlend()
         self._f = OperatorInverse(w0, y_max, npd=npd, order=order,
@@ -471,17 +483,32 @@ _CLAIMS = {
 
 def check_asymptotics(y_maxes=(1e4, 1e5, 1e6), npd: int = 40,
                       growth_tol: float = 1.35, strict: bool = True,
-                      phi: PhiBlend | None = None) -> AsymptoticsReport:
+                      phi: PhiBlend | None = None,
+                      funcs: SpecialFunctions | None = None) -> AsymptoticsReport:
     """Sup deviation ratios on [y_max/100, y_max] for each claim, across a
     sweep of y_max; a ratio growing across the sweep raises (strict mode).
+
+    ``funcs``, a ``SpecialFunctions(y_max, phi=phi, npd=npd)`` for one
+    y_max of the sweep, serves that member in place of a second build of
+    the same table; a table built with any other settings raises.
     """
     y_maxes = tuple(sorted(float(v) for v in y_maxes))
     if y_maxes[0] < 1e4:
         raise ConstructionError("asymptotic window needs y_max >= 1e4")
+    wanted = {ym: SpecialFunctions.settings_of(ym, phi=phi, npd=npd)
+              for ym in y_maxes}
+    if funcs is not None and funcs.settings not in wanted.values():
+        raise ConstructionError(
+            f"the given table (settings {funcs.settings}) matches no member "
+            f"of the sweep y_max = {y_maxes}")
     ratios = {name: [] for name in _CLAIMS}
     spot = {}
+    given = funcs
     for ym in y_maxes:
-        funcs = SpecialFunctions(ym, phi=phi, npd=npd)
+        if given is not None and given.settings == wanted[ym]:
+            funcs = given
+        else:
+            funcs = SpecialFunctions(ym, phi=phi, npd=npd)
         comps = {i: build_component(i, ym, npd=npd, phi=funcs.phi) for i in (1, 2, 3)}
         ys = np.geomspace(ym / 100.0, ym, 200)
         actual = {

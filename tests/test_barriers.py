@@ -208,11 +208,21 @@ class TestBoundaryMatching:
         assert rep.ok_beyond
         assert rep.onset_t < 20.0
 
+    def test_onset_at_window_start_is_not_resolved(self, lower_med):
+        # inside the window the onset is bracketed and refined; a window that
+        # starts past it only shows that the onset lies below its start
+        rep = check_boundary_matching(lower_med, (1.0, 50.0))
+        assert rep.resolved_onset == rep.onset_t
+        late = check_boundary_matching(lower_med, (2.0 * rep.onset_t, 50.0))
+        assert late.onset_t == late.times[0]
+        assert late.resolved_onset is None
+
     def test_lower_k7_fails(self, table_med):
         path = integrate_a(7.0, 60.0)
         spec = BarrierSpec(kind="lower", path=path, table=table_med)
         rep = check_boundary_matching(spec, (1.0, 50.0))
         assert not rep.ok_beyond
+        assert rep.resolved_onset is None
         assert np.all(rep.margins[-10:] < 0.0)
 
     def test_upper_k6_desk_scale_negative(self, upper_med):

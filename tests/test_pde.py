@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from ksgrowup import (RadialField, Snapshot, SolverConfig, l1_to_one,
                       slope_origin_info, small_time_checks, solve, solve_w,
                       steady_profile, w_from_u)
 from ksgrowup.errors import ResolutionError
+from ksgrowup.grids import GradedGrid
 from ksgrowup.pde import _UProblem, _WProblem
 
 
@@ -47,6 +50,105 @@ class TestJacobians:
             J_fd[:, j] = (problem.rhs_and_jac(up)[0]
                           - problem.rhs_and_jac(um)[0]) / (2.0 * step)
         assert np.max(np.abs(J - J_fd)) <= 1e-8 * np.max(np.abs(J_fd))
+
+
+def _radial_grid(n=200):
+    """The graded r-grid of the cross-form check, rescaled to [0, 1]."""
+    widths = np.diff(make_graded_grid(n, 2e-4, 1.06).nodes)
+    r = np.concatenate([[0.0], np.cumsum(widths)])
+    return r / r[-1]
+
+
+class _ScaledBands(_WProblem):
+    """A w-form problem whose Jacobian bands are off by a constant factor."""
+    band_scale = 1.0
+
+    def rhs_and_jac(self, w):
+        F, sub, diag, sup = super().rhs_and_jac(w)
+        c = self.band_scale
+        return F, c * sub, c * diag, c * sup
+
+
+class TestNewtonStop:
+    def _steady_w(self, w_origin=750.0):
+        r = _radial_grid()
+        a = w_origin / 8.0
+        return r, 8.0 * a / (a * r * r + 1.0)
+
+    def test_stops_at_round_off(self):
+        # near w(0) = 750 the residual of a converged step sits near 1e-8,
+        # far above newton_tol = 1e-11: Newton must stop once its update is
+        # at round-off, not run all max_newton iterations
+        r, w = self._steady_w()
+        problem = _WProblem(r)
+        cfg = SolverConfig()
+        w_new, its, ok = problem.newton(w, 1e-3, w[:-1], cfg.newton_tol, cfg.max_newton)
+        F = problem.rhs_and_jac(w_new)[0]
+        assert np.max(np.abs(w_new[:-1] - 1e-3 * F - w[:-1])) >= cfg.newton_tol
+        assert its <= 5
+        assert ok
+        assert problem.loose_solves == 1
+
+    @pytest.mark.parametrize("band_scale, its_expected", [(1e3, 14), (1e20, 1)],
+                             ids=["slow", "stalled"])
+    def test_wrong_jacobian_is_not_accepted(self, band_scale, its_expected):
+        # bands 1e3 too large: Newton creeps and runs out of iterations;
+        # 1e20 too large: the first update is at round-off, so the stop
+        # fires, but the residual is far above the loose bar
+        r, w = self._steady_w()
+        problem = _ScaledBands(r)
+        problem.band_scale = band_scale
+        cfg = SolverConfig()
+        _, its, ok = problem.newton(w, 1e-4, w[:-1], cfg.newton_tol, cfg.max_newton)
+        assert its == its_expected
+        assert not ok
+        assert problem.loose_solves == 0
+
+
+def _faces_one_by_one(problem, u):
+    """Reference face values and derivatives, face by face by the case split."""
+    out = np.empty((3, len(u) - 1))
+    for i in range(len(u) - 1):
+        wl, wr = u[i] * (1.0 - u[i]), u[i + 1] * (1.0 - u[i + 1])
+        sl, sr = 1.0 - 2.0 * u[i], 1.0 - 2.0 * u[i + 1]
+        if wl > 0.0 and wr > 0.0:
+            face = (math.sqrt(wl * wr), 0.5 * math.sqrt(wr / wl) * sl,
+                    0.5 * math.sqrt(wl / wr) * sr)
+        else:
+            face = (0.5 * (wl + wr), 0.5 * sl, 0.5 * sr)
+        up = (wl, sl, 0.0) if problem.upwind_left[i] else (wr, 0.0, sr)
+        th = problem.theta[i]
+        out[:, i] = [(1.0 - th) * f + th * v for f, v in zip(face, up)]
+    if problem.extrapolate_last:
+        wa, wb = u[-3] * (1.0 - u[-3]), u[-2] * (1.0 - u[-2])
+        out[:, -1] = (problem.cA * wa + problem.cB * wb,
+                      problem.cB * (1.0 - 2.0 * u[-2]), 0.0)
+    return out
+
+
+class TestAdvectiveFace:
+    @pytest.mark.parametrize("xi, zero_node", [
+        (1.0, None),   # w > 0 on every interior node, w <= 0 at both ends
+        (0.5, None),   # w(1) > 0: the last face is geometric too
+        (1.0, 1),      # w = 0 on an interior node: arithmetic faces inside
+    ], ids=["xi_1", "xi_below_1", "interior_zero"])
+    def test_faces_agree_with_face_by_face(self, xi, zero_node):
+        # coarse jumps make the face at x = 0 upwind to the left and the
+        # face from 0.1 to 0.9 upwind to the right
+        x = np.concatenate([[0.0], np.geomspace(1e-4, 0.1, 30), [0.9, 0.95, 1.0]])
+        u = xi * 41.0 * x / (40.0 * x + 1.0)
+        u[-1] = xi
+        if zero_node is not None:
+            u[:zero_node + 1] = 0.0
+        problem = _UProblem(GradedGrid.from_nodes(x), xi, 0.0)
+        problem.freeze_blend(u)
+        assert len(problem.blend_left)
+        if xi == 1.0 and zero_node is None:
+            assert len(problem.blend_right)
+        got = np.array(problem._advective_face(u))
+        ref = _faces_one_by_one(problem, u)
+        for g, r in zip(got, ref):
+            assert np.max(np.abs(g - r)) <= 1e-14 * np.max(np.abs(r))
 
 
 class TestSteadyStates:
@@ -237,15 +339,23 @@ class TestWForm:
         drift = np.max(np.abs(traj.fields[-1].values - w0))
         assert drift < 5e-3  # truncation-level only; no geometric trick here
 
-    def test_cross_form_consistency(self, critical_traj):
+    def test_cross_form_consistency(self, critical_traj, monkeypatch):
         # w(0, t/4)/8 equals u_x(0, t); both solvers independently
-        widths = np.diff(make_graded_grid(200, 2e-4, 1.06).nodes)
-        r = np.concatenate([[0.0], np.cumsum(widths)])
-        r /= r[-1]
+        # and no Newton solve of the w-form uses all max_newton iterations
+        r = _radial_grid()
         field = RadialField(r_nodes=r, values=np.full_like(r, 8.0),
                             total_mass=8 * np.pi)
         cfg = SolverConfig(dt_max=0.005)
+        its = []
+        newton = _WProblem.newton
+
+        def recorded(*args):
+            out = newton(*args)
+            its.append(out[1])
+            return out
+        monkeypatch.setattr(_WProblem, "newton", recorded)
         traj_w = solve_w(field, cfg, 0.25, [0.0625, 0.25])
+        assert its and max(its) < cfg.max_newton
         for tw, tu in ((0.0625, 0.25), (0.25, 1.0)):
             w0v = traj_w.fields[traj_w.times.index(tw)].values[0]
             snap = critical_traj.at(tu)

@@ -271,3 +271,30 @@ class TestAsymptoticsReport:
     def test_window_guard(self):
         with pytest.raises(ConstructionError):
             check_asymptotics((100.0, 1000.0))
+
+    def test_given_table_replaces_its_sweep_member(self, monkeypatch):
+        # a table built for the largest member serves it, and only it: the
+        # same report, one build fewer
+        from ksgrowup import specialfn
+        fresh = check_asymptotics((1e4, 2e4), strict=False)
+        given = SpecialFunctions(2e4)
+        builds = []
+
+        class Counting(SpecialFunctions):
+            def __init__(self, *args, **kwargs):
+                builds.append(args)
+                super().__init__(*args, **kwargs)
+        monkeypatch.setattr(specialfn, "SpecialFunctions", Counting)
+        shared = check_asymptotics((1e4, 2e4), strict=False, funcs=given)
+        assert builds == [(1e4,)]
+        assert shared.ratios == fresh.ratios
+        assert shared.spot_checks == fresh.spot_checks
+
+    @pytest.mark.parametrize("y_max, kwargs", [(2e4, {"order": 8}),
+                                               (3e4, {})],
+                             ids=["order", "y_max"])
+    def test_given_table_must_match_a_sweep_member(self, y_max, kwargs):
+        # a table the sweep would not build is refused, not used or dropped
+        with pytest.raises(ConstructionError, match="matches no member"):
+            check_asymptotics((1e4, 2e4), strict=False,
+                              funcs=SpecialFunctions(y_max, **kwargs))
