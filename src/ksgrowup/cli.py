@@ -417,6 +417,8 @@ def _manifest(traj) -> dict:
         "dt_max_accepted": ser.fmt(float(traj.step_sizes.max())),
         "newton_iters_max": int(traj.newton_iters.max()),
         "newton_loose_solves": int(traj.newton_loose_solves),
+        "rejected_error_test": int(traj.rejected_error_test),
+        "rejected_newton": int(traj.rejected_newton),
         "output_times": [ser.fmt(s.time) for s in traj.snapshots],
     }
 

@@ -21,15 +21,17 @@ w-form:  w_t = w_rr + 3 w_r / r + w^2 + (r/2) w w_r on (0,1), w_r(0,t)=0,
 w(1,t) = 8 xi; the diffusion is the radial Laplacian in 4 space dimensions,
 discretized by finite volumes with r^3 weights.
 
-Both forms share one implicit-step core: backward Euler (optionally
-TR-BDF2), one Newton loop (`_newton`) on the full nonlinear system with the
-exact tridiagonal Jacobian, and local-error control by step doubling.  Each
-form supplies only its residual with the Jacobian bands (`rhs_and_jac`) and
-the scale of its error tests (`scale`).  Newton stops at the residual
-tolerance `newton_tol`, or as soon as its last update is at round-off; in
-the fine cells the residual's own round-off can lie above `newton_tol`.  A
-solve that stops short of `newton_tol` is accepted only below the form's
-`loose` bar, and each such solve is counted in `newton_loose_solves`.
+Both forms share one implicit-step core: TR-BDF2 (backward Euler only for
+fixed steps), one Newton loop (`_newton`) on the full nonlinear system with
+the exact tridiagonal Jacobian, and local-error control by TR-BDF2's
+embedded error estimate (Hosea & Shampine, Appl. Numer. Math. 20, 1996),
+which costs one more tridiagonal solve per step.  Each form supplies only
+its residual with the Jacobian bands (`rhs_and_jac`) and the scale of its
+error tests (`scale`).  Newton stops at the residual tolerance
+`newton_tol * scale(U)`, or as soon as its last update is at round-off; in
+the fine cells the residual's own round-off can lie above that tolerance.
+A solve that stops short of it is accepted only below the form's `loose`
+bar, and each such solve is counted in `newton_loose_solves`.
 """
 
 from __future__ import annotations
@@ -47,6 +49,12 @@ from .errors import (MaximumPrincipleViolation, RangeError, ResolutionError,
 from .grids import GradedGrid, RadialField, Snapshot
 
 _TRBDF2_GAMMA = 2.0 - math.sqrt(2.0)
+# error constant of TR-BDF2: its local error is about k dt^3 d3u/dt3
+_TRBDF2_K = (-3.0 * _TRBDF2_GAMMA ** 2 + 4.0 * _TRBDF2_GAMMA - 2.0) / (
+    12.0 * (2.0 - _TRBDF2_GAMMA))
+# a step that would leave less than this fraction of itself before its
+# target goes to the target, so the round-off of t makes no sliver step
+_SLIVER = 1e-6
 # a Newton update no larger than this times max|U| is at round-off
 _ROUNDOFF = 8.0 * np.finfo(float).eps
 
@@ -58,7 +66,7 @@ class SolverConfig:
     dt_max: float = 0.05
     newton_tol: float = 1e-11
     reg_epsilon: float = 0.0
-    scheme: str = "be"                  # "be" | "trbdf2"
+    scheme: str = "trbdf2"              # "trbdf2" | "be" (fixed steps only)
     right_bc: float = 1.0
     local_error_tol: float | None = 1e-6  # None -> fixed steps of dt_max
     max_newton: int = 14
@@ -73,6 +81,9 @@ class SolverConfig:
             raise ValueError("reg_epsilon must be >= 0")
         if self.scheme not in ("be", "trbdf2"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if self.scheme == "be" and self.local_error_tol is not None:
+            raise ValueError("scheme 'be' has no error estimate: it takes only "
+                             "fixed steps (local_error_tol = none)")
 
 
 @dataclass
@@ -84,6 +95,8 @@ class Trajectory:
     newton_iters: np.ndarray
     data_K: float = np.nan
     newton_loose_solves: int = 0   # solves accepted only by problem.loose
+    rejected_error_test: int = 0   # steps rejected by the local-error test
+    rejected_newton: int = 0       # steps rejected for a Newton failure
 
     def at(self, t: float) -> Snapshot:
         for s in self.snapshots:
@@ -107,13 +120,13 @@ def steady_profile(a: float, grid: GradedGrid) -> Snapshot:
 def _newton(problem, u_start, coef, rhs, tol, maxit):
     """Solve U - coef*F(U) = rhs on the problem's unknown rows.
 
-    Stops when the max-norm residual drops below tol.  It also stops once
-    the last update max|dU| is at round-off, at most _ROUNDOFF * max|U|:
-    further iterations cannot move U, only the rounding of the residual
-    (Hairer & Wanner, Solving ODEs II, IV.8).  That solve, like one that
-    runs out of maxit iterations, is accepted when its residual is below
-    problem.loose * problem.scale(U), and each such loose acceptance is
-    counted in problem.loose_solves.
+    Stops when the max-norm residual drops below tol * problem.scale(U).
+    It also stops once the last update max|dU| is at round-off, at most
+    _ROUNDOFF * max|U|: further iterations cannot move U, only the rounding
+    of the residual (Hairer & Wanner, Solving ODEs II, IV.8).  That solve,
+    like one that runs out of maxit iterations, is accepted when its
+    residual is below problem.loose * problem.scale(U), and each such loose
+    acceptance is counted in problem.loose_solves.
     """
     u = u_start.copy()
     sl = slice(problem.ilo, len(u) - 1)
@@ -123,18 +136,23 @@ def _newton(problem, u_start, coef, rhs, tol, maxit):
         F, sub, diag, sup = problem.rhs_and_jac(u)
         R = u[sl] - coef * F - rhs
         nrm = float(np.max(np.abs(R)))
-        if nrm < tol:
+        if nrm < tol * problem.scale(u):
             return u, it, True
         if du_max <= _ROUNDOFF * float(np.max(np.abs(u))):
             return u, it, _accept_loose(problem, u, nrm)
-        ab = np.zeros((3, len(F)))
-        ab[0, 1:] = -coef * sup[:-1]
-        ab[1, :] = 1.0 - coef * diag
-        ab[2, :-1] = -coef * sub[1:]
-        du = solve_banded((1, 1), ab, -R)
+        du = solve_banded((1, 1), _iteration_bands(coef, sub, diag, sup), -R)
         u[sl] += du
         du_max = float(np.max(np.abs(du)))
     return u, maxit, _accept_loose(problem, u, nrm)
+
+
+def _iteration_bands(coef, sub, diag, sup):
+    """I - coef*J in the (1, 1) band storage of solve_banded."""
+    ab = np.zeros((3, len(diag)))
+    ab[0, 1:] = -coef * sup[:-1]
+    ab[1, :] = 1.0 - coef * diag
+    ab[2, :-1] = -coef * sub[1:]
+    return ab
 
 
 def _accept_loose(problem, u, nrm):
@@ -240,87 +258,109 @@ class _UProblem:
 
 
 def _step_once(problem, u, dt, cfg):
+    """One implicit step of size dt from u: (u_new, ok, Newton its, est).
+
+    TR-BDF2 takes a trapezoidal stage to t + gam*dt and a BDF2 stage to
+    t + dt; with gam = 2 - sqrt(2) both stages solve with the iteration
+    matrix I - d*dt*J, d = gam/2.  est estimates the local error on the
+    unknown rows (Hosea & Shampine 1996):
+    2k*dt*[F0/gam - Fg/(gam(1-gam)) + F1/(1-gam)], a second divided
+    difference of F over the step, filtered through (I - d*dt*J(u))^{-1} so
+    that stiff components do not inflate it.  F at the two stages is read
+    off the stage equations, not evaluated again.  Backward Euler, for
+    fixed steps only, returns est = None.
+    """
     sl = slice(problem.ilo, len(u) - 1)
     if cfg.scheme == "be":
         un, its, ok = problem.newton(u, dt, u[sl], cfg.newton_tol, cfg.max_newton)
-        return un, ok, its
+        return un, ok, its, None
     gam = _TRBDF2_GAMMA
-    F0 = problem.rhs_and_jac(u)[0]
-    rhs1 = u[sl] + 0.5 * gam * dt * F0
-    u1, its1, ok1 = problem.newton(u, 0.5 * gam * dt, rhs1, cfg.newton_tol, cfg.max_newton)
-    if not ok1:
-        return u, False, its1
-    c1 = 1.0 / (gam * (2.0 - gam))
-    c2 = (1.0 - gam) ** 2 / (gam * (2.0 - gam))
-    c3 = (1.0 - gam) / (2.0 - gam)
-    rhs2 = c1 * u1[sl] - c2 * u[sl]
-    u2, its2, ok2 = problem.newton(u1, c3 * dt, rhs2, cfg.newton_tol, cfg.max_newton)
-    return u2, ok1 and ok2, max(its1, its2)
+    coef = 0.5 * gam * dt
+    F0, sub, diag, sup = problem.rhs_and_jac(u)
+    rhs1 = u[sl] + coef * F0
+    u1, its1, ok = problem.newton(u, coef, rhs1, cfg.newton_tol, cfg.max_newton)
+    if not ok:
+        return u, False, its1, None
+    rhs2 = (u1[sl] - (1.0 - gam) ** 2 * u[sl]) / (gam * (2.0 - gam))
+    u2, its2, ok = problem.newton(u1, coef, rhs2, cfg.newton_tol, cfg.max_newton)
+    if not ok:
+        return u, False, max(its1, its2), None
+    Fg = (u1[sl] - rhs1) / coef
+    F1 = (u2[sl] - rhs2) / coef
+    est = 2.0 * _TRBDF2_K * dt * (
+        F0 / gam - Fg / (gam * (1.0 - gam)) + F1 / (1.0 - gam))
+    est = solve_banded((1, 1), _iteration_bands(coef, sub, diag, sup), est)
+    return u2, True, max(its1, its2), est
 
 
 def _advance(problem, u0_vec, t_end, out_times, cfg, post_check):
+    """Integrate from t = 0 to t_end; keep the state at each output time.
+
+    With cfg.local_error_tol set, a step is accepted when
+    err = max|est| / (local_error_tol * scale(u_new)) <= 1, and the next dt
+    follows err^(-1/3), as est is O(dt^3).  A step rejected by that test or
+    for a Newton failure is retried smaller; both causes are counted.
+    Without it, steps are fixed at dt_max.  post_check sees every accepted
+    state.  Returns (outputs, step times, step sizes, Newton iterations,
+    rejection counts by cause).
+    """
     out_times = sorted(set(float(t) for t in out_times))
     if out_times and out_times[-1] > t_end + 1e-12:
         raise RangeError("output times beyond t_end")
+    adaptive = cfg.local_error_tol is not None
     u = u0_vec.copy()
     t = 0.0
-    dt = cfg.dt_initial if cfg.local_error_tol is not None else cfg.dt_max
-    order = 1.0 if cfg.scheme == "be" else 2.0
-    exponent = 1.0 / (order + 1.0)
+    dt = cfg.dt_initial if adaptive else cfg.dt_max
     outs = {}
     times, sizes, iters = [], [], []
+    rejected = {"rejected_error_test": 0, "rejected_newton": 0}
     oi = 0
     while out_times and abs(out_times[oi] - 0.0) < 1e-15:
         outs[out_times[oi]] = u.copy()
         oi += 1
         if oi >= len(out_times):
             break
-    while t < t_end - 1e-13:
+    while t < t_end:
         target = out_times[oi] if oi < len(out_times) else t_end
-        dtc = min(dt, cfg.dt_max, target - t)
+        remaining = target - t
+        dtc = min(dt, cfg.dt_max)
+        if dtc >= (1.0 - _SLIVER) * remaining:
+            dtc = remaining
         problem.freeze_blend(u)
-        if cfg.local_error_tol is None:
-            un, ok, n_newton = _step_once(problem, u, dtc, cfg)
-            if not ok:
+        un, ok, n_newton, est = _step_once(problem, u, dtc, cfg)
+        if not ok:
+            if not adaptive:
                 raise SolverFailureError(f"Newton failed at t = {t:.6g} (fixed step)")
-            err = 0.0
-        else:
-            u_full, ok1, n1 = _step_once(problem, u, dtc, cfg)
-            u_half, okh, n2 = _step_once(problem, u, 0.5 * dtc, cfg)
-            if okh:
-                problem.freeze_blend(u_half)
-                u_two, ok2, n3 = _step_once(problem, u_half, 0.5 * dtc, cfg)
-            else:
-                ok2, n3 = False, 0
-            if not (ok1 and okh and ok2):
-                dt = dtc / 4.0
-                if dt < 1e-12:
-                    raise SolverFailureError(
-                        f"Newton failed at t = {t:.6g} with dt at the floor")
-                continue
-            err = float(np.max(np.abs(u_full - u_two))) / (
-                cfg.local_error_tol * problem.scale(u_two))
+            rejected["rejected_newton"] += 1
+            dt = dtc / 4.0
+            if dt < 1e-12:
+                raise SolverFailureError(
+                    f"Newton failed at t = {t:.6g} with dt at the floor")
+            continue
+        if adaptive:
+            err = float(np.max(np.abs(est))) / (
+                cfg.local_error_tol * problem.scale(un))
             if err > 1.0:
-                dt = dtc * max(0.2, 0.85 * err ** (-exponent))
+                rejected["rejected_error_test"] += 1
+                dt = dtc * max(0.2, 0.85 * err ** (-1.0 / 3.0))
                 if dt < 1e-12:
                     raise SolverFailureError(
                         f"local-error control stalled at t = {t:.6g}")
                 continue
-            un = u_two
-            n_newton = max(n1, n2, n3)
-            dt = dtc * min(2.5, max(0.3, 0.85 * max(err, 1e-10) ** (-exponent)))
-        t += dtc
+            dt = dtc * min(2.5, max(0.3, 0.85 * max(err, 1e-10) ** (-1.0 / 3.0)))
+        t = target if dtc == remaining else t + dtc
         post_check(un, t)
         u = un
         times.append(t)
         sizes.append(dtc)
         iters.append(n_newton)
-        if oi < len(out_times) and abs(t - out_times[oi]) < 1e-12:
-            outs[out_times[oi]] = u.copy()
+        if t == target and oi < len(out_times):
+            outs[target] = u.copy()
             oi += 1
         if len(times) > 5_000_000:
             raise SolverFailureError("step budget exhausted")
-    return outs, np.array(times), np.array(sizes), np.array(iters, dtype=int)
+    return (outs, np.array(times), np.array(sizes), np.array(iters, dtype=int),
+            rejected)
 
 
 # ---------------------------------------------------------------------------
@@ -361,14 +401,14 @@ def solve(u0: Snapshot, config: SolverConfig, t_end: float,
                 f"monotonicity lost at t = {t:.6g} "
                 f"(worst drop {np.min(np.diff(u)):.3e})")
 
-    outs, times, sizes, iters = _advance(
+    outs, times, sizes, iters, rejected = _advance(
         problem, u0.values.copy(), t_end, output_times, config, post_check)
     snaps = [Snapshot(grid=grid, values=np.clip(v, 0.0, hi), time=tt,
                       left_bc=0.0, right_bc=config.right_bc)
              for tt, v in sorted(outs.items())]
     return Trajectory(config=config, snapshots=snaps, step_times=times,
                       step_sizes=sizes, newton_iters=iters, data_K=data_K,
-                      newton_loose_solves=problem.loose_solves)
+                      newton_loose_solves=problem.loose_solves, **rejected)
 
 
 # ---------------------------------------------------------------------------

@@ -54,12 +54,22 @@ class TestCommands:
                      "--out", str(tmp_path / "o")]) == 2
         assert name in capsys.readouterr().err
 
+    def test_be_with_error_control_is_exit_2(self, tmp_path, capsys):
+        # backward Euler has no error estimate, so it takes only fixed steps
+        cfg = tmp_path / "be.ini"
+        cfg.write_text("[solve]\nscheme = be\n")
+        assert main(["solve", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "fixed steps" in capsys.readouterr().err
+
     def test_solve_writes_snapshots(self, small_cfg, tmp_path):
         out = tmp_path / "o"
         assert main(["solve", "--config", small_cfg, "--out", str(out),
                      "--quiet"]) == 0
         manifest = json.loads((out / "trajectory.json").read_text())
         assert manifest["grid_nodes"] == 140
+        assert manifest["scheme"] == "trbdf2"
+        assert {"rejected_error_test", "rejected_newton"} <= manifest.keys()
         assert (out / "snapshot_t3.csv").exists()
 
     def test_rate_and_profile(self, small_cfg, tmp_path):

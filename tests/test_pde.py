@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from ksgrowup import pde
 from ksgrowup import (RadialField, Snapshot, SolverConfig, l1_to_one,
                       make_graded_grid, ordered_pair_test, slope_origin,
                       slope_origin_info, small_time_checks, solve, solve_w,
                       steady_profile, w_from_u)
 from ksgrowup.errors import ResolutionError
 from ksgrowup.grids import GradedGrid
-from ksgrowup.pde import _UProblem, _WProblem
+from ksgrowup.pde import _UProblem, _WProblem, _step_once
 
 
 def critical_snapshot(grid):
@@ -389,7 +390,8 @@ class TestConvergence:
 
         def run(dt):
             cfg = SolverConfig(grid=grid, right_bc=xi, dt_max=dt,
-                               dt_initial=dt, local_error_tol=None)
+                               dt_initial=dt, local_error_tol=None,
+                               scheme="be")
             return solve(u0, cfg, 1.0, [1.0]).snapshots[-1].values
 
         ref = run(0.000625)
@@ -422,7 +424,8 @@ class TestConvergence:
             u0 = Snapshot(grid=grid, values=xi * grid.nodes, time=0.0,
                           left_bc=0.0, right_bc=xi)
             cfg = SolverConfig(grid=grid, right_bc=xi, dt_max=dt,
-                               dt_initial=dt, local_error_tol=None)
+                               dt_initial=dt, local_error_tol=None,
+                               scheme="be")
             return grid, solve(u0, cfg, 1.0, [1.0]).snapshots[-1].values
 
         ref_grid, ref = run(513)
@@ -433,3 +436,100 @@ class TestConvergence:
             errs.append(np.max(np.abs(u - ref[idx])))
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) > 1.8
+
+
+def _d(snap):
+    """d(t) = log u_x(0, t) - sqrt(2t), the grow-up observable."""
+    return math.log(slope_origin(snap)) - math.sqrt(2.0 * snap.time)
+
+
+def _local_errors(u, dt, problem, cfg):
+    """One TR-BDF2 step from u: (max|est|, max error against 64 substeps)."""
+    u_step, ok, _, est = _step_once(problem, u, dt, cfg)
+    ref = u.copy()
+    for _ in range(64):
+        ref = _step_once(problem, ref, dt / 64, cfg)[0]
+    assert ok
+    return np.max(np.abs(est)), np.max(np.abs(u_step - ref))
+
+
+class TestStepControl:
+    def _smooth_state(self):
+        xi = 0.5
+        grid = make_graded_grid(41, 1.0 / 40, 1.0)
+        u0 = Snapshot(grid=grid, values=xi * grid.nodes, time=0.0,
+                      left_bc=0.0, right_bc=xi)
+        cfg = SolverConfig(grid=grid, right_bc=xi, dt_max=1e-3,
+                           dt_initial=1e-3, local_error_tol=None)
+        u = solve(u0, cfg, 0.2, [0.2]).snapshots[-1].values
+        return grid.nodes, u, _UProblem(grid, xi, 0.0), cfg
+
+    def test_estimate_matches_local_error(self):
+        # one TR-BDF2 step from a smooth state: the embedded estimate agrees
+        # with the error against a 64-substep reference within a factor 3,
+        # and it shrinks like dt^3 (8x per halving; accepted: 6x to 10x)
+        _, u, problem, cfg = self._smooth_state()
+        problem.freeze_blend(u)
+        ests = []
+        for dt in (0.02, 0.01):
+            est, true = _local_errors(u, dt, problem, cfg)
+            assert true / 3.0 < est < 3.0 * true
+            ests.append(est)
+        assert 6.0 < ests[0] / ests[1] < 10.0
+
+    def test_filter_damps_stiff_components(self):
+        # a grid-scale ripple is damped within the step, so the error it
+        # leaves is small; filtered by (I - d dt J)^{-1} the estimate stays
+        # within 50x of that error (unfiltered it is 400x too large)
+        x, u, problem, cfg = self._smooth_state()
+        u += 1e-3 * x * np.sin(20.0 * np.pi * x)
+        problem.freeze_blend(u)
+        est, true = _local_errors(u, 0.02, problem, cfg)
+        assert est < 50.0 * true
+
+    def test_time_error_of_d(self, critical_traj):
+        # bound fixed before the run: d(20) and d(50) move by less than 1e-3
+        # under a 10x tighter local_error_tol (backward Euler with step
+        # doubling moved them by 3.2e-3)
+        cfg = critical_traj.config
+        tight = SolverConfig(grid=cfg.grid, right_bc=1.0,
+                             local_error_tol=cfg.local_error_tol / 10.0)
+        u0 = critical_snapshot(cfg.grid)
+        traj = solve(u0, tight, 50.0, [20.0, 50.0])
+        for t in (20.0, 50.0):
+            assert abs(_d(traj.at(t)) - _d(critical_traj.at(t))) < 1e-3
+
+    def test_no_sliver_step(self, critical_traj):
+        # most steps run at dt_max; the round-off of t must not leave a
+        # sliver step before an output time
+        assert critical_traj.step_sizes.min() > 1e-9
+        assert critical_traj.step_times[-1] == 50.0
+
+    @pytest.mark.parametrize("extra, cause", [
+        ({}, "error_test"),
+        ({"max_newton": 3, "local_error_tol": 1.0}, "newton"),
+    ], ids=["error_test", "newton"])
+    def test_rejections_counted_by_cause(self, monkeypatch, extra, cause):
+        # a first step of dt_max fails the error test; with 3 Newton
+        # iterations and an error test too loose to reject, it fails Newton
+        # instead.  Every attempt is an accepted or a rejected step.
+        grid = make_graded_grid(140, 1e-6, 1.12)
+        attempts = []
+
+        def counted(*args):
+            attempts.append(args)
+            return _step_once(*args)
+        monkeypatch.setattr(pde, "_step_once", counted)
+        cfg = SolverConfig(grid=grid, right_bc=1.0, dt_initial=0.05, **extra)
+        traj = solve(critical_snapshot(grid), cfg, 3.0, [1.0, 3.0])
+        rejected = {"error_test": traj.rejected_error_test,
+                    "newton": traj.rejected_newton}
+        assert rejected.pop(cause) > 0
+        assert rejected.popitem()[1] == 0
+        assert len(attempts) == (len(traj.step_times) + traj.rejected_error_test
+                                 + traj.rejected_newton)
+
+    def test_be_takes_only_fixed_steps(self):
+        with pytest.raises(ValueError, match="fixed steps"):
+            SolverConfig(scheme="be")
+        assert SolverConfig(scheme="be", local_error_tol=None).scheme == "be"
