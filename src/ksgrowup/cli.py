@@ -12,8 +12,10 @@ overrides single keys, and an unknown section or key in it is a
 configuration failure.  Acceptance brackets (the numbers in that file) are
 pre-registered there, not tuned after looking at a particular run.
 
-The barrier pair (``[barriers]``) is built once per run: certify certifies
-it, and sandwich orders the solution between exactly those barriers.
+The barrier pair (``[barriers]``) is built once per run, on the run's one
+special-function table: tabulate writes that table and checks its
+asymptotics, certify certifies the barriers, and sandwich orders the
+solution between exactly those barriers.
 """
 
 from __future__ import annotations
@@ -135,21 +137,19 @@ def _rate_series(traj: pde.Trajectory):
 
 def cmd_tabulate(cfg, out: Path, quiet: bool) -> int:
     sec = cfg["tabulate"]
-    y_max = float(sec["y_max"])
-    npd = int(sec["npd"])
-    funcs = SpecialFunctions(y_max, npd=npd)
-    table = funcs.table()
+    lower = _barriers(cfg, quiet)[0]
+    funcs, table = lower.funcs, lower.table
     (out / "special_table.csv").write_text(ser.table_to_csv(table))
-    ser.dump_json(ser.table_header_json(table, npd=npd), out / "special_table.json")
+    ser.dump_json(ser.table_header_json(table, npd=funcs.npd),
+                  out / "special_table.json")
 
     sweep = _floats(sec["sweep"])
     if max(sweep) < 1e4:
         _say(quiet, "WARNING: asymptotic window too small (y_max < 1e4); "
                     "ratio checks skipped")
         return 0
-    report = check_asymptotics(tuple(sweep), npd=npd,
-                               growth_tol=float(sec["growth_tol"]), strict=False,
-                               funcs=funcs if y_max in sweep else None)
+    report = check_asymptotics(tuple(sweep), growth_tol=float(sec["growth_tol"]),
+                               strict=False, funcs=funcs)
     ser.dump_json({"y_maxes": [ser.fmt(v) for v in report.y_maxes],
                    "ratios": {k: [ser.fmt(v) for v in seq]
                               for k, seq in report.ratios.items()},
@@ -203,7 +203,8 @@ def _barriers(cfg, quiet: bool) -> tuple[bar.BarrierSpec, bar.BarrierSpec,
     """The (lower, upper) barriers at K = [barriers] k_lower, k_upper and
     their x = 1 matching reports on certify's window [1, boundary_t_hi]:
     one matching path per K, long enough for certify's boundary scan and
-    for sandwich's largest shift, and one special-function table for both.
+    for sandwich's largest shift, and the run's one special-function table,
+    to max(1.05 a_upper(t_path), max([tabulate] sweep)) with [tabulate] npd.
     Certify writes the reports; sandwich takes the onsets they resolve."""
     sec = cfg["barriers"]
     bnd_hi = float(cfg["certify"]["boundary_t_hi"])
@@ -212,9 +213,10 @@ def _barriers(cfg, quiet: bool) -> tuple[bar.BarrierSpec, bar.BarrierSpec,
                  + float(cfg["sandwich"]["shift_max"]) + 1.0)
     path_lo = mat.integrate_a(float(sec["k_lower"]), t_path)
     path_up = mat.integrate_a(float(sec["k_upper"]), t_path)
-    y_max = float(path_up.a_at(t_path)) * 1.05
+    tab = cfg["tabulate"]
+    y_max = max(float(path_up.a_at(t_path)) * 1.05, max(_floats(tab["sweep"])))
     _say(quiet, f"building tables to y_max = {y_max:.3e} ...")
-    funcs = SpecialFunctions(y_max, npd=int(sec["npd"]))
+    funcs = SpecialFunctions(y_max, npd=int(tab["npd"]))
     table = funcs.table()
     specs = (bar.BarrierSpec(kind=bar.LOWER, path=path_lo, table=table, funcs=funcs),
              bar.BarrierSpec(kind=bar.UPPER, path=path_up, table=table, funcs=funcs))
@@ -366,7 +368,10 @@ def cmd_sandwich(cfg, out: Path, quiet: bool, traj=None) -> int:
         lattice=float(sec["lattice"]), slack=float(sec["slack"]),
         t_min_upper=t_min_upper, lower_onset=bnd_lo.resolved_onset,
         upper_onset=bnd_up.resolved_onset)
-    ok = report.worst_lower <= report.slack and report.worst_upper <= report.slack
+    # a barrier compared at no time orders nothing
+    ok = (report.n_times_lower > 0 and report.n_times_upper > 0
+          and report.worst_lower <= report.slack
+          and report.worst_upper <= report.slack)
     ser.dump_json({"T1": ser.fmt(report.T1), "T2": ser.fmt(report.T2),
                    "lower_onset": ser.fmt(report.lower_onset),
                    "upper_onset": ser.fmt(report.upper_onset),

@@ -15,7 +15,7 @@ import numpy as np
 from .barriers import ResidualReport
 from .grids import GradedGrid, Snapshot
 from .matching import MatchingPath
-from .specialfn import SpecialTable
+from .specialfn import GL_ORDER, SpecialTable
 
 
 def fmt(x: float) -> str:
@@ -68,14 +68,13 @@ def table_to_csv(table: SpecialTable) -> str:
     return _csv(rows, ["y", "f", "f'", "tilde_f", "g", "g'", "h", "h'"])
 
 
-def table_header_json(table: SpecialTable, npd: int | None = None,
-                      gl_order: int = 10) -> dict:
+def table_header_json(table: SpecialTable, npd: int | None = None) -> dict:
     return {
         "M": fmt(table.M),
         "y_max": fmt(table.y_max),
         "phi_blend": {"join": fmt(table.phi.join), "slope0": fmt(table.phi.slope0)},
         "nodes_per_decade": npd,
-        "gauss_legendre_order": gl_order,
+        "gauss_legendre_order": GL_ORDER,
         "n_nodes": int(len(table.y)),
     }
 

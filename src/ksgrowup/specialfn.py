@@ -36,6 +36,7 @@ from .errors import (AsymptoticsViolation, ConstructionError, InfeasibleError,
                      MTooSmallError, RangeError, SingularInputError)
 
 _EVAL_CHUNK = 200_000
+GL_ORDER = 10   # Gauss-Legendre points per panel, for every integral here
 
 
 def w0(y):
@@ -76,10 +77,10 @@ class CumulativeIntegral:
     the accumulated base exactly (their differences are panel-accurate).
     """
 
-    def __init__(self, fn, nodes: np.ndarray, order: int = 10):
+    def __init__(self, fn, nodes: np.ndarray):
         self.fn = fn
         self.nodes = np.asarray(nodes, dtype=float)
-        xg, wg = np.polynomial.legendre.leggauss(order)
+        xg, wg = np.polynomial.legendre.leggauss(GL_ORDER)
         self._xg, self._wg = xg, wg
         a, b = self.nodes[:-1], self.nodes[1:]
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -132,22 +133,21 @@ class OperatorInverse:
     since L w0 = 0); C=1 gives the slope-anchored branch with w'(0) = 1.
     """
 
-    def __init__(self, psi, y_max: float, npd: int = 40, order: int = 10,
-                 extra_nodes=(), kernel_coeff: float = 0.0,
-                 check_origin: bool = True):
+    def __init__(self, psi, y_max: float, npd: int = 40, extra_nodes=(),
+                 kernel_coeff: float = 0.0, check_origin: bool = True):
         if check_origin:
             _check_origin_smallness(psi)
         self.psi = psi
         self.y_max = float(y_max)
         self.kernel_coeff = float(kernel_coeff)
         self.nodes = build_partition(y_max, npd=npd, extra=extra_nodes)
-        self.G = CumulativeIntegral(psi, self.nodes, order=order)
+        self.G = CumulativeIntegral(psi, self.nodes)
 
         def outer_integrand(t):
             t = np.asarray(t, dtype=float)
             return (1.0 + 1.0 / t) ** 2 * self.G(t)
 
-        self.F = CumulativeIntegral(outer_integrand, self.nodes, order=order)
+        self.F = CumulativeIntegral(outer_integrand, self.nodes)
 
     def value(self, y):
         y = np.asarray(y, dtype=float)
@@ -321,31 +321,23 @@ class SpecialFunctions:
     g  = L^{-1}(2 f f' - y f' + f);
     h  = g + M * L^{-1} phi, nonnegative for admissible M.
 
-    Slow but pointwise accurate; use .table() for bulk evaluation.
+    Slow but pointwise accurate; use .table() for bulk evaluation.  The
+    quadrature accumulates from y = 0 on nodes that do not depend on y_max,
+    so below a smaller y_max every value equals, bit for bit, that of a
+    build to the smaller y_max (h as long as both choose the same M).
     """
-
-    @staticmethod
-    def settings_of(y_max: float, M: float | None = None,
-                    phi: PhiBlend | None = None, npd: int = 40,
-                    order: int = 10, extra_nodes=(),
-                    strict_m: bool = True) -> tuple:
-        """Every argument the tables depend on, as SpecialFunctions(same
-        arguments).settings records them."""
-        return (float(y_max), M, phi if phi is not None else PhiBlend(), npd,
-                order, tuple(extra_nodes), strict_m)
 
     def __init__(self, y_max: float, M: float | None = None,
                  phi: PhiBlend | None = None, npd: int = 40,
-                 order: int = 10, extra_nodes=(), strict_m: bool = True):
-        self.settings = self.settings_of(y_max, M, phi, npd, order, extra_nodes,
-                                         strict_m)
+                 extra_nodes=(), strict_m: bool = True):
         self.y_max = float(y_max)
+        self.npd = npd
         self.phi = phi if phi is not None else PhiBlend()
-        self._f = OperatorInverse(w0, y_max, npd=npd, order=order,
-                                  extra_nodes=extra_nodes, kernel_coeff=1.0)
-        self._g = OperatorInverse(self.tilde_f, y_max, npd=npd, order=order,
+        self._f = OperatorInverse(w0, y_max, npd=npd, extra_nodes=extra_nodes,
+                                  kernel_coeff=1.0)
+        self._g = OperatorInverse(self.tilde_f, y_max, npd=npd,
                                   extra_nodes=extra_nodes, check_origin=False)
-        self._g4 = OperatorInverse(self.phi, y_max, npd=npd, order=order,
+        self._g4 = OperatorInverse(self.phi, y_max, npd=npd,
                                    extra_nodes=extra_nodes, check_origin=False)
         raw = self.required_m()
         self.required_m_raw = raw
@@ -481,35 +473,31 @@ _CLAIMS = {
 }
 
 
-def check_asymptotics(y_maxes=(1e4, 1e5, 1e6), npd: int = 40,
-                      growth_tol: float = 1.35, strict: bool = True,
-                      phi: PhiBlend | None = None,
+def check_asymptotics(y_maxes=(1e4, 1e5, 1e6), growth_tol: float = 1.35,
+                      strict: bool = True,
                       funcs: SpecialFunctions | None = None) -> AsymptoticsReport:
     """Sup deviation ratios on [y_max/100, y_max] for each claim, across a
     sweep of y_max; a ratio growing across the sweep raises (strict mode).
 
-    ``funcs``, a ``SpecialFunctions(y_max, phi=phi, npd=npd)`` for one
-    y_max of the sweep, serves that member in place of a second build of
-    the same table; a table built with any other settings raises.
+    Every window is evaluated on one table, ``funcs`` (by default
+    ``SpecialFunctions(max(y_maxes))``), and components 1-3 are built once,
+    to max(y_maxes), with its npd and phi.  Values below any y_max do not
+    depend on how far the table reaches; a table ending below max(y_maxes)
+    raises.
     """
     y_maxes = tuple(sorted(float(v) for v in y_maxes))
     if y_maxes[0] < 1e4:
         raise ConstructionError("asymptotic window needs y_max >= 1e4")
-    wanted = {ym: SpecialFunctions.settings_of(ym, phi=phi, npd=npd)
-              for ym in y_maxes}
-    if funcs is not None and funcs.settings not in wanted.values():
+    top = y_maxes[-1]
+    if funcs is None:
+        funcs = SpecialFunctions(top)
+    elif funcs.y_max < top:
         raise ConstructionError(
-            f"the given table (settings {funcs.settings}) matches no member "
-            f"of the sweep y_max = {y_maxes}")
+            f"the table ends at y_max = {funcs.y_max:g}, below the sweep's {top:g}")
+    comps = {i: build_component(i, top, npd=funcs.npd, phi=funcs.phi)
+             for i in (1, 2, 3)}
     ratios = {name: [] for name in _CLAIMS}
-    spot = {}
-    given = funcs
     for ym in y_maxes:
-        if given is not None and given.settings == wanted[ym]:
-            funcs = given
-        else:
-            funcs = SpecialFunctions(ym, phi=phi, npd=npd)
-        comps = {i: build_component(i, ym, npd=npd, phi=funcs.phi) for i in (1, 2, 3)}
         ys = np.geomspace(ym / 100.0, ym, 200)
         actual = {
             "f": funcs.f(ys), "f'": funcs.f_prime(ys),
@@ -523,10 +511,9 @@ def check_asymptotics(y_maxes=(1e4, 1e5, 1e6), npd: int = 40,
         for name, (lead, oterm) in _CLAIMS.items():
             dev = np.abs(actual[name] - lead(ys)) / np.abs(oterm(ys))
             ratios[name].append(float(np.max(dev)))
-        if ym == y_maxes[-1]:
-            spot["f_dev_at_ymax"] = float(abs(funcs.f(ym) - (math.log(ym) - 2.0)))
-            spot["g_over_y_dev_at_ymax"] = float(
-                abs(funcs.g(ym) / ym - (math.log(ym) / 2.0 - 2.25)))
+    spot = {"f_dev_at_ymax": float(abs(funcs.f(top) - (math.log(top) - 2.0))),
+            "g_over_y_dev_at_ymax": float(
+                abs(funcs.g(top) / top - (math.log(top) / 2.0 - 2.25)))}
     violations = []
     for name, seq in ratios.items():
         if len(seq) >= 2 and seq[-1] > growth_tol * seq[0] + 1e-9:

@@ -46,7 +46,9 @@ class TestCommands:
         ("[solve]\nt_edn = 10\n", "t_edn"),          # a mistyped key
         ("[sandwich]\nk_upper = 7\n", "k_upper"),    # moved to [barriers]
         ("[sovle]\nt_end = 10\n", "sovle"),          # a mistyped section
-    ], ids=["key", "moved_key", "section"])
+        ("[tabulate]\ny_max = 1e6\n", "y_max"),      # derived now
+        ("[barriers]\nnpd = 40\n", "npd"),           # moved to [tabulate]
+    ], ids=["key", "moved_key", "section", "derived_y_max", "moved_npd"])
     def test_unknown_config_key_is_exit_2(self, tmp_path, capsys, text, name):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(text)
@@ -103,7 +105,7 @@ class TestCommands:
     def test_tabulate_small_sweep(self, tmp_path):
         out = tmp_path / "t"
         cfg = tmp_path / "t.ini"
-        cfg.write_text("[tabulate]\ny_max = 1e5\nsweep = 1e4,3e4\n")
+        cfg.write_text("[tabulate]\nsweep = 1e4,3e4\n")
         assert main(["tabulate", "--config", str(cfg), "--out", str(out),
                      "--quiet"]) == 0
         hdr = json.loads((out / "special_table.json").read_text())
@@ -114,7 +116,7 @@ class TestCommands:
     def test_tabulate_small_window_warns_but_passes(self, tmp_path, capsys):
         out = tmp_path / "w"
         cfg = tmp_path / "w.ini"
-        cfg.write_text("[tabulate]\ny_max = 100\nsweep = 100\n")
+        cfg.write_text("[tabulate]\nsweep = 100\n")
         assert main(["tabulate", "--config", str(cfg), "--out",
                      str(out)]) == 0
         assert "too small" in capsys.readouterr().out
@@ -135,24 +137,26 @@ class TestCommands:
     def test_all_pipeline_default_config(self, tmp_path, monkeypatch):
         # the full default pipeline must pass and fit a laptop budget.  It
         # reads every default key (a key nothing reads is dead), and builds
-        # two special-function tables: tabulate's, and the one barrier set
-        # that certify certifies and sandwich orders the solution between.
+        # one special-function table, wherever the build is called from:
+        # tabulate writes it and sweeps the asymptotics on it, certify
+        # certifies the barriers on it, and sandwich orders against them.
         import time
+        from ksgrowup import specialfn
         reads = set()
         builds = []
+        init = specialfn.SpecialFunctions.__init__
 
         class RecordingConfig(cli._Config):
             def get(self, section, option, **kwargs):
                 reads.add((section, option))
                 return super().get(section, option, **kwargs)
 
-        class CountingFunctions(cli.SpecialFunctions):
-            def __init__(self, *args, **kwargs):
-                builds.append(args)
-                super().__init__(*args, **kwargs)
+        def counting_init(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
 
         monkeypatch.setattr(cli, "_Config", RecordingConfig)
-        monkeypatch.setattr(cli, "SpecialFunctions", CountingFunctions)
+        monkeypatch.setattr(specialfn.SpecialFunctions, "__init__", counting_init)
         out = tmp_path / "all"
         t0 = time.perf_counter()
         assert main(["all", "--out", str(out), "--quiet"]) == 0
@@ -166,7 +170,7 @@ class TestCommands:
         keys = {(name, key) for name in defaults.sections()
                 for key in defaults[name]}
         assert keys - reads == set()
-        assert len(builds) == 2
+        assert len(builds) == 1
 
     def test_sandwich_capped_shift_is_numeric_failure(self, small_cfg,
                                                       tmp_path):
@@ -176,3 +180,14 @@ class TestCommands:
         cfg.write_text(SMALL_SOLVE + "\n[sandwich]\nshift_max = 30\n")
         assert main(["sandwich", "--config", str(cfg), "--out", str(out),
                      "--quiet"]) == 2
+
+    def test_sandwich_without_lower_comparison_fails(self, small_cfg, tmp_path):
+        # t_end = 3 ends before the lower onset (t ~ 5.8): no time compares
+        # the lower barrier, so the sandwich orders nothing there: exit 1
+        out = tmp_path / "s"
+        assert main(["sandwich", "--config", small_cfg, "--out", str(out),
+                     "--quiet"]) == 1
+        verdict = json.loads((out / "sandwich.json").read_text())
+        assert verdict["n_times_lower"] == 0
+        assert verdict["n_times_upper"] > 0
+        assert not verdict["ok"]

@@ -228,6 +228,24 @@ class TestSpecialFunctions:
         with pytest.raises(RangeError):
             table_med.eval(np.array([1e7]))
 
+    def test_longer_table_extends_a_shorter_one(self):
+        # the quadrature accumulates from 0 on nodes that do not depend on
+        # y_max, so a longer table repeats a shorter one bit for bit: one
+        # table per run can serve every smaller range
+        short, long = SpecialFunctions(2e4), SpecialFunctions(1e6)
+        assert short.M == long.M
+        y = np.geomspace(2e2, 2e4, 97)
+        for name in ("f", "f_prime", "g", "g_prime", "h", "h_prime",
+                     "g4", "g4_prime"):
+            assert np.array_equal(getattr(short, name)(y),
+                                  getattr(long, name)(y)), name
+        ts, tl = short.table(), long.table()
+        common = np.intersect1d(ts.y[ts.y >= 2e2], tl.y[tl.y <= 2e4])
+        assert common.size > 70
+        ks, kl = np.searchsorted(ts.y, common), np.searchsorted(tl.y, common)
+        for col in ("f", "f_prime", "tilde_f", "g", "g_prime", "h", "h_prime"):
+            assert np.array_equal(getattr(ts, col)[ks], getattr(tl, col)[kl]), col
+
 
 class TestComponents:
     def test_g1_asymptote(self):
@@ -272,29 +290,18 @@ class TestAsymptoticsReport:
         with pytest.raises(ConstructionError):
             check_asymptotics((100.0, 1000.0))
 
-    def test_given_table_replaces_its_sweep_member(self, monkeypatch):
-        # a table built for the largest member serves it, and only it: the
-        # same report, one build fewer
-        from ksgrowup import specialfn
-        fresh = check_asymptotics((1e4, 2e4), strict=False)
-        given = SpecialFunctions(2e4)
-        builds = []
+    def test_big_table_gives_the_default_report(self, funcs_med):
+        # every window read off a longer table: the same report, bit for bit
+        default = check_asymptotics((1e4, 2e4), strict=False)
+        shared = check_asymptotics((1e4, 2e4), strict=False, funcs=funcs_med)
+        assert shared.ratios == default.ratios
+        assert shared.spot_checks == default.spot_checks
 
-        class Counting(SpecialFunctions):
-            def __init__(self, *args, **kwargs):
-                builds.append(args)
-                super().__init__(*args, **kwargs)
-        monkeypatch.setattr(specialfn, "SpecialFunctions", Counting)
-        shared = check_asymptotics((1e4, 2e4), strict=False, funcs=given)
-        assert builds == [(1e4,)]
-        assert shared.ratios == fresh.ratios
-        assert shared.spot_checks == fresh.spot_checks
-
-    @pytest.mark.parametrize("y_max, kwargs", [(2e4, {"order": 8}),
-                                               (3e4, {})],
+    @pytest.mark.parametrize("y_maxes", [(2e4, 1e4), (1e4, 2e4)],
                              ids=["order", "y_max"])
-    def test_given_table_must_match_a_sweep_member(self, y_max, kwargs):
-        # a table the sweep would not build is refused, not used or dropped
-        with pytest.raises(ConstructionError, match="matches no member"):
-            check_asymptotics((1e4, 2e4), strict=False,
-                              funcs=SpecialFunctions(y_max, **kwargs))
+    def test_given_table_must_match_a_sweep_member(self, y_maxes):
+        # the table must reach the sweep's largest member, whatever order
+        # the members are listed in; a shorter one is refused, not used
+        with pytest.raises(ConstructionError, match="below the sweep"):
+            check_asymptotics(y_maxes, strict=False,
+                              funcs=SpecialFunctions(1.5e4))
