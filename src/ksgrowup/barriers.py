@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ConstructionError, OrderingFailureError, RangeError, ResolutionError
 from .grids import Snapshot
 from .matching import MatchingPath
-from .specialfn import SpecialFunctions, SpecialTable
+from .specialfn import SpecialTable
 
 LOWER = "lower"
 UPPER = "upper"
@@ -43,7 +43,6 @@ class BarrierSpec:
     kind: str
     path: MatchingPath
     table: SpecialTable
-    funcs: SpecialFunctions | None = None   # exact evaluators, for FD checks
     time_shift: float = 0.0
 
     def __post_init__(self):
@@ -57,21 +56,7 @@ class BarrierSpec:
         return self.table.M
 
 
-def _table_terms(spec: BarrierSpec, y):
-    return spec.table.eval(y)
-
-
-def _exact_terms(spec: BarrierSpec, y):
-    fn = spec.funcs
-    return {
-        "f": fn.f(y), "f_prime": fn.f_prime(y),
-        "g": fn.g(y), "g_prime": fn.g_prime(y),
-        "h": fn.h(y), "h_prime": fn.h_prime(y),
-        "phi": fn.phi(y),
-    }
-
-
-def eval_barrier(spec: BarrierSpec, x, t: float, exact: bool = False):
+def eval_barrier(spec: BarrierSpec, x, t: float):
     """Barrier value and x-slope at (x, t); x may be an array.
 
     Raises RangeError when y = a(t) x exceeds the table range (rebuild the
@@ -81,7 +66,7 @@ def eval_barrier(spec: BarrierSpec, x, t: float, exact: bool = False):
     a = float(spec.path.a_at(t))
     b = float(spec.path.b_at(t))
     y = a * x
-    T = _exact_terms(spec, y) if exact else _table_terms(spec, y)
+    T = spec.table.eval(y)
     base = 1.0 - 1.0 / (y + 1.0)
     dbase = 1.0 / (y + 1.0) ** 2
     if spec.kind == LOWER:
@@ -94,7 +79,7 @@ def eval_barrier(spec: BarrierSpec, x, t: float, exact: bool = False):
     return value, slope
 
 
-def residual_reduced(spec: BarrierSpec, y, t: float, exact: bool = False):
+def residual_reduced(spec: BarrierSpec, y, t: float):
     """The grouped residual factor A (lower) or B (upper) at inner points y.
 
     The full parabolic residual is a(t) * b(t)^2 times this value.
@@ -102,7 +87,7 @@ def residual_reduced(spec: BarrierSpec, y, t: float, exact: bool = False):
     y = np.asarray(y, dtype=float)
     b = float(spec.path.b_at(t))
     gam = float(spec.path.gamma_at(t))
-    T = _exact_terms(spec, y) if exact else _table_terms(spec, y)
+    T = spec.table.eval(y)
     f, fp = T["f"], T["f_prime"]
     if spec.kind == LOWER:
         g, gp = T["g"], T["g_prime"]
@@ -119,11 +104,11 @@ def residual_reduced(spec: BarrierSpec, y, t: float, exact: bool = False):
             - 2.0 * (1.0 + eps) ** 2 * b * b * h * hp)
 
 
-def residual_full(spec: BarrierSpec, y, t: float, exact: bool = False):
+def residual_full(spec: BarrierSpec, y, t: float):
     """a b^2 A (resp. a b^2 B): the parabolic residual itself."""
     a = float(spec.path.a_at(t))
     b = float(spec.path.b_at(t))
-    return a * b * b * residual_reduced(spec, y, t, exact=exact)
+    return a * b * b * residual_reduced(spec, y, t)
 
 
 def residual_fd(spec: BarrierSpec, x: float, t: float,
@@ -140,14 +125,13 @@ def residual_fd(spec: BarrierSpec, x: float, t: float,
     """
     if x <= 0.0 or x > 1.0:
         raise RangeError("x must lie in (0, 1]")
-    exact = spec.funcs is not None
     dx = dx_rel * x
     dt = dt_rel * max(float(spec.path.loga_at(t)), 1.0)
     if t - dt < 0.0:
         dt = 0.5 * t
 
     def val(xx, tt):
-        v, _ = eval_barrier(spec, np.asarray([xx]), tt, exact=exact)
+        v, _ = eval_barrier(spec, np.asarray([xx]), tt)
         return float(v[0])
 
     um, u0, up = val(x - dx, t), val(x, t), val(x + dx, t)
@@ -157,7 +141,7 @@ def residual_fd(spec: BarrierSpec, x: float, t: float,
     fd = u_t - x * u_xx - 2.0 * u0 * u_x
     if check_tol is not None:
         a = float(spec.path.a_at(t))
-        ref = float(residual_full(spec, np.asarray([a * x]), t, exact=exact)[0])
+        ref = float(residual_full(spec, np.asarray([a * x]), t)[0])
         scale = max(abs(ref), a * float(spec.path.b_at(t)) ** 2 * 1e-6)
         if abs(fd - ref) > check_tol * scale:
             raise ResolutionError(

@@ -137,8 +137,8 @@ def _rate_series(traj: pde.Trajectory):
 
 def cmd_tabulate(cfg, out: Path, quiet: bool) -> int:
     sec = cfg["tabulate"]
-    lower = _barriers(cfg, quiet)[0]
-    funcs, table = lower.funcs, lower.table
+    table = _barriers(cfg, quiet)[0].table
+    funcs = table.funcs
     (out / "special_table.csv").write_text(ser.table_to_csv(table))
     ser.dump_json(ser.table_header_json(table, npd=funcs.npd),
                   out / "special_table.json")
@@ -216,10 +216,9 @@ def _barriers(cfg, quiet: bool) -> tuple[bar.BarrierSpec, bar.BarrierSpec,
     tab = cfg["tabulate"]
     y_max = max(float(path_up.a_at(t_path)) * 1.05, max(_floats(tab["sweep"])))
     _say(quiet, f"building tables to y_max = {y_max:.3e} ...")
-    funcs = SpecialFunctions(y_max, npd=int(tab["npd"]))
-    table = funcs.table()
-    specs = (bar.BarrierSpec(kind=bar.LOWER, path=path_lo, table=table, funcs=funcs),
-             bar.BarrierSpec(kind=bar.UPPER, path=path_up, table=table, funcs=funcs))
+    table = SpecialFunctions(y_max, npd=int(tab["npd"])).table()
+    specs = (bar.BarrierSpec(kind=bar.LOWER, path=path_lo, table=table),
+             bar.BarrierSpec(kind=bar.UPPER, path=path_up, table=table))
     return specs + tuple(bar.check_boundary_matching(spec, (1.0, bnd_hi), n_t=96)
                          for spec in specs)
 

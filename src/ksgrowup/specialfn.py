@@ -12,31 +12,38 @@ L w = psi, w(0) = w'(0) = 0 has the explicit solution
 
 Everything downstream (the barrier corrections f, g, h and the blend phi)
 is built from this inverse.  Derivatives are never obtained by differencing
-tables: with G(y) = int_0^y psi, the exact identities
+tables: with G(y) = int_0^y psi, the exact identity
 
     w'  = (1/y - 2/(y+1)) w + G/y
-    w'' = (-1/y^2 + 2/(y+1)^2) w + (1/y - 2/(y+1)) w' + (y psi - G)/y^2
 
-hold for w = w0 * (C + F) with any constant C, because w0' = (1/y - 2/(y+1)) w0.
+holds for w = w0 * (C + F) with any constant C, because w0' = (1/y - 2/(y+1)) w0.
 
-Quadrature: cumulative Gauss-Legendre panels on a log-spaced partition with
-a linear patch near 0.  The factor ((t+1)/t)^2 is singular, but its product
-with the inner integral (= O(t^2)) is bounded and smooth; open panels never
-touch t = 0, so no digits are lost at the 1/t^2 factor.
+Quadrature: each cumulative integral keeps its integrand at the GL_ORDER
+Gauss-Legendre points of every panel of a log-spaced partition with a
+linear patch near 0.  Node values sum the panel quadratures from 0; between
+nodes, the panel's polynomial interpolant of the integrand is integrated
+from the panel's left node (spectral integration, as Chebfun's cumsum), so
+a query never calls the integrand again and the nested integrals
+g -> tilde_f -> f -> F -> G cost O(GL_ORDER) per point.  The factor
+((t+1)/t)^2 is singular, but its product with the inner integral (= O(t^2))
+is bounded and smooth; Gauss points never touch t = 0, so no digits are lost
+at the 1/t^2 factor.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (AsymptoticsViolation, ConstructionError, InfeasibleError,
                      MTooSmallError, RangeError, SingularInputError)
 
-_EVAL_CHUNK = 200_000
 GL_ORDER = 10   # Gauss-Legendre points per panel, for every integral here
+_LIN_EDGE, _LIN_N = 1e-6, 8   # linear patch of the partition: [0, 1e-6], 8 panels
 
 
 def w0(y):
@@ -50,67 +57,105 @@ def apply_operator(w, wp, wpp, y):
     return y * wpp + 2.0 * y * wp / (1.0 + y) + 2.0 * w / (1.0 + y) ** 2
 
 
-def build_partition(y_max: float, npd: int = 40, lin_edge: float = 1e-6,
-                    lin_n: int = 8, extra=()) -> np.ndarray:
-    """Quadrature/tabulation nodes: linear patch on [0, lin_edge], then
-    log-spaced with npd nodes per decade, plus the blend knots {1, 2}."""
+def build_partition(y_max: float, npd: int = 40) -> np.ndarray:
+    """Quadrature/tabulation nodes: linear patch on [0, 1e-6], then
+    log-spaced with npd nodes per decade through the first lattice node at
+    or above y_max, plus the blend knots {1, 2} and a denser patch on
+    [1, 4].  The nodes do not depend on y_max, only where they stop, so a
+    smaller y_max gives a prefix of the partition."""
     if y_max < 10.0:
         raise ConstructionError(f"y_max must be >= 10, got {y_max}")
     k_hi = int(math.ceil(math.log10(y_max) * npd))
-    ks = np.arange(round(math.log10(lin_edge) * npd), k_hi + 1)
-    logs = 10.0 ** (ks / npd)
-    lin = np.linspace(0.0, lin_edge, lin_n + 1)
+    logs = 10.0 ** (np.arange(round(math.log10(_LIN_EDGE) * npd), k_hi + 2) / npd)
+    logs = logs[:np.searchsorted(logs, y_max) + 1]
+    lin = np.linspace(0.0, _LIN_EDGE, _LIN_N + 1)
     # extra density around the blend join at y = 2, where the tail 1/log(y)
     # has its largest higher derivatives
     join_patch = np.geomspace(1.0, 4.0, 97)
-    nodes = np.concatenate([lin, logs, [1.0, 2.0, y_max], join_patch,
-                            np.asarray(extra, dtype=float)])
-    nodes = np.unique(nodes[(nodes >= 0.0) & (nodes <= y_max)])
-    return nodes
+    return np.unique(np.concatenate([lin, logs, [1.0, 2.0], join_patch]))
+
+
+@functools.cache
+def _gauss_legendre():
+    """Gauss points x_m, weights w_m and P_k(x_m) (row k), computed on first
+    use rather than at import (numpy's eigensolver behind them costs memory
+    that runs without special functions need not pay)."""
+    xg, wg = np.polynomial.legendre.leggauss(GL_ORDER)
+    return xg, wg, np.polynomial.legendre.legvander(xg, GL_ORDER - 1).T
+
+
+class PanelLookup(NamedTuple):
+    """Query points, the panel holding each, and its integration weights."""
+
+    y: np.ndarray
+    k: np.ndarray       # panel index of each point (flattened)
+    c: np.ndarray       # (GL_ORDER, n): int from the left node of the Lagrange basis
+
+
+def locate(nodes: np.ndarray, y) -> PanelLookup:
+    """Find the panel of each y and the weights c_m = int_{-1}^{s} l_m, with
+    s in [-1, 1] the point's panel coordinate and l_m the Lagrange basis on
+    the Gauss points.  Expanding l_m in Legendre polynomials,
+
+        c_m(s) = w_m / 2 * [s + 1 + sum_k P_k(x_m) (P_{k+1} - P_{k-1})(s)],
+
+    which is exactly 0 at s = -1 and exactly w_m at s = 1.  Every sum runs
+    elementwise in a fixed order, so a point's weights do not depend on the
+    other points of the query."""
+    y = np.asarray(y, dtype=float)
+    flat = y.ravel()
+    if np.any(flat < 0.0) or np.any(flat > nodes[-1] * (1 + 1e-12)):
+        raise RangeError(
+            f"y outside [0, {nodes[-1]:g}]; rebuild the table with larger y_max")
+    k = np.clip(np.searchsorted(nodes, flat, side="right") - 1, 0, len(nodes) - 2)
+    a = nodes[k]
+    s = 2.0 * (flat - a) / (nodes[k + 1] - a) - 1.0
+    _, wg, p_at_xg = _gauss_legendre()
+    acc = np.broadcast_to(s + 1.0, (GL_ORDER, s.size)).copy()
+    p_prev, p = np.ones_like(s), s
+    for j in range(1, GL_ORDER):
+        p_next = ((2 * j + 1) * s * p - j * p_prev) / (j + 1)
+        acc += (p_next - p_prev)[None, :] * p_at_xg[j][:, None]
+        p_prev, p = p, p_next
+    return PanelLookup(y, k, 0.5 * wg[:, None] * acc)
+
+
+def _weighted_sum(vals: np.ndarray, c) -> np.ndarray:
+    """sum_m vals[:, m] * c[m], term by term in the order of m."""
+    acc = vals[:, 0] * c[0]
+    for m in range(1, GL_ORDER):
+        acc = acc + vals[:, m] * c[m]
+    return acc
 
 
 class CumulativeIntegral:
-    """Antiderivative int_0^y fn, by per-gap Gauss-Legendre on a partition.
+    """Antiderivative int_0^y fn from fn at the Gauss-Legendre points of each
+    panel of a partition.
 
-    Values at partition nodes are cached; arbitrary points cost one extra
-    open panel from the bracketing node, so stencils of nearby points share
-    the accumulated base exactly (their differences are panel-accurate).
+    fn is called once, at build.  Node values are cached; at other points
+    the panel's interpolant of fn is integrated from its left node, so a
+    query at a node, the last included, returns at_nodes exactly, and the
+    integrals on a prefix of a partition equal those on the whole of it.
     """
 
     def __init__(self, fn, nodes: np.ndarray):
-        self.fn = fn
         self.nodes = np.asarray(nodes, dtype=float)
-        xg, wg = np.polynomial.legendre.leggauss(GL_ORDER)
-        self._xg, self._wg = xg, wg
         a, b = self.nodes[:-1], self.nodes[1:]
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        pts = mid[:, None] + half[:, None] * xg[None, :]
-        inc = (fn(pts) * wg[None, :]).sum(axis=1) * half
+        xg, wg, _ = _gauss_legendre()
+        self._half = 0.5 * (b - a)
+        pts = (0.5 * (a + b))[:, None] + self._half[:, None] * xg[None, :]
+        self._vals = np.asarray(fn(pts), dtype=float)
+        inc = _weighted_sum(self._vals, wg) * self._half
         self.at_nodes = np.concatenate([[0.0], np.cumsum(inc)])
 
     def __call__(self, y):
-        y_in = np.asarray(y, dtype=float)
-        flat = np.atleast_1d(y_in).ravel()
-        if flat.size > _EVAL_CHUNK:
-            out = np.concatenate([self._eval(flat[i:i + _EVAL_CHUNK])
-                                  for i in range(0, flat.size, _EVAL_CHUNK)])
-        else:
-            out = self._eval(flat)
-        return float(out[0]) if y_in.ndim == 0 else out.reshape(y_in.shape)
+        return self.at(locate(self.nodes, y))
 
-    def _eval(self, y: np.ndarray) -> np.ndarray:
-        if np.any(y < 0.0) or np.any(y > self.nodes[-1] * (1 + 1e-12)):
-            raise RangeError("query outside the tabulated range")
-        k = np.clip(np.searchsorted(self.nodes, y, side="right") - 1,
-                    0, len(self.nodes) - 2)
-        a = self.nodes[k]
-        half = 0.5 * (y - a)
-        mid = 0.5 * (y + a)
-        live = half > 0.0
-        pts = mid[:, None] + half[:, None] * self._xg[None, :]
-        pts[~live, :] = 1.0  # dummy points; their contribution is zeroed
-        inc = (self.fn(pts) * self._wg[None, :]).sum(axis=1) * half
-        return self.at_nodes[k] + np.where(live, inc, 0.0)
+    def at(self, loc: PanelLookup) -> np.ndarray:
+        """Values at the points of a lookup on this integral's nodes."""
+        k = loc.k
+        out = self.at_nodes[k] + self._half[k] * _weighted_sum(self._vals[k], loc.c)
+        return out.reshape(loc.y.shape)
 
 
 def _check_origin_smallness(psi, name: str = "psi") -> None:
@@ -126,6 +171,14 @@ def _check_origin_smallness(psi, name: str = "psi") -> None:
             "the double integral does not converge")
 
 
+def _w_and_slope(y, C: float, F, G):
+    """(w, w') at y for w = w0 (C + F), from F and G = int_0^y psi at y."""
+    safe = np.where(y == 0.0, 1.0, y)
+    w = np.where(y == 0.0, 0.0, w0(y) * (C + F))
+    dw = np.where(y == 0.0, C, (1.0 / safe - 2.0 / (safe + 1.0)) * w + G / safe)
+    return w, dw
+
+
 class OperatorInverse:
     """w = L^{-1} psi with w(0) = w'(0) = 0, evaluable anywhere in [0, y_max].
 
@@ -133,61 +186,30 @@ class OperatorInverse:
     since L w0 = 0); C=1 gives the slope-anchored branch with w'(0) = 1.
     """
 
-    def __init__(self, psi, y_max: float, npd: int = 40, extra_nodes=(),
+    def __init__(self, psi, y_max: float, npd: int = 40,
                  kernel_coeff: float = 0.0, check_origin: bool = True):
         if check_origin:
             _check_origin_smallness(psi)
-        self.psi = psi
-        self.y_max = float(y_max)
         self.kernel_coeff = float(kernel_coeff)
-        self.nodes = build_partition(y_max, npd=npd, extra=extra_nodes)
+        self.nodes = build_partition(y_max, npd=npd)
         self.G = CumulativeIntegral(psi, self.nodes)
+        self.F = CumulativeIntegral(lambda t: (1.0 + 1.0 / t) ** 2 * self.G(t),
+                                    self.nodes)
 
-        def outer_integrand(t):
-            t = np.asarray(t, dtype=float)
-            return (1.0 + 1.0 / t) ** 2 * self.G(t)
-
-        self.F = CumulativeIntegral(outer_integrand, self.nodes)
+    def pair(self, loc: PanelLookup):
+        """(w, w') at the points of a lookup, from one F and one G value."""
+        return _w_and_slope(loc.y, self.kernel_coeff, self.F.at(loc), self.G.at(loc))
 
     def value(self, y):
-        y = np.asarray(y, dtype=float)
-        out = w0(y) * (self.kernel_coeff + self.F(y))
-        return np.where(y == 0.0, 0.0, out)
+        return self.pair(locate(self.nodes, y))[0]
 
     def deriv(self, y):
-        y = np.asarray(y, dtype=float)
-        safe = np.where(y == 0.0, 1.0, y)
-        c = 1.0 / safe - 2.0 / (safe + 1.0)
-        out = c * self.value(y) + self.G(y) / safe
-        return np.where(y == 0.0, self.kernel_coeff, out)
-
-    def deriv2(self, y):
-        y = np.asarray(y, dtype=float)
-        safe = np.where(y == 0.0, 1.0, y)
-        c = 1.0 / safe - 2.0 / (safe + 1.0)
-        cp = -1.0 / safe ** 2 + 2.0 / (safe + 1.0) ** 2
-        out = (cp * self.value(y) + c * self.deriv(y)
-               + (safe * self.psi(y) - self.G(y)) / safe ** 2)
-        # limit at 0: psi'(0) from the inverse branch, -4 from the kernel
-        at0 = self._psi_slope0() - 4.0 * self.kernel_coeff
-        return np.where(y == 0.0, at0, out)
-
-    def _psi_slope0(self) -> float:
-        d = 1e-9
-        return float(np.asarray(self.psi(np.array([d])), dtype=float)[0] / d)
+        return self.pair(locate(self.nodes, y))[1]
 
     def values_at_nodes(self):
-        """(w, w', w'') at the partition nodes, from the cached cumulatives."""
-        y = self.nodes
-        safe = np.where(y == 0.0, 1.0, y)
-        c = 1.0 / safe - 2.0 / (safe + 1.0)
-        cp = -1.0 / safe ** 2 + 2.0 / (safe + 1.0) ** 2
-        G = self.G.at_nodes
-        v = np.where(y == 0.0, 0.0, w0(y) * (self.kernel_coeff + self.F.at_nodes))
-        dv = np.where(y == 0.0, self.kernel_coeff, c * v + G / safe)
-        ddv = np.where(y == 0.0, self._psi_slope0() - 4.0 * self.kernel_coeff,
-                       cp * v + c * dv + (safe * self.psi(y) - G) / safe ** 2)
-        return v, dv, ddv
+        """(w, w') at the partition nodes, from the cached cumulatives."""
+        return _w_and_slope(self.nodes, self.kernel_coeff,
+                            self.F.at_nodes, self.G.at_nodes)
 
 
 _LOG2 = math.log(2.0)
@@ -256,26 +278,15 @@ def quintic_cutoff(y):
     return s ** 3 * (6.0 * s * s - 15.0 * s + 10.0)
 
 
-def _hermite(xq, xt, v, d):
-    """Cubic Hermite evaluation of (xt, v, d=dv/dx) tables at xq."""
-    xq = np.asarray(xq, dtype=float)
-    k = np.clip(np.searchsorted(xt, xq, side="right") - 1, 0, len(xt) - 2)
-    h = xt[k + 1] - xt[k]
-    s = (xq - xt[k]) / h
-    h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
-    h10 = s * (1.0 - s) ** 2
-    h01 = s * s * (3.0 - 2.0 * s)
-    h11 = s * s * (s - 1.0)
-    return h00 * v[k] + h10 * h * d[k] + h01 * v[k + 1] + h11 * h * d[k + 1]
-
-
 @dataclass(frozen=True)
 class SpecialTable:
-    """Tabulated f, g, h (values and derivatives) on log-spaced nodes.
+    """f, g, h (values and derivatives) at the partition nodes, and their
+    evaluation anywhere in the range.
 
-    Second-derivative columns come from the analytic identities and exist
-    only to interpolate the first derivatives between nodes; they are not
-    serialized.
+    The range ends at the partition's last node, the first lattice node at
+    or above y_max.  eval reads the panel data of the SpecialFunctions that
+    built the table, so it returns the pointwise evaluators' values bit for
+    bit, and at a node the column's value.
     """
 
     y: np.ndarray
@@ -289,39 +300,31 @@ class SpecialTable:
     M: float
     y_max: float
     phi: PhiBlend
-    f_pp: np.ndarray
-    g_pp: np.ndarray
-    h_pp: np.ndarray
-
-    def _val(self, yq, v, d):
-        return _hermite(yq, self.y, v, d)
+    funcs: SpecialFunctions = field(repr=False, compare=False)
 
     def eval(self, yq):
-        """Interpolated f, f', g, g', h, h', phi at yq (dict of arrays)."""
-        yq = np.asarray(yq, dtype=float)
-        if np.any(yq < 0.0) or np.any(yq > self.y_max * (1 + 1e-12)):
-            raise RangeError(
-                f"y outside [0, {self.y_max:g}]; rebuild the table with larger y_max")
-        return {
-            "f": self._val(yq, self.f, self.f_prime),
-            "f_prime": self._val(yq, self.f_prime, self.f_pp),
-            "g": self._val(yq, self.g, self.g_prime),
-            "g_prime": self._val(yq, self.g_prime, self.g_pp),
-            "h": self._val(yq, self.h, self.h_prime),
-            "h_prime": self._val(yq, self.h_prime, self.h_pp),
-            "phi": self.phi(yq),
-        }
+        """f, f', g, g', h, h', phi at yq (dict of arrays), from one panel
+        lookup shared by every column (the three inverses share nodes)."""
+        fn = self.funcs
+        loc = locate(self.y, yq)
+        f, fp = fn._f.pair(loc)
+        g, gp = fn._g.pair(loc)
+        q, qp = fn._g4.pair(loc)
+        return {"f": f, "f_prime": fp, "g": g, "g_prime": gp,
+                "h": g + self.M * q, "h_prime": gp + self.M * qp,
+                "phi": self.phi(loc.y)}
 
 
 class SpecialFunctions:
-    """Exact (quadrature-grade) evaluators for f, tilde_f, g, h and phi.
+    """Pointwise evaluators for f, tilde_f, g, h and phi.
 
     f  solves L f = w0 with f(0) = 0, f'(0) = 1 (kernel-anchored branch,
        f >= w0 >= 0);
     g  = L^{-1}(2 f f' - y f' + f);
     h  = g + M * L^{-1} phi, nonnegative for admissible M.
 
-    Slow but pointwise accurate; use .table() for bulk evaluation.  The
+    Every evaluator reads the cached panel data, at O(GL_ORDER) cost per
+    point; .table() gives the node columns and a shared-lookup .eval.  The
     quadrature accumulates from y = 0 on nodes that do not depend on y_max,
     so below a smaller y_max every value equals, bit for bit, that of a
     build to the smaller y_max (h as long as both choose the same M).
@@ -329,16 +332,13 @@ class SpecialFunctions:
 
     def __init__(self, y_max: float, M: float | None = None,
                  phi: PhiBlend | None = None, npd: int = 40,
-                 extra_nodes=(), strict_m: bool = True):
+                 strict_m: bool = True):
         self.y_max = float(y_max)
         self.npd = npd
         self.phi = phi if phi is not None else PhiBlend()
-        self._f = OperatorInverse(w0, y_max, npd=npd, extra_nodes=extra_nodes,
-                                  kernel_coeff=1.0)
-        self._g = OperatorInverse(self.tilde_f, y_max, npd=npd,
-                                  extra_nodes=extra_nodes, check_origin=False)
-        self._g4 = OperatorInverse(self.phi, y_max, npd=npd,
-                                   extra_nodes=extra_nodes, check_origin=False)
+        self._f = OperatorInverse(w0, y_max, npd=npd, kernel_coeff=1.0)
+        self._g = OperatorInverse(self.tilde_f, y_max, npd=npd, check_origin=False)
+        self._g4 = OperatorInverse(self.phi, y_max, npd=npd, check_origin=False)
         raw = self.required_m()
         self.required_m_raw = raw
         if M is None:
@@ -359,13 +359,10 @@ class SpecialFunctions:
     def f_prime(self, y):
         return self._f.deriv(y)
 
-    def f_pp(self, y):
-        return self._f.deriv2(y)
-
     def tilde_f(self, y):
-        y = np.asarray(y, dtype=float)
-        fv, fp = self._f.value(y), self._f.deriv(y)
-        return 2.0 * fv * fp - y * fp + fv
+        loc = locate(self._f.nodes, y)
+        fv, fp = self._f.pair(loc)
+        return 2.0 * fv * fp - loc.y * fp + fv
 
     def g(self, y):
         return self._g.value(y)
@@ -401,19 +398,16 @@ class SpecialFunctions:
         return need
 
     def table(self) -> SpecialTable:
-        """Tabulate all functions at the partition nodes (no interpolation)."""
+        """All functions at the partition nodes, and evaluation between them."""
         y = self._f.nodes
-        fv, fp, fpp = self._f.values_at_nodes()
-        gv, gp, gpp = self._g.values_at_nodes()
-        qv, qp, qpp = self._g4.values_at_nodes()
-        hv = gv + self.M * qv
-        hp = gp + self.M * qp
-        hpp = gpp + self.M * qpp
-        gt = 2.0 * fv * fp - y * fp + fv
-        return SpecialTable(y=y, f=fv, f_prime=fp, tilde_f=gt,
-                            g=gv, g_prime=gp, h=hv, h_prime=hp,
-                            M=self.M, y_max=self.y_max, phi=self.phi,
-                            f_pp=fpp, g_pp=gpp, h_pp=hpp)
+        fv, fp = self._f.values_at_nodes()
+        gv, gp = self._g.values_at_nodes()
+        qv, qp = self._g4.values_at_nodes()
+        return SpecialTable(y=y, f=fv, f_prime=fp,
+                            tilde_f=2.0 * fv * fp - y * fp + fv,
+                            g=gv, g_prime=gp, h=gv + self.M * qv,
+                            h_prime=gp + self.M * qp,
+                            M=self.M, y_max=self.y_max, phi=self.phi, funcs=self)
 
 
 def build_component(i: int, y_max: float, npd: int = 40,

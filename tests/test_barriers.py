@@ -40,13 +40,13 @@ class StubPath:
 
 
 @pytest.fixture(scope="module")
-def lower_med(path_k5, table_med, funcs_med):
-    return BarrierSpec(kind="lower", path=path_k5, table=table_med, funcs=funcs_med)
+def lower_med(path_k5, table_med):
+    return BarrierSpec(kind="lower", path=path_k5, table=table_med)
 
 
 @pytest.fixture(scope="module")
-def upper_med(path_k6, table_med, funcs_med):
-    return BarrierSpec(kind="upper", path=path_k6, table=table_med, funcs=funcs_med)
+def upper_med(path_k6, table_med):
+    return BarrierSpec(kind="upper", path=path_k6, table=table_med)
 
 
 class TestEval:
@@ -65,9 +65,8 @@ class TestEval:
             assert abs(s[0] - a * (1.0 + b)) < 1e-9 * a
             assert abs(s[0] / a - 1.0) < 2.0 * b
 
-    def test_b_zero_reduces_to_steady_profile(self, table_med, funcs_med):
-        spec = BarrierSpec(kind="lower", path=StubPath(a=50.0, b=0.0),
-                           table=table_med, funcs=funcs_med)
+    def test_b_zero_reduces_to_steady_profile(self, table_med):
+        spec = BarrierSpec(kind="lower", path=StubPath(a=50.0, b=0.0), table=table_med)
         x = np.linspace(0, 1, 33)
         v, s = eval_barrier(spec, x, 1.0)
         assert np.max(np.abs(v - 50 * x / (50 * x + 1))) < 1e-12
@@ -87,11 +86,11 @@ class TestResidual:
         assert residual_reduced(lower_med, np.array([0.0]), 3.0)[0] == 0.0
         assert residual_reduced(upper_med, np.array([0.0]), 3.0)[0] == 0.0
 
-    def test_b_zero_residual(self, table_med, funcs_med):
+    def test_b_zero_residual(self, table_med):
         # with b = 0 and gamma = 0 the full residual a b^2 (A or B) vanishes
         for kind in ("lower", "upper"):
             spec = BarrierSpec(kind=kind, path=StubPath(b=0.0, gamma=0.0),
-                               table=table_med, funcs=funcs_med)
+                               table=table_med)
             y = np.geomspace(1e-3, 40.0, 30)
             assert np.max(np.abs(residual_full(spec, y, 1.0))) == 0.0
             A = residual_reduced(spec, y, 1.0)
@@ -113,22 +112,21 @@ class TestResidual:
         for spec, t, x in ((lower_med, 2.0, 0.1), (lower_med, 4.0, 0.02),
                            (upper_med, 3.0, 0.05)):
             ref = float(residual_full(
-                spec, np.array([spec.path.a_at(t) * x]), t, exact=True)[0])
+                spec, np.array([spec.path.a_at(t) * x]), t)[0])
             fd = residual_fd(spec, x, t)
             assert abs(fd - ref) < 2e-2 * abs(ref)
 
     def test_fd_second_order(self, lower_med):
         t, x = 2.0, 0.08
         ref = float(residual_full(
-            lower_med, np.array([lower_med.path.a_at(t) * x]), t, exact=True)[0])
+            lower_med, np.array([lower_med.path.a_at(t) * x]), t)[0])
         e1 = abs(residual_fd(lower_med, x, t, dx_rel=2e-3, dt_rel=4e-3) - ref)
         e2 = abs(residual_fd(lower_med, x, t, dx_rel=1e-3, dt_rel=2e-3) - ref)
         assert e2 < 0.4 * e1
 
-    def test_fd_on_steady_profile(self, table_med, funcs_med):
+    def test_fd_on_steady_profile(self, table_med):
         # b = 0 barrier is the steady profile; P(U_a) = 0
-        spec = BarrierSpec(kind="lower", path=StubPath(a=50.0, b=0.0),
-                           table=table_med, funcs=funcs_med)
+        spec = BarrierSpec(kind="lower", path=StubPath(a=50.0, b=0.0), table=table_med)
         fd = residual_fd(spec, 0.02, 1.0)
         assert abs(fd) < 1e-5
 

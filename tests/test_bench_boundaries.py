@@ -10,7 +10,10 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from ksgrowup import pde
+import numpy as np
+
+from ksgrowup import (BarrierSpec, SpecialFunctions, eval_barrier, integrate_a,
+                      pde)
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -40,3 +43,24 @@ def test_boundary_signatures():
     # full-length Newton solves through newton's maxit
     assert "post_check" in inspect.signature(pde._advance).parameters
     assert "maxit" in inspect.signature(pde._UProblem.newton).parameters
+
+
+def test_special_function_metrics_are_entered(monkeypatch):
+    # specialfn.quad_points and specialfn.table_eval_* read null unless a
+    # build enters CumulativeIntegral.__call__ and a barrier evaluation
+    # enters SpecialTable.eval
+    tracer = tracing.Tracer()
+    for key in ("specialfn.CumulativeIntegral.__call__",
+                "specialfn.SpecialTable.eval"):
+        span, _, measure = tracing.BOUNDARIES[key]
+        owner, attr, original = tracing._resolve(key)
+        monkeypatch.setattr(owner, attr,
+                            tracer._wrapper(key, span, original, measure))
+    table = SpecialFunctions(1e3).table()
+    assert tracer.calls["specialfn.CumulativeIntegral.__call__"] > 0
+    spec = BarrierSpec(kind="lower", path=integrate_a(5.0, 2.0), table=table)
+    eval_barrier(spec, np.linspace(0.0, 1.0, 9), 1.0)
+    metrics = tracing.Summary(tracer).metrics("pipeline")
+    for name in ("specialfn.quad_points", "specialfn.table_eval_points",
+                 "specialfn.table_eval_s"):
+        assert metrics[name]["value"], (name, metrics[name])

@@ -206,15 +206,32 @@ class TestSpecialFunctions:
         assert fn.M == 0.5
 
     def test_table_matches_exact(self, funcs_med, table_med):
+        # the table and the pointwise evaluators read the same panel data:
+        # the same bits between nodes, at nodes and at the range's last node
         rng = np.random.default_rng(7)
-        y = np.exp(rng.uniform(np.log(1e-5), np.log(2.9e6), 60))
+        y = np.concatenate([[0.0], np.exp(rng.uniform(np.log(1e-5), np.log(2.9e6), 60)),
+                            table_med.y[::25], table_med.y[-1:]])
         T = table_med.eval(y)
         for name, fn in (("f", funcs_med.f), ("f_prime", funcs_med.f_prime),
                          ("g", funcs_med.g), ("g_prime", funcs_med.g_prime),
                          ("h", funcs_med.h), ("h_prime", funcs_med.h_prime)):
-            exact = fn(y)
-            scale = np.maximum(np.abs(exact), 1e-3)
-            assert np.max(np.abs(T[name] - exact) / scale) < 1e-6, name
+            assert np.array_equal(T[name], fn(y)), name
+        at_nodes = table_med.eval(table_med.y)
+        for name in ("f", "f_prime", "g", "g_prime", "h", "h_prime"):
+            assert np.array_equal(at_nodes[name], getattr(table_med, name)), name
+
+    def test_point_alone_equals_point_in_batch(self, funcs_med, table_med):
+        # every sum runs elementwise in a fixed order, so a value does not
+        # depend on the other points of the query
+        rng = np.random.default_rng(11)
+        y = np.exp(rng.uniform(np.log(1e-7), np.log(2.9e6), 10_000))
+        F_of_g = funcs_med._g.F      # the most deeply nested integral
+        batch, cols = F_of_g(y), table_med.eval(y)
+        for i in rng.choice(y.size, 25, replace=False):
+            assert np.array_equal(F_of_g(y[i]), batch[i])
+            alone = table_med.eval(y[i:i + 1])
+            for name, col in cols.items():
+                assert np.array_equal(alone[name][0], col[i]), name
 
     def test_table_anchors(self, table_med):
         assert table_med.y[0] == 0.0
