@@ -266,21 +266,15 @@ def boundary_margin(spec: BarrierSpec, t) -> np.ndarray:
     Positive margin means the inequality holds.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty_like(t)
-    for i, tv in enumerate(t):
-        a = float(spec.path.a_at(tv))
-        b = float(spec.path.b_at(tv))
-        T = spec.table.eval(np.asarray([a]))
-        fa = float(T["f"][0])
-        if spec.kind == LOWER:
-            ga = float(T["g"][0])
-            m = 1.0 / (a + 1.0) - (b * fa - b * b * ga)
-        else:
-            eps = float(spec.path.epsilon_at(tv))
-            ha = float(T["h"][0])
-            m = b * (fa - b * (1.0 + eps) * ha) - 1.0 / (a + 1.0)
-        out[i] = m * (a + 1.0)
-    return out
+    a = spec.path.a_at(t)
+    b = spec.path.b_at(t)
+    T = spec.table.eval(a)
+    if spec.kind == LOWER:
+        m = 1.0 / (a + 1.0) - (b * T["f"] - b * b * T["g"])
+    else:
+        eps = spec.path.epsilon_at(t)
+        m = b * (T["f"] - b * (1.0 + eps) * T["h"]) - 1.0 / (a + 1.0)
+    return m * (a + 1.0)
 
 
 def check_boundary_matching(spec: BarrierSpec, t_range: tuple,

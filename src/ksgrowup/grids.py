@@ -14,8 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, trapezoid
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ConstructionError, DegenerateSlopeError, RangeError
 
@@ -161,6 +159,7 @@ class Table1D:
 
 def mass_of(rho: RadialField) -> float:
     """Total mass 2*pi*int_0^R s rho(s) ds by composite trapezoid."""
+    from scipy.integrate import trapezoid
     r, v = rho.r_nodes, rho.values
     return float(2.0 * np.pi * trapezoid(r * v, r))
 
@@ -172,6 +171,7 @@ def q_from_rho(rho: RadialField) -> Table1D:
     check against the half-resolution rule; inputs are tabulated fields,
     not callables, so no adaptive refinement is attempted.
     """
+    from scipy.integrate import cumulative_trapezoid, trapezoid
     r, v = rho.r_nodes, rho.values
     if np.any(v < 0):
         raise ValueError("density has negative entries")
@@ -256,6 +256,7 @@ def interp(snap: Snapshot, x):
     xq = np.asarray(x, dtype=float)
     if np.any(xq < 0.0) or np.any(xq > 1.0):
         raise RangeError("query outside [0, 1]")
+    from scipy.interpolate import PchipInterpolator
     p = PchipInterpolator(snap.grid.nodes, snap.values)
     out = p(xq)
     return float(out) if np.isscalar(x) else out

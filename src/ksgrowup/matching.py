@@ -140,22 +140,26 @@ def integrate_a(K: float, t_end: float, sigma_step: float = 0.005,
     sig_end = math.sqrt(2.0 * t_end)
     n = max(8, int(math.ceil(sig_end / sigma_step)))
     h = sig_end / n
-    ells = np.empty(n + 1)
-    ells[0] = math.log(2.0)
-    ell = ells[0]
+    # the loop runs on Python floats; each stage is sigma * _gp(1/ell, K)
+    # written out, with _gp's operations in its order
+    K = float(K)
+    ell = math.log(2.0)
+    ells = [ell]
     sig = 0.0
-
-    def rhs(sg, e):
-        return sg * _gp(1.0 / e, K)
-
-    for i in range(n):
-        k1 = rhs(sig, ell)
-        k2 = rhs(sig + 0.5 * h, ell + 0.5 * h * k1)
-        k3 = rhs(sig + 0.5 * h, ell + 0.5 * h * k2)
-        k4 = rhs(sig + h, ell + h * k3)
+    for _ in range(n):
+        s = 1.0 / ell
+        k1 = sig * (s * (1.0 + 2.5 * s + K * s * s))
+        sg = sig + 0.5 * h
+        s = 1.0 / (ell + 0.5 * h * k1)
+        k2 = sg * (s * (1.0 + 2.5 * s + K * s * s))
+        s = 1.0 / (ell + 0.5 * h * k2)
+        k3 = sg * (s * (1.0 + 2.5 * s + K * s * s))
+        s = 1.0 / (ell + h * k3)
+        k4 = (sig + h) * (s * (1.0 + 2.5 * s + K * s * s))
         ell += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         sig += h
-        ells[i + 1] = ell
+        ells.append(ell)
+    ells = np.array(ells)
     sigma_knots = np.linspace(0.0, sig_end, n + 1)
 
     if samples is None:

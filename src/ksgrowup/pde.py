@@ -27,7 +27,12 @@ the exact tridiagonal Jacobian, and local-error control by TR-BDF2's
 embedded error estimate (Hosea & Shampine, Appl. Numer. Math. 20, 1996),
 which costs one more tridiagonal solve per step.  Each form supplies only
 its residual with the Jacobian bands (`rhs_and_jac`) and the scale of its
-error tests (`scale`).  Newton stops at the residual tolerance
+error tests (`scale`).  Every tridiagonal system goes through
+`solve_banded`, one LAPACK ?gtsv call.  Newton starts each TR-BDF2 stage
+from a quadratic predictor (Hairer & Wanner, Solving ODEs II, IV.8): the
+first stage extrapolates the previous accepted state, the current one and
+its slope F(u); the second stage the current state, its slope and the
+first stage's value.  Newton stops at the residual tolerance
 `newton_tol * scale(U)`, or as soon as its last update is at round-off; in
 the fine cells the residual's own round-off can lie above that tolerance.
 A solve that stops short of it is accepted only below the form's `loose`
@@ -41,8 +46,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import trapezoid
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import (MaximumPrincipleViolation, RangeError, ResolutionError,
                      SolverFailureError)
@@ -117,6 +121,21 @@ def steady_profile(a: float, grid: GradedGrid) -> Snapshot:
 # shared Newton core
 
 
+def solve_banded(bands, b):
+    """Solve the tridiagonal system with bands (sub, diag, sup) for b.
+
+    One LAPACK ?gtsv call (Gaussian elimination with partial pivoting), the
+    routine scipy.linalg.solve_banded uses for (1, 1) systems.  Raises
+    np.linalg.LinAlgError for a singular matrix; nothing checks that the
+    input is finite.  The inputs are left unchanged.
+    """
+    sub, diag, sup = bands
+    *_, x, info = dgtsv(sub, diag, sup, b)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"tridiagonal solve failed (info = {info})")
+    return x
+
+
 def _newton(problem, u_start, coef, rhs, tol, maxit):
     """Solve U - coef*F(U) = rhs on the problem's unknown rows.
 
@@ -126,7 +145,8 @@ def _newton(problem, u_start, coef, rhs, tol, maxit):
     of the residual (Hairer & Wanner, Solving ODEs II, IV.8).  That solve,
     like one that runs out of maxit iterations, is accepted when its
     residual is below problem.loose * problem.scale(U), and each such loose
-    acceptance is counted in problem.loose_solves.
+    acceptance is counted in problem.loose_solves.  A residual that is not
+    finite, or a singular iteration matrix, fails the solve at once.
     """
     u = u_start.copy()
     sl = slice(problem.ilo, len(u) - 1)
@@ -136,23 +156,24 @@ def _newton(problem, u_start, coef, rhs, tol, maxit):
         F, sub, diag, sup = problem.rhs_and_jac(u)
         R = u[sl] - coef * F - rhs
         nrm = float(np.max(np.abs(R)))
+        if not math.isfinite(nrm):
+            return u, it, False
         if nrm < tol * problem.scale(u):
             return u, it, True
         if du_max <= _ROUNDOFF * float(np.max(np.abs(u))):
             return u, it, _accept_loose(problem, u, nrm)
-        du = solve_banded((1, 1), _iteration_bands(coef, sub, diag, sup), -R)
+        try:
+            du = solve_banded(_iteration_bands(coef, sub, diag, sup), -R)
+        except np.linalg.LinAlgError:
+            return u, it, False
         u[sl] += du
         du_max = float(np.max(np.abs(du)))
     return u, maxit, _accept_loose(problem, u, nrm)
 
 
 def _iteration_bands(coef, sub, diag, sup):
-    """I - coef*J in the (1, 1) band storage of solve_banded."""
-    ab = np.zeros((3, len(diag)))
-    ab[0, 1:] = -coef * sup[:-1]
-    ab[1, :] = 1.0 - coef * diag
-    ab[2, :-1] = -coef * sub[1:]
-    return ab
+    """The bands (sub, diag, sup) of I - coef*J, as solve_banded takes them."""
+    return -coef * sub[1:], 1.0 - coef * diag, -coef * sup[:-1]
 
 
 def _accept_loose(problem, u, nrm):
@@ -179,8 +200,7 @@ class _UProblem:
         self.dlt = 0.5 * (x[2:] - x[:-2])
         self.theta = np.zeros(len(self.h))     # upwind blend, frozen per step
         self.upwind_left = np.zeros(len(self.h), dtype=bool)
-        # faces with theta > 0, upwinded to the left and to the right node
-        self.blend_left = self.blend_right = np.zeros(0, dtype=int)
+        self.blend = np.zeros(0, dtype=int)     # faces with theta > 0
         self.loose_solves = 0
         # quadratic extrapolation of u(1-u) to the last face when xi == 1
         self.extrapolate_last = (xi == 1.0)
@@ -197,9 +217,17 @@ class _UProblem:
         pe = np.abs(speed) * self.h / np.maximum(self.xhat, 1e-300)
         self.theta = np.where(pe > 2.0, 1.0 - 2.0 / np.maximum(pe, 2.0), 0.0)
         self.upwind_left = speed > 0.0
-        blended = np.flatnonzero(self.theta)
-        left = self.upwind_left[blended]
-        self.blend_left, self.blend_right = blended[left], blended[~left]
+        # each blended face's upwind node, the weight 1 - theta its central
+        # value keeps, and theta on the upwind side
+        k = np.flatnonzero(self.theta)
+        th = self.theta[k]
+        left = self.upwind_left[k]
+        self.blend = k
+        self.blend_node = np.where(left, k, k + 1)
+        self.blend_keep = 1.0 - th
+        self.blend_theta = th
+        self.blend_theta_left = np.where(left, th, 0.0)
+        self.blend_theta_right = np.where(left, 0.0, th)
 
     def _advective_face(self, u):
         """Face value of u(1-u) and its derivatives wrt (u_left, u_right).
@@ -218,15 +246,12 @@ class _UProblem:
         g_val = np.where(both_pos, wl * root, 0.5 * (wl + wr))
         dl = 0.5 * s[:-1] * root
         dr = 0.5 * s[1:] / root
-        kl, kr = self.blend_left, self.blend_right
-        th = self.theta[kl]
-        g_val[kl] = (1.0 - th) * g_val[kl] + th * w[kl]
-        dl[kl] = (1.0 - th) * dl[kl] + th * s[kl]
-        dr[kl] *= 1.0 - th
-        th = self.theta[kr]
-        g_val[kr] = (1.0 - th) * g_val[kr] + th * w[kr + 1]
-        dl[kr] *= 1.0 - th
-        dr[kr] = (1.0 - th) * dr[kr] + th * s[kr + 1]
+        k = self.blend
+        if len(k):
+            keep = self.blend_keep
+            g_val[k] = keep * g_val[k] + self.blend_theta * w[self.blend_node]
+            dl[k] = keep * dl[k] + self.blend_theta_left * s[k]
+            dr[k] = keep * dr[k] + self.blend_theta_right * s[k + 1]
         if self.extrapolate_last:
             g_val[-1] = self.cA * w[-3] + self.cB * w[-2]
             dl[-1] = self.cB * s[-2]
@@ -257,7 +282,7 @@ class _UProblem:
 # generic implicit stepping with local-error control
 
 
-def _step_once(problem, u, dt, cfg):
+def _step_once(problem, u, dt, cfg, u_prev=None, dt_prev=None):
     """One implicit step of size dt from u: (u_new, ok, Newton its, est).
 
     TR-BDF2 takes a trapezoidal stage to t + gam*dt and a BDF2 stage to
@@ -269,6 +294,12 @@ def _step_once(problem, u, dt, cfg):
     that stiff components do not inflate it.  F at the two stages is read
     off the stage equations, not evaluated again.  Backward Euler, for
     fixed steps only, returns est = None.
+
+    Newton starts each stage from a quadratic predictor (Hairer & Wanner,
+    Solving ODEs II, IV.8): stage 1 from the quadratic through u_prev, the
+    accepted state dt_prev before u, and u with slope F0 = F(u) (the Euler
+    line u + tau F0 when there is no u_prev); stage 2 from the quadratic
+    through u with slope F0 and the stage-1 value u1.
     """
     sl = slice(problem.ilo, len(u) - 1)
     if cfg.scheme == "be":
@@ -277,20 +308,33 @@ def _step_once(problem, u, dt, cfg):
     gam = _TRBDF2_GAMMA
     coef = 0.5 * gam * dt
     F0, sub, diag, sup = problem.rhs_and_jac(u)
+    tau = gam * dt
+    start = u.copy()
+    if u_prev is None:
+        start[sl] = u[sl] + tau * F0
+    else:
+        c = (u_prev[sl] - u[sl] + dt_prev * F0) / dt_prev ** 2
+        start[sl] = u[sl] + tau * F0 + c * tau ** 2
     rhs1 = u[sl] + coef * F0
-    u1, its1, ok = problem.newton(u, coef, rhs1, cfg.newton_tol, cfg.max_newton)
+    u1, its1, ok = problem.newton(start, coef, rhs1, cfg.newton_tol, cfg.max_newton)
     if not ok:
         return u, False, its1, None
+    start = u1.copy()
+    start[sl] = u[sl] + dt * F0 + (u1[sl] - u[sl] - tau * F0) / gam ** 2
     rhs2 = (u1[sl] - (1.0 - gam) ** 2 * u[sl]) / (gam * (2.0 - gam))
-    u2, its2, ok = problem.newton(u1, coef, rhs2, cfg.newton_tol, cfg.max_newton)
+    u2, its2, ok = problem.newton(start, coef, rhs2, cfg.newton_tol, cfg.max_newton)
+    its = max(its1, its2)
     if not ok:
-        return u, False, max(its1, its2), None
+        return u, False, its, None
     Fg = (u1[sl] - rhs1) / coef
     F1 = (u2[sl] - rhs2) / coef
     est = 2.0 * _TRBDF2_K * dt * (
         F0 / gam - Fg / (gam * (1.0 - gam)) + F1 / (1.0 - gam))
-    est = solve_banded((1, 1), _iteration_bands(coef, sub, diag, sup), est)
-    return u2, True, max(its1, its2), est
+    try:
+        est = solve_banded(_iteration_bands(coef, sub, diag, sup), est)
+    except np.linalg.LinAlgError:
+        return u, False, its, None
+    return u2, True, its, est
 
 
 def _advance(problem, u0_vec, t_end, out_times, cfg, post_check):
@@ -311,6 +355,7 @@ def _advance(problem, u0_vec, t_end, out_times, cfg, post_check):
     u = u0_vec.copy()
     t = 0.0
     dt = cfg.dt_initial if adaptive else cfg.dt_max
+    u_prev = dt_prev = None   # the accepted state before u, for the predictor
     outs = {}
     times, sizes, iters = [], [], []
     rejected = {"rejected_error_test": 0, "rejected_newton": 0}
@@ -327,7 +372,7 @@ def _advance(problem, u0_vec, t_end, out_times, cfg, post_check):
         if dtc >= (1.0 - _SLIVER) * remaining:
             dtc = remaining
         problem.freeze_blend(u)
-        un, ok, n_newton, est = _step_once(problem, u, dtc, cfg)
+        un, ok, n_newton, est = _step_once(problem, u, dtc, cfg, u_prev, dt_prev)
         if not ok:
             if not adaptive:
                 raise SolverFailureError(f"Newton failed at t = {t:.6g} (fixed step)")
@@ -350,7 +395,7 @@ def _advance(problem, u0_vec, t_end, out_times, cfg, post_check):
             dt = dtc * min(2.5, max(0.3, 0.85 * max(err, 1e-10) ** (-1.0 / 3.0)))
         t = target if dtc == remaining else t + dtc
         post_check(un, t)
-        u = un
+        u_prev, dt_prev, u = u, dtc, un
         times.append(t)
         sizes.append(dtc)
         iters.append(n_newton)
@@ -581,7 +626,9 @@ def slope_origin(snap: Snapshot, y_window=(0.02, 0.5), fit_tol: float = 2e-3) ->
 
 def l1_to_one(snap: Snapshot) -> float:
     """Trapezoid integral of (1 - u) over [0, 1] on the graded grid."""
-    return float(trapezoid(1.0 - snap.values, snap.grid.nodes))
+    y, x = 1.0 - snap.values, snap.grid.nodes
+    # scipy.integrate.trapezoid's operations, in its order
+    return float(np.sum((x[1:] - x[:-1]) * (y[1:] + y[:-1]) / 2.0))
 
 
 def ordered_pair_test(u0_low: Snapshot, u0_high: Snapshot, config: SolverConfig,

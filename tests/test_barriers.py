@@ -6,6 +6,7 @@ from ksgrowup import (BarrierSpec, PhiBlend, SpecialFunctions, Snapshot,
                       check_lower_monotone, eval_barrier, find_time_shifts,
                       integrate_a, make_graded_grid, residual_fd,
                       residual_full, residual_reduced)
+from ksgrowup.barriers import boundary_margin
 from ksgrowup.errors import ConstructionError, OrderingFailureError, RangeError
 
 
@@ -201,6 +202,15 @@ class TestMonotone:
 
 
 class TestBoundaryMatching:
+    @pytest.mark.parametrize("kind", ["lower", "upper"])
+    def test_batched_margins_equal_pointwise(self, kind, lower_med, upper_med):
+        # one table call for the whole lattice gives the bits of one call
+        # per time, as the bisection makes them
+        spec = lower_med if kind == "lower" else upper_med
+        ts = np.geomspace(1.0, 50.0, 48)
+        pointwise = [boundary_margin(spec, t)[0] for t in ts]
+        assert np.array_equal(boundary_margin(spec, ts), pointwise)
+
     def test_lower_k5_holds(self, lower_med):
         rep = check_boundary_matching(lower_med, (1.0, 50.0))
         assert rep.ok_beyond

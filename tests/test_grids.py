@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import ksgrowup
 from ksgrowup import (GradedGrid, RadialField, Snapshot, interp,
                       make_graded_grid, n_from_q, n_from_u, q_from_rho,
                       u_from_n, w_from_u)
@@ -228,3 +234,16 @@ class TestInterp:
                         right_bc=1.0)
         dense = interp(snap, np.linspace(0, 1, 1500))
         assert np.all(np.diff(dense) >= -1e-12)
+
+
+class TestImport:
+    def test_import_loads_no_scipy_integrate_or_interpolate(self):
+        # only the test-only helpers mass_of, q_from_rho and interp use
+        # them, and they import them when called
+        code = ("import sys, ksgrowup; print(sorted(m for m in sys.modules if "
+                "m.startswith(('scipy.integrate', 'scipy.interpolate'))))")
+        src = str(Path(ksgrowup.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ import pytest
 
 from ksgrowup import MatchingPath, closed_rate, gamma_of_a, integrate_a
 from ksgrowup.errors import InvalidKError, RangeError
+from ksgrowup.matching import _gp
 
 
 class TestClosedRate:
@@ -47,6 +48,30 @@ class TestIntegration:
         a1 = integrate_a(5.0, 1000.0, sigma_step=0.005).a_at(1000.0)
         a2 = integrate_a(5.0, 1000.0, sigma_step=0.0025).a_at(1000.0)
         assert abs(a1 - a2) / a2 < 1e-8
+
+    @pytest.mark.parametrize("K", [5.0, 6.0, -1.0])
+    def test_knots_match_stagewise_rk4(self, K):
+        # the inlined loop gives the bits of classical RK4 on the rhs
+        # sigma * _gp(1/ell, K), stage by stage
+        path = integrate_a(K, 200.0)
+        sig_end = math.sqrt(400.0)
+        n = max(8, int(math.ceil(sig_end / 0.005)))
+        h = sig_end / n
+        ref = np.empty(n + 1)
+        ref[0] = ell = math.log(2.0)
+        sig = 0.0
+
+        def rhs(sg, e):
+            return sg * _gp(1.0 / e, K)
+        for i in range(n):
+            k1 = rhs(sig, ell)
+            k2 = rhs(sig + 0.5 * h, ell + 0.5 * h * k1)
+            k3 = rhs(sig + 0.5 * h, ell + 0.5 * h * k2)
+            k4 = rhs(sig + h, ell + h * k3)
+            ell += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+            sig += h
+            ref[i + 1] = ell
+        assert np.array_equal(path.ell_knots, ref)
 
     def test_invalid_k(self):
         with pytest.raises(InvalidKError):

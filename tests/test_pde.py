@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.linalg
 
 from ksgrowup import pde
 from ksgrowup import (RadialField, Snapshot, SolverConfig, l1_to_one,
@@ -143,13 +145,96 @@ class TestAdvectiveFace:
             u[:zero_node + 1] = 0.0
         problem = _UProblem(GradedGrid.from_nodes(x), xi, 0.0)
         problem.freeze_blend(u)
-        assert len(problem.blend_left)
+        blended = problem.theta > 0.0
+        assert np.any(blended & problem.upwind_left)
         if xi == 1.0 and zero_node is None:
-            assert len(problem.blend_right)
+            assert np.any(blended & ~problem.upwind_left)
         got = np.array(problem._advective_face(u))
         ref = _faces_one_by_one(problem, u)
         for g, r in zip(got, ref):
             assert np.max(np.abs(g - r)) <= 1e-14 * np.max(np.abs(r))
+
+
+class TestSolveBanded:
+    def test_equals_scipy_solve_banded(self):
+        # one ?gtsv call, as scipy.linalg.solve_banded makes for (1, 1)
+        # systems: the same bits on diagonally dominant systems
+        rng = np.random.default_rng(7)
+        n = 418
+        for _ in range(5):
+            sub, sup = rng.normal(size=n - 1), rng.normal(size=n - 1)
+            diag = 3.0 + rng.random(n)
+            b = rng.normal(size=n)
+            ab = np.zeros((3, n))
+            ab[0, 1:], ab[1], ab[2, :-1] = sup, diag, sub
+            ref = scipy.linalg.solve_banded((1, 1), ab, b)
+            inputs = [sub, diag, sup, b]
+            kept = [v.copy() for v in inputs]
+            got = pde.solve_banded((sub, diag, sup), b)
+            assert np.array_equal(got, ref)
+            assert all(np.array_equal(v, k) for v, k in zip(inputs, kept))
+
+    def test_singular_raises(self):
+        bands = (np.zeros(3), np.array([1.0, 0.0, 1.0, 1.0]), np.zeros(3))
+        with pytest.raises(np.linalg.LinAlgError):
+            pde.solve_banded(bands, np.ones(4))
+
+
+class TestPredictor:
+    def test_stage_solves_take_at_most_two_updates(self):
+        # Newton starts from the quadratic predictor: on the default grid
+        # no stage solve needs more than 2 updates (started from the state
+        # before the stage, this run needs 3)
+        grid = make_graded_grid(420, 1e-8, 1.07)
+        traj = solve(critical_snapshot(grid),
+                     SolverConfig(grid=grid, right_bc=1.0), 2.0, [1.0, 2.0])
+        assert traj.rejected_newton == traj.rejected_error_test == 0
+        assert traj.newton_iters.max() <= 2
+
+
+class TestFailedSolve:
+    """A Newton solve that cannot go on rejects the step; the run goes on."""
+
+    def _run(self):
+        grid = make_graded_grid(140, 1e-6, 1.12)
+        return solve(critical_snapshot(grid),
+                     SolverConfig(grid=grid, right_bc=1.0), 1.0, [1.0])
+
+    def test_nan_residual_is_rejected_and_retried(self, monkeypatch):
+        calls = []
+        rhs_and_jac = _UProblem.rhs_and_jac
+
+        def nan_once(self, u):
+            F, sub, diag, sup = rhs_and_jac(self, u)
+            calls.append(1)
+            if len(calls) == 3:   # a Newton iterate of the first step
+                F = np.full_like(F, np.nan)
+            return F, sub, diag, sup
+        monkeypatch.setattr(_UProblem, "rhs_and_jac", nan_once)
+        traj = self._run()
+        assert traj.rejected_newton == 1
+        assert traj.step_times[-1] == 1.0
+        assert np.all(np.isfinite(traj.snapshots[-1].values))
+
+    def test_singular_band_is_rejected_and_retried(self, monkeypatch):
+        solves = []
+        solve_banded = pde.solve_banded
+
+        def singular_once(bands, b):
+            solves.append(1)
+            if len(solves) == 1:
+                bands = tuple(np.zeros_like(band) for band in bands)
+            return solve_banded(bands, b)
+        monkeypatch.setattr(pde, "solve_banded", singular_once)
+        traj = self._run()
+        assert traj.rejected_newton == 1
+        assert traj.step_times[-1] == 1.0
+
+    def test_nan_state_fails_the_solve_at_once(self):
+        problem, u = _w_problem()
+        u[5] = np.nan
+        _, its, ok = problem.newton(u, 1e-3, u[:-1], 1e-11, 14)
+        assert (its, ok) == (0, False)
 
 
 class TestSteadyStates:
@@ -318,6 +403,11 @@ class TestL1:
         grid = make_graded_grid(50, 1e-4, 1.2)
         snap = critical_snapshot(grid)
         assert abs(l1_to_one(snap) - 0.5) < 1e-12
+
+    def test_same_bits_as_scipy_trapezoid(self, fast_traj):
+        for snap in fast_traj.snapshots:
+            ref = scipy.integrate.trapezoid(1.0 - snap.values, snap.grid.nodes)
+            assert l1_to_one(snap) == float(ref)
 
     def test_steady_profile_closed_form(self):
         a = 2.0
