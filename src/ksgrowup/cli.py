@@ -62,6 +62,14 @@ def _floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
 
 
+def _float_or_none(text: str) -> float | None:
+    return None if text.strip().lower() == "none" else float(text)
+
+
+def _fmt_or_none(x) -> str | None:
+    return None if x is None else ser.fmt(x)
+
+
 def _say(quiet: bool, msg: str) -> None:
     if not quiet:
         print(msg)
@@ -96,13 +104,12 @@ def _solver_setup(cfg) -> tuple[Snapshot, pde.SolverConfig, float, list[float]]:
     right_bc = float(sec["right_bc"])
     u0 = Snapshot(grid=grid, values=right_bc * grid.nodes, time=0.0,
                   left_bc=0.0, right_bc=right_bc)
-    err_tol = sec["local_error_tol"]
     solver_cfg = pde.SolverConfig(
         grid=grid, dt_initial=float(sec["dt_initial"]),
-        dt_max=float(sec["dt_max"]), newton_tol=float(sec["newton_tol"]),
+        dt_max=_float_or_none(sec["dt_max"]), newton_tol=float(sec["newton_tol"]),
         reg_epsilon=float(sec["reg_epsilon"]), scheme=sec["scheme"],
         right_bc=right_bc,
-        local_error_tol=None if err_tol.lower() == "none" else float(err_tol))
+        local_error_tol=_float_or_none(sec["local_error_tol"]))
     t_end = float(sec["t_end"])
     out_times = _floats(sec["output_times"])
     return u0, solver_cfg, t_end, out_times
@@ -114,20 +121,35 @@ def _run_critical(cfg, quiet: bool) -> pde.Trajectory:
     return pde.solve(u0, solver_cfg, t_end, out_times)
 
 
-def _rate_series(traj: pde.Trajectory):
-    rows = []
-    for s in traj.snapshots:
+def _slope_fits(traj: pde.Trajectory):
+    """(snapshot, time-error bar on d, SlopeFit) at every output time t > 0.
+
+    The early fallback to the one-sided ratio is expected; the verdicts
+    count it (n_ratio_fallbacks) instead of warning."""
+    bars = traj.d_time_err
+    if bars is None:
+        bars = [None] * len(traj.snapshots)
+    fits = []
+    for s, bar_d in zip(traj.snapshots, bars):
         if s.time <= 0.0:
             continue
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # early ratio fallback is expected
-            info = pde.slope_origin_info(s)
+            warnings.simplefilter("ignore")
+            fits.append((s, None if bar_d is None else float(bar_d),
+                         pde.slope_origin_info(s)))
+    return fits
+
+
+def _rate_series(traj: pde.Trajectory):
+    rows = []
+    for s, bar_d, info in _slope_fits(traj):
         d = float(np.log(info.value) - np.sqrt(2.0 * s.time))
         l1 = pde.l1_to_one(s)
         r = float(l1 / (np.sqrt(2.0 * s.time)
                         * np.exp(-2.5 - np.sqrt(2.0 * s.time))))
         rows.append({"t": s.time, "slope": info.value, "method": info.method,
-                     "fit_residual": info.fit_residual, "d": d, "l1": l1, "r": r})
+                     "fit_residual": info.fit_residual, "d": d,
+                     "d_time_err": bar_d, "l1": l1, "r": r})
     return rows
 
 
@@ -288,24 +310,30 @@ def cmd_rate(cfg, out: Path, quiet: bool, traj=None) -> int:
     if traj is None:
         traj = _run_critical(cfg, quiet)
     rows = _rate_series(traj)
-    lines = ["t,slope,method,fit_residual,d,l1,r"]
+    lines = ["t,slope,method,fit_residual,d,d_time_err,l1,r"]
     for r in rows:
+        # a run without an error estimate leaves d_time_err empty
+        bar_d = "" if r["d_time_err"] is None else ser.fmt(r["d_time_err"])
         lines.append(",".join([ser.fmt(r["t"]), ser.fmt(r["slope"]), r["method"],
-                               ser.fmt(r["fit_residual"]), ser.fmt(r["d"]),
+                               ser.fmt(r["fit_residual"]), ser.fmt(r["d"]), bar_d,
                                ser.fmt(r["l1"]), ser.fmt(r["r"])]))
     (out / "rate.csv").write_text("\n".join(lines) + "\n")
 
     failures = []
     w0, w1 = _floats(sec["d_window"])
     dw = [r for r in rows if w0 - 1e-9 <= r["t"] <= w1 + 1e-9]
-    d_vals = [r["d"] for r in dw]
-    if not d_vals:
+    # d with its time-error bar must stay inside the bracket; without an
+    # estimate (backward Euler) the bar is unknown and d alone is gated
+    bars = [r["d_time_err"] or 0.0 for r in dw]
+    d_low = [r["d"] - b for r, b in zip(dw, bars)]
+    d_high = [r["d"] + b for r, b in zip(dw, bars)]
+    if not dw:
         failures.append("no samples in the d(t) window")
     else:
         d_lo, d_hi = float(sec["d_lo"]), float(sec["d_hi"])
-        if min(d_vals) < d_lo or max(d_vals) > d_hi:
-            failures.append(f"d(t) left [{d_lo}, {d_hi}]: "
-                            f"range [{min(d_vals):.3f}, {max(d_vals):.3f}]")
+        if min(d_low) < d_lo or max(d_high) > d_hi:
+            failures.append(f"d(t) with its time-error bar left [{d_lo}, {d_hi}]: "
+                            f"range [{min(d_low):.4f}, {max(d_high):.4f}]")
     trend_rows = [r for r in rows if r["t"] >= float(sec["trend_from"])]
     slope_d = _trend_slope([r["t"] for r in trend_rows],
                            [abs(r["d"] - 2.5) for r in trend_rows])
@@ -320,9 +348,12 @@ def cmd_rate(cfg, out: Path, quiet: bool, traj=None) -> int:
         failures.append(f"|r - 1| trend not decreasing (slope {slope_r:.2e})")
 
     _say(quiet, f"rate: d(t_end) = {rows[-1]['d']:.4f}, r(t_end) = {r_end:.3f}")
+    bar_w = max(bars) if dw and traj.d_time_err is not None else None
     return _verdict(out / "rate_verdict.json", failures, quiet,
                     d_final=ser.fmt(rows[-1]["d"]), r_final=ser.fmt(r_end),
-                    d_trend_slope=ser.fmt(slope_d), r_trend_slope=ser.fmt(slope_r))
+                    d_trend_slope=ser.fmt(slope_d), r_trend_slope=ser.fmt(slope_r),
+                    d_time_err=_fmt_or_none(bar_w),
+                    n_ratio_fallbacks=sum(r["method"] == "ratio" for r in rows))
 
 
 def cmd_profile(cfg, out: Path, quiet: bool, traj=None) -> int:
@@ -330,12 +361,9 @@ def cmd_profile(cfg, out: Path, quiet: bool, traj=None) -> int:
     if traj is None:
         traj = _run_critical(cfg, quiet)
     rows = []
-    for s in traj.snapshots:
-        if s.time <= 0.0:
-            continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            ahat = pde.slope_origin(s)
+    fits = _slope_fits(traj)
+    for s, _, info in fits:
+        ahat = info.value
         x = s.grid.nodes
         E = float(np.max(np.abs((1.0 - s.values) * (1.0 + ahat * x) - (1.0 - x))))
         rows.append((s.time, ahat, E))
@@ -351,7 +379,9 @@ def cmd_profile(cfg, out: Path, quiet: bool, traj=None) -> int:
         failures.append(f"E(t_end) = {rows[-1][2]:.3f} > {sec['e_max']}")
     _say(quiet, f"profile: E(t_end) = {rows[-1][2]:.4f}")
     return _verdict(out / "profile_verdict.json", failures, quiet,
-                    E_final=ser.fmt(rows[-1][2]) if rows else None)
+                    E_final=ser.fmt(rows[-1][2]) if rows else None,
+                    n_ratio_fallbacks=sum(info.method == "ratio"
+                                          for *_, info in fits))
 
 
 def cmd_sandwich(cfg, out: Path, quiet: bool, traj=None) -> int:
@@ -406,20 +436,25 @@ def cmd_solve_from(traj, out: Path, quiet: bool) -> int:
 
 
 def _manifest(traj) -> dict:
+    dt_p10, dt_p50, dt_p90 = np.percentile(traj.step_sizes, [10, 50, 90])
     return {
         "n_steps": int(len(traj.step_times)),
         "grid_nodes": int(traj.config.grid.n),
         "scheme": traj.config.scheme,
         "right_bc": ser.fmt(traj.config.right_bc),
         "reg_epsilon": ser.fmt(traj.config.reg_epsilon),
-        "dt_max": ser.fmt(traj.config.dt_max),
-        "local_error_tol": None if traj.config.local_error_tol is None
-        else ser.fmt(traj.config.local_error_tol),
+        "dt_max": _fmt_or_none(traj.config.dt_max),
+        "local_error_tol": _fmt_or_none(traj.config.local_error_tol),
         "newton_tol": ser.fmt(traj.config.newton_tol),
         "data_K": ser.fmt(traj.data_K),
         "dt_min_accepted": ser.fmt(float(traj.step_sizes.min())),
         "dt_max_accepted": ser.fmt(float(traj.step_sizes.max())),
+        "dt_accepted_percentiles": {"p10": ser.fmt(dt_p10), "p50": ser.fmt(dt_p50),
+                                    "p90": ser.fmt(dt_p90)},
         "newton_iters_max": int(traj.newton_iters.max()),
+        # steps by the larger Newton iteration count of their two stages
+        "newton_iters_histogram": {str(k): int(n) for k, n in
+                                   enumerate(np.bincount(traj.newton_iters))},
         "newton_loose_solves": int(traj.newton_loose_solves),
         "rejected_error_test": int(traj.rejected_error_test),
         "rejected_newton": int(traj.rejected_newton),

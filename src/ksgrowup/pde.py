@@ -25,7 +25,12 @@ Both forms share one implicit-step core: TR-BDF2 (backward Euler only for
 fixed steps), one Newton loop (`_newton`) on the full nonlinear system with
 the exact tridiagonal Jacobian, and local-error control by TR-BDF2's
 embedded error estimate (Hosea & Shampine, Appl. Numer. Math. 20, 1996),
-which costs one more tridiagonal solve per step.  Each form supplies only
+which costs one more tridiagonal solve per step.  That error test alone
+sizes adaptive steps unless `dt_max` sets a cap (the w-form's callers set
+one, as its blow-up detection relies on it).  The u-form sums the estimate,
+relative to u on the nodes the origin-slope fit reads, over the accepted
+steps, and reports it, times a safety factor, as a time-error bar on
+d(t) = log u_x(0,t) - sqrt(2t) at each snapshot.  Each form supplies only
 its residual with the Jacobian bands (`rhs_and_jac`) and the scale of its
 error tests (`scale`).  Every tridiagonal system goes through
 `solve_banded`, one LAPACK ?gtsv call.  Newton starts each TR-BDF2 stage
@@ -61,13 +66,21 @@ _TRBDF2_K = (-3.0 * _TRBDF2_GAMMA ** 2 + 4.0 * _TRBDF2_GAMMA - 2.0) / (
 _SLIVER = 1e-6
 # a Newton update no larger than this times max|U| is at round-off
 _ROUNDOFF = 8.0 * np.finfo(float).eps
+# the inner-coordinate window y = s x of the origin-slope fit
+_Y_WINDOW = (0.02, 0.5)
+# the time-error bar on d is this times the summed embedded estimate.  The
+# sum ignores how earlier errors grow or decay, and on the default run it
+# measured 0.97x and 1.29x the true time error of d at t = 20 and t = 50
+# (against a run at local_error_tol = 1e-8): 2 covers an underestimate of
+# that size with room to spare
+_TIME_ERR_SAFETY = 2.0
 
 
 @dataclass
 class SolverConfig:
     grid: GradedGrid | None = None
     dt_initial: float = 1e-7
-    dt_max: float = 0.05
+    dt_max: float | None = None         # step cap; fixed steps need it
     newton_tol: float = 1e-11
     reg_epsilon: float = 0.0
     scheme: str = "trbdf2"              # "trbdf2" | "be" (fixed steps only)
@@ -77,9 +90,14 @@ class SolverConfig:
     blowup_cap: float = 1e6             # w-form blow-up detector
 
     def __post_init__(self):
-        if self.newton_tol <= 0 or self.dt_initial <= 0 or self.dt_max <= 0:
+        if self.newton_tol <= 0 or self.dt_initial <= 0 or (
+                self.dt_max is not None and self.dt_max <= 0):
             raise ValueError("tolerances and steps must be positive")
-        if self.dt_initial > self.dt_max:
+        if self.dt_max is None:
+            if self.local_error_tol is None:
+                raise ValueError("fixed steps (local_error_tol = none) need "
+                                 "a step size: set dt_max")
+        elif self.dt_initial > self.dt_max:
             raise ValueError("dt_initial must not exceed dt_max")
         if self.reg_epsilon < 0:
             raise ValueError("reg_epsilon must be >= 0")
@@ -101,6 +119,10 @@ class Trajectory:
     newton_loose_solves: int = 0   # solves accepted only by problem.loose
     rejected_error_test: int = 0   # steps rejected by the local-error test
     rejected_newton: int = 0       # steps rejected for a Newton failure
+    # time-error bar on d(t) at each snapshot: _TIME_ERR_SAFETY times the
+    # embedded estimate summed over the steps up to it (_d_step_error);
+    # None when the scheme has no estimate (backward Euler)
+    d_time_err: np.ndarray | None = None
 
     def at(self, t: float) -> Snapshot:
         for s in self.snapshots:
@@ -342,11 +364,12 @@ def _advance(problem, u0_vec, t_end, out_times, cfg, post_check):
 
     With cfg.local_error_tol set, a step is accepted when
     err = max|est| / (local_error_tol * scale(u_new)) <= 1, and the next dt
-    follows err^(-1/3), as est is O(dt^3).  A step rejected by that test or
-    for a Newton failure is retried smaller; both causes are counted.
-    Without it, steps are fixed at dt_max.  post_check sees every accepted
-    state.  Returns (outputs, step times, step sizes, Newton iterations,
-    rejection counts by cause).
+    follows err^(-1/3), as est is O(dt^3); only cfg.dt_max, when set, caps
+    it.  A step rejected by that test or for a Newton failure is retried
+    smaller; both causes are counted.  Without it, steps are fixed at
+    dt_max.  post_check(u, t, est) sees every accepted state with its
+    error estimate (None for backward Euler).  Returns (outputs, step
+    times, step sizes, Newton iterations, rejection counts by cause).
     """
     out_times = sorted(set(float(t) for t in out_times))
     if out_times and out_times[-1] > t_end + 1e-12:
@@ -368,7 +391,7 @@ def _advance(problem, u0_vec, t_end, out_times, cfg, post_check):
     while t < t_end:
         target = out_times[oi] if oi < len(out_times) else t_end
         remaining = target - t
-        dtc = min(dt, cfg.dt_max)
+        dtc = dt if cfg.dt_max is None else min(dt, cfg.dt_max)
         if dtc >= (1.0 - _SLIVER) * remaining:
             dtc = remaining
         problem.freeze_blend(u)
@@ -394,7 +417,7 @@ def _advance(problem, u0_vec, t_end, out_times, cfg, post_check):
                 continue
             dt = dtc * min(2.5, max(0.3, 0.85 * max(err, 1e-10) ** (-1.0 / 3.0)))
         t = target if dtc == remaining else t + dtc
-        post_check(un, t)
+        post_check(un, t, est)
         u_prev, dt_prev, u = u, dtc, un
         times.append(t)
         sizes.append(dtc)
@@ -435,8 +458,9 @@ def solve(u0: Snapshot, config: SolverConfig, t_end: float,
     problem = _UProblem(grid, config.right_bc, config.reg_epsilon)
     hi = config.right_bc
     monotone_tol = 1e-8
+    d_errs = []
 
-    def post_check(u, t):
+    def post_check(u, t, est):
         if u.min() < -1e-8 or u.max() > hi + 1e-8:
             raise MaximumPrincipleViolation(
                 f"values left [0, {hi}] at t = {t:.6g}: "
@@ -445,15 +469,37 @@ def solve(u0: Snapshot, config: SolverConfig, t_end: float,
             raise MaximumPrincipleViolation(
                 f"monotonicity lost at t = {t:.6g} "
                 f"(worst drop {np.min(np.diff(u)):.3e})")
+        if est is not None:
+            d_errs.append(_d_step_error(grid.nodes, u, est))
 
     outs, times, sizes, iters, rejected = _advance(
         problem, u0.values.copy(), t_end, output_times, config, post_check)
     snaps = [Snapshot(grid=grid, values=np.clip(v, 0.0, hi), time=tt,
                       left_bc=0.0, right_bc=config.right_bc)
              for tt, v in sorted(outs.items())]
+    d_time_err = None
+    if config.scheme == "trbdf2":
+        summed = np.concatenate([[0.0], np.cumsum(d_errs)])
+        steps = np.searchsorted(times, [s.time for s in snaps], side="right")
+        d_time_err = _TIME_ERR_SAFETY * summed[steps]
     return Trajectory(config=config, snapshots=snaps, step_times=times,
                       step_sizes=sizes, newton_iters=iters, data_K=data_K,
-                      newton_loose_solves=problem.loose_solves, **rejected)
+                      newton_loose_solves=problem.loose_solves,
+                      d_time_err=d_time_err, **rejected)
+
+
+def _d_step_error(x, u, est):
+    """One step's contribution to the time error of d = log u_x(0) - sqrt(2t).
+
+    max |est_i| / u_i over the interior nodes whose inner coordinate
+    y = (u_1/x_1) x lies in the slope fit's window _Y_WINDOW: the relative
+    error of the profile the fit reads, and so the error of log u_x(0).
+    With no node in the window, node 1, whose ratio the fit falls back to.
+    """
+    y = (u[1] / x[1]) * x[1:-1]
+    m = (y >= _Y_WINDOW[0]) & (y <= _Y_WINDOW[1])
+    m[0] |= not m.any()
+    return float(np.max(np.abs(est[m]) / u[1:-1][m]))
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +578,7 @@ def solve_w(w0: RadialField, config: SolverConfig, t_end: float,
         raise ValueError("w must be nonnegative")
     problem = _WProblem(r)
 
-    def post_check(w, t):
+    def post_check(w, t, est):
         m = float(np.max(np.abs(w)))
         if m > config.blowup_cap:
             raise _BlowUp(t, m)
@@ -570,7 +616,7 @@ class SlopeFit:
     n_window: int
 
 
-def slope_origin_info(snap: Snapshot, y_window=(0.02, 0.5),
+def slope_origin_info(snap: Snapshot, y_window=_Y_WINDOW,
                       fit_tol: float = 2e-3) -> SlopeFit:
     """Origin-slope observable from the inner profile.
 
@@ -620,7 +666,7 @@ def slope_origin_info(snap: Snapshot, y_window=(0.02, 0.5),
                     ratio=ratio, fit_residual=resid, n_window=n_win)
 
 
-def slope_origin(snap: Snapshot, y_window=(0.02, 0.5), fit_tol: float = 2e-3) -> float:
+def slope_origin(snap: Snapshot, y_window=_Y_WINDOW, fit_tol: float = 2e-3) -> float:
     return slope_origin_info(snap, y_window=y_window, fit_tol=fit_tol).value
 
 

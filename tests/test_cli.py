@@ -1,5 +1,6 @@
 import configparser
 import json
+import re
 from importlib import resources
 
 import pytest
@@ -64,6 +65,14 @@ class TestCommands:
                      "--out", str(tmp_path / "o")]) == 2
         assert "fixed steps" in capsys.readouterr().err
 
+    def test_fixed_steps_without_dt_max_is_exit_2(self, tmp_path, capsys):
+        # fixed steps are of dt_max, which defaults to none (no cap)
+        cfg = tmp_path / "fixed.ini"
+        cfg.write_text("[solve]\nlocal_error_tol = none\n")
+        assert main(["solve", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "dt_max" in capsys.readouterr().err
+
     def test_solve_writes_snapshots(self, small_cfg, tmp_path):
         out = tmp_path / "o"
         assert main(["solve", "--config", small_cfg, "--out", str(out),
@@ -80,8 +89,56 @@ class TestCommands:
                      "--quiet"]) == 0
         verdict = json.loads((out / "rate_verdict.json").read_text())
         assert verdict["ok"]
+        assert float(verdict["d_time_err"]) > 0.0
         assert main(["profile", "--config", small_cfg, "--out", str(out),
                      "--quiet"]) == 0
+        # the early snapshots fall back to the one-sided ratio, and both
+        # verdicts count the same snapshots
+        profile = json.loads((out / "profile_verdict.json").read_text())
+        assert profile["n_ratio_fallbacks"] == verdict["n_ratio_fallbacks"] > 0
+
+    def test_rate_without_an_estimate_has_no_bar(self, tmp_path):
+        # backward Euler has no error estimate: its bar is null, never 0,
+        # and d alone is gated
+        out = tmp_path / "o"
+        cfg = tmp_path / "be.ini"
+        cfg.write_text(SMALL_SOLVE.replace(
+            "[solve]\n", "[solve]\nscheme = be\nlocal_error_tol = none\n"
+                          "dt_max = 0.05\n"))
+        assert main(["rate", "--config", str(cfg), "--out", str(out),
+                     "--quiet"]) == 0
+        verdict = json.loads((out / "rate_verdict.json").read_text())
+        assert verdict["d_time_err"] is None
+        lines = (out / "rate.csv").read_text().split()
+        column = lines[0].split(",").index("d_time_err")
+        assert {ln.split(",")[column] for ln in lines[1:]} == {""}
+
+    @pytest.mark.parametrize("edge", ["d_lo", "d_hi"])
+    def test_rate_fails_when_the_bar_crosses_the_bracket(self, small_cfg,
+                                                        tmp_path, edge):
+        # a bracket edge between d and d -/+ its time-error bar: d alone
+        # would pass, d with its bar does not
+        out = tmp_path / "o"
+        assert main(["rate", "--config", small_cfg, "--out", str(out),
+                     "--quiet"]) == 0
+        lines = (out / "rate.csv").read_text().split()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+        window = [(float(r["d"]), float(r["d_time_err"])) for r in rows
+                  if 1.0 <= float(r["t"]) <= 3.0]
+        if edge == "d_lo":
+            value = min(d for d, _ in window) - 0.5 * min(b for _, b in window)
+            assert value > min(d - b for d, b in window)
+        else:
+            value = max(d for d, _ in window) + 0.5 * min(b for _, b in window)
+            assert value < max(d + b for d, b in window)
+        cfg = tmp_path / "edge.ini"
+        cfg.write_text(re.sub(rf"^{edge} = .*$", f"{edge} = {value!r}", SMALL_SOLVE,
+                              flags=re.M))
+        assert main(["rate", "--config", str(cfg), "--out", str(out),
+                     "--quiet"]) == 1
+        verdict = json.loads((out / "rate_verdict.json").read_text())
+        assert any("time-error bar" in f for f in verdict["failures"])
 
     def test_rate_deterministic(self, small_cfg, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -171,6 +228,15 @@ class TestCommands:
                 for key in defaults[name]}
         assert keys - reads == set()
         assert len(builds) == 1
+
+        # TR-BDF2's error test alone sizes the steps: 359 steps with no
+        # rejection, where a cap of 0.05 took 1091
+        manifest = json.loads((out / "trajectory.json").read_text())
+        assert manifest["dt_max"] is None
+        assert manifest["n_steps"] <= 400
+        assert manifest["rejected_error_test"] + manifest["rejected_newton"] <= 5
+        hist = manifest["newton_iters_histogram"]
+        assert sum(hist.values()) == manifest["n_steps"]
 
     def test_sandwich_capped_shift_is_numeric_failure(self, small_cfg,
                                                       tmp_path):
