@@ -98,7 +98,8 @@ def path_header_json(path: MatchingPath, sigma_step: float | None = None) -> dic
     return {
         "K": fmt(path.K),
         "t_end": fmt(path.t_end),
-        "integrator": "rk4-sigma",
+        # exact knots; between them cubic Hermite in sigma, fourth order
+        "integrator": "exact-knots-sigma",
         "integrator_order": 4,
         "sigma_step": None if sigma_step is None else fmt(sigma_step),
         "n_knots": int(len(path.sigma_knots)),

@@ -11,33 +11,38 @@ from ksgrowup.errors import ConstructionError, OrderingFailureError, RangeError
 
 
 class StubPath:
-    """Duck-typed path with prescribed constants (for synthetic barriers)."""
+    """Duck-typed path with prescribed constants (for synthetic barriers);
+    like a MatchingPath, it gives one value per time of an array."""
 
     def __init__(self, a=50.0, b=0.0, gamma=0.0, K=5.0):
         self._a, self._b, self._g = a, b, gamma
         self.K = K
         self.t_end = 1e9
 
+    @staticmethod
+    def _per_time(t, value):
+        return np.full(np.shape(t), value, dtype=float)
+
     def a_at(self, t):
-        return self._a
+        return self._per_time(t, self._a)
 
     def a_prime_at(self, t):
-        return self._b * self._a ** 2
+        return self._per_time(t, self._b * self._a ** 2)
 
     def b_at(self, t):
-        return self._b
+        return self._per_time(t, self._b)
 
     def gamma_at(self, t):
-        return self._g
+        return self._per_time(t, self._g)
 
     def gamma_prime_at(self, t):
-        return 0.0
+        return self._per_time(t, 0.0)
 
     def epsilon_at(self, t):
-        return self._g
+        return self._per_time(t, self._g)
 
     def loga_at(self, t):
-        return np.log(self._a)
+        return self._per_time(t, np.log(self._a))
 
 
 @pytest.fixture(scope="module")
@@ -299,3 +304,133 @@ class TestTimeShifts:
         with pytest.raises(RangeError):
             find_time_shifts(spec_lo, spec_up, fast_traj.snapshots,
                              shift_max=100.0)
+
+
+# ---------------------------------------------------------------------------
+# batching oracles: the per-time loops the batched scans replaced
+
+
+def _certify_per_time(spec, t_range, y_resolution, n_t, tol=1e-11):
+    """threshold_T, worst_value and worst_location from one residual call
+    per lattice time."""
+    from ksgrowup.barriers import _scan_grid
+    ts = np.geomspace(t_range[0], t_range[1], n_t)
+    ok, worst = [], []
+    for t in ts:
+        a = float(spec.path.a_at(t))
+        ys = _scan_grid(a, y_resolution)
+        vals = residual_reduced(spec, ys, float(t))
+        i = int(np.argmax(vals) if spec.kind == "lower" else np.argmin(vals))
+        ok.append(vals[i] <= tol if spec.kind == "lower" else vals[i] >= -tol)
+        worst.append((float(vals[i]), float(ys[i] / a), float(t)))
+    j = next((j for j in range(n_t) if all(ok[j:])), None)
+    region = worst if j is None else worst[j:]
+    pick = max if spec.kind == "lower" else min
+    w = pick(region, key=lambda r: r[0])
+    return None if j is None else float(ts[j]), w[0], (w[1], w[2])
+
+
+def _monotone_per_time(spec, t_range, n_t=24, y_resolution=40):
+    from ksgrowup.barriers import _scan_grid
+    for t in np.geomspace(max(t_range[0], 1e-6), t_range[1], n_t):
+        a = float(spec.path.a_at(t))
+        ys = np.concatenate([[0.0], _scan_grid(a, y_resolution)])
+        if np.any(eval_barrier(spec, ys / a, float(t))[1] <= 0.0):
+            return False
+    return True
+
+
+def _violations_per_snapshot(lower, upper, snaps, T1, onset, T2, t_min):
+    worst_lo = -np.inf
+    for s in snaps:
+        if s.time - T1 >= onset:
+            v, _ = eval_barrier(lower, s.grid.nodes, s.time - T1)
+            worst_lo = max(worst_lo, float(np.max(v - s.values)))
+    worst_up = -np.inf
+    for s in snaps:
+        if s.time >= t_min:
+            v, _ = eval_barrier(upper, s.grid.nodes, s.time + T2)
+            worst_up = max(worst_up, float(np.max(s.values - v)))
+    return worst_lo, worst_up
+
+
+def _bisected_onset(spec, t_range, n_t):
+    """The onset as 40 one-point bisection steps refine it."""
+    ts = np.geomspace(t_range[0], t_range[1], n_t)
+    m = boundary_margin(spec, ts)
+    j = next(j for j in range(n_t) if np.all(m[j:] > 0.0))
+    lo, hi = float(ts[j - 1]), float(ts[j])
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if boundary_margin(spec, mid)[0] > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+class TestBatchedScans:
+    @pytest.mark.parametrize("kind", ["lower", "upper"])
+    def test_array_times_equal_per_time_calls(self, kind, lower_med, upper_med):
+        spec = lower_med if kind == "lower" else upper_med
+        ts = np.geomspace(0.5, 50.0, 7)
+        xs = [np.geomspace(1e-9, 1.0, 30 + 7 * j) for j in range(len(ts))]
+        x = np.concatenate(xs)
+        t = np.repeat(ts, [len(v) for v in xs])
+        value, slope = eval_barrier(spec, x, t)
+        parts = [eval_barrier(spec, v, float(tj)) for v, tj in zip(xs, ts)]
+        assert np.array_equal(value, np.concatenate([p[0] for p in parts]))
+        assert np.array_equal(slope, np.concatenate([p[1] for p in parts]))
+        ys = [v * float(spec.path.a_at(tj)) for v, tj in zip(xs, ts)]
+        batched = residual_reduced(spec, np.concatenate(ys), t)
+        per_time = [residual_reduced(spec, y, float(tj)) for y, tj in zip(ys, ts)]
+        assert np.array_equal(batched, np.concatenate(per_time))
+
+    @pytest.mark.parametrize("kind", ["lower", "upper"])
+    def test_certify_sign_equals_per_time_loop(self, kind, lower_med, upper_med):
+        spec = lower_med if kind == "lower" else upper_med
+        rep = certify_sign(spec, (0.5, 60.0), y_resolution=30, n_t=20)
+        ref = _certify_per_time(spec, (0.5, 60.0), 30, 20)
+        assert (rep.threshold_T, rep.worst_value, rep.worst_location) == ref
+
+    def test_failing_certify_equals_per_time_loop(self, path_k6, table_med):
+        # M = 0 leaves the upper residual negative: no threshold
+        small = SpecialFunctions(3e6, M=0.0, strict_m=False).table()
+        spec = BarrierSpec(kind="upper", path=path_k6, table=small)
+        rep = certify_sign(spec, (0.5, 60.0), y_resolution=30, n_t=20)
+        ref = _certify_per_time(spec, (0.5, 60.0), 30, 20)
+        assert ref[0] is None
+        assert (rep.threshold_T, rep.worst_value, rep.worst_location) == ref
+
+    def test_lower_monotone_equals_per_time_loop(self, lower_med, table_med):
+        assert check_lower_monotone(lower_med, (1.0, 60.0)) \
+            == _monotone_per_time(lower_med, (1.0, 60.0)) is True
+        steep = BarrierSpec(kind="lower", path=StubPath(a=50.0, b=5.0),
+                            table=table_med)
+        assert check_lower_monotone(steep, (1.0, 2.0)) \
+            == _monotone_per_time(steep, (1.0, 2.0)) is False
+
+    @pytest.mark.parametrize("T1,T2", [(0.0, 0.0), (0.75, 10.0), (3.0, 40.0)])
+    def test_violations_equal_snapshot_loop(self, T1, T2, fast_traj,
+                                            lower_med, upper_med):
+        from ksgrowup.barriers import _lower_violation, _upper_violation
+        snaps = fast_traj.snapshots
+        onset, t_min = 2.0, 1.0
+        ref = _violations_per_snapshot(lower_med, upper_med, snaps, T1, onset,
+                                       T2, t_min)
+        assert _lower_violation(lower_med, snaps, T1, onset) == ref[0]
+        assert _upper_violation(upper_med, snaps, T2, t_min) == ref[1]
+        assert _lower_violation(lower_med, snaps, T1, np.inf) == -np.inf
+
+    @pytest.mark.parametrize("kind", ["lower", "upper"])
+    def test_onset_matches_bisection(self, kind, lower_med, path_k6_big,
+                                     table_big):
+        if kind == "lower":
+            spec, window = lower_med, (1.0, 50.0)
+        else:
+            spec = BarrierSpec(kind="upper", path=path_k6_big, table=table_big)
+            window = (1.0, 3000.0)
+        rep = check_boundary_matching(spec, window, n_t=96)
+        ref = _bisected_onset(spec, window, 96)
+        assert abs(rep.onset_t - ref) <= 1e-9 * ref
+        assert boundary_margin(spec, rep.onset_t)[0] > 0.0

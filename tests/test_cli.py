@@ -159,6 +159,17 @@ class TestCommands:
         assert (out / "path_k5.csv").exists()
         assert (out / "path_k6.csv").exists()
 
+    def test_match_coarse_sigma_step_fails(self, tmp_path):
+        # the knots are exact at any step, but a coarse one leaves a Hermite
+        # error between them (about 2.5e-7) above halving_rtol = 1e-8: exit 1
+        out = tmp_path / "m"
+        cfg = tmp_path / "m.ini"
+        cfg.write_text("[match]\nsigma_step = 0.1\n")
+        assert main(["match", "--config", str(cfg), "--out", str(out),
+                     "--quiet"]) == 1
+        verdict = json.loads((out / "match_verdict.json").read_text())
+        assert any("halving sigma_step" in f for f in verdict["failures"])
+
     def test_tabulate_small_sweep(self, tmp_path):
         out = tmp_path / "t"
         cfg = tmp_path / "t.ini"
@@ -197,11 +208,15 @@ class TestCommands:
         # one special-function table, wherever the build is called from:
         # tabulate writes it and sweeps the asymptotics on it, certify
         # certifies the barriers on it, and sandwich orders against them.
+        # The barrier scans batch over times, so the table is evaluated in
+        # few calls (284 when each scan made one call per time).
         import time
         from ksgrowup import specialfn
         reads = set()
         builds = []
+        table_evals = []
         init = specialfn.SpecialFunctions.__init__
+        table_eval = specialfn.SpecialTable.eval
 
         class RecordingConfig(cli._Config):
             def get(self, section, option, **kwargs):
@@ -212,8 +227,13 @@ class TestCommands:
             builds.append(args)
             init(self, *args, **kwargs)
 
+        def counting_eval(self, yq):
+            table_evals.append(len(yq))
+            return table_eval(self, yq)
+
         monkeypatch.setattr(cli, "_Config", RecordingConfig)
         monkeypatch.setattr(specialfn.SpecialFunctions, "__init__", counting_init)
+        monkeypatch.setattr(specialfn.SpecialTable, "eval", counting_eval)
         out = tmp_path / "all"
         t0 = time.perf_counter()
         assert main(["all", "--out", str(out), "--quiet"]) == 0
@@ -228,6 +248,7 @@ class TestCommands:
                 for key in defaults[name]}
         assert keys - reads == set()
         assert len(builds) == 1
+        assert len(table_evals) <= 80
 
         # TR-BDF2's error test alone sizes the steps: 359 steps with no
         # rejection, where a cap of 0.05 took 1091

@@ -45,33 +45,63 @@ class TestIntegration:
         assert np.all(np.diff(np.abs(dev - 2.5)) <= 1e-12)
 
     def test_step_halving(self):
-        a1 = integrate_a(5.0, 1000.0, sigma_step=0.005).a_at(1000.0)
-        a2 = integrate_a(5.0, 1000.0, sigma_step=0.0025).a_at(1000.0)
-        assert abs(a1 - a2) / a2 < 1e-8
+        # the knots are exact, so halving the sigma step moves a(t) only
+        # between knots: compare at the coarse knots' midpoints from the
+        # earliest barrier time (t = 0.5) on, and at t_end
+        coarse = integrate_a(5.0, 1000.0, sigma_step=0.005)
+        fine = integrate_a(5.0, 1000.0, sigma_step=0.0025)
 
-    @pytest.mark.parametrize("K", [5.0, 6.0, -1.0])
-    def test_knots_match_stagewise_rk4(self, K):
-        # the inlined loop gives the bits of classical RK4 on the rhs
-        # sigma * _gp(1/ell, K), stage by stage
+        def worst_at_midpoints(path):
+            sig = 0.5 * (path.sigma_knots[1:] + path.sigma_knots[:-1])
+            t = 0.5 * sig * sig
+            t = t[t >= 0.5]
+            return np.max(np.abs(path.a_at(t) - fine.a_at(t)) / fine.a_at(t))
+
+        assert worst_at_midpoints(coarse) < 1e-8
+        assert abs(coarse.a_at(1000.0) / fine.a_at(1000.0) - 1.0) < 1e-13
+        # a coarse step leaves an interpolation error the check must see
+        assert worst_at_midpoints(integrate_a(5.0, 1000.0, sigma_step=0.1)) > 1e-8
+
+    @pytest.mark.parametrize("K", [5.0, 6.0, -1.0, 25.0 / 16.0])
+    def test_knots_solve_the_time_integral(self, K):
+        # t(ell) = int_{log 2}^{ell} s^3 / (s^2 + 5s/2 + K) ds: K = 5, 6 take
+        # the arctan branch, K = -1 the atanh branch, K = 25/16 the rational
+        # one.  Reference: 10-point Gauss-Legendre on every knot interval.
         path = integrate_a(K, 200.0)
-        sig_end = math.sqrt(400.0)
-        n = max(8, int(math.ceil(sig_end / 0.005)))
-        h = sig_end / n
-        ref = np.empty(n + 1)
-        ref[0] = ell = math.log(2.0)
-        sig = 0.0
+        ell, sig = path.ell_knots, path.sigma_knots
+        x, w = np.polynomial.legendre.leggauss(10)
+        mid, half = 0.5 * (ell[1:] + ell[:-1]), 0.5 * (ell[1:] - ell[:-1])
+        s = mid[:, None] + half[:, None] * x[None, :]
+        panel = half * ((s ** 3 / (s * s + 2.5 * s + K)) @ w)
+        t_quad = np.cumsum(panel)
+        tau = 0.5 * sig[1:] ** 2
+        assert ell[0] == math.log(2.0)
+        assert np.max(np.abs(t_quad - tau) / tau) <= 1e-12
 
-        def rhs(sg, e):
-            return sg * _gp(1.0 / e, K)
-        for i in range(n):
-            k1 = rhs(sig, ell)
-            k2 = rhs(sig + 0.5 * h, ell + 0.5 * h * k1)
-            k3 = rhs(sig + 0.5 * h, ell + 0.5 * h * k2)
-            k4 = rhs(sig + h, ell + h * k3)
-            ell += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-            sig += h
-            ref[i + 1] = ell
-        assert np.array_equal(path.ell_knots, ref)
+    @pytest.mark.parametrize("K", [5.0, 6.0, -1.0, 25.0 / 16.0])
+    def test_rk4_converges_to_the_knots_at_order_4(self, K):
+        # classical RK4 on d ell / d sigma = sigma * Gp(1/ell), stage by
+        # stage, on the knots' own sigma grid: its error falls 16-fold when
+        # the step is halved
+        def rk4(sigma):
+            h = sigma[1] - sigma[0]
+            ell = np.empty_like(sigma)
+            ell[0] = e = math.log(2.0)
+            for i, sg in enumerate(sigma[:-1]):
+                k1 = sg * _gp(1.0 / e, K)
+                k2 = (sg + 0.5 * h) * _gp(1.0 / (e + 0.5 * h * k1), K)
+                k3 = (sg + 0.5 * h) * _gp(1.0 / (e + 0.5 * h * k2), K)
+                k4 = (sg + h) * _gp(1.0 / (e + h * k3), K)
+                e += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+                ell[i + 1] = e
+            return ell
+
+        errs = []
+        for step in (0.02, 0.01):
+            path = integrate_a(K, 200.0, sigma_step=step)
+            errs.append(np.max(np.abs(rk4(path.sigma_knots) - path.ell_knots)
+                               / path.ell_knots))
+        assert 12.0 <= errs[0] / errs[1] <= 20.0
 
     def test_invalid_k(self):
         with pytest.raises(InvalidKError):
