@@ -14,8 +14,9 @@ pre-registered there, not tuned after looking at a particular run.
 
 The barrier pair (``[barriers]``) is built once per run, on the run's one
 special-function table: tabulate writes that table and checks its
-asymptotics, certify certifies the barriers, and sandwich orders the
-solution between exactly those barriers.
+asymptotics, match checks the barriers' matching paths, certify certifies
+the barriers, and sandwich orders the solution between exactly those
+barriers.
 """
 
 from __future__ import annotations
@@ -107,8 +108,7 @@ def _solver_setup(cfg) -> tuple[Snapshot, pde.SolverConfig, float, list[float]]:
     solver_cfg = pde.SolverConfig(
         grid=grid, dt_initial=float(sec["dt_initial"]),
         dt_max=_float_or_none(sec["dt_max"]), newton_tol=float(sec["newton_tol"]),
-        reg_epsilon=float(sec["reg_epsilon"]), scheme=sec["scheme"],
-        right_bc=right_bc,
+        reg_epsilon=float(sec["reg_epsilon"]), right_bc=right_bc,
         local_error_tol=_float_or_none(sec["local_error_tol"]))
     t_end = float(sec["t_end"])
     out_times = _floats(sec["output_times"])
@@ -126,17 +126,13 @@ def _slope_fits(traj: pde.Trajectory):
 
     The early fallback to the one-sided ratio is expected; the verdicts
     count it (n_ratio_fallbacks) instead of warning."""
-    bars = traj.d_time_err
-    if bars is None:
-        bars = [None] * len(traj.snapshots)
     fits = []
-    for s, bar_d in zip(traj.snapshots, bars):
+    for s, bar_d in zip(traj.snapshots, traj.d_time_err):
         if s.time <= 0.0:
             continue
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            fits.append((s, None if bar_d is None else float(bar_d),
-                         pde.slope_origin_info(s)))
+            fits.append((s, float(bar_d), pde.slope_origin_info(s)))
     return fits
 
 
@@ -190,38 +186,33 @@ def cmd_tabulate(cfg, out: Path, quiet: bool) -> int:
 
 def cmd_match(cfg, out: Path, quiet: bool) -> int:
     sec = cfg["match"]
-    t_end = float(sec["t_end"])
-    step = float(sec["sigma_step"])
+    step = float(cfg["barriers"]["sigma_step"])
     t_lo = float(cfg["certify"]["t_lo"])
     failures = []
-    for key in ("k_lower", "k_upper"):
-        K = float(cfg["barriers"][key])
-        path = mat.integrate_a(K, t_end, sigma_step=step)
-        path_half = mat.integrate_a(K, t_end, sigma_step=step / 2.0)
-        # the knots are exact, so halving the step moves a(t) only between
-        # them: compare at the coarse midpoints from the first barrier time on
-        t_mid = 0.5 * (0.5 * (path.sigma_knots[1:] + path.sigma_knots[:-1])) ** 2
-        t_mid = t_mid[t_mid >= t_lo]
-        a_half = path_half.a_at(t_mid)
-        rel = float(np.max(np.abs(path.a_at(t_mid) - a_half) / a_half, initial=0.0))
+    for spec in _barriers(cfg, quiet)[:2]:
+        path, K = spec.path, spec.path.K
+        # the knots are exact, so a(t) can be off only between them: check
+        # it there from the first barrier time on
+        rel = path.dense_error(t_lo)
         tag = f"k{K:g}".replace(".", "p")
         (out / f"path_{tag}.csv").write_text(ser.path_to_csv(path))
         ser.dump_json(ser.path_header_json(path, sigma_step=step),
                       out / f"path_{tag}.json")
-        if rel >= float(sec["halving_rtol"]):
-            failures.append(f"K={K}: halving sigma_step changed a(t) between "
-                            f"knots by {rel:.2e}")
+        if rel >= float(sec["dense_rtol"]):
+            failures.append(
+                f"K={K}: dense a(t) between knots off by {rel:.2e}")
         w0, w1 = _floats(sec["bracket_window"])
-        ts = np.linspace(w0, min(w1, t_end), 60)
+        ts = np.linspace(w0, min(w1, path.t_end), 60)
         dev = path.loga_at(ts) - np.sqrt(2.0 * ts)
         lo, hi = float(sec["bracket_lo"]), float(sec["bracket_hi"])
-        if key == "k_lower" and (dev.min() < lo or dev.max() > hi):
+        is_lower = spec.kind == bar.LOWER
+        if is_lower and (dev.min() < lo or dev.max() > hi):
             failures.append(
                 f"K={K}: log a - sqrt(2t) left [{lo}, {hi}] "
                 f"(range [{dev.min():.3f}, {dev.max():.3f}])")
-        if key == "k_lower" and np.any(np.diff(np.abs(dev - 2.5)) > 1e-12):
+        if is_lower and np.any(np.diff(np.abs(dev - 2.5)) > 1e-12):
             failures.append(f"K={K}: |log a - sqrt(2t) - 5/2| not nonincreasing")
-        _say(quiet, f"match K={K}: halving rel change {rel:.2e}, "
+        _say(quiet, f"match K={K}: dense rel error {rel:.2e}, "
                     f"deviation range [{dev.min():.4f}, {dev.max():.4f}]")
     return _verdict(out / "match_verdict.json", failures, quiet)
 
@@ -231,17 +222,19 @@ def _barriers(cfg, quiet: bool) -> tuple[bar.BarrierSpec, bar.BarrierSpec,
                                          bar.BoundaryReport, bar.BoundaryReport]:
     """The (lower, upper) barriers at K = [barriers] k_lower, k_upper and
     their x = 1 matching reports on certify's window [1, boundary_t_hi]:
-    one matching path per K, long enough for certify's boundary scan and
-    for sandwich's largest shift, and the run's one special-function table,
-    to max(1.05 a_upper(t_path), max([tabulate] sweep)) with [tabulate] npd.
-    Certify writes the reports; sandwich takes the onsets they resolve."""
+    one matching path per K at [barriers] sigma_step, long enough for
+    certify's boundary scan and for sandwich's largest shift, and the run's
+    one special-function table, to max(1.05 a_upper(t_path), max([tabulate]
+    sweep)) with [tabulate] npd.  Match checks and writes the paths, certify
+    writes the reports, and sandwich takes the onsets they resolve."""
     sec = cfg["barriers"]
     bnd_hi = float(cfg["certify"]["boundary_t_hi"])
     t_path = max(1.01 * bnd_hi,
                  float(cfg["solve"]["t_end"])
                  + float(cfg["sandwich"]["shift_max"]) + 1.0)
-    path_lo = mat.integrate_a(float(sec["k_lower"]), t_path)
-    path_up = mat.integrate_a(float(sec["k_upper"]), t_path)
+    step = float(sec["sigma_step"])
+    path_lo = mat.integrate_a(float(sec["k_lower"]), t_path, sigma_step=step)
+    path_up = mat.integrate_a(float(sec["k_upper"]), t_path, sigma_step=step)
     tab = cfg["tabulate"]
     y_max = max(float(path_up.a_at(t_path)) * 1.05, max(_floats(tab["sweep"])))
     _say(quiet, f"building tables to y_max = {y_max:.3e} ...")
@@ -291,7 +284,8 @@ def cmd_certify(cfg, out: Path, quiet: bool) -> int:
     swaps = {}
     for kind, K in ((bar.LOWER, float(sec["k_lower_swap"])),
                     (bar.UPPER, float(sec["k_upper_swap"]))):
-        p = mat.integrate_a(K, bnd_hi * 1.01)
+        p = mat.integrate_a(K, bnd_hi * 1.01,
+                            sigma_step=float(cfg["barriers"]["sigma_step"]))
         spec = bar.BarrierSpec(kind=kind, path=p, table=lower.table)
         rep = bar.check_boundary_matching(spec, (1.0, bnd_hi), n_t=96)
         failed_as_predicted = rep.onset_t is None
@@ -319,19 +313,17 @@ def cmd_rate(cfg, out: Path, quiet: bool, traj=None) -> int:
     rows = _rate_series(traj)
     lines = ["t,slope,method,fit_residual,d,d_time_err,l1,r"]
     for r in rows:
-        # a run without an error estimate leaves d_time_err empty
-        bar_d = "" if r["d_time_err"] is None else ser.fmt(r["d_time_err"])
         lines.append(",".join([ser.fmt(r["t"]), ser.fmt(r["slope"]), r["method"],
-                               ser.fmt(r["fit_residual"]), ser.fmt(r["d"]), bar_d,
-                               ser.fmt(r["l1"]), ser.fmt(r["r"])]))
+                               ser.fmt(r["fit_residual"]), ser.fmt(r["d"]),
+                               ser.fmt(r["d_time_err"]), ser.fmt(r["l1"]),
+                               ser.fmt(r["r"])]))
     (out / "rate.csv").write_text("\n".join(lines) + "\n")
 
     failures = []
     w0, w1 = _floats(sec["d_window"])
     dw = [r for r in rows if w0 - 1e-9 <= r["t"] <= w1 + 1e-9]
-    # d with its time-error bar must stay inside the bracket; without an
-    # estimate (backward Euler) the bar is unknown and d alone is gated
-    bars = [r["d_time_err"] or 0.0 for r in dw]
+    # d with its time-error bar must stay inside the bracket
+    bars = [r["d_time_err"] for r in dw]
     d_low = [r["d"] - b for r, b in zip(dw, bars)]
     d_high = [r["d"] + b for r, b in zip(dw, bars)]
     if not dw:
@@ -355,11 +347,10 @@ def cmd_rate(cfg, out: Path, quiet: bool, traj=None) -> int:
         failures.append(f"|r - 1| trend not decreasing (slope {slope_r:.2e})")
 
     _say(quiet, f"rate: d(t_end) = {rows[-1]['d']:.4f}, r(t_end) = {r_end:.3f}")
-    bar_w = max(bars) if dw and traj.d_time_err is not None else None
     return _verdict(out / "rate_verdict.json", failures, quiet,
                     d_final=ser.fmt(rows[-1]["d"]), r_final=ser.fmt(r_end),
                     d_trend_slope=ser.fmt(slope_d), r_trend_slope=ser.fmt(slope_r),
-                    d_time_err=_fmt_or_none(bar_w),
+                    d_time_err=_fmt_or_none(max(bars, default=None)),
                     n_ratio_fallbacks=sum(r["method"] == "ratio" for r in rows))
 
 
@@ -447,7 +438,6 @@ def _manifest(traj) -> dict:
     return {
         "n_steps": int(len(traj.step_times)),
         "grid_nodes": int(traj.config.grid.n),
-        "scheme": traj.config.scheme,
         "right_bc": ser.fmt(traj.config.right_bc),
         "reg_epsilon": ser.fmt(traj.config.reg_epsilon),
         "dt_max": _fmt_or_none(traj.config.dt_max),

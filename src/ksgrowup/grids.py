@@ -1,21 +1,18 @@
-"""Spatial grids, solution snapshots, and the exact variable transformations.
+"""Spatial grids, solution snapshots, and the smoothed radial transform.
 
-The chain of variables: a radial density rho(r) on the unit disc has
-cumulative mass Q(r) = 2*pi*int_0^r s rho(s) ds; in the parabolic variable
-x = r^2 this becomes N(x) = Q(sqrt(x)); the normalized unknown is
-u(x, t) = N(x, 4t) / (8*pi), and the smoothed radial form is
-w(r, t) = 8 u(r^2, 4t) / r^2.  All transforms here are pure functions of
-immutable inputs.
+The unknown u(x, t) is the cumulative mass of a radial density on the unit
+disc in the parabolic variable x = r^2, divided by 8*pi (with the clock
+t = t_rho / 4); the smoothed radial form is w(r, t) = 8 u(r^2, 4t) / r^2.
+All transforms here are pure functions of immutable inputs.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstructionError, DegenerateSlopeError, RangeError
+from .errors import ConstructionError, DegenerateSlopeError
 
 _GEOM_TOL = 1e-12
 
@@ -57,13 +54,6 @@ class GradedGrid:
         while k < len(w) and abs(w[k] / w[k - 1] - self.grading_ratio) <= _GEOM_TOL * max(1.0, self.grading_ratio):
             k += 1
         return k
-
-    @classmethod
-    def from_nodes(cls, nodes) -> "GradedGrid":
-        nodes = np.asarray(nodes, dtype=float)
-        x_min = float(nodes[1])
-        ratio = float((nodes[2] - nodes[1]) / nodes[1]) if len(nodes) > 2 else 1.0
-        return cls(nodes=nodes, x_min=x_min, grading_ratio=ratio)
 
 
 def make_graded_grid(n: int, x_min: float, grading_ratio: float) -> GradedGrid:
@@ -149,70 +139,6 @@ class RadialField:
             raise ConstructionError("r_nodes must be strictly increasing")
 
 
-@dataclass(frozen=True)
-class Table1D:
-    """A tabulated scalar function (used for Q(r) and N(x))."""
-
-    x: np.ndarray
-    values: np.ndarray
-
-
-def mass_of(rho: RadialField) -> float:
-    """Total mass 2*pi*int_0^R s rho(s) ds by composite trapezoid."""
-    from scipy.integrate import trapezoid
-    r, v = rho.r_nodes, rho.values
-    return float(2.0 * np.pi * trapezoid(r * v, r))
-
-
-def q_from_rho(rho: RadialField) -> Table1D:
-    """Cumulative mass Q(r) = 2*pi*int_0^r s rho(s) ds.
-
-    Composite trapezoid on the given nodes with a Richardson consistency
-    check against the half-resolution rule; inputs are tabulated fields,
-    not callables, so no adaptive refinement is attempted.
-    """
-    from scipy.integrate import cumulative_trapezoid, trapezoid
-    r, v = rho.r_nodes, rho.values
-    if np.any(v < 0):
-        raise ValueError("density has negative entries")
-    integrand = 2.0 * np.pi * r * v
-    q = cumulative_trapezoid(integrand, r, initial=0.0)
-    if len(r) >= 5:
-        q_coarse = trapezoid(integrand[::2], r[::2])
-        # refinement shifting the total mass noticeably flags unresolved data
-        if abs(q[-1] - q_coarse) > 0.25 * max(abs(q[-1]), 1e-30) + 1e-12:
-            warnings.warn("half-resolution trapezoid disagrees; "
-                          "density looks unresolved", stacklevel=2)
-    if r[0] > 0.0:
-        r = np.concatenate([[0.0], r])
-        q = np.concatenate([[0.0], q])
-    return Table1D(x=r, values=q)
-
-
-def n_from_q(q: Table1D) -> Table1D:
-    """Relabel Q(r) as N(x) with x = r^2, after normalizing the radius to 1."""
-    r = q.x
-    R = r[-1]
-    if R <= 0:
-        raise ValueError("radius range must be positive")
-    rn = r / R
-    return Table1D(x=rn * rn, values=np.asarray(q.values, dtype=float).copy())
-
-
-def u_from_n(n_table: Table1D, time: float = 0.0) -> Snapshot:
-    """u(x, t) = N(x, 4t) / (8 pi); the returned snapshot time is t = (N-time)/4."""
-    x = np.asarray(n_table.x, dtype=float)
-    vals = np.asarray(n_table.values, dtype=float) / (8.0 * np.pi)
-    grid = GradedGrid.from_nodes(x)
-    return Snapshot(grid=grid, values=vals, time=time / 4.0,
-                    left_bc=float(vals[0]), right_bc=float(vals[-1]))
-
-
-def n_from_u(snap: Snapshot) -> tuple[Table1D, float]:
-    """Inverse of u_from_n; returns the N table and the N-time 4t."""
-    return Table1D(x=snap.grid.nodes.copy(), values=8.0 * np.pi * snap.values), 4.0 * snap.time
-
-
 def origin_slope_extrapolated(snap: Snapshot) -> float:
     """Slope of u at x = 0 by linear extrapolation of u/x to the origin.
 
@@ -246,17 +172,3 @@ def w_from_u(snap: Snapshot) -> RadialField:
     w[1:] = 8.0 * u[1:] / x[1:]
     return RadialField(r_nodes=r, values=w, total_mass=8.0 * np.pi * snap.right_bc)
 
-
-def interp(snap: Snapshot, x):
-    """Monotone piecewise-cubic (PCHIP) evaluation of a snapshot.
-
-    Preserves the monotonicity and the [left_bc, right_bc] range of the
-    nodal data, which plain cubic splines do not.
-    """
-    xq = np.asarray(x, dtype=float)
-    if np.any(xq < 0.0) or np.any(xq > 1.0):
-        raise RangeError("query outside [0, 1]")
-    from scipy.interpolate import PchipInterpolator
-    p = PchipInterpolator(snap.grid.nodes, snap.values)
-    out = p(xq)
-    return float(out) if np.isscalar(x) else out

@@ -67,8 +67,9 @@ def gamma_of_a(a, K: float):
 class MatchingPath:
     """Path of a(t) with sampled derived quantities.
 
-    Dense evaluation between samples goes through the stored knots (cubic
-    Hermite in sigma = sqrt(2t), slopes from the ODE itself).
+    The samples, like the knots, solve the exact t(log a).  Dense
+    evaluation goes through the stored knots (cubic Hermite in
+    sigma = sqrt(2t), slopes from the ODE itself).
     """
 
     K: float
@@ -126,6 +127,15 @@ class MatchingPath:
     def epsilon_at(self, t):
         return self.gamma_at(t)
 
+    def dense_error(self, t_lo: float) -> float:
+        """Largest relative error of the dense a(t) at the knot midpoints
+        from t_lo on, against the exact a there."""
+        sig = 0.5 * (self.sigma_knots[1:] + self.sigma_knots[:-1])
+        sig = sig[0.5 * sig * sig >= t_lo]
+        exact = np.exp(_ell_knots(self.K, sig))
+        return float(np.max(np.abs(self.a_at(0.5 * sig * sig) - exact) / exact,
+                            initial=0.0))
+
 
 def _t_of_ell(ell, K: float):
     """(t, dt/dell) on the path: t(ell) = int_{log 2}^{ell} s^3 / Q(s) ds,
@@ -144,7 +154,7 @@ def _t_of_ell(ell, K: float):
 
 
 def _ell_knots(K: float, sigma: np.ndarray) -> np.ndarray:
-    """ell solving t(ell) = sigma^2 / 2 at every knot: Newton steps kept
+    """ell solving t(ell) = sigma^2 / 2 at every sigma: Newton steps kept
     inside the bracket that each residual narrows, bisection otherwise."""
     l0 = math.log(2.0)
     tau = 0.5 * sigma * sigma
@@ -166,10 +176,11 @@ def _ell_knots(K: float, sigma: np.ndarray) -> np.ndarray:
     return ell
 
 
-def integrate_a(K: float, t_end: float, sigma_step: float = 0.005,
-                samples: np.ndarray | None = None) -> MatchingPath:
+def integrate_a(K: float, t_end: float,
+                sigma_step: float = 0.005) -> MatchingPath:
     """The matching path to t_end: knots at a uniform sigma step of at most
-    ``sigma_step`` (at least 8 intervals), each exact to round-off.
+    ``sigma_step`` (at least 8 intervals) and 241 samples on [0, t_end],
+    each exact to round-off.
 
     ``sigma_step`` sets only the spacing of the dense Hermite evaluation;
     halving it moves a(t) between knots by the interpolation error, which
@@ -189,21 +200,14 @@ def integrate_a(K: float, t_end: float, sigma_step: float = 0.005,
     sigma_knots = np.linspace(0.0, sig_end, n + 1)
     ells = _ell_knots(float(K), sigma_knots)
 
-    if samples is None:
-        tail = np.geomspace(1e-3, t_end, 240)
-        samples = np.concatenate([[0.0], tail])
-    samples = np.unique(np.clip(np.asarray(samples, dtype=float), 0.0, t_end))
-
-    path = MatchingPath(K=float(K), t=samples,
-                        a=np.empty_like(samples), a_prime=np.empty_like(samples),
-                        b=np.empty_like(samples), gamma=np.empty_like(samples),
-                        epsilon=np.empty_like(samples),
+    samples = np.unique(np.clip(
+        np.concatenate([[0.0], np.geomspace(1e-3, t_end, 240)]), 0.0, t_end))
+    ell = _ell_knots(float(K), np.sqrt(2.0 * samples))
+    a, s = np.exp(ell), 1.0 / ell
+    gp, gamma = _gp(s, K), _hp(s, K)
+    path = MatchingPath(K=float(K), t=samples, a=a, a_prime=a * gp, b=gp / a,
+                        gamma=gamma, epsilon=gamma,
                         sigma_knots=sigma_knots, ell_knots=ells)
-    path.a[:] = path.a_at(samples)
-    path.a_prime[:] = path.a_prime_at(samples)
-    path.b[:] = path.b_at(samples)
-    path.gamma[:] = path.gamma_at(samples)
-    path.epsilon[:] = path.gamma[:]
 
     # construction invariants
     assert abs(path.a_at(0.0) - 2.0) < 1e-12

@@ -21,8 +21,8 @@ w-form:  w_t = w_rr + 3 w_r / r + w^2 + (r/2) w w_r on (0,1), w_r(0,t)=0,
 w(1,t) = 8 xi; the diffusion is the radial Laplacian in 4 space dimensions,
 discretized by finite volumes with r^3 weights.
 
-Both forms share one implicit-step core: TR-BDF2 (backward Euler only for
-fixed steps), one Newton loop (`_newton`) on the full nonlinear system with
+Both forms share one implicit-step core: TR-BDF2, also for fixed steps,
+one Newton loop (`_newton`) on the full nonlinear system with
 the exact tridiagonal Jacobian, and local-error control by TR-BDF2's
 embedded error estimate (Hosea & Shampine, Appl. Numer. Math. 20, 1996),
 which costs one more tridiagonal solve per step.  That error test alone
@@ -83,7 +83,6 @@ class SolverConfig:
     dt_max: float | None = None         # step cap; fixed steps need it
     newton_tol: float = 1e-11
     reg_epsilon: float = 0.0
-    scheme: str = "trbdf2"              # "trbdf2" | "be" (fixed steps only)
     right_bc: float = 1.0
     local_error_tol: float | None = 1e-6  # None -> fixed steps of dt_max
     max_newton: int = 14
@@ -101,11 +100,6 @@ class SolverConfig:
             raise ValueError("dt_initial must not exceed dt_max")
         if self.reg_epsilon < 0:
             raise ValueError("reg_epsilon must be >= 0")
-        if self.scheme not in ("be", "trbdf2"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.scheme == "be" and self.local_error_tol is not None:
-            raise ValueError("scheme 'be' has no error estimate: it takes only "
-                             "fixed steps (local_error_tol = none)")
 
 
 @dataclass
@@ -115,14 +109,13 @@ class Trajectory:
     step_times: np.ndarray
     step_sizes: np.ndarray
     newton_iters: np.ndarray
+    # time-error bar on d(t) at each snapshot: _TIME_ERR_SAFETY times the
+    # embedded estimate summed over the steps up to it (_d_step_error)
+    d_time_err: np.ndarray
     data_K: float = np.nan
     newton_loose_solves: int = 0   # solves accepted only by problem.loose
     rejected_error_test: int = 0   # steps rejected by the local-error test
     rejected_newton: int = 0       # steps rejected for a Newton failure
-    # time-error bar on d(t) at each snapshot: _TIME_ERR_SAFETY times the
-    # embedded estimate summed over the steps up to it (_d_step_error);
-    # None when the scheme has no estimate (backward Euler)
-    d_time_err: np.ndarray | None = None
 
     def at(self, t: float) -> Snapshot:
         for s in self.snapshots:
@@ -314,8 +307,7 @@ def _step_once(problem, u, dt, cfg, u_prev=None, dt_prev=None):
     2k*dt*[F0/gam - Fg/(gam(1-gam)) + F1/(1-gam)], a second divided
     difference of F over the step, filtered through (I - d*dt*J(u))^{-1} so
     that stiff components do not inflate it.  F at the two stages is read
-    off the stage equations, not evaluated again.  Backward Euler, for
-    fixed steps only, returns est = None.
+    off the stage equations, not evaluated again.
 
     Newton starts each stage from a quadratic predictor (Hairer & Wanner,
     Solving ODEs II, IV.8): stage 1 from the quadratic through u_prev, the
@@ -324,9 +316,6 @@ def _step_once(problem, u, dt, cfg, u_prev=None, dt_prev=None):
     through u with slope F0 and the stage-1 value u1.
     """
     sl = slice(problem.ilo, len(u) - 1)
-    if cfg.scheme == "be":
-        un, its, ok = problem.newton(u, dt, u[sl], cfg.newton_tol, cfg.max_newton)
-        return un, ok, its, None
     gam = _TRBDF2_GAMMA
     coef = 0.5 * gam * dt
     F0, sub, diag, sup = problem.rhs_and_jac(u)
@@ -368,8 +357,8 @@ def _advance(problem, u0_vec, t_end, out_times, cfg, post_check):
     it.  A step rejected by that test or for a Newton failure is retried
     smaller; both causes are counted.  Without it, steps are fixed at
     dt_max.  post_check(u, t, est) sees every accepted state with its
-    error estimate (None for backward Euler).  Returns (outputs, step
-    times, step sizes, Newton iterations, rejection counts by cause).
+    error estimate.  Returns (outputs, step times, step sizes, Newton
+    iterations, rejection counts by cause).
     """
     out_times = sorted(set(float(t) for t in out_times))
     if out_times and out_times[-1] > t_end + 1e-12:
@@ -469,23 +458,20 @@ def solve(u0: Snapshot, config: SolverConfig, t_end: float,
             raise MaximumPrincipleViolation(
                 f"monotonicity lost at t = {t:.6g} "
                 f"(worst drop {np.min(np.diff(u)):.3e})")
-        if est is not None:
-            d_errs.append(_d_step_error(grid.nodes, u, est))
+        d_errs.append(_d_step_error(grid.nodes, u, est))
 
     outs, times, sizes, iters, rejected = _advance(
         problem, u0.values.copy(), t_end, output_times, config, post_check)
     snaps = [Snapshot(grid=grid, values=np.clip(v, 0.0, hi), time=tt,
                       left_bc=0.0, right_bc=config.right_bc)
              for tt, v in sorted(outs.items())]
-    d_time_err = None
-    if config.scheme == "trbdf2":
-        summed = np.concatenate([[0.0], np.cumsum(d_errs)])
-        steps = np.searchsorted(times, [s.time for s in snaps], side="right")
-        d_time_err = _TIME_ERR_SAFETY * summed[steps]
+    summed = np.concatenate([[0.0], np.cumsum(d_errs)])
+    steps = np.searchsorted(times, [s.time for s in snaps], side="right")
     return Trajectory(config=config, snapshots=snaps, step_times=times,
-                      step_sizes=sizes, newton_iters=iters, data_K=data_K,
-                      newton_loose_solves=problem.loose_solves,
-                      d_time_err=d_time_err, **rejected)
+                      step_sizes=sizes, newton_iters=iters,
+                      d_time_err=_TIME_ERR_SAFETY * summed[steps],
+                      data_K=data_K, newton_loose_solves=problem.loose_solves,
+                      **rejected)
 
 
 def _d_step_error(x, u, est):
@@ -664,10 +650,6 @@ def slope_origin_info(snap: Snapshot, y_window=_Y_WINDOW,
                   stacklevel=2)
     return SlopeFit(value=ratio, method="ratio", ahat=float(ahat),
                     ratio=ratio, fit_residual=resid, n_window=n_win)
-
-
-def slope_origin(snap: Snapshot, y_window=_Y_WINDOW, fit_tol: float = 2e-3) -> float:
-    return slope_origin_info(snap, y_window=y_window, fit_tol=fit_tol).value
 
 
 def l1_to_one(snap: Snapshot) -> float:

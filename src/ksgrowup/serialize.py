@@ -10,10 +10,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
 from .barriers import ResidualReport
-from .grids import GradedGrid, Snapshot
+from .grids import Snapshot
 from .matching import MatchingPath
 from .specialfn import GL_ORDER, SpecialTable
 
@@ -29,34 +27,11 @@ def _csv(rows, header) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- snapshots / radial fields ----------------------------------------------
+# -- snapshots ----------------------------------------------------------------
 
 
 def snapshot_to_csv(snap: Snapshot) -> str:
     return _csv(zip(snap.grid.nodes, snap.values), ["x", "value"])
-
-
-def snapshot_to_json(snap: Snapshot) -> dict:
-    return {
-        "grid": [fmt(v) for v in snap.grid.nodes],
-        "values": [fmt(v) for v in snap.values],
-        "time": fmt(snap.time),
-        "bc": [fmt(snap.left_bc), fmt(snap.right_bc)],
-    }
-
-
-def snapshot_from_json(rec: dict) -> Snapshot:
-    nodes = np.array([float(v) for v in rec["grid"]])
-    values = np.array([float(v) for v in rec["values"]])
-    left, right = (float(v) for v in rec["bc"])
-    return Snapshot(grid=GradedGrid.from_nodes(nodes), values=values,
-                    time=float(rec["time"]), left_bc=left, right_bc=right)
-
-
-def read_xy_csv(text: str) -> tuple[np.ndarray, np.ndarray]:
-    lines = [ln for ln in text.strip().splitlines()[1:] if ln]
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines])
-    return data[:, 0], data[:, 1]
 
 
 # -- special-function tables -------------------------------------------------
@@ -79,13 +54,6 @@ def table_header_json(table: SpecialTable, npd: int | None = None) -> dict:
     }
 
 
-def read_table_csv(text: str) -> dict:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    names = lines[0].split(",")
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    return {name: data[:, j] for j, name in enumerate(names)}
-
-
 # -- matching paths -----------------------------------------------------------
 
 
@@ -94,23 +62,16 @@ def path_to_csv(path: MatchingPath) -> str:
     return _csv(rows, ["t", "a", "a'", "b", "gamma"])
 
 
-def path_header_json(path: MatchingPath, sigma_step: float | None = None) -> dict:
+def path_header_json(path: MatchingPath, sigma_step: float) -> dict:
     return {
         "K": fmt(path.K),
         "t_end": fmt(path.t_end),
         # exact knots; between them cubic Hermite in sigma, fourth order
         "integrator": "exact-knots-sigma",
         "integrator_order": 4,
-        "sigma_step": None if sigma_step is None else fmt(sigma_step),
+        "sigma_step": fmt(sigma_step),
         "n_knots": int(len(path.sigma_knots)),
     }
-
-
-def read_path_csv(text: str) -> dict:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    names = lines[0].split(",")
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    return {name: data[:, j] for j, name in enumerate(names)}
 
 
 # -- reports ------------------------------------------------------------------

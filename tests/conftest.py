@@ -2,8 +2,10 @@
 
 import pytest
 
-from ksgrowup import (SolverConfig, Snapshot, SpecialFunctions, integrate_a,
-                      make_graded_grid, solve)
+from ksgrowup.grids import Snapshot, make_graded_grid
+from ksgrowup.matching import integrate_a
+from ksgrowup.pde import SolverConfig, solve
+from ksgrowup.specialfn import SpecialFunctions
 
 
 @pytest.fixture(scope="session")

@@ -9,12 +9,16 @@ import time
 import numpy as np
 import pytest
 
-from ksgrowup import (BarrierSpec, OperatorInverse, Snapshot, SolverConfig,
-                      apply_operator, certify_sign, check_asymptotics,
-                      check_boundary_matching, find_time_shifts, integrate_a,
-                      l1_to_one, make_graded_grid, ordered_pair_test,
-                      residual_fd, residual_full, slope_origin_info,
-                      small_time_checks, solve, steady_profile, w0)
+from ksgrowup.barriers import (BarrierSpec, certify_sign,
+                               check_boundary_matching, find_time_shifts,
+                               residual_fd, residual_full)
+from ksgrowup.grids import Snapshot, make_graded_grid
+from ksgrowup.matching import integrate_a
+from ksgrowup.pde import (SolverConfig, l1_to_one, ordered_pair_test,
+                          slope_origin_info, small_time_checks, solve,
+                          steady_profile)
+from ksgrowup.specialfn import (OperatorInverse, apply_operator,
+                                check_asymptotics, w0)
 
 
 def _ok(n, msg):
@@ -66,7 +70,13 @@ class TestCriterion3:
         start = time.perf_counter()
         path = integrate_a(5.0, 1000.0, sigma_step=0.005)
         half = integrate_a(5.0, 1000.0, sigma_step=0.0025)
-        rel = abs(path.a_at(1000.0) - half.a_at(1000.0)) / half.a_at(1000.0)
+        # the knots are exact, so halving the step moves a(t) only between
+        # them: compare at the coarse midpoints from t = 0.5 on
+        sig = 0.5 * (path.sigma_knots[1:] + path.sigma_knots[:-1])
+        t_mid = 0.5 * sig * sig
+        t_mid = t_mid[t_mid >= 0.5]
+        a_half = half.a_at(t_mid)
+        rel = np.max(np.abs(path.a_at(t_mid) - a_half) / a_half)
         assert rel < 1e-8
         t = np.linspace(100.0, 1000.0, 400)
         dev = path.loga_at(t) - np.sqrt(2.0 * t)
@@ -171,13 +181,12 @@ class TestCriterion6:
     def test_convergence_orders(self):
         xi = 0.5
 
-        def run(n, dt, scheme="be"):
+        def run(n, dt):
             grid = make_graded_grid(n, 1.0 / (n - 1), 1.0)
             u0 = Snapshot(grid=grid, values=xi * grid.nodes, time=0.0,
                           left_bc=0.0, right_bc=xi)
             cfg = SolverConfig(grid=grid, right_bc=xi, dt_max=dt,
-                               dt_initial=dt, local_error_tol=None,
-                               scheme=scheme)
+                               dt_initial=dt, local_error_tol=None)
             return grid, solve(u0, cfg, 1.0, [1.0]).snapshots[-1].values
 
         _, ref_t = run(201, 0.000625)
@@ -259,7 +268,7 @@ class TestCriterion8:
         assert rep.n_times_lower >= 5
         assert rep.n_times_upper >= 10
         # the sandwich tightens: its width at a fixed station decreases
-        from ksgrowup import eval_barrier
+        from ksgrowup.barriers import eval_barrier
         widths = []
         for t in (20.0, 35.0, 50.0):
             lo, _ = eval_barrier(lower, np.array([0.5]), t - rep.T1)

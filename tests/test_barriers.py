@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from ksgrowup import (BarrierSpec, PhiBlend, SpecialFunctions, Snapshot,
-                      certify_sign, check_boundary_matching,
-                      check_lower_monotone, eval_barrier, find_time_shifts,
-                      integrate_a, make_graded_grid, residual_fd,
-                      residual_full, residual_reduced)
+from ksgrowup.barriers import (BarrierSpec, certify_sign,
+                               check_boundary_matching, check_lower_monotone,
+                               eval_barrier, find_time_shifts, residual_fd,
+                               residual_full, residual_reduced)
+from ksgrowup.grids import Snapshot, make_graded_grid
+from ksgrowup.matching import integrate_a
+from ksgrowup.specialfn import PhiBlend, SpecialFunctions
 from ksgrowup.barriers import boundary_margin
 from ksgrowup.errors import ConstructionError, OrderingFailureError, RangeError
 
@@ -272,7 +274,7 @@ class TestTimeShifts:
         v = np.maximum.accumulate(np.clip(v, 0.0, 1.0))
         v[-1] = 1.0
         u0 = Snapshot(grid=grid, values=v, time=0.0, left_bc=0.0, right_bc=1.0)
-        from ksgrowup import SolverConfig, solve
+        from ksgrowup.pde import SolverConfig, solve
         traj = solve(u0, SolverConfig(grid=grid, right_bc=1.0), 6.0,
                      [1.0, 2.0, 4.0, 6.0])
         shifted = [Snapshot(grid=s.grid, values=s.values, time=s.time + t0,

@@ -12,8 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ksgrowup import (BarrierSpec, SpecialFunctions, eval_barrier, integrate_a,
-                      pde)
+from ksgrowup import pde
+from ksgrowup.barriers import BarrierSpec, eval_barrier
+from ksgrowup.matching import integrate_a
+from ksgrowup.specialfn import SpecialFunctions
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 

@@ -49,21 +49,19 @@ class TestCommands:
         ("[sovle]\nt_end = 10\n", "sovle"),          # a mistyped section
         ("[tabulate]\ny_max = 1e6\n", "y_max"),      # derived now
         ("[barriers]\nnpd = 40\n", "npd"),           # moved to [tabulate]
-    ], ids=["key", "moved_key", "section", "derived_y_max", "moved_npd"])
+        ("[solve]\nscheme = be\n", "scheme"),        # TR-BDF2 is the only one
+        ("[match]\nt_end = 1000\n", "t_end"),        # the barrier paths' end
+        ("[match]\nsigma_step = 0.005\n", "sigma_step"),  # moved to [barriers]
+        ("[match]\nhalving_rtol = 1e-8\n", "halving_rtol"),  # now dense_rtol
+    ], ids=["key", "moved_key", "section", "derived_y_max", "moved_npd",
+            "removed_scheme", "removed_match_t_end", "moved_sigma_step",
+            "renamed_halving_rtol"])
     def test_unknown_config_key_is_exit_2(self, tmp_path, capsys, text, name):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(text)
         assert main(["solve", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
         assert name in capsys.readouterr().err
-
-    def test_be_with_error_control_is_exit_2(self, tmp_path, capsys):
-        # backward Euler has no error estimate, so it takes only fixed steps
-        cfg = tmp_path / "be.ini"
-        cfg.write_text("[solve]\nscheme = be\n")
-        assert main(["solve", "--config", str(cfg),
-                     "--out", str(tmp_path / "o")]) == 2
-        assert "fixed steps" in capsys.readouterr().err
 
     def test_fixed_steps_without_dt_max_is_exit_2(self, tmp_path, capsys):
         # fixed steps are of dt_max, which defaults to none (no cap)
@@ -79,7 +77,6 @@ class TestCommands:
                      "--quiet"]) == 0
         manifest = json.loads((out / "trajectory.json").read_text())
         assert manifest["grid_nodes"] == 140
-        assert manifest["scheme"] == "trbdf2"
         assert {"rejected_error_test", "rejected_newton"} <= manifest.keys()
         assert (out / "snapshot_t3.csv").exists()
 
@@ -96,22 +93,6 @@ class TestCommands:
         # verdicts count the same snapshots
         profile = json.loads((out / "profile_verdict.json").read_text())
         assert profile["n_ratio_fallbacks"] == verdict["n_ratio_fallbacks"] > 0
-
-    def test_rate_without_an_estimate_has_no_bar(self, tmp_path):
-        # backward Euler has no error estimate: its bar is null, never 0,
-        # and d alone is gated
-        out = tmp_path / "o"
-        cfg = tmp_path / "be.ini"
-        cfg.write_text(SMALL_SOLVE.replace(
-            "[solve]\n", "[solve]\nscheme = be\nlocal_error_tol = none\n"
-                          "dt_max = 0.05\n"))
-        assert main(["rate", "--config", str(cfg), "--out", str(out),
-                     "--quiet"]) == 0
-        verdict = json.loads((out / "rate_verdict.json").read_text())
-        assert verdict["d_time_err"] is None
-        lines = (out / "rate.csv").read_text().split()
-        column = lines[0].split(",").index("d_time_err")
-        assert {ln.split(",")[column] for ln in lines[1:]} == {""}
 
     @pytest.mark.parametrize("edge", ["d_lo", "d_hi"])
     def test_rate_fails_when_the_bar_crosses_the_bracket(self, small_cfg,
@@ -152,23 +133,21 @@ class TestCommands:
 
     def test_match_defaults_pass(self, tmp_path):
         out = tmp_path / "m"
-        cfg = tmp_path / "m.ini"
-        cfg.write_text("[match]\nt_end = 400\nbracket_window = 100,400\n")
-        assert main(["match", "--config", str(cfg), "--out", str(out),
-                     "--quiet"]) == 0
+        assert main(["match", "--out", str(out), "--quiet"]) == 0
         assert (out / "path_k5.csv").exists()
         assert (out / "path_k6.csv").exists()
 
     def test_match_coarse_sigma_step_fails(self, tmp_path):
         # the knots are exact at any step, but a coarse one leaves a Hermite
-        # error between them (about 2.5e-7) above halving_rtol = 1e-8: exit 1
+        # error between them (about 2.5e-7) above dense_rtol = 1e-8: exit 1
         out = tmp_path / "m"
         cfg = tmp_path / "m.ini"
-        cfg.write_text("[match]\nsigma_step = 0.1\n")
+        cfg.write_text("[barriers]\nsigma_step = 0.1\n")
         assert main(["match", "--config", str(cfg), "--out", str(out),
                      "--quiet"]) == 1
         verdict = json.loads((out / "match_verdict.json").read_text())
-        assert any("halving sigma_step" in f for f in verdict["failures"])
+        assert any("dense a(t) between knots" in f
+                   for f in verdict["failures"])
 
     def test_tabulate_small_sweep(self, tmp_path):
         out = tmp_path / "t"
@@ -209,12 +188,16 @@ class TestCommands:
         # tabulate writes it and sweeps the asymptotics on it, certify
         # certifies the barriers on it, and sandwich orders against them.
         # The barrier scans batch over times, so the table is evaluated in
-        # few calls (284 when each scan made one call per time).
+        # few calls (284 when each scan made one call per time).  Match
+        # checks the barrier set's own paths, so the run integrates four:
+        # the two barriers' and certify's two swaps.
         import time
-        from ksgrowup import specialfn
+        from ksgrowup import matching, specialfn
         reads = set()
         builds = []
         table_evals = []
+        paths = []
+        integrate_a = matching.integrate_a
         init = specialfn.SpecialFunctions.__init__
         table_eval = specialfn.SpecialTable.eval
 
@@ -231,9 +214,14 @@ class TestCommands:
             table_evals.append(len(yq))
             return table_eval(self, yq)
 
+        def counting_integrate_a(*args, **kwargs):
+            paths.append(args)
+            return integrate_a(*args, **kwargs)
+
         monkeypatch.setattr(cli, "_Config", RecordingConfig)
         monkeypatch.setattr(specialfn.SpecialFunctions, "__init__", counting_init)
         monkeypatch.setattr(specialfn.SpecialTable, "eval", counting_eval)
+        monkeypatch.setattr(matching, "integrate_a", counting_integrate_a)
         out = tmp_path / "all"
         t0 = time.perf_counter()
         assert main(["all", "--out", str(out), "--quiet"]) == 0
@@ -249,6 +237,7 @@ class TestCommands:
         assert keys - reads == set()
         assert len(builds) == 1
         assert len(table_evals) <= 80
+        assert len(paths) == 4
 
         # TR-BDF2's error test alone sizes the steps: 359 steps with no
         # rejection, where a cap of 0.05 took 1091

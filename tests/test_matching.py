@@ -3,9 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from ksgrowup import MatchingPath, closed_rate, gamma_of_a, integrate_a
+from ksgrowup.matching import (MatchingPath, closed_rate, gamma_of_a,
+                               integrate_a)
 from ksgrowup.errors import InvalidKError, RangeError
 from ksgrowup.matching import _gp
+
+
+def _time_integral(ell, K):
+    """t(ell) = int_{log 2}^{ell} s^3 / (s^2 + 5s/2 + K) ds at each of the
+    increasing ell: 10-point Gauss-Legendre on every interval between them,
+    summed."""
+    x, w = np.polynomial.legendre.leggauss(10)
+    edges = np.concatenate([[math.log(2.0)], ell])
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    s = mid[:, None] + half[:, None] * x[None, :]
+    return np.cumsum(half * ((s ** 3 / (s * s + 2.5 * s + K)) @ w))
 
 
 class TestClosedRate:
@@ -66,17 +78,23 @@ class TestIntegration:
     def test_knots_solve_the_time_integral(self, K):
         # t(ell) = int_{log 2}^{ell} s^3 / (s^2 + 5s/2 + K) ds: K = 5, 6 take
         # the arctan branch, K = -1 the atanh branch, K = 25/16 the rational
-        # one.  Reference: 10-point Gauss-Legendre on every knot interval.
+        # one
         path = integrate_a(K, 200.0)
         ell, sig = path.ell_knots, path.sigma_knots
-        x, w = np.polynomial.legendre.leggauss(10)
-        mid, half = 0.5 * (ell[1:] + ell[:-1]), 0.5 * (ell[1:] - ell[:-1])
-        s = mid[:, None] + half[:, None] * x[None, :]
-        panel = half * ((s ** 3 / (s * s + 2.5 * s + K)) @ w)
-        t_quad = np.cumsum(panel)
         tau = 0.5 * sig[1:] ** 2
         assert ell[0] == math.log(2.0)
-        assert np.max(np.abs(t_quad - tau) / tau) <= 1e-12
+        assert np.max(np.abs(_time_integral(ell[1:], K) - tau) / tau) <= 1e-12
+
+    @pytest.mark.parametrize("K", [5.0, 6.0, -1.0, 25.0 / 16.0])
+    def test_rows_solve_the_time_integral(self, K):
+        # the sampled rows (path_k*.csv) solve t(log a) = t like the knots;
+        # read off the dense interpolant, the rows at t < 0.01 would be off
+        # by up to 9e-8 relative in t
+        path = integrate_a(K, 200.0)
+        assert path.t[0] == 0.0
+        t = path.t[1:]
+        t_quad = _time_integral(np.log(path.a[1:]), K)
+        assert np.max(np.abs(t_quad - t) / t) <= 1e-12
 
     @pytest.mark.parametrize("K", [5.0, 6.0, -1.0, 25.0 / 16.0])
     def test_rk4_converges_to_the_knots_at_order_4(self, K):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ksgrowup import (OperatorInverse, PhiBlend, SpecialFunctions,
-                      apply_operator, build_component, check_asymptotics,
-                      quintic_cutoff, smoothstep_cutoff, w0)
+from ksgrowup.specialfn import (OperatorInverse, PhiBlend, SpecialFunctions,
+                                apply_operator, build_component,
+                                check_asymptotics, quintic_cutoff,
+                                smoothstep_cutoff, w0)
 from ksgrowup.errors import (ConstructionError, MTooSmallError, RangeError,
                              SingularInputError)
 
