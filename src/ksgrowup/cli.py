@@ -30,6 +30,7 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
+import numpy.ma  # np.percentile and np.unique load it lazily; here, not mid-run
 
 from . import barriers as bar
 from . import matching as mat
@@ -189,8 +190,8 @@ def cmd_match(cfg, out: Path, quiet: bool) -> int:
     step = float(cfg["barriers"]["sigma_step"])
     t_lo = float(cfg["certify"]["t_lo"])
     failures = []
-    for spec in _barriers(cfg, quiet)[:2]:
-        path, K = spec.path, spec.path.K
+    for kind, path in zip((bar.LOWER, bar.UPPER), _barrier_paths(cfg)):
+        K = path.K
         # the knots are exact, so a(t) can be off only between them: check
         # it there from the first barrier time on
         rel = path.dense_error(t_lo)
@@ -205,7 +206,7 @@ def cmd_match(cfg, out: Path, quiet: bool) -> int:
         ts = np.linspace(w0, min(w1, path.t_end), 60)
         dev = path.loga_at(ts) - np.sqrt(2.0 * ts)
         lo, hi = float(sec["bracket_lo"]), float(sec["bracket_hi"])
-        is_lower = spec.kind == bar.LOWER
+        is_lower = kind == bar.LOWER
         if is_lower and (dev.min() < lo or dev.max() > hi):
             failures.append(
                 f"K={K}: log a - sqrt(2t) left [{lo}, {hi}] "
@@ -217,30 +218,42 @@ def cmd_match(cfg, out: Path, quiet: bool) -> int:
     return _verdict(out / "match_verdict.json", failures, quiet)
 
 
+def _path_end(cfg) -> float:
+    """t_path: long enough for certify's boundary scan and for sandwich's
+    largest shift."""
+    return max(1.01 * float(cfg["certify"]["boundary_t_hi"]),
+               float(cfg["solve"]["t_end"])
+               + float(cfg["sandwich"]["shift_max"]) + 1.0)
+
+
+@functools.lru_cache(maxsize=1)
+def _barrier_paths(cfg) -> tuple[mat.MatchingPath, mat.MatchingPath]:
+    """The matching paths of the (lower, upper) barriers to t_path, at
+    K = [barriers] k_lower, k_upper and [barriers] sigma_step.  Match checks
+    and writes them without the table that _barriers adds."""
+    sec = cfg["barriers"]
+    t_path, step = _path_end(cfg), float(sec["sigma_step"])
+    return tuple(mat.integrate_a(float(sec[key]), t_path, sigma_step=step)
+                 for key in ("k_lower", "k_upper"))
+
+
 @functools.lru_cache(maxsize=1)
 def _barriers(cfg, quiet: bool) -> tuple[bar.BarrierSpec, bar.BarrierSpec,
                                          bar.BoundaryReport, bar.BoundaryReport]:
-    """The (lower, upper) barriers at K = [barriers] k_lower, k_upper and
-    their x = 1 matching reports on certify's window [1, boundary_t_hi]:
-    one matching path per K at [barriers] sigma_step, long enough for
-    certify's boundary scan and for sandwich's largest shift, and the run's
+    """The (lower, upper) barriers on the _barrier_paths and their x = 1
+    matching reports on certify's window [1, boundary_t_hi], with the run's
     one special-function table, to max(1.05 a_upper(t_path), max([tabulate]
-    sweep)) with [tabulate] npd.  Match checks and writes the paths, certify
-    writes the reports, and sandwich takes the onsets they resolve."""
-    sec = cfg["barriers"]
-    bnd_hi = float(cfg["certify"]["boundary_t_hi"])
-    t_path = max(1.01 * bnd_hi,
-                 float(cfg["solve"]["t_end"])
-                 + float(cfg["sandwich"]["shift_max"]) + 1.0)
-    step = float(sec["sigma_step"])
-    path_lo = mat.integrate_a(float(sec["k_lower"]), t_path, sigma_step=step)
-    path_up = mat.integrate_a(float(sec["k_upper"]), t_path, sigma_step=step)
+    sweep)) with [tabulate] npd.  Tabulate writes the table, certify writes
+    the reports, and sandwich takes the onsets they resolve."""
+    path_lo, path_up = _barrier_paths(cfg)
     tab = cfg["tabulate"]
-    y_max = max(float(path_up.a_at(t_path)) * 1.05, max(_floats(tab["sweep"])))
+    y_max = max(float(path_up.a_at(_path_end(cfg))) * 1.05,
+                max(_floats(tab["sweep"])))
     _say(quiet, f"building tables to y_max = {y_max:.3e} ...")
     table = SpecialFunctions(y_max, npd=int(tab["npd"])).table()
     specs = (bar.BarrierSpec(kind=bar.LOWER, path=path_lo, table=table),
              bar.BarrierSpec(kind=bar.UPPER, path=path_up, table=table))
+    bnd_hi = float(cfg["certify"]["boundary_t_hi"])
     return specs + tuple(bar.check_boundary_matching(spec, (1.0, bnd_hi), n_t=96)
                          for spec in specs)
 

@@ -176,11 +176,11 @@ def _ell_knots(K: float, sigma: np.ndarray) -> np.ndarray:
     return ell
 
 
-def integrate_a(K: float, t_end: float,
-                sigma_step: float = 0.005) -> MatchingPath:
+def integrate_a(K: float, t_end: float, sigma_step: float) -> MatchingPath:
     """The matching path to t_end: knots at a uniform sigma step of at most
     ``sigma_step`` (at least 8 intervals) and 241 samples on [0, t_end],
-    each exact to round-off.
+    each exact to round-off.  The step has no default here; runs take
+    ``[barriers] sigma_step`` from ``defaults.ini``.
 
     ``sigma_step`` sets only the spacing of the dense Hermite evaluation;
     halving it moves a(t) between knots by the interpolation error, which

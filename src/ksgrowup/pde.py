@@ -33,25 +33,28 @@ steps, and reports it, times a safety factor, as a time-error bar on
 d(t) = log u_x(0,t) - sqrt(2t) at each snapshot.  Each form supplies only
 its residual with the Jacobian bands (`rhs_and_jac`) and the scale of its
 error tests (`scale`).  Every tridiagonal system goes through
-`solve_banded`, one LAPACK ?gtsv call.  Newton starts each TR-BDF2 stage
-from a quadratic predictor (Hairer & Wanner, Solving ODEs II, IV.8): the
-first stage extrapolates the previous accepted state, the current one and
-its slope F(u); the second stage the current state, its slope and the
-first stage's value.  Newton stops at the residual tolerance
-`newton_tol * scale(U)`, or as soon as its last update is at round-off; in
-the fine cells the residual's own round-off can lie above that tolerance.
-A solve that stops short of it is accepted only below the form's `loose`
-bar, and each such solve is counted in `newton_loose_solves`.
+`solve_banded`, one LAPACK ?gtsv call into the OpenBLAS that numpy's
+wheels bundle (scipy's LAPACK where numpy has none), so a run needs no
+scipy.  Newton starts each TR-BDF2 stage from a quadratic predictor
+(Hairer & Wanner, Solving ODEs II, IV.8): the first stage extrapolates the
+previous accepted state, the current one and its slope F(u); the second
+stage the current state, its slope and the first stage's value.  Newton
+stops at the residual tolerance `newton_tol * scale(U)`, or as soon as its
+last update is at round-off; in the fine cells the residual's own round-off
+can lie above that tolerance.  A solve that stops short of it is accepted
+only below the form's `loose` bar, and each such solve is counted in
+`newton_loose_solves`.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import (MaximumPrincipleViolation, RangeError, ResolutionError,
                      SolverFailureError)
@@ -136,16 +139,77 @@ def steady_profile(a: float, grid: GradedGrid) -> Snapshot:
 # shared Newton core
 
 
+def _bundled_gtsv():
+    """LAPACK dgtsv from the OpenBLAS numpy is linked against, or None.
+
+    numpy's wheels ship scipy-openblas (ILP64: 64-bit integers, symbols
+    named scipy_*_64_).  The symbol is looked up through numpy's own
+    extension module, so the library is the one numpy has already loaded;
+    a numpy without it (conda/MKL, a source build) gives None.  Each call
+    copies the bands and b into a workspace cached per n and the solution
+    out of it: one float buffer [dl | d | du | b] that dgtsv overwrites, the
+    integers N (also LDB), NRHS and INFO, and the eight pointer arguments,
+    built once.  The workspace is shared, so calls must not overlap
+    (single-threaded use).
+    """
+    try:
+        from numpy._core import _multiarray_umath
+        dgtsv = ctypes.CDLL(_multiarray_umath.__file__).scipy_dgtsv_64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    dgtsv.restype = None
+
+    @functools.lru_cache(maxsize=8)
+    def workspace(n):
+        buf = np.empty(4 * n - 2)
+        ints = np.array([n, 1, 0], dtype=np.int64)
+        p, q, f = buf.ctypes.data, ints.ctypes.data, buf.itemsize
+        args = tuple(ctypes.c_void_p(a) for a in (
+            q, q + 8, p, p + (n - 1) * f, p + (2 * n - 1) * f,
+            p + (3 * n - 2) * f, q, q + 16))
+        return buf, buf[3 * n - 2:], ints, args
+
+    def gtsv(sub, diag, sup, b):
+        n = len(diag)
+        # the buffer's total length alone would let misplaced bands through
+        if len(sub) != n - 1 or len(sup) != n - 1:
+            raise ValueError("the off-diagonal bands need n - 1 entries")
+        buf, x, ints, args = workspace(n)
+        np.concatenate((sub, diag, sup, b), out=buf)
+        dgtsv(*args)
+        return x.copy(), ints[2]
+
+    return gtsv
+
+
+def _scipy_gtsv():
+    """scipy's wrapper of LAPACK dgtsv, returning (x, info) as _bundled_gtsv's."""
+    from scipy.linalg.lapack import dgtsv
+
+    def gtsv(sub, diag, sup, b):
+        *_, x, info = dgtsv(sub, diag, sup, b)
+        return x, info
+
+    return gtsv
+
+
+# resolved once: numpy's bundled OpenBLAS when it has dgtsv, else scipy
+_gtsv = _bundled_gtsv() or _scipy_gtsv()
+
+
 def solve_banded(bands, b):
     """Solve the tridiagonal system with bands (sub, diag, sup) for b.
 
-    One LAPACK ?gtsv call (Gaussian elimination with partial pivoting), the
-    routine scipy.linalg.solve_banded uses for (1, 1) systems.  Raises
+    One LAPACK dgtsv call (Gaussian elimination with partial pivoting), the
+    routine scipy.linalg.solve_banded uses for (1, 1) systems.  It comes
+    from the OpenBLAS bundled with numpy's wheels, called through ctypes on
+    a workspace kept per system size (single-threaded use), or, where numpy
+    has no such library, from scipy.linalg.lapack.  Raises
     np.linalg.LinAlgError for a singular matrix; nothing checks that the
-    input is finite.  The inputs are left unchanged.
+    input is finite.  The inputs are left unchanged, and the returned array
+    is the caller's own.
     """
-    sub, diag, sup = bands
-    *_, x, info = dgtsv(sub, diag, sup, b)
+    x, info = _gtsv(*bands, b)
     if info != 0:
         raise np.linalg.LinAlgError(f"tridiagonal solve failed (info = {info})")
     return x

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+import numpy.polynomial  # numpy loads it lazily; here, not in a run's first build
 
 from .errors import (AsymptoticsViolation, ConstructionError, InfeasibleError,
                      MTooSmallError, RangeError, SingularInputError)

@@ -107,7 +107,7 @@ class TestCriterion4:
         assert bnd_lo.ok_beyond and bnd_lo.onset_t < 100.0
         assert bnd_up.ok_beyond and bnd_up.onset_t < 3000.0
 
-        swap_lo = BarrierSpec(kind="lower", path=integrate_a(7.0, 3030.0),
+        swap_lo = BarrierSpec(kind="lower", path=integrate_a(7.0, 3030.0, 0.005),
                               table=table_big)
         swap_up = BarrierSpec(kind="upper", path=path_k5_big, table=table_big)
         rep_sl = check_boundary_matching(swap_lo, (1.0, 3000.0), n_t=96)

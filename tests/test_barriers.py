@@ -233,7 +233,7 @@ class TestBoundaryMatching:
         assert late.resolved_onset is None
 
     def test_lower_k7_fails(self, table_med):
-        path = integrate_a(7.0, 60.0)
+        path = integrate_a(7.0, 60.0, 0.005)
         spec = BarrierSpec(kind="lower", path=path, table=table_med)
         rep = check_boundary_matching(spec, (1.0, 50.0))
         assert not rep.ok_beyond
@@ -300,7 +300,7 @@ class TestTimeShifts:
 
     def test_path_horizon_guard(self, fast_traj, table_med, funcs_med,
                                 path_k5):
-        short = integrate_a(6.0, 20.0)
+        short = integrate_a(6.0, 20.0, 0.005)
         spec_up = BarrierSpec(kind="upper", path=short, table=table_med)
         spec_lo = BarrierSpec(kind="lower", path=path_k5, table=table_med)
         with pytest.raises(RangeError):

@@ -60,7 +60,7 @@ def test_special_function_metrics_are_entered(monkeypatch):
                             tracer._wrapper(key, span, original, measure))
     table = SpecialFunctions(1e3).table()
     assert tracer.calls["specialfn.CumulativeIntegral.__call__"] > 0
-    spec = BarrierSpec(kind="lower", path=integrate_a(5.0, 2.0), table=table)
+    spec = BarrierSpec(kind="lower", path=integrate_a(5.0, 2.0, 0.005), table=table)
     eval_barrier(spec, np.linspace(0.0, 1.0, 9), 1.0)
     metrics = tracing.Summary(tracer).metrics("pipeline")
     for name in ("specialfn.quad_points", "specialfn.table_eval_points",

@@ -137,6 +137,21 @@ class TestCommands:
         assert (out / "path_k5.csv").exists()
         assert (out / "path_k6.csv").exists()
 
+    def test_match_alone_builds_no_table(self, tmp_path, monkeypatch):
+        # match checks the barriers' paths; the special-function table and
+        # the boundary reports are for the other commands
+        from ksgrowup import specialfn
+        builds = []
+        init = specialfn.SpecialFunctions.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(specialfn.SpecialFunctions, "__init__", counting_init)
+        assert main(["match", "--out", str(tmp_path / "m"), "--quiet"]) == 0
+        assert builds == []
+
     def test_match_coarse_sigma_step_fails(self, tmp_path):
         # the knots are exact at any step, but a coarse one leaves a Hermite
         # error between them (about 2.5e-7) above dense_rtol = 1e-8: exit 1

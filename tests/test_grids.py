@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -83,14 +84,32 @@ class TestWTransform:
         assert abs(origin_slope_extrapolated(snap) - a) < 1e-5
 
 
+def _run_python(code: str) -> str:
+    """Run code in a fresh interpreter on this checkout; its stdout."""
+    src = str(Path(ksgrowup.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
 class TestImport:
-    def test_import_loads_no_scipy_integrate_or_interpolate(self):
-        # nothing in the package uses them, and an import of either would
-        # add to the start-up time of every command
-        code = ("import sys, ksgrowup; print(sorted(m for m in sys.modules if "
-                "m.startswith(('scipy.integrate', 'scipy.interpolate'))))")
-        src = str(Path(ksgrowup.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True)
-        assert out.stdout.strip() == "[]"
+    def test_import_loads_no_scipy(self):
+        # the tridiagonal solves call numpy's bundled OpenBLAS, so a run
+        # imports no scipy module at all; only the fallback, on a numpy
+        # without that library, imports scipy.linalg.lapack
+        code = ("import json, sys, ksgrowup.cli; from ksgrowup import pde; "
+                "print(json.dumps([pde._bundled_gtsv() is not None, "
+                "any(m.startswith('scipy') for m in sys.modules)]))")
+        bundled, loaded_scipy = json.loads(_run_python(code))
+        assert loaded_scipy is not bundled
+
+    def test_all_imports_nothing_after_the_package(self, tmp_path):
+        # every import cost is paid with `import ksgrowup.cli`, not while a
+        # command runs; argparse's gettext alone loads locale lazily
+        code = ("import json, sys, ksgrowup.cli; before = set(sys.modules); "
+                f"rc = ksgrowup.cli.main(['all', '--out', {str(tmp_path)!r}, "
+                "'--quiet']); "
+                "print(json.dumps([rc, sorted(set(sys.modules) - before)]))")
+        rc, added = json.loads(_run_python(code))
+        assert rc == 0
+        assert set(added) <= {"locale", "_locale"}

@@ -79,7 +79,7 @@ class TestIntegration:
         # t(ell) = int_{log 2}^{ell} s^3 / (s^2 + 5s/2 + K) ds: K = 5, 6 take
         # the arctan branch, K = -1 the atanh branch, K = 25/16 the rational
         # one
-        path = integrate_a(K, 200.0)
+        path = integrate_a(K, 200.0, 0.005)
         ell, sig = path.ell_knots, path.sigma_knots
         tau = 0.5 * sig[1:] ** 2
         assert ell[0] == math.log(2.0)
@@ -90,7 +90,7 @@ class TestIntegration:
         # the sampled rows (path_k*.csv) solve t(log a) = t like the knots;
         # read off the dense interpolant, the rows at t < 0.01 would be off
         # by up to 9e-8 relative in t
-        path = integrate_a(K, 200.0)
+        path = integrate_a(K, 200.0, 0.005)
         assert path.t[0] == 0.0
         t = path.t[1:]
         t_quad = _time_integral(np.log(path.a[1:]), K)
@@ -123,8 +123,8 @@ class TestIntegration:
 
     def test_invalid_k(self):
         with pytest.raises(InvalidKError):
-            integrate_a(-3.0, 10.0)
-        integrate_a(-2.0, 10.0)  # still admissible
+            integrate_a(-3.0, 10.0, 0.005)
+        integrate_a(-2.0, 10.0, 0.005)  # still admissible
 
     def test_range_guard(self, path_k5):
         with pytest.raises(RangeError):

@@ -156,6 +156,22 @@ class TestAdvectiveFace:
             assert np.max(np.abs(g - r)) <= 1e-14 * np.max(np.abs(r))
 
 
+def _pivoting_system(rng, n):
+    """Bands and right side of a random system whose solve pivots: normal
+    off-diagonals next to a diagonal of 0.5 + U(0, 1)."""
+    sub, sup = rng.normal(size=n - 1), rng.normal(size=n - 1)
+    return (sub, 0.5 + rng.random(n), sup), rng.normal(size=n)
+
+
+def _gtsv_paths():
+    """The resolved dgtsv and, where that is numpy's bundled one, the scipy
+    fallback, which setting pde._gtsv forces."""
+    paths = [pde._gtsv]
+    if pde._bundled_gtsv() is not None:
+        paths.append(pde._scipy_gtsv())
+    return paths
+
+
 class TestSolveBanded:
     def test_equals_scipy_solve_banded(self):
         # one ?gtsv call, as scipy.linalg.solve_banded makes for (1, 1)
@@ -175,10 +191,54 @@ class TestSolveBanded:
             assert np.array_equal(got, ref)
             assert all(np.array_equal(v, k) for v, k in zip(inputs, kept))
 
-    def test_singular_raises(self):
+    def test_singular_raises(self, monkeypatch):
         bands = (np.zeros(3), np.array([1.0, 0.0, 1.0, 1.0]), np.zeros(3))
-        with pytest.raises(np.linalg.LinAlgError):
-            pde.solve_banded(bands, np.ones(4))
+        for gtsv in _gtsv_paths():
+            monkeypatch.setattr(pde, "_gtsv", gtsv)
+            with pytest.raises(np.linalg.LinAlgError, match="info = 2"):
+                pde.solve_banded(bands, np.ones(4))
+
+    @pytest.mark.parametrize("lengths", [(6, 6, 4, 6), (4, 6, 6, 6),
+                                         (5, 6, 5, 7)])
+    def test_misshapen_system_raises(self, lengths, monkeypatch):
+        # the bundled path copies the bands into one buffer of 4n - 2
+        # values: bands of the wrong lengths must not fill it misplaced
+        sub, diag, sup, b = (np.ones(m) for m in lengths)
+        for gtsv in _gtsv_paths():
+            monkeypatch.setattr(pde, "_gtsv", gtsv)
+            with pytest.raises(ValueError):
+                pde.solve_banded((sub, 4.0 * diag, sup), b)
+
+    @pytest.mark.parametrize("n", [2, 3, 81, 418, 798])
+    def test_bundled_and_scipy_paths_agree_bit_for_bit(self, n, monkeypatch):
+        # the same LAPACK routine from two libraries: the same bits, also
+        # where the elimination pivots, and neither touches its inputs
+        paths = _gtsv_paths()
+        if len(paths) == 1:
+            pytest.skip("this numpy bundles no OpenBLAS with dgtsv")
+        rng = np.random.default_rng(n)
+        for _ in range(40):
+            bands, b = _pivoting_system(rng, n)
+            inputs = [*bands, b]
+            kept = [v.copy() for v in inputs]
+            got = []
+            for gtsv in paths:
+                monkeypatch.setattr(pde, "_gtsv", gtsv)
+                got.append(pde.solve_banded(bands, b))
+            assert np.array_equal(got[0], got[1])
+            assert all(np.array_equal(v, k) for v, k in zip(inputs, kept))
+
+    def test_solution_survives_the_next_call(self):
+        # the bundled path solves in a workspace kept per size: what it
+        # returns must be the caller's own array, not a view of it
+        rng = np.random.default_rng(9)
+        bands, b = _pivoting_system(rng, 81)
+        x = pde.solve_banded(bands, b)
+        kept = x.copy()
+        pde.solve_banded(*_pivoting_system(rng, 81))
+        assert np.array_equal(x, kept)
+        x[:] = 0.0
+        assert np.array_equal(pde.solve_banded(bands, b), kept)
 
 
 class TestPredictor:
