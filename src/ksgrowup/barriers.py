@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionError, OrderingFailureError, RangeError, ResolutionError
+from .errors import ConstructionError, OrderingFailureError, RangeError
 from .grids import Snapshot
 from .matching import MatchingPath
 from .specialfn import SpecialTable
@@ -43,13 +43,10 @@ class BarrierSpec:
     kind: str
     path: MatchingPath
     table: SpecialTable
-    time_shift: float = 0.0
 
     def __post_init__(self):
         if self.kind not in (LOWER, UPPER):
             raise ConstructionError(f"kind must be '{LOWER}' or '{UPPER}'")
-        if self.time_shift < 0.0:
-            raise ConstructionError("time_shift must be >= 0")
 
     @property
     def M(self) -> float:
@@ -110,52 +107,6 @@ def residual_reduced(spec: BarrierSpec, y, t):
             - (gamp / a) * h
             + (1.0 + eps) * b * bracket
             - 2.0 * (1.0 + eps) ** 2 * b * b * h * hp)
-
-
-def residual_full(spec: BarrierSpec, y, t: float):
-    """a b^2 A (resp. a b^2 B): the parabolic residual itself."""
-    a = float(spec.path.a_at(t))
-    b = float(spec.path.b_at(t))
-    return a * b * b * residual_reduced(spec, y, t)
-
-
-def residual_fd(spec: BarrierSpec, x: float, t: float,
-                dx_rel: float = 5e-4, dt_rel: float = 1e-3,
-                check_tol: float | None = None) -> float:
-    """P(barrier) = u_t - x u_xx - 2 u u_x by central differences.
-
-    This is the independence check between the grouped algebra of
-    residual_reduced and the raw operator: it uses only barrier VALUES.
-    Steps are relative (dx = dx_rel * x), so the stencil stays inside the
-    layer whenever x does.  With ``check_tol`` set, raises ResolutionError
-    when the result disagrees with a b^2 * residual_reduced by more than
-    check_tol relative.
-    """
-    if x <= 0.0 or x > 1.0:
-        raise RangeError("x must lie in (0, 1]")
-    dx = dx_rel * x
-    dt = dt_rel * max(float(spec.path.loga_at(t)), 1.0)
-    if t - dt < 0.0:
-        dt = 0.5 * t
-
-    def val(xx, tt):
-        v, _ = eval_barrier(spec, np.asarray([xx]), tt)
-        return float(v[0])
-
-    um, u0, up = val(x - dx, t), val(x, t), val(x + dx, t)
-    u_t = (val(x, t + dt) - val(x, t - dt)) / (2.0 * dt)
-    u_xx = (up - 2.0 * u0 + um) / dx ** 2
-    u_x = (up - um) / (2.0 * dx)
-    fd = u_t - x * u_xx - 2.0 * u0 * u_x
-    if check_tol is not None:
-        a = float(spec.path.a_at(t))
-        ref = float(residual_full(spec, np.asarray([a * x]), t)[0])
-        scale = max(abs(ref), a * float(spec.path.b_at(t)) ** 2 * 1e-6)
-        if abs(fd - ref) > check_tol * scale:
-            raise ResolutionError(
-                f"finite differences disagree with the grouped residual "
-                f"({fd:.3e} vs {ref:.3e}); refine the steps")
-    return fd
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +227,6 @@ class BoundaryReport:
     margins: np.ndarray     # relative margins, scaled by (a+1)
     times: np.ndarray
 
-    @property
-    def resolved_onset(self) -> float | None:
-        """onset_t when the scan bracketed it; an onset at the window's first
-        time only bounds the true onset from above, and then this is None."""
-        if self.onset_t is None or self.onset_t <= self.times[0]:
-            return None
-        return self.onset_t
-
 
 def boundary_margin(spec: BarrierSpec, t) -> np.ndarray:
     """Signed margin of the x = 1 matching inequality, scaled by (a+1).
@@ -304,13 +247,21 @@ def boundary_margin(spec: BarrierSpec, t) -> np.ndarray:
     return m * (a + 1.0)
 
 
-def check_boundary_matching(spec: BarrierSpec, t_range: tuple,
-                            n_t: int = 64) -> BoundaryReport:
-    """Find the onset time from which the x = 1 matching inequality holds."""
-    ts = np.geomspace(max(t_range[0], 1e-3), t_range[1], n_t)
+# lattice times of a boundary-matching scan
+_BOUNDARY_N_T = 96
+
+
+def check_boundary_matching(spec: BarrierSpec, t_range: tuple) -> BoundaryReport:
+    """Find the onset time from which the x = 1 matching inequality holds.
+
+    The onset is the first of _BOUNDARY_N_T geometric lattice times from
+    which the inequality holds at every later one, refined between it and
+    the last failing lattice time; None when it fails at the last time.  An
+    onset at the window's first time only bounds the true onset from above."""
+    ts = np.geomspace(max(t_range[0], 1e-3), t_range[1], _BOUNDARY_N_T)
     margins = boundary_margin(spec, ts)
     onset = None
-    for j in range(n_t):
+    for j in range(_BOUNDARY_N_T):
         if np.all(margins[j:] > 0.0):
             onset = float(ts[j])
             break
@@ -397,11 +348,10 @@ def _search_shift(violation, shift_max: float, lattice: float,
 
 
 def find_time_shifts(lower_spec: BarrierSpec, upper_spec: BarrierSpec,
-                     snapshots: list[Snapshot], shift_max: float = 2000.0,
-                     lattice: float = 0.25, slack: float = 1e-9,
-                     t_min_upper: float | None = None,
-                     lower_onset: float | None = None,
-                     upper_onset: float | None = None) -> ShiftReport:
+                     snapshots: list[Snapshot], shift_max: float,
+                     lattice: float, slack: float, t_min_upper: float,
+                     lower_onset: float | None,
+                     upper_onset: float | None) -> ShiftReport:
     """Smallest lattice shifts (T1, T2) ordering the trajectory:
 
         lower(x, t - T1) <= u(x, t)  whenever t - T1 >= lower_onset,
@@ -410,10 +360,11 @@ def find_time_shifts(lower_spec: BarrierSpec, upper_spec: BarrierSpec,
     A barrier only orders against the solution where it is a genuine sub-/
     supersolution, i.e. beyond its certified onset (residual sign and the
     x = 1 matching inequality); comparisons below the onset are excluded,
-    which is the time-shift normalization in its discrete form.  Onsets
-    default to the boundary-matching onsets computed on the needed windows.
-    The upper search is additionally seeded so that t + T2 clears the
-    upper onset at every compared time (the numeric solution equals the
+    which is the time-shift normalization in its discrete form.  The onsets
+    are those of certify's boundary-matching scan; None means the matching
+    never held there, so no lower time is compared and no upper shift can
+    work.  The upper search is additionally seeded so that t + T2 clears
+    the upper onset at every compared time (the numeric solution equals the
     boundary value at x = 1 exactly, so no smaller T2 can work).  Raises
     OrderingFailureError when no shift <= shift_max orders the trajectory.
     """
@@ -425,25 +376,17 @@ def find_time_shifts(lower_spec: BarrierSpec, upper_spec: BarrierSpec,
         raise RangeError("lower path must cover the trajectory horizon")
     if upper_spec.path.t_end < t_hi + shift_max:
         raise RangeError("upper path must cover t_end + shift_max")
-    if t_min_upper is None:
-        t_min_upper = snaps[0].time
-
+    if upper_onset is None:
+        raise OrderingFailureError(
+            "the upper boundary matching never holds, so no shift orders the "
+            "trajectory below the upper barrier")
     if lower_onset is None:
-        rep = check_boundary_matching(lower_spec, (min(0.5, t_hi / 4), t_hi))
-        lower_onset = rep.onset_t if rep.onset_t is not None else np.inf
+        lower_onset = np.inf
 
     T1 = _search_shift(
         lambda s: _lower_violation(lower_spec, snaps, s, lower_onset),
         shift_max, lattice, slack)
 
-    if upper_onset is None:
-        bnd = check_boundary_matching(
-            upper_spec, (max(t_min_upper, 1e-3), t_hi + shift_max), n_t=96)
-        if bnd.onset_t is None:
-            raise OrderingFailureError(
-                "upper boundary matching never holds within the path range; "
-                "increase shift_max")
-        upper_onset = bnd.onset_t
     start = max(0.0, lattice * np.ceil((upper_onset - t_min_upper) / lattice))
     if start > shift_max:
         raise OrderingFailureError(

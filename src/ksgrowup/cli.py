@@ -25,7 +25,6 @@ import argparse
 import configparser
 import functools
 import sys
-import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -107,18 +106,21 @@ def _solver_setup(cfg) -> tuple[Snapshot, pde.SolverConfig, float, list[float]]:
     u0 = Snapshot(grid=grid, values=right_bc * grid.nodes, time=0.0,
                   left_bc=0.0, right_bc=right_bc)
     solver_cfg = pde.SolverConfig(
-        grid=grid, dt_initial=float(sec["dt_initial"]),
+        dt_initial=float(sec["dt_initial"]),
         dt_max=_float_or_none(sec["dt_max"]), newton_tol=float(sec["newton_tol"]),
-        reg_epsilon=float(sec["reg_epsilon"]), right_bc=right_bc,
+        reg_epsilon=float(sec["reg_epsilon"]),
         local_error_tol=_float_or_none(sec["local_error_tol"]))
     t_end = float(sec["t_end"])
     out_times = _floats(sec["output_times"])
+    # rate and profile read the last snapshot, and the manifest the first
+    if not any(t > 0.0 for t in out_times):
+        raise NumericsError("[solve] output_times needs a time > 0")
     return u0, solver_cfg, t_end, out_times
 
 
 def _run_critical(cfg, quiet: bool) -> pde.Trajectory:
     u0, solver_cfg, t_end, out_times = _solver_setup(cfg)
-    _say(quiet, f"solving to t = {t_end} on {solver_cfg.grid.n} nodes ...")
+    _say(quiet, f"solving to t = {t_end} on {u0.grid.n} nodes ...")
     return pde.solve(u0, solver_cfg, t_end, out_times)
 
 
@@ -126,15 +128,9 @@ def _slope_fits(traj: pde.Trajectory):
     """(snapshot, time-error bar on d, SlopeFit) at every output time t > 0.
 
     The early fallback to the one-sided ratio is expected; the verdicts
-    count it (n_ratio_fallbacks) instead of warning."""
-    fits = []
-    for s, bar_d in zip(traj.snapshots, traj.d_time_err):
-        if s.time <= 0.0:
-            continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            fits.append((s, float(bar_d), pde.slope_origin_info(s)))
-    return fits
+    count it (n_ratio_fallbacks)."""
+    return [(s, float(bar_d), pde.slope_origin_info(s))
+            for s, bar_d in zip(traj.snapshots, traj.d_time_err) if s.time > 0.0]
 
 
 def _rate_series(traj: pde.Trajectory):
@@ -157,9 +153,8 @@ def _rate_series(traj: pde.Trajectory):
 def cmd_tabulate(cfg, out: Path, quiet: bool) -> int:
     sec = cfg["tabulate"]
     table = _barriers(cfg, quiet)[0].table
-    funcs = table.funcs
     (out / "special_table.csv").write_text(ser.table_to_csv(table))
-    ser.dump_json(ser.table_header_json(table, npd=funcs.npd),
+    ser.dump_json(ser.table_header_json(table, npd=table.funcs.npd),
                   out / "special_table.json")
 
     sweep = _floats(sec["sweep"])
@@ -167,8 +162,7 @@ def cmd_tabulate(cfg, out: Path, quiet: bool) -> int:
         _say(quiet, "WARNING: asymptotic window too small (y_max < 1e4); "
                     "ratio checks skipped")
         return 0
-    report = check_asymptotics(tuple(sweep), growth_tol=float(sec["growth_tol"]),
-                               strict=False, funcs=funcs)
+    report = check_asymptotics(table, sweep, float(sec["growth_tol"]))
     ser.dump_json({"y_maxes": [ser.fmt(v) for v in report.y_maxes],
                    "ratios": {k: [ser.fmt(v) for v in seq]
                               for k, seq in report.ratios.items()},
@@ -244,7 +238,7 @@ def _barriers(cfg, quiet: bool) -> tuple[bar.BarrierSpec, bar.BarrierSpec,
     matching reports on certify's window [1, boundary_t_hi], with the run's
     one special-function table, to max(1.05 a_upper(t_path), max([tabulate]
     sweep)) with [tabulate] npd.  Tabulate writes the table, certify writes
-    the reports, and sandwich takes the onsets they resolve."""
+    the reports, and sandwich compares from their onsets."""
     path_lo, path_up = _barrier_paths(cfg)
     tab = cfg["tabulate"]
     y_max = max(float(path_up.a_at(_path_end(cfg))) * 1.05,
@@ -254,7 +248,7 @@ def _barriers(cfg, quiet: bool) -> tuple[bar.BarrierSpec, bar.BarrierSpec,
     specs = (bar.BarrierSpec(kind=bar.LOWER, path=path_lo, table=table),
              bar.BarrierSpec(kind=bar.UPPER, path=path_up, table=table))
     bnd_hi = float(cfg["certify"]["boundary_t_hi"])
-    return specs + tuple(bar.check_boundary_matching(spec, (1.0, bnd_hi), n_t=96)
+    return specs + tuple(bar.check_boundary_matching(spec, (1.0, bnd_hi))
                          for spec in specs)
 
 
@@ -300,7 +294,7 @@ def cmd_certify(cfg, out: Path, quiet: bool) -> int:
         p = mat.integrate_a(K, bnd_hi * 1.01,
                             sigma_step=float(cfg["barriers"]["sigma_step"]))
         spec = bar.BarrierSpec(kind=kind, path=p, table=lower.table)
-        rep = bar.check_boundary_matching(spec, (1.0, bnd_hi), n_t=96)
+        rep = bar.check_boundary_matching(spec, (1.0, bnd_hi))
         failed_as_predicted = rep.onset_t is None
         swaps[f"{kind}_K{K:g}"] = failed_as_predicted
         _say(quiet, f"swapped {kind} K={K:g}: matching fails as predicted: "
@@ -406,8 +400,8 @@ def cmd_sandwich(cfg, out: Path, quiet: bool, traj=None) -> int:
     report = bar.find_time_shifts(
         lower, upper, traj.snapshots, shift_max=float(sec["shift_max"]),
         lattice=float(sec["lattice"]), slack=float(sec["slack"]),
-        t_min_upper=t_min_upper, lower_onset=bnd_lo.resolved_onset,
-        upper_onset=bnd_up.resolved_onset)
+        t_min_upper=t_min_upper, lower_onset=bnd_lo.onset_t,
+        upper_onset=bnd_up.onset_t)
     # a barrier compared at no time orders nothing
     ok = (report.n_times_lower > 0 and report.n_times_upper > 0
           and report.worst_lower <= report.slack
@@ -448,10 +442,11 @@ def cmd_solve_from(traj, out: Path, quiet: bool) -> int:
 
 def _manifest(traj) -> dict:
     dt_p10, dt_p50, dt_p90 = np.percentile(traj.step_sizes, [10, 50, 90])
+    first = traj.snapshots[0]
     return {
         "n_steps": int(len(traj.step_times)),
-        "grid_nodes": int(traj.config.grid.n),
-        "right_bc": ser.fmt(traj.config.right_bc),
+        "grid_nodes": int(first.grid.n),
+        "right_bc": ser.fmt(first.right_bc),
         "reg_epsilon": ser.fmt(traj.config.reg_epsilon),
         "dt_max": _fmt_or_none(traj.config.dt_max),
         "local_error_tol": _fmt_or_none(traj.config.local_error_tol),

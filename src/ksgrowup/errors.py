@@ -33,10 +33,6 @@ class InvalidKError(NumericsError):
     """Correction constant K makes the matching ODE ill-posed at start."""
 
 
-class DegenerateSlopeError(NumericsError):
-    """u(x)/x unbounded near x = 0; the radial transform is undefined."""
-
-
 class SolverFailureError(NumericsError):
     """Newton iteration failed to converge even at the smallest step."""
 
@@ -51,7 +47,3 @@ class ResolutionError(NumericsError):
 
 class OrderingFailureError(NumericsError):
     """No time shift within bounds restores the barrier ordering."""
-
-
-class AsymptoticsViolation(NumericsError):
-    """A deviation ratio grows with the tabulation range."""

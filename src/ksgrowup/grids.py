@@ -1,9 +1,8 @@
-"""Spatial grids, solution snapshots, and the smoothed radial transform.
+"""Spatial grids, solution snapshots, and radial fields.
 
 The unknown u(x, t) is the cumulative mass of a radial density on the unit
 disc in the parabolic variable x = r^2, divided by 8*pi (with the clock
 t = t_rho / 4); the smoothed radial form is w(r, t) = 8 u(r^2, 4t) / r^2.
-All transforms here are pure functions of immutable inputs.
 """
 
 from __future__ import annotations
@@ -12,9 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstructionError, DegenerateSlopeError
-
-_GEOM_TOL = 1e-12
+from .errors import ConstructionError
 
 
 @dataclass(frozen=True)
@@ -42,18 +39,6 @@ class GradedGrid:
     @property
     def n(self) -> int:
         return len(self.nodes)
-
-    @property
-    def widths(self) -> np.ndarray:
-        return np.diff(self.nodes)
-
-    def geometric_prefix_len(self) -> int:
-        """Number of leading cells whose widths grow by grading_ratio."""
-        w = self.widths
-        k = 1
-        while k < len(w) and abs(w[k] / w[k - 1] - self.grading_ratio) <= _GEOM_TOL * max(1.0, self.grading_ratio):
-            k += 1
-        return k
 
 
 def make_graded_grid(n: int, x_min: float, grading_ratio: float) -> GradedGrid:
@@ -137,38 +122,3 @@ class RadialField:
             raise ConstructionError("r_nodes and values must have equal length")
         if np.any(np.diff(r) <= 0):
             raise ConstructionError("r_nodes must be strictly increasing")
-
-
-def origin_slope_extrapolated(snap: Snapshot) -> float:
-    """Slope of u at x = 0 by linear extrapolation of u/x to the origin.
-
-    The one-sided ratio at the first node amplifies round-off as
-    x_min -> 0; extrapolating the ratio from the two innermost nodes is
-    first-order exact on the steady profiles.  Raises DegenerateSlopeError
-    when u/x grows toward 0 like a power (u not C^1 at the origin).
-    """
-    x = snap.grid.nodes
-    u = snap.values
-    q1 = u[1] / x[1]
-    q2 = u[2] / x[2]
-    if q1 <= 0.0 and q2 <= 0.0:
-        return 0.0
-    if q1 > 0.0 and q2 > 0.0:
-        beta = np.log(q1 / q2) / np.log(x[2] / x[1])
-        if beta > 0.25:
-            raise DegenerateSlopeError(
-                f"u/x grows like x^-{beta:.2f} toward 0; slope undefined")
-    return float(q1 - x[1] * (q2 - q1) / (x[2] - x[1]))
-
-
-def w_from_u(snap: Snapshot) -> RadialField:
-    """Smoothed radial variable w(r) = 8 u(r^2) / r^2 with w(0) = 8 u_x(0)."""
-    x = snap.grid.nodes
-    u = snap.values
-    slope0 = origin_slope_extrapolated(snap)
-    r = np.sqrt(x)
-    w = np.empty_like(u)
-    w[0] = 8.0 * slope0
-    w[1:] = 8.0 * u[1:] / x[1:]
-    return RadialField(r_nodes=r, values=w, total_mass=8.0 * np.pi * snap.right_bc)
-

@@ -32,12 +32,6 @@ import numpy as np
 from .errors import InvalidKError, RangeError
 
 
-def closed_rate(t):
-    """Closed-form grow-up rate exp(5/2 + sqrt(2 t))."""
-    t = np.asarray(t, dtype=float)
-    return np.exp(2.5 + np.sqrt(2.0 * t))
-
-
 def _gp(s, K):
     return s * (1.0 + 2.5 * s + K * s * s)
 
@@ -55,14 +49,6 @@ def _hp_prime(s, K):
     return (dnum * den - num * dden) / den ** 2
 
 
-def gamma_of_a(a, K: float):
-    """gamma as the closed form H(1/log a); requires a > 1."""
-    a = np.asarray(a, dtype=float)
-    if np.any(a <= 1.0):
-        raise RangeError("gamma_of_a needs a > 1 (log a must be positive)")
-    return _hp(1.0 / np.log(a), K)
-
-
 @dataclass(frozen=True)
 class MatchingPath:
     """Path of a(t) with sampled derived quantities.
@@ -78,7 +64,6 @@ class MatchingPath:
     a_prime: np.ndarray
     b: np.ndarray
     gamma: np.ndarray
-    epsilon: np.ndarray
     sigma_knots: np.ndarray
     ell_knots: np.ndarray
 
@@ -108,10 +93,6 @@ class MatchingPath:
 
     def a_at(self, t):
         return np.exp(self._ell(t))
-
-    def a_prime_at(self, t):
-        ell = self._ell(t)
-        return np.exp(ell) * _gp(1.0 / ell, self.K)
 
     def b_at(self, t):
         ell = self._ell(t)
@@ -206,7 +187,7 @@ def integrate_a(K: float, t_end: float, sigma_step: float) -> MatchingPath:
     a, s = np.exp(ell), 1.0 / ell
     gp, gamma = _gp(s, K), _hp(s, K)
     path = MatchingPath(K=float(K), t=samples, a=a, a_prime=a * gp, b=gp / a,
-                        gamma=gamma, epsilon=gamma,
+                        gamma=gamma,
                         sigma_knots=sigma_knots, ell_knots=ells)
 
     # construction invariants

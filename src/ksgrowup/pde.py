@@ -51,7 +51,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,8 +68,10 @@ _TRBDF2_K = (-3.0 * _TRBDF2_GAMMA ** 2 + 4.0 * _TRBDF2_GAMMA - 2.0) / (
 _SLIVER = 1e-6
 # a Newton update no larger than this times max|U| is at round-off
 _ROUNDOFF = 8.0 * np.finfo(float).eps
-# the inner-coordinate window y = s x of the origin-slope fit
+# the inner-coordinate window y = s x of the origin-slope fit, and the
+# largest relative fit residual it accepts before falling back to the ratio
 _Y_WINDOW = (0.02, 0.5)
+_FIT_TOL = 2e-3
 # the time-error bar on d is this times the summed embedded estimate.  The
 # sum ignores how earlier errors grow or decay, and on the default run it
 # measured 0.97x and 1.29x the true time error of d at t = 20 and t = 50
@@ -81,12 +82,12 @@ _TIME_ERR_SAFETY = 2.0
 
 @dataclass
 class SolverConfig:
-    grid: GradedGrid | None = None
+    """How to integrate; the grid and the boundary value come with the data."""
+
     dt_initial: float = 1e-7
     dt_max: float | None = None         # step cap; fixed steps need it
     newton_tol: float = 1e-11
     reg_epsilon: float = 0.0
-    right_bc: float = 1.0
     local_error_tol: float | None = 1e-6  # None -> fixed steps of dt_max
     max_newton: int = 14
     blowup_cap: float = 1e6             # w-form blow-up detector
@@ -119,20 +120,6 @@ class Trajectory:
     newton_loose_solves: int = 0   # solves accepted only by problem.loose
     rejected_error_test: int = 0   # steps rejected by the local-error test
     rejected_newton: int = 0       # steps rejected for a Newton failure
-
-    def at(self, t: float) -> Snapshot:
-        for s in self.snapshots:
-            if abs(s.time - t) < 1e-12:
-                return s
-        raise RangeError(f"no snapshot stored at t = {t}")
-
-
-def steady_profile(a: float, grid: GradedGrid) -> Snapshot:
-    """The steady state U_a(x) = a x / (a x + 1), boundary value a/(1+a)."""
-    x = grid.nodes
-    vals = a * x / (a * x + 1.0)
-    return Snapshot(grid=grid, values=vals, time=0.0,
-                    left_bc=0.0, right_bc=float(vals[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -493,23 +480,19 @@ def solve(u0: Snapshot, config: SolverConfig, t_end: float,
     """Integrate the degenerate problem from admissible data u0.
 
     Admissibility: u0 continuous (it is tabulated), u0(0) = 0,
-    u0(1) = right_bc, nondecreasing, and u0 <= K x for the recorded
-    K = max u0/x.  Every accepted step is checked against the discrete
-    maximum principle (range and monotonicity).
+    nondecreasing, and u0 <= K x for the recorded K = max u0/x.  The
+    solution keeps u0's grid and its boundary value u0(1) = right_bc.
+    Every accepted step is checked against the discrete maximum principle
+    (range and monotonicity).
     """
-    grid = config.grid if config.grid is not None else u0.grid
-    if not np.array_equal(grid.nodes, u0.grid.nodes):
-        raise ValueError("config grid and snapshot grid differ")
+    grid, hi = u0.grid, u0.right_bc
     if u0.left_bc != 0.0:
         raise ValueError("left boundary value must be 0")
-    if abs(u0.right_bc - config.right_bc) > 1e-12:
-        raise ValueError("snapshot right_bc does not match config.right_bc")
     if not u0.is_nondecreasing():
         raise ValueError("initial data must be nondecreasing")
     data_K = float(np.max(u0.values[1:] / grid.nodes[1:]))
 
-    problem = _UProblem(grid, config.right_bc, config.reg_epsilon)
-    hi = config.right_bc
+    problem = _UProblem(grid, hi, config.reg_epsilon)
     monotone_tol = 1e-8
     d_errs = []
 
@@ -527,7 +510,7 @@ def solve(u0: Snapshot, config: SolverConfig, t_end: float,
     outs, times, sizes, iters, rejected = _advance(
         problem, u0.values.copy(), t_end, output_times, config, post_check)
     snaps = [Snapshot(grid=grid, values=np.clip(v, 0.0, hi), time=tt,
-                      left_bc=0.0, right_bc=config.right_bc)
+                      left_bc=0.0, right_bc=hi)
              for tt, v in sorted(outs.items())]
     summed = np.concatenate([[0.0], np.cumsum(d_errs)])
     steps = np.searchsorted(times, [s.time for s in snaps], side="right")
@@ -666,16 +649,15 @@ class SlopeFit:
     n_window: int
 
 
-def slope_origin_info(snap: Snapshot, y_window=_Y_WINDOW,
-                      fit_tol: float = 2e-3) -> SlopeFit:
+def slope_origin_info(snap: Snapshot) -> SlopeFit:
     """Origin-slope observable from the inner profile.
 
     Fits z = 1/(1-u) = p + q x on nodes with estimated inner coordinate
-    y = s*x inside ``y_window`` (the model is exact on the quasi-steady
+    y = s*x inside _Y_WINDOW (the model is exact on the quasi-steady
     family, where the fitted rate is ahat = q/p).  When the fit residual
-    exceeds fit_tol (profile not yet quasi-steady) the one-sided ratio
-    u(x1)/x1 is returned instead, with a warning.  Raises ResolutionError
-    only when the first node fails to resolve the layer.
+    exceeds _FIT_TOL (profile not yet quasi-steady) the one-sided ratio
+    u(x1)/x1 is returned instead, with method "ratio".  Raises
+    ResolutionError only when the first node fails to resolve the layer.
     """
     if not snap.is_nondecreasing(tol=1e-9):
         raise ValueError("slope extraction expects a monotone snapshot")
@@ -686,7 +668,7 @@ def slope_origin_info(snap: Snapshot, y_window=_Y_WINDOW,
     ahat, resid, n_win = ratio, np.inf, 0
     for _ in range(4):
         yy = s_est * x
-        m = (yy >= y_window[0]) & (yy <= y_window[1]) & (x > 0) & (u < 1.0)
+        m = (yy >= _Y_WINDOW[0]) & (yy <= _Y_WINDOW[1]) & (x > 0) & (u < 1.0)
         n_win = int(m.sum())
         if n_win < 4:
             break
@@ -702,7 +684,7 @@ def slope_origin_info(snap: Snapshot, y_window=_Y_WINDOW,
         s_est = new
     ahat = s_est
     layer_resolved = x[1] * max(ratio, ahat) <= 0.01
-    if n_win >= 4 and resid <= fit_tol:
+    if n_win >= 4 and resid <= _FIT_TOL:
         return SlopeFit(value=float(ahat), method="fit", ahat=float(ahat),
                         ratio=ratio, fit_residual=resid, n_window=n_win)
     if not layer_resolved and (
@@ -710,8 +692,6 @@ def slope_origin_info(snap: Snapshot, y_window=_Y_WINDOW,
         raise ResolutionError(
             f"layer unresolved: x1 = {x[1]:.2e}, slope ~ {ahat:.3e}, "
             f"fit residual {resid:.2e}")
-    warnings.warn("inner-profile fit residual large; returning one-sided ratio",
-                  stacklevel=2)
     return SlopeFit(value=ratio, method="ratio", ahat=float(ahat),
                     ratio=ratio, fit_residual=resid, n_window=n_win)
 
@@ -721,61 +701,3 @@ def l1_to_one(snap: Snapshot) -> float:
     y, x = 1.0 - snap.values, snap.grid.nodes
     # scipy.integrate.trapezoid's operations, in its order
     return float(np.sum((x[1:] - x[:-1]) * (y[1:] + y[:-1]) / 2.0))
-
-
-def ordered_pair_test(u0_low: Snapshot, u0_high: Snapshot, config: SolverConfig,
-                      t_end: float, output_times, tol: float = 1e-8) -> bool:
-    """Evolve an ordered pair and report whether ordering persisted."""
-    if np.any(u0_low.values > u0_high.values + 1e-12):
-        raise ValueError("initial data are not ordered")
-    cfg_lo = SolverConfig(**{**config.__dict__, "right_bc": u0_low.right_bc,
-                             "grid": u0_low.grid})
-    cfg_hi = SolverConfig(**{**config.__dict__, "right_bc": u0_high.right_bc,
-                             "grid": u0_high.grid})
-    lo = solve(u0_low, cfg_lo, t_end, output_times)
-    hi = solve(u0_high, cfg_hi, t_end, output_times)
-    for sl, sh in zip(lo.snapshots, hi.snapshots):
-        if np.any(sl.values > sh.values + tol):
-            return False
-    return True
-
-
-@dataclass
-class SmallTimeReport:
-    K: float
-    tau: float
-    bound_ok: bool
-    worst_excess: float
-    eta: float
-    delta: float
-    T_delta: float | None
-
-
-def small_time_checks(traj: Trajectory, K: float | None = None,
-                      delta: float = 0.5, tol: float = 1e-8) -> SmallTimeReport:
-    """Short-time bounds: u <= 2Kx up to tau = 1/(4K); the flatness factor
-    eta at tau; and the first output time with u >= min(1-delta, x/delta)."""
-    if K is None:
-        K = traj.data_K
-    tau = 1.0 / (4.0 * K)
-    worst = -np.inf
-    for s in traj.snapshots:
-        if s.time > tau + 1e-12:
-            continue
-        x = s.grid.nodes
-        worst = max(worst, float(np.max(s.values - 2.0 * K * x)))
-    bound_ok = worst <= tol
-
-    near_tau = min(traj.snapshots, key=lambda s: abs(s.time - tau))
-    x = near_tau.grid.nodes[:-1]
-    eta = float(np.min((1.0 - near_tau.values[:-1]) / (1.0 - x)))
-
-    T_delta = None
-    for s in traj.snapshots:
-        x = s.grid.nodes
-        target = np.minimum(1.0 - delta, x / delta)
-        if np.all(s.values >= target - tol):
-            T_delta = s.time
-            break
-    return SmallTimeReport(K=K, tau=tau, bound_ok=bound_ok, worst_excess=worst,
-                           eta=eta, delta=delta, T_delta=T_delta)

@@ -40,8 +40,8 @@ from typing import NamedTuple
 import numpy as np
 import numpy.polynomial  # numpy loads it lazily; here, not in a run's first build
 
-from .errors import (AsymptoticsViolation, ConstructionError, InfeasibleError,
-                     MTooSmallError, RangeError, SingularInputError)
+from .errors import (ConstructionError, InfeasibleError, MTooSmallError,
+                     RangeError, SingularInputError)
 
 GL_ORDER = 10   # Gauss-Legendre points per panel, for every integral here
 _LIN_EDGE, _LIN_N = 1e-6, 8   # linear patch of the partition: [0, 1e-6], 8 panels
@@ -50,12 +50,6 @@ _LIN_EDGE, _LIN_N = 1e-6, 8   # linear patch of the partition: [0, 1e-6], 8 pane
 def w0(y):
     y = np.asarray(y, dtype=float)
     return y / (1.0 + y) ** 2
-
-
-def apply_operator(w, wp, wpp, y):
-    """L w from sampled values of w, w', w'' at y."""
-    y = np.asarray(y, dtype=float)
-    return y * wpp + 2.0 * y * wp / (1.0 + y) + 2.0 * w / (1.0 + y) ** 2
 
 
 def build_partition(y_max: float, npd: int = 40) -> np.ndarray:
@@ -201,11 +195,9 @@ class OperatorInverse:
         """(w, w') at the points of a lookup, from one F and one G value."""
         return _w_and_slope(loc.y, self.kernel_coeff, self.F.at(loc), self.G.at(loc))
 
-    def value(self, y):
-        return self.pair(locate(self.nodes, y))[0]
-
-    def deriv(self, y):
-        return self.pair(locate(self.nodes, y))[1]
+    def __call__(self, y):
+        """(w, w') at y."""
+        return self.pair(locate(self.nodes, y))
 
     def values_at_nodes(self):
         """(w, w') at the partition nodes, from the cached cumulatives."""
@@ -252,31 +244,12 @@ class PhiBlend:
             tail = np.where(y > 1.0, 1.0 / np.log(np.maximum(y, 1.0 + 1e-12)), 0.0)
         return np.where(y < self.join, blend, tail)
 
-    def deriv(self, y):
-        y = np.asarray(y, dtype=float)
-        s = np.clip(y / self.join, 0.0, 1.0)
-        dh10 = (1.0 - s) * (1.0 - 3.0 * s)
-        dh01 = 6.0 * s * (1.0 - s)
-        dh11 = s * (3.0 * s - 2.0)
-        blend = (dh10 * self.slope0 + dh01 * self._tail_value() / self.join
-                 + dh11 * self._tail_slope())
-        with np.errstate(divide="ignore"):
-            tail = np.where(y > 1.0, -1.0 / (y * np.log(np.maximum(y, 1.0 + 1e-12)) ** 2), 0.0)
-        return np.where(y < self.join, blend, tail)
-
 
 def smoothstep_cutoff(y):
     """C^1 cutoff: 0 at 0, identically 1 for y >= 1 (cubic smoothstep)."""
     y = np.asarray(y, dtype=float)
     s = np.clip(y, 0.0, 1.0)
     return s * s * (3.0 - 2.0 * s)
-
-
-def quintic_cutoff(y):
-    """Alternative C^2 cutoff for blend-sensitivity sweeps."""
-    y = np.asarray(y, dtype=float)
-    s = np.clip(y, 0.0, 1.0)
-    return s ** 3 * (6.0 * s * s - 15.0 * s + 10.0)
 
 
 @dataclass(frozen=True)
@@ -286,8 +259,7 @@ class SpecialTable:
 
     The range ends at the partition's last node, the first lattice node at
     or above y_max.  eval reads the panel data of the SpecialFunctions that
-    built the table, so it returns the pointwise evaluators' values bit for
-    bit, and at a node the column's value.
+    built the table, and at a node it returns the column's value bit for bit.
     """
 
     y: np.ndarray
@@ -304,8 +276,9 @@ class SpecialTable:
     funcs: SpecialFunctions = field(repr=False, compare=False)
 
     def eval(self, yq):
-        """f, f', g, g', h, h', phi at yq (dict of arrays), from one panel
-        lookup shared by every column (the three inverses share nodes)."""
+        """f, f', g, g', h, h', g4 = L^{-1} phi, g4', phi at yq (dict of
+        arrays), from one panel lookup shared by every column (the three
+        inverses share nodes)."""
         fn = self.funcs
         loc = locate(self.y, yq)
         f, fp = fn._f.pair(loc)
@@ -313,22 +286,22 @@ class SpecialTable:
         q, qp = fn._g4.pair(loc)
         return {"f": f, "f_prime": fp, "g": g, "g_prime": gp,
                 "h": g + self.M * q, "h_prime": gp + self.M * qp,
-                "phi": self.phi(loc.y)}
+                "g4": q, "g4_prime": qp, "phi": self.phi(loc.y)}
 
 
 class SpecialFunctions:
-    """Pointwise evaluators for f, tilde_f, g, h and phi.
+    """The inverses behind f, g, h and the amplitude M.
 
     f  solves L f = w0 with f(0) = 0, f'(0) = 1 (kernel-anchored branch,
        f >= w0 >= 0);
-    g  = L^{-1}(2 f f' - y f' + f);
+    g  = L^{-1} tilde_f, tilde_f = 2 f f' - y f' + f;
     h  = g + M * L^{-1} phi, nonnegative for admissible M.
 
-    Every evaluator reads the cached panel data, at O(GL_ORDER) cost per
-    point; .table() gives the node columns and a shared-lookup .eval.  The
-    quadrature accumulates from y = 0 on nodes that do not depend on y_max,
-    so below a smaller y_max every value equals, bit for bit, that of a
-    build to the smaller y_max (h as long as both choose the same M).
+    .table() gives the node columns and .eval, which reads the cached panel
+    data at O(GL_ORDER) cost per point.  The quadrature accumulates from
+    y = 0 on nodes that do not depend on y_max, so below a smaller y_max
+    every value equals, bit for bit, that of a build to the smaller y_max
+    (h as long as both choose the same M).
     """
 
     def __init__(self, y_max: float, M: float | None = None,
@@ -353,35 +326,10 @@ class SpecialFunctions:
                     f"M = {M} leaves tilde_f + M*phi negative (need >= {raw:.3f})")
         self.M = float(M)
 
-    # -- pointwise evaluators -------------------------------------------
-    def f(self, y):
-        return self._f.value(y)
-
-    def f_prime(self, y):
-        return self._f.deriv(y)
-
     def tilde_f(self, y):
         loc = locate(self._f.nodes, y)
         fv, fp = self._f.pair(loc)
         return 2.0 * fv * fp - loc.y * fp + fv
-
-    def g(self, y):
-        return self._g.value(y)
-
-    def g_prime(self, y):
-        return self._g.deriv(y)
-
-    def h(self, y):
-        return self._g.value(y) + self.M * self._g4.value(y)
-
-    def h_prime(self, y):
-        return self._g.deriv(y) + self.M * self._g4.deriv(y)
-
-    def g4(self, y):
-        return self._g4.value(y)
-
-    def g4_prime(self, y):
-        return self._g4.deriv(y)
 
     def required_m(self, phi_scale: float = 1.0) -> float:
         """Smallest M with tilde_f + M*phi_scale*phi >= 0 on the node lattice."""
@@ -468,53 +416,43 @@ _CLAIMS = {
 }
 
 
-def check_asymptotics(y_maxes=(1e4, 1e5, 1e6), growth_tol: float = 1.35,
-                      strict: bool = True,
-                      funcs: SpecialFunctions | None = None) -> AsymptoticsReport:
+def check_asymptotics(table: SpecialTable, y_maxes,
+                      growth_tol: float) -> AsymptoticsReport:
     """Sup deviation ratios on [y_max/100, y_max] for each claim, across a
-    sweep of y_max; a ratio growing across the sweep raises (strict mode).
+    sweep of y_max; a ratio that grows across the sweep is a violation.
 
-    Every window is evaluated on one table, ``funcs`` (by default
-    ``SpecialFunctions(max(y_maxes))``), and components 1-3 are built once,
-    to max(y_maxes), with its npd and phi.  Values below any y_max do not
-    depend on how far the table reaches; a table ending below max(y_maxes)
-    raises.
+    Every window is read off one table, and components 1-3 are built once,
+    to max(y_maxes), with the table's npd and phi.  Values below any y_max
+    do not depend on how far the table reaches; a table ending below
+    max(y_maxes) raises.
     """
     y_maxes = tuple(sorted(float(v) for v in y_maxes))
     if y_maxes[0] < 1e4:
         raise ConstructionError("asymptotic window needs y_max >= 1e4")
     top = y_maxes[-1]
-    if funcs is None:
-        funcs = SpecialFunctions(top)
-    elif funcs.y_max < top:
+    if table.y_max < top:
         raise ConstructionError(
-            f"the table ends at y_max = {funcs.y_max:g}, below the sweep's {top:g}")
-    comps = {i: build_component(i, top, npd=funcs.npd, phi=funcs.phi)
+            f"the table ends at y_max = {table.y_max:g}, below the sweep's {top:g}")
+    comps = {i: build_component(i, top, npd=table.funcs.npd, phi=table.phi)
              for i in (1, 2, 3)}
     ratios = {name: [] for name in _CLAIMS}
     for ym in y_maxes:
         ys = np.geomspace(ym / 100.0, ym, 200)
-        actual = {
-            "f": funcs.f(ys), "f'": funcs.f_prime(ys),
-            "g": funcs.g(ys), "g'": funcs.g_prime(ys),
-            "h": funcs.h(ys), "h'": funcs.h_prime(ys),
-            "g1": comps[1].value(ys), "g1'": comps[1].deriv(ys),
-            "g2": comps[2].value(ys), "g2'": comps[2].deriv(ys),
-            "g3": comps[3].value(ys), "g3'": comps[3].deriv(ys),
-            "g4": funcs.g4(ys), "g4'": funcs.g4_prime(ys),
-        }
+        T = table.eval(ys)
+        actual = {"f": T["f"], "f'": T["f_prime"], "g": T["g"], "g'": T["g_prime"],
+                  "h": T["h"], "h'": T["h_prime"], "g4": T["g4"], "g4'": T["g4_prime"]}
+        for i in (1, 2, 3):
+            actual[f"g{i}"], actual[f"g{i}'"] = comps[i](ys)
         for name, (lead, oterm) in _CLAIMS.items():
             dev = np.abs(actual[name] - lead(ys)) / np.abs(oterm(ys))
             ratios[name].append(float(np.max(dev)))
-    spot = {"f_dev_at_ymax": float(abs(funcs.f(top) - (math.log(top) - 2.0))),
+    T = table.eval(top)
+    spot = {"f_dev_at_ymax": float(abs(T["f"] - (math.log(top) - 2.0))),
             "g_over_y_dev_at_ymax": float(
-                abs(funcs.g(top) / top - (math.log(top) / 2.0 - 2.25)))}
+                abs(T["g"] / top - (math.log(top) / 2.0 - 2.25)))}
     violations = []
     for name, seq in ratios.items():
         if len(seq) >= 2 and seq[-1] > growth_tol * seq[0] + 1e-9:
             violations.append(f"{name}: ratio grew {seq[0]:.3g} -> {seq[-1]:.3g}")
-    report = AsymptoticsReport(y_maxes=y_maxes, ratios=ratios, spot_checks=spot,
-                               growth_tol=growth_tol, violations=violations)
-    if strict and violations:
-        raise AsymptoticsViolation("; ".join(violations))
-    return report
+    return AsymptoticsReport(y_maxes=y_maxes, ratios=ratios, spot_checks=spot,
+                             growth_tol=growth_tol, violations=violations)

@@ -65,7 +65,7 @@ def critical_traj():
     grid = make_graded_grid(420, 1e-8, 1.07)
     u0 = Snapshot(grid=grid, values=grid.nodes.copy(), time=0.0,
                   left_bc=0.0, right_bc=1.0)
-    cfg = SolverConfig(grid=grid, right_bc=1.0)
+    cfg = SolverConfig()
     t0 = time.perf_counter()
     traj = solve(u0, cfg, 50.0, CRITICAL_OUTPUTS)
     traj.build_seconds = time.perf_counter() - t0
@@ -78,6 +78,6 @@ def fast_traj():
     grid = make_graded_grid(220, 1e-7, 1.09)
     u0 = Snapshot(grid=grid, values=grid.nodes.copy(), time=0.0,
                   left_bc=0.0, right_bc=1.0)
-    cfg = SolverConfig(grid=grid, right_bc=1.0)
+    cfg = SolverConfig()
     outs = [0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
     return solve(u0, cfg, 10.0, outs)

@@ -10,15 +10,14 @@ import numpy as np
 import pytest
 
 from ksgrowup.barriers import (BarrierSpec, certify_sign,
-                               check_boundary_matching, find_time_shifts,
-                               residual_fd, residual_full)
+                               check_boundary_matching, find_time_shifts)
 from ksgrowup.grids import Snapshot, make_graded_grid
 from ksgrowup.matching import integrate_a
-from ksgrowup.pde import (SolverConfig, l1_to_one, ordered_pair_test,
-                          slope_origin_info, small_time_checks, solve,
-                          steady_profile)
-from ksgrowup.specialfn import (OperatorInverse, apply_operator,
+from ksgrowup.pde import SolverConfig, l1_to_one, slope_origin_info, solve
+from ksgrowup.specialfn import (OperatorInverse, SpecialFunctions,
                                 check_asymptotics, w0)
+from oracles import (apply_operator, ordered_pair_test, residual_fd,
+                     residual_full, small_time_checks, steady_profile)
 
 
 def _ok(n, msg):
@@ -39,8 +38,8 @@ class TestCriterion1:
         for name, psi in sources.items():
             inv = OperatorInverse(psi, 1.5e4)
             d = 3e-4 * ys
-            wpp = (inv.deriv(ys + d) - inv.deriv(ys - d)) / (2 * d)
-            got = apply_operator(inv.value(ys), inv.deriv(ys), wpp, ys)
+            wpp = (inv(ys + d)[1] - inv(ys - d)[1]) / (2 * d)
+            got = apply_operator(*inv(ys), wpp, ys)
             sups[name] = float(np.max(np.abs(got - psi(ys))))
             assert sups[name] <= 1e-6, (name, sups[name])
         elapsed = time.perf_counter() - start
@@ -52,7 +51,8 @@ class TestCriterion2:
     def test_special_function_asymptotics(self):
         """Deviation ratios bounded across y_max = 1e4 -> 1e6; spot values."""
         start = time.perf_counter()
-        rep = check_asymptotics((1e4, 1e5, 1e6), growth_tol=1.35, strict=False)
+        table = SpecialFunctions(1e6).table()
+        rep = check_asymptotics(table, (1e4, 1e5, 1e6), growth_tol=1.35)
         assert rep.ok, rep.violations
         f_dev = rep.spot_checks["f_dev_at_ymax"]
         g_dev = rep.spot_checks["g_over_y_dev_at_ymax"]
@@ -102,16 +102,16 @@ class TestCriterion4:
         assert rep_lo.sign_ok and rep_lo.threshold_T <= 1000.0
         assert rep_up.sign_ok and rep_up.threshold_T <= 1000.0
 
-        bnd_lo = check_boundary_matching(lower, (1.0, 3000.0), n_t=96)
-        bnd_up = check_boundary_matching(upper, (1.0, 3000.0), n_t=96)
+        bnd_lo = check_boundary_matching(lower, (1.0, 3000.0))
+        bnd_up = check_boundary_matching(upper, (1.0, 3000.0))
         assert bnd_lo.ok_beyond and bnd_lo.onset_t < 100.0
         assert bnd_up.ok_beyond and bnd_up.onset_t < 3000.0
 
         swap_lo = BarrierSpec(kind="lower", path=integrate_a(7.0, 3030.0, 0.005),
                               table=table_big)
         swap_up = BarrierSpec(kind="upper", path=path_k5_big, table=table_big)
-        rep_sl = check_boundary_matching(swap_lo, (1.0, 3000.0), n_t=96)
-        rep_su = check_boundary_matching(swap_up, (1.0, 3000.0), n_t=96)
+        rep_sl = check_boundary_matching(swap_lo, (1.0, 3000.0))
+        rep_su = check_boundary_matching(swap_up, (1.0, 3000.0))
         assert not rep_sl.ok_beyond and np.all(rep_sl.margins[-10:] < 0)
         assert not rep_su.ok_beyond and np.all(rep_su.margins[-10:] < 0)
 
@@ -157,7 +157,7 @@ class TestCriterion6:
     def test_steady_state_drift(self):
         grid = make_graded_grid(160, 1e-6, 1.1)
         ua = steady_profile(1.0, grid)
-        cfg = SolverConfig(grid=grid, right_bc=ua.right_bc)
+        cfg = SolverConfig()
         traj = solve(ua, cfg, 10.0, [10.0])
         drift = float(np.max(np.abs(traj.snapshots[-1].values - ua.values)))
         assert drift <= 1e-8
@@ -174,7 +174,7 @@ class TestCriterion6:
                       left_bc=0.0, right_bc=1.0)
         hi = Snapshot(grid=grid, values=grid.nodes.copy(), time=0.0,
                       left_bc=0.0, right_bc=1.0)
-        cfg = SolverConfig(grid=grid, right_bc=1.0)
+        cfg = SolverConfig()
         assert ordered_pair_test(lo, hi, cfg, 2.0, [0.5, 1.0, 2.0])
         _ok("6c", "ordered initial pairs remain ordered at all outputs")
 
@@ -185,8 +185,7 @@ class TestCriterion6:
             grid = make_graded_grid(n, 1.0 / (n - 1), 1.0)
             u0 = Snapshot(grid=grid, values=xi * grid.nodes, time=0.0,
                           left_bc=0.0, right_bc=xi)
-            cfg = SolverConfig(grid=grid, right_bc=xi, dt_max=dt,
-                               dt_initial=dt, local_error_tol=None)
+            cfg = SolverConfig(dt_max=dt, dt_initial=dt, local_error_tol=None)
             return grid, solve(u0, cfg, 1.0, [1.0]).snapshots[-1].values
 
         _, ref_t = run(201, 0.000625)
@@ -208,14 +207,11 @@ class TestCriterion6:
 
 
 def _rate_rows(traj):
-    import warnings
     rows = []
     for s in traj.snapshots:
         if s.time <= 0.0:
             continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            info = slope_origin_info(s)
+        info = slope_origin_info(s)
         d = float(np.log(info.value) - np.sqrt(2.0 * s.time))
         l1 = l1_to_one(s)
         r = float(l1 / (np.sqrt(2.0 * s.time)
@@ -259,9 +255,13 @@ class TestCriterion8:
         certified nodes/times."""
         lower = BarrierSpec(kind="lower", path=path_k5_big, table=table_big)
         upper = BarrierSpec(kind="upper", path=path_k6_big, table=table_big)
+        # from the onsets of certify's boundary scan (criterion 4)
+        onsets = [check_boundary_matching(spec, (1.0, 3000.0)).onset_t
+                  for spec in (lower, upper)]
         rep = find_time_shifts(lower, upper, critical_traj.snapshots,
                                shift_max=2000.0, lattice=0.25, slack=1e-9,
-                               t_min_upper=0.25)
+                               t_min_upper=0.25, lower_onset=onsets[0],
+                               upper_onset=onsets[1])
         assert np.isfinite(rep.T1) and np.isfinite(rep.T2)
         assert rep.worst_lower <= rep.slack
         assert rep.worst_upper <= rep.slack
@@ -285,14 +285,11 @@ class TestCriterion9:
     def test_profile_and_l1(self, critical_traj):
         """Profile error E(t) decreasing on [10, 50] with E(50) <= 0.6;
         L1 ratio r(50) within [0.4, 2.5] and |r - 1| trending down."""
-        import warnings
         rows = []
         for s in critical_traj.snapshots:
             if s.time < 5.0:
                 continue
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                ahat = slope_origin_info(s).value
+            ahat = slope_origin_info(s).value
             x = s.grid.nodes
             E = float(np.max(np.abs((1 - s.values) * (1 + ahat * x) - (1 - x))))
             rows.append((s.time, E))

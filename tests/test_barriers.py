@@ -3,13 +3,13 @@ import pytest
 
 from ksgrowup.barriers import (BarrierSpec, certify_sign,
                                check_boundary_matching, check_lower_monotone,
-                               eval_barrier, find_time_shifts, residual_fd,
-                               residual_full, residual_reduced)
+                               eval_barrier, find_time_shifts, residual_reduced)
 from ksgrowup.grids import Snapshot, make_graded_grid
 from ksgrowup.matching import integrate_a
 from ksgrowup.specialfn import PhiBlend, SpecialFunctions
 from ksgrowup.barriers import boundary_margin
 from ksgrowup.errors import ConstructionError, OrderingFailureError, RangeError
+from oracles import residual_fd, residual_full
 
 
 class StubPath:
@@ -27,9 +27,6 @@ class StubPath:
 
     def a_at(self, t):
         return self._per_time(t, self._a)
-
-    def a_prime_at(self, t):
-        return self._per_time(t, self._b * self._a ** 2)
 
     def b_at(self, t):
         return self._per_time(t, self._b)
@@ -223,21 +220,12 @@ class TestBoundaryMatching:
         assert rep.ok_beyond
         assert rep.onset_t < 20.0
 
-    def test_onset_at_window_start_is_not_resolved(self, lower_med):
-        # inside the window the onset is bracketed and refined; a window that
-        # starts past it only shows that the onset lies below its start
-        rep = check_boundary_matching(lower_med, (1.0, 50.0))
-        assert rep.resolved_onset == rep.onset_t
-        late = check_boundary_matching(lower_med, (2.0 * rep.onset_t, 50.0))
-        assert late.onset_t == late.times[0]
-        assert late.resolved_onset is None
-
     def test_lower_k7_fails(self, table_med):
         path = integrate_a(7.0, 60.0, 0.005)
         spec = BarrierSpec(kind="lower", path=path, table=table_med)
         rep = check_boundary_matching(spec, (1.0, 50.0))
         assert not rep.ok_beyond
-        assert rep.resolved_onset is None
+        assert rep.onset_t is None
         assert np.all(rep.margins[-10:] < 0.0)
 
     def test_upper_k6_desk_scale_negative(self, upper_med):
@@ -251,13 +239,13 @@ class TestBoundaryMatching:
 
     def test_upper_k6_certifies_eventually(self, path_k6_big, table_big):
         spec = BarrierSpec(kind="upper", path=path_k6_big, table=table_big)
-        rep = check_boundary_matching(spec, (1.0, 3000.0), n_t=96)
+        rep = check_boundary_matching(spec, (1.0, 3000.0))
         assert rep.ok_beyond
         assert 500.0 < rep.onset_t < 2000.0
 
     def test_upper_k5_swap_fails(self, path_k5_big, table_big):
         spec = BarrierSpec(kind="upper", path=path_k5_big, table=table_big)
-        rep = check_boundary_matching(spec, (1.0, 3000.0), n_t=96)
+        rep = check_boundary_matching(spec, (1.0, 3000.0))
         assert not rep.ok_beyond
         assert np.all(rep.margins[-10:] < 0.0)
 
@@ -275,7 +263,7 @@ class TestTimeShifts:
         v[-1] = 1.0
         u0 = Snapshot(grid=grid, values=v, time=0.0, left_bc=0.0, right_bc=1.0)
         from ksgrowup.pde import SolverConfig, solve
-        traj = solve(u0, SolverConfig(grid=grid, right_bc=1.0), 6.0,
+        traj = solve(u0, SolverConfig(), 6.0,
                      [1.0, 2.0, 4.0, 6.0])
         shifted = [Snapshot(grid=s.grid, values=s.values, time=s.time + t0,
                             left_bc=s.left_bc, right_bc=s.right_bc)
@@ -294,18 +282,42 @@ class TestTimeShifts:
 
     def test_shift_search_raises_when_capped(self, fast_traj, lower_med,
                                              upper_med):
-        with pytest.raises(OrderingFailureError):
+        # the K = 6 upper onset (t ~ 1150.6) needs a shift far above 5
+        lower_onset = check_boundary_matching(lower_med, (1.0, 50.0)).onset_t
+        with pytest.raises(OrderingFailureError, match="shift_max"):
             find_time_shifts(lower_med, upper_med, fast_traj.snapshots,
-                             shift_max=5.0, lattice=0.5)
+                             shift_max=5.0, lattice=0.5, slack=1e-9,
+                             t_min_upper=0.5, lower_onset=lower_onset,
+                             upper_onset=1150.6)
 
-    def test_path_horizon_guard(self, fast_traj, table_med, funcs_med,
-                                path_k5):
+    def test_path_horizon_guard(self, fast_traj, table_med, path_k5):
         short = integrate_a(6.0, 20.0, 0.005)
         spec_up = BarrierSpec(kind="upper", path=short, table=table_med)
         spec_lo = BarrierSpec(kind="lower", path=path_k5, table=table_med)
         with pytest.raises(RangeError):
             find_time_shifts(spec_lo, spec_up, fast_traj.snapshots,
-                             shift_max=100.0)
+                             shift_max=100.0, lattice=0.25, slack=1e-9,
+                             t_min_upper=0.5, lower_onset=6.0,
+                             upper_onset=1150.6)
+
+    def test_lower_onset_at_the_scans_first_time_is_used_as_is(
+            self, fast_traj, lower_med, path_k6_big, table_big):
+        # a scan that starts past the true onset (t ~ 5.8) puts the onset at
+        # its first time; the sandwich then compares exactly the snapshots
+        # with t - T1 >= that time, and none below it
+        late = check_boundary_matching(lower_med, (7.0, 50.0))
+        assert late.onset_t == late.times[0] == 7.0
+        upper = BarrierSpec(kind="upper", path=path_k6_big, table=table_big)
+        upper_onset = check_boundary_matching(upper, (1.0, 3000.0)).onset_t
+        rep = find_time_shifts(lower_med, upper, fast_traj.snapshots,
+                               shift_max=2000.0, lattice=0.25, slack=1e-9,
+                               t_min_upper=0.5, lower_onset=late.onset_t,
+                               upper_onset=upper_onset)
+        times = [s.time for s in fast_traj.snapshots]
+        compared = [t for t in times if t - rep.T1 >= 7.0]
+        assert rep.lower_onset == 7.0
+        assert 0 < rep.n_times_lower == len(compared) < len(times)
+        assert rep.worst_lower <= rep.slack
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +444,7 @@ class TestBatchedScans:
         else:
             spec = BarrierSpec(kind="upper", path=path_k6_big, table=table_big)
             window = (1.0, 3000.0)
-        rep = check_boundary_matching(spec, window, n_t=96)
+        rep = check_boundary_matching(spec, window)
         ref = _bisected_onset(spec, window, 96)
         assert abs(rep.onset_t - ref) <= 1e-9 * ref
         assert boundary_margin(spec, rep.onset_t)[0] > 0.0

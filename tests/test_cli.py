@@ -3,6 +3,7 @@ import json
 import re
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from ksgrowup import cli
@@ -226,7 +227,7 @@ class TestCommands:
             init(self, *args, **kwargs)
 
         def counting_eval(self, yq):
-            table_evals.append(len(yq))
+            table_evals.append(np.size(yq))
             return table_eval(self, yq)
 
         def counting_integrate_a(*args, **kwargs):
@@ -271,6 +272,41 @@ class TestCommands:
         cfg.write_text(SMALL_SOLVE + "\n[sandwich]\nshift_max = 30\n")
         assert main(["sandwich", "--config", str(cfg), "--out", str(out),
                      "--quiet"]) == 2
+
+    @pytest.mark.parametrize("command", ["rate", "all"])
+    @pytest.mark.parametrize("times", ["", "0"], ids=["empty", "only_zero"])
+    def test_no_output_time_after_zero_is_exit_2(self, tmp_path, capsys,
+                                                 command, times):
+        # rate, profile and the manifest read snapshots at t > 0: without
+        # one the configuration is refused, not the science
+        cfg = tmp_path / "times.ini"
+        cfg.write_text(f"[solve]\noutput_times = {times}\n")
+        assert main([command, "--config", str(cfg), "--out",
+                     str(tmp_path / "o"), "--quiet"]) == 2
+        assert "output_times" in capsys.readouterr().err
+
+    def test_sandwich_lower_matching_that_never_holds_fails(self, tmp_path):
+        # K = 7 (certify's lower swap) never matches at x = 1: no time
+        # compares the lower barrier, so the sandwich orders nothing: exit 1
+        out = tmp_path / "s"
+        cfg = tmp_path / "s.ini"
+        cfg.write_text("[barriers]\nk_lower = 7\n")
+        assert main(["sandwich", "--config", str(cfg), "--out", str(out),
+                     "--quiet"]) == 1
+        verdict = json.loads((out / "sandwich.json").read_text())
+        assert verdict["lower_onset"] == "inf"
+        assert verdict["n_times_lower"] == 0
+        assert not verdict["ok"]
+
+    def test_sandwich_upper_matching_that_never_holds_is_exit_2(
+            self, small_cfg, tmp_path, capsys):
+        # K = 5 (certify's upper swap) never matches at x = 1: no shift can
+        # order the solution below it, a numerical failure: exit 2
+        cfg = tmp_path / "s.ini"
+        cfg.write_text(SMALL_SOLVE + "\n[barriers]\nk_upper = 5\n")
+        assert main(["sandwich", "--config", str(cfg), "--out",
+                     str(tmp_path / "s"), "--quiet"]) == 2
+        assert "never holds" in capsys.readouterr().err
 
     def test_sandwich_without_lower_comparison_fails(self, small_cfg, tmp_path):
         # t_end = 3 ends before the lower onset (t ~ 5.8): no time compares

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksgrowup.specialfn import (OperatorInverse, PhiBlend, SpecialFunctions,
-                                apply_operator, build_component,
-                                check_asymptotics, quintic_cutoff,
+                                build_component, check_asymptotics,
                                 smoothstep_cutoff, w0)
 from ksgrowup.errors import (ConstructionError, MTooSmallError, RangeError,
                              SingularInputError)
+from oracles import apply_operator, phi_deriv, quintic_cutoff
 
 
 class TestOperator:
@@ -47,14 +47,14 @@ class TestInverse:
     def test_zero_source(self):
         inv = OperatorInverse(lambda y: 0.0 * np.asarray(y), 100.0)
         y = np.geomspace(1e-6, 100, 50)
-        assert np.max(np.abs(inv.value(y))) == 0.0
+        assert np.max(np.abs(inv(y)[0])) == 0.0
 
     def test_linear_source_closed_form(self):
         inv = OperatorInverse(lambda y: np.asarray(y, float), 100.0)
         y = np.geomspace(1e-3, 100, 80)
         exact = y * ((y + 1) ** 3 - 1) / (6 * (y + 1) ** 2)
-        assert np.max(np.abs(inv.value(y) - exact) / np.maximum(exact, 1e-12)) < 1e-12
-        assert abs(inv.value(1.0) - 7.0 / 24.0) < 1e-14
+        assert np.max(np.abs(inv(y)[0] - exact) / np.maximum(exact, 1e-12)) < 1e-12
+        assert abs(inv(1.0)[0] - 7.0 / 24.0) < 1e-14
 
     def test_inner_integral_of_w0(self, funcs_med):
         # int_0^t s/(s+1)^2 ds = log(t+1) - t/(t+1)
@@ -65,7 +65,7 @@ class TestInverse:
     def test_positivity_preserved(self):
         inv = OperatorInverse(lambda y: np.log1p(np.asarray(y)), 1e3)
         y = np.geomspace(1e-6, 1e3, 200)
-        assert np.all(inv.value(y) >= 0.0)
+        assert np.all(inv(y)[0] >= 0.0)
 
     def test_linearity(self):
         psi1 = lambda y: np.asarray(y, float)
@@ -75,8 +75,8 @@ class TestInverse:
         i1 = OperatorInverse(psi1, 200.0)
         i2 = OperatorInverse(psi2, 200.0)
         y = np.geomspace(1e-4, 200, 100)
-        lhs = comb.value(y)
-        rhs = a * i1.value(y) + b * i2.value(y)
+        lhs = comb(y)[0]
+        rhs = a * i1(y)[0] + b * i2(y)[0]
         assert np.max(np.abs(lhs - rhs)) < 1e-11 * np.max(np.abs(lhs))
 
     def test_singular_source_rejected(self):
@@ -86,15 +86,15 @@ class TestInverse:
     def test_range_guard(self):
         inv = OperatorInverse(lambda y: np.asarray(y, float), 50.0)
         with pytest.raises(RangeError):
-            inv.value(np.array([60.0]))
+            inv(np.array([60.0]))
 
     def test_round_trip_small(self):
         # independent second derivative: difference the identity-based w'
         inv = OperatorInverse(lambda y: np.log1p(np.asarray(y)), 2e3)
         y = np.geomspace(0.01, 1e3, 120)
         d = 3e-4 * y
-        wpp = (inv.deriv(y + d) - inv.deriv(y - d)) / (2 * d)
-        got = apply_operator(inv.value(y), inv.deriv(y), wpp, y)
+        wpp = (inv(y + d)[1] - inv(y - d)[1]) / (2 * d)
+        got = apply_operator(*inv(y), wpp, y)
         assert np.max(np.abs(got - np.log1p(y))) < 1e-6
 
     @settings(max_examples=20, deadline=None)
@@ -103,14 +103,14 @@ class TestInverse:
         inv = OperatorInverse(lambda y: c1 * np.asarray(y) / (1 + np.asarray(y))
                               + c2 * w0(y), 100.0)
         y = np.geomspace(1e-5, 100, 60)
-        assert np.all(inv.value(y) >= 0.0)
+        assert np.all(inv(y)[0] >= 0.0)
 
 
 class TestPhi:
     def test_anchors(self):
         phi = PhiBlend()
         assert phi(0.0) == 0.0
-        assert phi.deriv(0.0) > 0.0
+        assert phi_deriv(phi, 0.0) > 0.0
         y = np.linspace(1e-6, 2.0 - 1e-9, 500)
         assert np.all(phi(y) > 0.0)
 
@@ -133,46 +133,52 @@ class TestPhi:
 
 
 class TestSpecialFunctions:
-    def test_f_anchors(self, funcs_med):
-        assert funcs_med.f(0.0) == 0.0
-        assert funcs_med.f_prime(0.0) == 1.0
+    def test_f_anchors(self, table_med):
+        T = table_med.eval(0.0)
+        assert T["f"] == 0.0
+        assert T["f_prime"] == 1.0
         y = np.geomspace(1e-6, 3e6, 300)
-        assert np.all(funcs_med.f(y) >= w0(y))
+        assert np.all(table_med.eval(y)["f"] >= w0(y))
 
-    def test_f_solves_ode(self, funcs_med):
+    def test_f_solves_ode(self, table_med):
         y = np.geomspace(0.01, 1e4, 60)
         d = 3e-4 * y
-        wpp = (funcs_med.f_prime(y + d) - funcs_med.f_prime(y - d)) / (2 * d)
-        got = apply_operator(funcs_med.f(y), funcs_med.f_prime(y), wpp, y)
+        wpp = (table_med.eval(y + d)["f_prime"]
+               - table_med.eval(y - d)["f_prime"]) / (2 * d)
+        T = table_med.eval(y)
+        got = apply_operator(T["f"], T["f_prime"], wpp, y)
         assert np.max(np.abs(got - w0(y))) < 1e-6
 
-    def test_f_asymptote(self, funcs_med):
+    def test_f_asymptote(self, table_med):
         y = 1e6
-        assert abs(funcs_med.f(y) - (math.log(y) - 2.0)) < 0.01
-        assert abs(y * funcs_med.f_prime(y) - 1.0) < 0.01
+        T = table_med.eval(y)
+        assert abs(T["f"] - (math.log(y) - 2.0)) < 0.01
+        assert abs(y * T["f_prime"] - 1.0) < 0.01
 
-    def test_g_anchors(self, funcs_med):
-        assert funcs_med.g(0.0) == 0.0
-        assert funcs_med.g_prime(0.0) == 0.0
+    def test_g_anchors(self, table_med):
+        T = table_med.eval(0.0)
+        assert T["g"] == 0.0
+        assert T["g_prime"] == 0.0
 
-    def test_g_asymptote(self, funcs_med):
+    def test_g_asymptote(self, table_med):
         y = 1e6
-        assert abs(funcs_med.g(y) / y - (math.log(y) / 2 - 2.25)) < 0.02
-        assert abs(funcs_med.g_prime(y) - (math.log(y) / 2 - 1.75)) < 0.01
+        T = table_med.eval(y)
+        assert abs(T["g"] / y - (math.log(y) / 2 - 2.25)) < 0.02
+        assert abs(T["g_prime"] - (math.log(y) / 2 - 1.75)) < 0.01
 
-    def test_h_is_g_plus_M_g4(self, funcs_med):
-        y = np.geomspace(1e-5, 1e6, 100)
-        lhs = funcs_med.h(y)
-        rhs = funcs_med.g(y) + funcs_med.M * funcs_med.g4(y)
+    def test_h_is_g_plus_M_g4(self, table_med):
+        T = table_med.eval(np.geomspace(1e-5, 1e6, 100))
+        lhs = T["h"]
+        rhs = T["g"] + table_med.M * T["g4"]
         assert np.max(np.abs(lhs - rhs)) < 1e-10 * np.max(np.abs(lhs))
 
-    def test_h_nonnegative(self, funcs_med):
+    def test_h_nonnegative(self, table_med):
         y = np.geomspace(1e-6, 3e6, 400)
-        assert np.all(funcs_med.h(y) >= 0.0)
+        assert np.all(table_med.eval(y)["h"] >= 0.0)
 
-    def test_g4_growth_bounded(self, funcs_med):
+    def test_g4_growth_bounded(self, table_med):
         y = np.geomspace(1e4, 3e6, 50)
-        ratio = funcs_med.g4(y) / (y / np.log(y))
+        ratio = table_med.eval(y)["g4"] / (y / np.log(y))
         assert np.max(ratio) < 20.0
         assert np.max(ratio) / np.min(ratio) < 1.5  # no growth across the window
 
@@ -207,16 +213,20 @@ class TestSpecialFunctions:
         assert fn.M == 0.5
 
     def test_table_matches_exact(self, funcs_med, table_med):
-        # the table and the pointwise evaluators read the same panel data:
-        # the same bits between nodes, at nodes and at the range's last node
+        # eval's one shared lookup and each inverse's own read the same
+        # panel data: the same bits between nodes, at nodes and at the
+        # range's last node
         rng = np.random.default_rng(7)
         y = np.concatenate([[0.0], np.exp(rng.uniform(np.log(1e-5), np.log(2.9e6), 60)),
                             table_med.y[::25], table_med.y[-1:]])
         T = table_med.eval(y)
-        for name, fn in (("f", funcs_med.f), ("f_prime", funcs_med.f_prime),
-                         ("g", funcs_med.g), ("g_prime", funcs_med.g_prime),
-                         ("h", funcs_med.h), ("h_prime", funcs_med.h_prime)):
-            assert np.array_equal(T[name], fn(y)), name
+        (f, fp), (g, gp), (q, qp) = (inv(y) for inv in
+                                     (funcs_med._f, funcs_med._g, funcs_med._g4))
+        own = {"f": f, "f_prime": fp, "g": g, "g_prime": gp, "g4": q,
+               "g4_prime": qp, "h": g + funcs_med.M * q,
+               "h_prime": gp + funcs_med.M * qp}
+        for name, values in own.items():
+            assert np.array_equal(T[name], values), name
         at_nodes = table_med.eval(table_med.y)
         for name in ("f", "f_prime", "g", "g_prime", "h", "h_prime"):
             assert np.array_equal(at_nodes[name], getattr(table_med, name)), name
@@ -252,12 +262,12 @@ class TestSpecialFunctions:
         # table per run can serve every smaller range
         short, long = SpecialFunctions(2e4), SpecialFunctions(1e6)
         assert short.M == long.M
+        ts, tl = short.table(), long.table()
         y = np.geomspace(2e2, 2e4, 97)
+        Ts, Tl = ts.eval(y), tl.eval(y)
         for name in ("f", "f_prime", "g", "g_prime", "h", "h_prime",
                      "g4", "g4_prime"):
-            assert np.array_equal(getattr(short, name)(y),
-                                  getattr(long, name)(y)), name
-        ts, tl = short.table(), long.table()
+            assert np.array_equal(Ts[name], Tl[name]), name
         common = np.intersect1d(ts.y[ts.y >= 2e2], tl.y[tl.y <= 2e4])
         assert common.size > 70
         ks, kl = np.searchsorted(ts.y, common), np.searchsorted(tl.y, common)
@@ -269,18 +279,20 @@ class TestComponents:
     def test_g1_asymptote(self):
         c = build_component(1, 1e5)
         y = 1e5
-        assert abs(c.value(y) - (y * math.log(y) / 2 - 0.75 * y)) < 40 * math.log(y)
-        assert abs(c.deriv(y) - (math.log(y) / 2 - 0.25)) < 40 * math.log(y) / y
+        w, wp = c(y)
+        assert abs(w - (y * math.log(y) / 2 - 0.75 * y)) < 40 * math.log(y)
+        assert abs(wp - (math.log(y) / 2 - 0.25)) < 40 * math.log(y) / y
 
     def test_g2_asymptote(self):
         c = build_component(2, 1e5)
-        assert abs(c.value(1e5) - 0.5e5) < 20.0
-        assert abs(c.deriv(1e5) - 0.5) < 1e-3
+        w, wp = c(1e5)
+        assert abs(w - 0.5e5) < 20.0
+        assert abs(wp - 0.5) < 1e-3
 
     def test_g3_log_cubed(self):
         c = build_component(3, 1e5)
         y = np.geomspace(1e3, 1e5, 20)
-        assert np.max(c.value(y) / np.log(y) ** 3) < 5.0
+        assert np.max(c(y)[0] / np.log(y) ** 3) < 5.0
 
     def test_invalid_index(self):
         with pytest.raises(ConstructionError):
@@ -292,26 +304,27 @@ class TestComponents:
         a = build_component(2, 1e5, cutoff=smoothstep_cutoff)
         b = build_component(2, 1e5, cutoff=quintic_cutoff)
         y = np.geomspace(1.0, 1e5, 40)
-        diff = np.abs(a.value(y) - b.value(y))
+        diff = np.abs(a(y)[0] - b(y)[0])
         assert np.max(diff) < 1.0
-        assert abs(a.value(1e5) - b.value(1e5)) < 1.0
+        assert abs(a(1e5)[0] - b(1e5)[0]) < 1.0
 
 
 class TestAsymptoticsReport:
     def test_small_sweep_clean(self):
-        rep = check_asymptotics((1e4, 1e5), strict=True)
-        assert rep.ok
+        rep = check_asymptotics(SpecialFunctions(1e5).table(), (1e4, 1e5), 1.35)
+        assert rep.ok, rep.violations
         assert rep.spot_checks["f_dev_at_ymax"] < 0.01
         assert rep.spot_checks["g_over_y_dev_at_ymax"] < 0.02
 
-    def test_window_guard(self):
+    def test_window_guard(self, table_med):
         with pytest.raises(ConstructionError):
-            check_asymptotics((100.0, 1000.0))
+            check_asymptotics(table_med, (100.0, 1000.0), 1.35)
 
-    def test_big_table_gives_the_default_report(self, funcs_med):
-        # every window read off a longer table: the same report, bit for bit
-        default = check_asymptotics((1e4, 2e4), strict=False)
-        shared = check_asymptotics((1e4, 2e4), strict=False, funcs=funcs_med)
+    def test_big_table_gives_the_default_report(self, table_med):
+        # every window read off a longer table: the same report, bit for
+        # bit, as off a table that ends at the sweep's largest member
+        default = check_asymptotics(SpecialFunctions(2e4).table(), (1e4, 2e4), 1.35)
+        shared = check_asymptotics(table_med, (1e4, 2e4), 1.35)
         assert shared.ratios == default.ratios
         assert shared.spot_checks == default.spot_checks
 
@@ -321,5 +334,4 @@ class TestAsymptoticsReport:
         # the table must reach the sweep's largest member, whatever order
         # the members are listed in; a shorter one is refused, not used
         with pytest.raises(ConstructionError, match="below the sweep"):
-            check_asymptotics(y_maxes, strict=False,
-                              funcs=SpecialFunctions(1.5e4))
+            check_asymptotics(SpecialFunctions(1.5e4).table(), y_maxes, 1.35)
