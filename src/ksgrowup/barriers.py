@@ -71,7 +71,7 @@ def eval_barrier(spec: BarrierSpec, x, t):
     table with a larger y_max).
     """
     x = np.asarray(x, dtype=float)
-    a, b, eps = _at_times(t, spec.path.a_at, spec.path.b_at, spec.path.epsilon_at)
+    a, b, eps = _at_times(t, spec.path.a_at, spec.path.b_at, spec.path.gamma_at)
     y = a * x
     T = spec.table.eval(y)
     base = y / (y + 1.0)    # one rounding; 1 - 1/(y+1) cancels for small y
@@ -157,8 +157,14 @@ def _scan_grid(a: float, per_decade: int) -> np.ndarray:
     return np.concatenate([np.linspace(y_floor / 8.0, y_floor, 8), ys])
 
 
+# a scanned residual counts as of the required sign up to this round-off
+_SIGN_TOL = 1e-11
+# lattice times and scan points per decade of the lower-barrier slope check
+_MONOTONE_N_T, _MONOTONE_Y_RESOLUTION = 24, 40
+
+
 def certify_sign(spec: BarrierSpec, t_range: tuple, y_resolution: int = 40,
-                 n_t: int = 48, tol: float = 1e-11) -> ResidualReport:
+                 n_t: int = 48) -> ResidualReport:
     """Scan the required residual sign over y in (0, a(t)], t in t_range.
 
     The scan skips y = 0, where both A and B vanish identically by the
@@ -178,10 +184,10 @@ def certify_sign(spec: BarrierSpec, t_range: tuple, y_resolution: int = 40,
                                       ys, ts)):
         if spec.kind == LOWER:
             i = int(np.argmax(vals))
-            ok[j] = vals[i] <= tol
+            ok[j] = vals[i] <= _SIGN_TOL
         else:
             i = int(np.argmin(vals))
-            ok[j] = vals[i] >= -tol
+            ok[j] = vals[i] >= -_SIGN_TOL
         worst.append((float(vals[i]), float(ys[j][i] / a[j]), float(ts[j])))
 
     threshold = None
@@ -204,13 +210,12 @@ def certify_sign(spec: BarrierSpec, t_range: tuple, y_resolution: int = 40,
                           sign_ok=threshold is not None)
 
 
-def check_lower_monotone(spec: BarrierSpec, t_range: tuple, n_t: int = 24,
-                         y_resolution: int = 40) -> bool:
+def check_lower_monotone(spec: BarrierSpec, t_range: tuple) -> bool:
     """True iff the lower-barrier slope is > 0 on a dense (x, t) sample."""
     if spec.kind != LOWER:
         raise ConstructionError("monotonicity check applies to the lower barrier")
-    ts = np.geomspace(max(t_range[0], 1e-6), t_range[1], n_t)
-    xs = [np.concatenate([[0.0], _scan_grid(float(a), y_resolution)]) / a
+    ts = np.geomspace(max(t_range[0], 1e-6), t_range[1], _MONOTONE_N_T)
+    xs = [np.concatenate([[0.0], _scan_grid(float(a), _MONOTONE_Y_RESOLUTION)]) / a
           for a in spec.path.a_at(ts)]
     slopes = _batched(lambda x, t: eval_barrier(spec, x, t)[1], xs, ts)
     return all(np.all(s > 0.0) for s in slopes)
@@ -242,7 +247,7 @@ def boundary_margin(spec: BarrierSpec, t) -> np.ndarray:
     if spec.kind == LOWER:
         m = 1.0 / (a + 1.0) - (b * T["f"] - b * b * T["g"])
     else:
-        eps = spec.path.epsilon_at(t)
+        eps = spec.path.gamma_at(t)
         m = b * (T["f"] - b * (1.0 + eps) * T["h"]) - 1.0 / (a + 1.0)
     return m * (a + 1.0)
 

@@ -118,7 +118,9 @@ def _solver_setup(cfg) -> tuple[Snapshot, pde.SolverConfig, float, list[float]]:
     return u0, solver_cfg, t_end, out_times
 
 
+@functools.lru_cache(maxsize=1)
 def _run_critical(cfg, quiet: bool) -> pde.Trajectory:
+    """The run's one critical solve; solve, rate, profile and sandwich read it."""
     u0, solver_cfg, t_end, out_times = _solver_setup(cfg)
     _say(quiet, f"solving to t = {t_end} on {u0.grid.n} nodes ...")
     return pde.solve(u0, solver_cfg, t_end, out_times)
@@ -157,12 +159,7 @@ def cmd_tabulate(cfg, out: Path, quiet: bool) -> int:
     ser.dump_json(ser.table_header_json(table, npd=table.funcs.npd),
                   out / "special_table.json")
 
-    sweep = _floats(sec["sweep"])
-    if max(sweep) < 1e4:
-        _say(quiet, "WARNING: asymptotic window too small (y_max < 1e4); "
-                    "ratio checks skipped")
-        return 0
-    report = check_asymptotics(table, sweep, float(sec["growth_tol"]))
+    report = check_asymptotics(table, _floats(sec["sweep"]), float(sec["growth_tol"]))
     ser.dump_json({"y_maxes": [ser.fmt(v) for v in report.y_maxes],
                    "ratios": {k: [ser.fmt(v) for v in seq]
                               for k, seq in report.ratios.items()},
@@ -313,10 +310,9 @@ def cmd_solve(cfg, out: Path, quiet: bool) -> int:
     return 0
 
 
-def cmd_rate(cfg, out: Path, quiet: bool, traj=None) -> int:
+def cmd_rate(cfg, out: Path, quiet: bool) -> int:
     sec = cfg["rate"]
-    if traj is None:
-        traj = _run_critical(cfg, quiet)
+    traj = _run_critical(cfg, quiet)
     rows = _rate_series(traj)
     lines = ["t,slope,method,fit_residual,d,d_time_err,l1,r"]
     for r in rows:
@@ -361,10 +357,9 @@ def cmd_rate(cfg, out: Path, quiet: bool, traj=None) -> int:
                     n_ratio_fallbacks=sum(r["method"] == "ratio" for r in rows))
 
 
-def cmd_profile(cfg, out: Path, quiet: bool, traj=None) -> int:
+def cmd_profile(cfg, out: Path, quiet: bool) -> int:
     sec = cfg["profile"]
-    if traj is None:
-        traj = _run_critical(cfg, quiet)
+    traj = _run_critical(cfg, quiet)
     rows = []
     fits = _slope_fits(traj)
     for s, _, info in fits:
@@ -389,10 +384,9 @@ def cmd_profile(cfg, out: Path, quiet: bool, traj=None) -> int:
                                           for *_, info in fits))
 
 
-def cmd_sandwich(cfg, out: Path, quiet: bool, traj=None) -> int:
+def cmd_sandwich(cfg, out: Path, quiet: bool) -> int:
     sec = cfg["sandwich"]
-    if traj is None:
-        traj = _run_critical(cfg, quiet)
+    traj = _run_critical(cfg, quiet)
     lower, upper, bnd_lo, bnd_up = _barriers(cfg, quiet)
     tau = 1.0 / (4.0 * max(traj.data_K, 1.0))
     t_min_upper = min((s.time for s in traj.snapshots if s.time >= tau),
@@ -420,24 +414,18 @@ def cmd_sandwich(cfg, out: Path, quiet: bool, traj=None) -> int:
 
 def cmd_all(cfg, out: Path, quiet: bool) -> int:
     rc = 0
-    rc |= cmd_tabulate(cfg, out, quiet)
-    rc |= cmd_match(cfg, out, quiet)
-    rc |= cmd_certify(cfg, out, quiet)
-    traj = _run_critical(cfg, quiet)
-    rc |= cmd_solve_from(traj, out, quiet)
-    rc |= cmd_rate(cfg, out, quiet, traj=traj)
-    rc |= cmd_profile(cfg, out, quiet, traj=traj)
-    rc |= cmd_sandwich(cfg, out, quiet, traj=traj)
+    for cmd in (cmd_tabulate, cmd_match, cmd_certify, cmd_solve, cmd_rate,
+                cmd_profile, cmd_sandwich):
+        rc |= cmd(cfg, out, quiet)
     ser.dump_json({"ok": rc == 0}, out / "summary.json")
     return 1 if rc else 0
 
 
-def cmd_solve_from(traj, out: Path, quiet: bool) -> int:
+def cmd_solve_from(traj, out: Path, quiet: bool) -> None:
     for s in traj.snapshots:
         tag = ser.fmt(s.time).replace(".", "p")
         (out / f"snapshot_t{tag}.csv").write_text(ser.snapshot_to_csv(s))
     ser.dump_json(_manifest(traj), out / "trajectory.json")
-    return 0
 
 
 def _manifest(traj) -> dict:

@@ -21,10 +21,6 @@ class SingularInputError(NumericsError):
     """Integrand fails the O(y) smallness required at the origin."""
 
 
-class MTooSmallError(NumericsError):
-    """Correction amplitude M too small for a nonnegative source term."""
-
-
 class InfeasibleError(NumericsError):
     """No admissible parameter found within the search bounds."""
 

@@ -105,9 +105,6 @@ class MatchingPath:
         s = 1.0 / self._ell(t)
         return -s * s * _gp(s, self.K) * _hp_prime(s, self.K)
 
-    def epsilon_at(self, t):
-        return self.gamma_at(t)
-
     def dense_error(self, t_lo: float) -> float:
         """Largest relative error of the dense a(t) at the knot midpoints
         from t_lo on, against the exact a there."""

@@ -78,6 +78,8 @@ _FIT_TOL = 2e-3
 # (against a run at local_error_tol = 1e-8): 2 covers an underestimate of
 # that size with room to spare
 _TIME_ERR_SAFETY = 2.0
+# Newton iterations per stage solve before the step is retried smaller
+_MAX_NEWTON = 14
 
 
 @dataclass
@@ -89,7 +91,6 @@ class SolverConfig:
     newton_tol: float = 1e-11
     reg_epsilon: float = 0.0
     local_error_tol: float | None = 1e-6  # None -> fixed steps of dt_max
-    max_newton: int = 14
     blowup_cap: float = 1e6             # w-form blow-up detector
 
     def __post_init__(self):
@@ -378,13 +379,13 @@ def _step_once(problem, u, dt, cfg, u_prev=None, dt_prev=None):
         c = (u_prev[sl] - u[sl] + dt_prev * F0) / dt_prev ** 2
         start[sl] = u[sl] + tau * F0 + c * tau ** 2
     rhs1 = u[sl] + coef * F0
-    u1, its1, ok = problem.newton(start, coef, rhs1, cfg.newton_tol, cfg.max_newton)
+    u1, its1, ok = problem.newton(start, coef, rhs1, cfg.newton_tol, _MAX_NEWTON)
     if not ok:
         return u, False, its1, None
     start = u1.copy()
     start[sl] = u[sl] + dt * F0 + (u1[sl] - u[sl] - tau * F0) / gam ** 2
     rhs2 = (u1[sl] - (1.0 - gam) ** 2 * u[sl]) / (gam * (2.0 - gam))
-    u2, its2, ok = problem.newton(start, coef, rhs2, cfg.newton_tol, cfg.max_newton)
+    u2, its2, ok = problem.newton(start, coef, rhs2, cfg.newton_tol, _MAX_NEWTON)
     its = max(its1, its2)
     if not ok:
         return u, False, its, None
@@ -412,8 +413,8 @@ def _advance(problem, u0_vec, t_end, out_times, cfg, post_check):
     iterations, rejection counts by cause).
     """
     out_times = sorted(set(float(t) for t in out_times))
-    if out_times and out_times[-1] > t_end + 1e-12:
-        raise RangeError("output times beyond t_end")
+    if out_times and (out_times[0] < 0.0 or out_times[-1] > t_end + 1e-12):
+        raise RangeError("output times must lie in [0, t_end]")
     adaptive = cfg.local_error_tol is not None
     u = u0_vec.copy()
     t = 0.0

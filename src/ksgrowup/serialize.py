@@ -38,8 +38,9 @@ def snapshot_to_csv(snap: Snapshot) -> str:
 
 
 def table_to_csv(table: SpecialTable) -> str:
-    rows = zip(table.y, table.f, table.f_prime, table.tilde_f,
-               table.g, table.g_prime, table.h, table.h_prime)
+    T = table.eval(table.y)
+    rows = zip(table.y, T["f"], T["f_prime"], table.funcs.tilde_f(table.y),
+               T["g"], T["g_prime"], T["h"], T["h_prime"])
     return _csv(rows, ["y", "f", "f'", "tilde_f", "g", "g'", "h", "h'"])
 
 

@@ -40,8 +40,8 @@ from typing import NamedTuple
 import numpy as np
 import numpy.polynomial  # numpy loads it lazily; here, not in a run's first build
 
-from .errors import (ConstructionError, InfeasibleError, MTooSmallError,
-                     RangeError, SingularInputError)
+from .errors import (ConstructionError, InfeasibleError, RangeError,
+                     SingularInputError)
 
 GL_ORDER = 10   # Gauss-Legendre points per panel, for every integral here
 _LIN_EDGE, _LIN_N = 1e-6, 8   # linear patch of the partition: [0, 1e-6], 8 panels
@@ -67,7 +67,7 @@ def build_partition(y_max: float, npd: int = 40) -> np.ndarray:
     # extra density around the blend join at y = 2, where the tail 1/log(y)
     # has its largest higher derivatives
     join_patch = np.geomspace(1.0, 4.0, 97)
-    return np.unique(np.concatenate([lin, logs, [1.0, 2.0], join_patch]))
+    return np.unique(np.concatenate([lin, logs, [1.0, PhiBlend.join], join_patch]))
 
 
 @functools.cache
@@ -153,16 +153,16 @@ class CumulativeIntegral:
         return out.reshape(loc.y.shape)
 
 
-def _check_origin_smallness(psi, name: str = "psi") -> None:
+def _check_origin_smallness(psi) -> None:
     probes = np.array([1e-10, 1e-8, 1e-6, 1e-4])
     ratios = np.abs(np.asarray(psi(probes), dtype=float)) / probes
     if ratios[-1] == 0.0:
         if ratios[0] > 1e-8:
-            raise SingularInputError(f"{name}(y)/y diverges toward 0")
+            raise SingularInputError("psi(y)/y diverges toward 0")
         return
     if ratios[0] > 10.0 * ratios[-1] + 1e-12:
         raise SingularInputError(
-            f"{name}(y)/y grows toward 0 ({ratios[0]:.2e} vs {ratios[-1]:.2e}); "
+            f"psi(y)/y grows toward 0 ({ratios[0]:.2e} vs {ratios[-1]:.2e}); "
             "the double integral does not converge")
 
 
@@ -199,32 +199,20 @@ class OperatorInverse:
         """(w, w') at y."""
         return self.pair(locate(self.nodes, y))
 
-    def values_at_nodes(self):
-        """(w, w') at the partition nodes, from the cached cumulatives."""
-        return _w_and_slope(self.nodes, self.kernel_coeff,
-                            self.F.at_nodes, self.G.at_nodes)
-
 
 _LOG2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
 class PhiBlend:
     """The weight phi: equal to 1/log(y) for y >= join, C^1-blended to 0.
 
     On [0, join) a cubic Hermite segment with phi(0) = 0, phi'(0) = slope0
     matches the tail value and derivative at the join, staying positive on
-    (0, join).  The tail is fixed; only the blend segment is adjustable.
+    (0, join).  The tail is fixed; the blend segment is free.
     """
 
-    join: float = 2.0
-    slope0: float = field(default=1.0 / (2.0 * _LOG2))
-
-    def __post_init__(self):
-        if self.join < 2.0:
-            raise ConstructionError("join must be >= 2 (tail needs log y > 0)")
-        if self.slope0 <= 0.0:
-            raise ConstructionError("slope0 must be positive")
+    join = 2.0
+    slope0 = 1.0 / (2.0 * _LOG2)
 
     def _tail_value(self) -> float:
         return 1.0 / math.log(self.join)
@@ -254,22 +242,15 @@ def smoothstep_cutoff(y):
 
 @dataclass(frozen=True)
 class SpecialTable:
-    """f, g, h (values and derivatives) at the partition nodes, and their
-    evaluation anywhere in the range.
+    """The partition nodes y and the evaluation of f, g, h (values and
+    derivatives) anywhere in the range.
 
     The range ends at the partition's last node, the first lattice node at
     or above y_max.  eval reads the panel data of the SpecialFunctions that
-    built the table, and at a node it returns the column's value bit for bit.
+    built the table; at a node it returns the cumulative node sums.
     """
 
     y: np.ndarray
-    f: np.ndarray
-    f_prime: np.ndarray
-    tilde_f: np.ndarray
-    g: np.ndarray
-    g_prime: np.ndarray
-    h: np.ndarray
-    h_prime: np.ndarray
     M: float
     y_max: float
     phi: PhiBlend
@@ -297,45 +278,37 @@ class SpecialFunctions:
     g  = L^{-1} tilde_f, tilde_f = 2 f f' - y f' + f;
     h  = g + M * L^{-1} phi, nonnegative for admissible M.
 
-    .table() gives the node columns and .eval, which reads the cached panel
+    M is the smallest multiple of 0.5 that is at least 3 (the sign
+    argument needs M >= 3) and makes tilde_f + M phi nonnegative on the
+    nodes.  .table() gives the nodes and .eval, which reads the cached panel
     data at O(GL_ORDER) cost per point.  The quadrature accumulates from
     y = 0 on nodes that do not depend on y_max, so below a smaller y_max
     every value equals, bit for bit, that of a build to the smaller y_max
     (h as long as both choose the same M).
     """
 
-    def __init__(self, y_max: float, M: float | None = None,
-                 phi: PhiBlend | None = None, npd: int = 40,
-                 strict_m: bool = True):
+    phi = PhiBlend()
+
+    def __init__(self, y_max: float, npd: int = 40):
         self.y_max = float(y_max)
         self.npd = npd
-        self.phi = phi if phi is not None else PhiBlend()
         self._f = OperatorInverse(w0, y_max, npd=npd, kernel_coeff=1.0)
         self._g = OperatorInverse(self.tilde_f, y_max, npd=npd, check_origin=False)
         self._g4 = OperatorInverse(self.phi, y_max, npd=npd, check_origin=False)
         raw = self.required_m()
         self.required_m_raw = raw
-        if M is None:
-            M = max(3.0, 0.5 * math.ceil(raw / 0.5))
-        if strict_m:
-            if M < 3.0:
-                raise MTooSmallError(
-                    f"M = {M} < 3; the sign argument needs M >= 3")
-            if M < raw - 1e-9:
-                raise MTooSmallError(
-                    f"M = {M} leaves tilde_f + M*phi negative (need >= {raw:.3f})")
-        self.M = float(M)
+        self.M = max(3.0, 0.5 * math.ceil(raw / 0.5))
 
     def tilde_f(self, y):
         loc = locate(self._f.nodes, y)
         fv, fp = self._f.pair(loc)
         return 2.0 * fv * fp - loc.y * fp + fv
 
-    def required_m(self, phi_scale: float = 1.0) -> float:
-        """Smallest M with tilde_f + M*phi_scale*phi >= 0 on the node lattice."""
+    def required_m(self) -> float:
+        """Smallest M with tilde_f + M*phi >= 0 on the node lattice."""
         y = self._f.nodes[1:]
         gt = self.tilde_f(y)
-        ph = phi_scale * self.phi(y)
+        ph = self.phi(y)
         neg = gt < 0.0
         if not np.any(neg):
             return 0.0
@@ -347,35 +320,25 @@ class SpecialFunctions:
         return need
 
     def table(self) -> SpecialTable:
-        """All functions at the partition nodes, and evaluation between them."""
-        y = self._f.nodes
-        fv, fp = self._f.values_at_nodes()
-        gv, gp = self._g.values_at_nodes()
-        qv, qp = self._g4.values_at_nodes()
-        return SpecialTable(y=y, f=fv, f_prime=fp,
-                            tilde_f=2.0 * fv * fp - y * fp + fv,
-                            g=gv, g_prime=gp, h=gv + self.M * qv,
-                            h_prime=gp + self.M * qp,
-                            M=self.M, y_max=self.y_max, phi=self.phi, funcs=self)
+        """The partition nodes, and evaluation anywhere in the range."""
+        return SpecialTable(y=self._f.nodes, M=self.M, y_max=self.y_max,
+                            phi=self.phi, funcs=self)
 
 
-def build_component(i: int, y_max: float, npd: int = 40,
-                    phi: PhiBlend | None = None, cutoff=smoothstep_cutoff) -> OperatorInverse:
-    """The four auxiliary inverses behind the g/h asymptotics:
+def build_component(i: int, y_max: float, npd: int = 40) -> OperatorInverse:
+    """The auxiliary inverses behind the g/h asymptotics:
 
     1: L^{-1} log(1+y); 2: L^{-1} of a C^1 cutoff (=1 for y >= 1);
-    3: L^{-1} log^2(1+y)/(1+y); 4: L^{-1} phi.
+    3: L^{-1} log^2(1+y)/(1+y).  The fourth, L^{-1} phi, is the table's g4.
     """
     if i == 1:
         psi = lambda y: np.log1p(np.asarray(y, dtype=float))
     elif i == 2:
-        psi = cutoff
+        psi = smoothstep_cutoff
     elif i == 3:
         psi = lambda y: np.log1p(np.asarray(y, dtype=float)) ** 2 / (1.0 + np.asarray(y, dtype=float))
-    elif i == 4:
-        psi = phi if phi is not None else PhiBlend()
     else:
-        raise ConstructionError(f"component index must be 1..4, got {i}")
+        raise ConstructionError(f"component index must be 1..3, got {i}")
     return OperatorInverse(psi, y_max, npd=npd, check_origin=False)
 
 
@@ -422,7 +385,7 @@ def check_asymptotics(table: SpecialTable, y_maxes,
     sweep of y_max; a ratio that grows across the sweep is a violation.
 
     Every window is read off one table, and components 1-3 are built once,
-    to max(y_maxes), with the table's npd and phi.  Values below any y_max
+    to max(y_maxes), with the table's npd.  Values below any y_max
     do not depend on how far the table reaches; a table ending below
     max(y_maxes) raises.
     """
@@ -433,8 +396,7 @@ def check_asymptotics(table: SpecialTable, y_maxes,
     if table.y_max < top:
         raise ConstructionError(
             f"the table ends at y_max = {table.y_max:g}, below the sweep's {top:g}")
-    comps = {i: build_component(i, top, npd=table.funcs.npd, phi=table.phi)
-             for i in (1, 2, 3)}
+    comps = {i: build_component(i, top, npd=table.funcs.npd) for i in (1, 2, 3)}
     ratios = {name: [] for name in _CLAIMS}
     for ym in y_maxes:
         ys = np.geomspace(ym / 100.0, ym, 200)

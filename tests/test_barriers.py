@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -36,9 +38,6 @@ class StubPath:
 
     def gamma_prime_at(self, t):
         return self._per_time(t, 0.0)
-
-    def epsilon_at(self, t):
-        return self._per_time(t, self._g)
 
     def loga_at(self, t):
         return self._per_time(t, np.log(self._a))
@@ -161,9 +160,11 @@ class TestCertify:
         assert rep.sign_ok
         assert rep.worst_value >= -1e-11
 
-    def test_upper_small_m_fails(self, path_k6):
-        weak = SpecialFunctions(3e6, M=0.02, strict_m=False)
-        spec = BarrierSpec(kind="upper", path=path_k6, table=weak.table())
+    def test_upper_small_m_fails(self, path_k6, table_med):
+        # a counterfeit table with M = 0.02: h = g + M g4 and the M phi term
+        # of the residual both read the table's M
+        weak = dataclasses.replace(table_med, M=0.02)
+        spec = BarrierSpec(kind="upper", path=path_k6, table=weak)
         rep = certify_sign(spec, (1.0, 20.0), n_t=16)
         assert not rep.sign_ok
         # the failure sits at moderate inner coordinate, where M phi is the
@@ -182,8 +183,12 @@ class TestCertify:
         # threshold must not hinge on it
         thresholds = []
         for scale in (0.5, 1.0, 2.0):
-            fn = SpecialFunctions(3e6, phi=PhiBlend(slope0=scale * 0.72134752),
-                                  npd=20)
+            class Blend(PhiBlend):
+                slope0 = scale * 0.72134752
+
+            class Funcs(SpecialFunctions):
+                phi = Blend()
+            fn = Funcs(3e6, npd=20)
             spec = BarrierSpec(kind="upper", path=path_k6, table=fn.table())
             rep = certify_sign(spec, (0.5, 50.0), n_t=16)
             assert rep.sign_ok
@@ -409,7 +414,7 @@ class TestBatchedScans:
 
     def test_failing_certify_equals_per_time_loop(self, path_k6, table_med):
         # M = 0 leaves the upper residual negative: no threshold
-        small = SpecialFunctions(3e6, M=0.0, strict_m=False).table()
+        small = dataclasses.replace(table_med, M=0.0)
         spec = BarrierSpec(kind="upper", path=path_k6, table=small)
         rep = certify_sign(spec, (0.5, 60.0), y_resolution=30, n_t=20)
         ref = _certify_per_time(spec, (0.5, 60.0), 30, 20)

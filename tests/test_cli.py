@@ -176,13 +176,16 @@ class TestCommands:
         rep = json.loads((out / "asymptotics.json").read_text())
         assert rep["ok"]
 
-    def test_tabulate_small_window_warns_but_passes(self, tmp_path, capsys):
-        out = tmp_path / "w"
-        cfg = tmp_path / "w.ini"
-        cfg.write_text("[tabulate]\nsweep = 100\n")
-        assert main(["tabulate", "--config", str(cfg), "--out",
-                     str(out)]) == 0
-        assert "too small" in capsys.readouterr().out
+    def test_tabulate_small_window_is_exit_2(self, tmp_path, capsys):
+        # a sweep member below 1e4 leaves no asymptotic window to check:
+        # the configuration is refused, whether or not a larger one follows
+        for sweep in ("100", "100,1e4"):
+            cfg = tmp_path / "w.ini"
+            cfg.write_text(f"[tabulate]\nsweep = {sweep}\n")
+            assert main(["tabulate", "--config", str(cfg), "--out",
+                         str(tmp_path / "w"), "--quiet"]) == 2
+            assert "y_max >= 1e4" in capsys.readouterr().err
+            assert not (tmp_path / "w" / "asymptotics.json").exists()
 
     def test_certify_short_window_fails_scientifically(self, small_cfg,
                                                        tmp_path):
@@ -284,6 +287,20 @@ class TestCommands:
         assert main([command, "--config", str(cfg), "--out",
                      str(tmp_path / "o"), "--quiet"]) == 2
         assert "output_times" in capsys.readouterr().err
+
+    def test_negative_output_time_is_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "times.ini"
+        cfg.write_text("[solve]\nt_end = 1\noutput_times = -1,1\n")
+        assert main(["solve", "--config", str(cfg), "--out",
+                     str(tmp_path / "o"), "--quiet"]) == 2
+        assert "output times must lie in [0, t_end]" in capsys.readouterr().err
+
+    def test_all_solves_once(self, small_cfg, tmp_path, capsys):
+        # solve, rate, profile and sandwich read the run's one solve
+        main(["all", "--config", small_cfg, "--out", str(tmp_path / "a")])
+        printed = capsys.readouterr().out
+        assert printed.count("solving to t = 3.0") == 1
+        assert "solve: " in printed
 
     def test_sandwich_lower_matching_that_never_holds_fails(self, tmp_path):
         # K = 7 (certify's lower swap) never matches at x = 1: no time

@@ -187,10 +187,6 @@ class TestDerivedQuantities:
             rhs = -(1.0 + path_k5.gamma_at(t)) * path_k5.a_at(t) * path_k5.b_at(t) ** 2
             assert abs(bp - rhs) < 1e-4 * abs(rhs)
 
-    def test_epsilon_equals_gamma(self, path_k5):
-        t = np.geomspace(1e-3, 1000.0, 50)
-        assert np.array_equal(path_k5.epsilon_at(t), path_k5.gamma_at(t))
-
     def test_gamma_monotone(self, path_k6):
         # nonincreasing from the first sample on
         assert np.all(np.diff(path_k6.gamma) <= 1e-14)

@@ -6,7 +6,7 @@ import scipy.integrate
 import scipy.linalg
 
 from ksgrowup import pde
-from ksgrowup.errors import ResolutionError
+from ksgrowup.errors import RangeError, ResolutionError
 from ksgrowup.grids import GradedGrid, RadialField, Snapshot, make_graded_grid
 from ksgrowup.pde import SolverConfig, l1_to_one, slope_origin_info, solve, solve_w
 from ksgrowup.pde import _UProblem, _WProblem, _step_once
@@ -80,11 +80,11 @@ class TestNewtonStop:
     def test_stops_at_round_off(self):
         # near w(0) = 750 the residual of a converged step sits near 1e-8,
         # far above newton_tol = 1e-11: Newton must stop once its update is
-        # at round-off, not run all max_newton iterations
+        # at round-off, not run all _MAX_NEWTON iterations
         r, w = self._steady_w()
         problem = _WProblem(r)
         cfg = SolverConfig()
-        w_new, its, ok = problem.newton(w, 1e-3, w[:-1], cfg.newton_tol, cfg.max_newton)
+        w_new, its, ok = problem.newton(w, 1e-3, w[:-1], cfg.newton_tol, pde._MAX_NEWTON)
         F = problem.rhs_and_jac(w_new)[0]
         assert np.max(np.abs(w_new[:-1] - 1e-3 * F - w[:-1])) >= cfg.newton_tol
         assert its <= 5
@@ -101,7 +101,7 @@ class TestNewtonStop:
         problem = _ScaledBands(r)
         problem.band_scale = band_scale
         cfg = SolverConfig()
-        _, its, ok = problem.newton(w, 1e-4, w[:-1], cfg.newton_tol, cfg.max_newton)
+        _, its, ok = problem.newton(w, 1e-4, w[:-1], cfg.newton_tol, pde._MAX_NEWTON)
         assert its == its_expected
         assert not ok
         assert problem.loose_solves == 0
@@ -491,7 +491,7 @@ class TestWForm:
     def test_cross_form_consistency(self, critical_traj, monkeypatch):
         # w(0, t/4)/8 equals u_x(0, t); both solvers independently, at every
         # u-time up to 5, and no Newton solve of the w-form uses all
-        # max_newton iterations.  The relative gap converges at second order
+        # _MAX_NEWTON iterations.  The relative gap converges at second order
         # in the r-grid; measured against this u-form run:
         #   nodes (ratio)   u-time 0.25   1        2        5
         #   200 (1.06)      9.7e-5        5.0e-4   1.5e-3   3.5e-2
@@ -514,7 +514,7 @@ class TestWForm:
         monkeypatch.setattr(_WProblem, "newton", recorded)
         u_times = (0.25, 1.0, 2.0, 5.0)
         traj_w = solve_w(field, cfg, 1.25, [tu / 4.0 for tu in u_times])
-        assert its and max(its) < cfg.max_newton
+        assert its and max(its) < pde._MAX_NEWTON
         for tu in u_times:
             w0v = traj_w.fields[traj_w.times.index(tu / 4.0)].values[0]
             snap = snapshot_at(critical_traj, tu)
@@ -646,11 +646,12 @@ class TestStepControl:
         assert traj.step_sizes.min() > 1e-9
         assert traj.step_times[-1] == 50.0
 
-    @pytest.mark.parametrize("extra, cause", [
-        ({}, "error_test"),
-        ({"max_newton": 3, "local_error_tol": 1.0}, "newton"),
+    @pytest.mark.parametrize("extra, max_newton, cause", [
+        ({}, pde._MAX_NEWTON, "error_test"),
+        ({"local_error_tol": 1.0}, 3, "newton"),
     ], ids=["error_test", "newton"])
-    def test_rejections_counted_by_cause(self, monkeypatch, extra, cause):
+    def test_rejections_counted_by_cause(self, monkeypatch, extra, max_newton,
+                                         cause):
         # a first step of 0.05 fails the error test; with 3 Newton
         # iterations and an error test too loose to reject, it fails Newton
         # instead.  Every attempt is an accepted or a rejected step.
@@ -661,6 +662,7 @@ class TestStepControl:
             attempts.append(args)
             return _step_once(*args)
         monkeypatch.setattr(pde, "_step_once", counted)
+        monkeypatch.setattr(pde, "_MAX_NEWTON", max_newton)
         cfg = SolverConfig(dt_initial=0.05, **extra)
         traj = solve(critical_snapshot(grid), cfg, 3.0, [1.0, 3.0])
         rejected = {"error_test": traj.rejected_error_test,
@@ -669,6 +671,18 @@ class TestStepControl:
         assert rejected.popitem()[1] == 0
         assert len(attempts) == (len(traj.step_times) + traj.rejected_error_test
                                  + traj.rejected_newton)
+
+    @pytest.mark.parametrize("times", [[-1.0, 1.0], [1.0, 2.0]],
+                             ids=["negative", "beyond_t_end"])
+    def test_output_times_outside_the_run_are_refused(self, times):
+        grid = make_graded_grid(140, 1e-6, 1.12)
+        with pytest.raises(RangeError, match=r"must lie in \[0, t_end\]"):
+            solve(critical_snapshot(grid), SolverConfig(), 1.0, times)
+        r = _radial_grid()
+        field = RadialField(r_nodes=r, values=np.full_like(r, 8.0),
+                            total_mass=8 * np.pi)
+        with pytest.raises(RangeError, match=r"must lie in \[0, t_end\]"):
+            solve_w(field, SolverConfig(dt_max=0.01), 1.0, times)
 
     def test_fixed_steps_need_dt_max(self):
         # adaptive steps take no cap by default; fixed steps are of dt_max

@@ -34,7 +34,12 @@ class TestTableCsv:
         header, cols = parse_csv(ser.table_to_csv(table_med))
         assert header == ["y", "f", "f'", "tilde_f", "g", "g'", "h", "h'"]
         assert np.array_equal(cols[0], table_med.y)
-        assert np.array_equal(cols[4], table_med.g)
+        # the columns are eval and tilde_f at the nodes, bit for bit
+        T = table_med.eval(table_med.y)
+        T["tilde_f"] = table_med.funcs.tilde_f(table_med.y)
+        for col, name in zip(cols[1:], ("f", "f_prime", "tilde_f", "g",
+                                        "g_prime", "h", "h_prime")):
+            assert np.array_equal(col, T[name]), name
 
     def test_header(self, table_med):
         hdr = ser.table_header_json(table_med, npd=40)

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksgrowup.specialfn import (OperatorInverse, PhiBlend, SpecialFunctions,
-                                build_component, check_asymptotics,
-                                smoothstep_cutoff, w0)
-from ksgrowup.errors import (ConstructionError, MTooSmallError, RangeError,
-                             SingularInputError)
+                                _w_and_slope, build_component,
+                                check_asymptotics, w0)
+from ksgrowup.errors import ConstructionError, RangeError, SingularInputError
 from oracles import apply_operator, phi_deriv, quintic_cutoff
 
 
@@ -127,10 +126,6 @@ class TestPhi:
         right = (phi(2.0 + 2 * d) - phi(2.0 + d)) / d
         assert abs(left - right) < 1e-5
 
-    def test_bad_blend_rejected(self):
-        with pytest.raises(ConstructionError):
-            PhiBlend(slope0=-1.0)
-
 
 class TestSpecialFunctions:
     def test_f_anchors(self, table_med):
@@ -192,7 +187,7 @@ class TestSpecialFunctions:
 
     def test_min_m_clamped(self, funcs_med):
         assert funcs_med.M == 3.0
-        assert funcs_med.required_m(phi_scale=2.0) <= 3.0
+        assert funcs_med.required_m() <= 3.0
 
     def test_amplitude_requirement_scales_inversely(self, funcs_med):
         # on a source with genuine negativity the needed amplitude halves
@@ -203,14 +198,6 @@ class TestSpecialFunctions:
         need1 = np.max(-np.minimum(shifted, 0.0) / ph)
         need2 = np.max(-np.minimum(shifted, 0.0) / (2.0 * ph))
         assert abs(need2 - need1 / 2.0) < 1e-12 * need1
-
-    def test_small_m_rejected(self):
-        with pytest.raises(MTooSmallError):
-            SpecialFunctions(1e3, M=0.0)
-        with pytest.raises(MTooSmallError):
-            SpecialFunctions(1e3, M=2.0)
-        fn = SpecialFunctions(1e3, M=0.5, strict_m=False)
-        assert fn.M == 0.5
 
     def test_table_matches_exact(self, funcs_med, table_med):
         # eval's one shared lookup and each inverse's own read the same
@@ -227,9 +214,13 @@ class TestSpecialFunctions:
                "h_prime": gp + funcs_med.M * qp}
         for name, values in own.items():
             assert np.array_equal(T[name], values), name
-        at_nodes = table_med.eval(table_med.y)
-        for name in ("f", "f_prime", "g", "g_prime", "h", "h_prime"):
-            assert np.array_equal(at_nodes[name], getattr(table_med, name)), name
+        # at the nodes, eval returns the cumulative node sums
+        nodes = table_med.y
+        at_nodes = table_med.eval(nodes)
+        for name, inv in (("f", funcs_med._f), ("g", funcs_med._g), ("g4", funcs_med._g4)):
+            w, dw = _w_and_slope(nodes, inv.kernel_coeff, inv.F.at_nodes, inv.G.at_nodes)
+            assert np.array_equal(at_nodes[name], w), name
+            assert np.array_equal(at_nodes[name + "_prime"], dw), name
 
     def test_point_alone_equals_point_in_batch(self, funcs_med, table_med):
         # every sum runs elementwise in a fixed order, so a value does not
@@ -246,11 +237,12 @@ class TestSpecialFunctions:
 
     def test_table_anchors(self, table_med):
         assert table_med.y[0] == 0.0
-        assert table_med.f[0] == 0.0 and table_med.g[0] == 0.0 and table_med.h[0] == 0.0
-        assert table_med.f_prime[0] == 1.0
-        assert table_med.g_prime[0] == 0.0 and table_med.h_prime[0] == 0.0
-        assert np.all(table_med.h >= 0.0)
-        assert np.all(table_med.f >= w0(table_med.y))
+        T = table_med.eval(table_med.y)
+        assert T["f"][0] == 0.0 and T["g"][0] == 0.0 and T["h"][0] == 0.0
+        assert T["f_prime"][0] == 1.0
+        assert T["g_prime"][0] == 0.0 and T["h_prime"][0] == 0.0
+        assert np.all(T["h"] >= 0.0)
+        assert np.all(T["f"] >= w0(table_med.y))
 
     def test_table_range_error(self, table_med):
         with pytest.raises(RangeError):
@@ -270,9 +262,10 @@ class TestSpecialFunctions:
             assert np.array_equal(Ts[name], Tl[name]), name
         common = np.intersect1d(ts.y[ts.y >= 2e2], tl.y[tl.y <= 2e4])
         assert common.size > 70
-        ks, kl = np.searchsorted(ts.y, common), np.searchsorted(tl.y, common)
+        Ts, Tl = ts.eval(common), tl.eval(common)
+        Ts["tilde_f"], Tl["tilde_f"] = short.tilde_f(common), long.tilde_f(common)
         for col in ("f", "f_prime", "tilde_f", "g", "g_prime", "h", "h_prime"):
-            assert np.array_equal(getattr(ts, col)[ks], getattr(tl, col)[kl]), col
+            assert np.array_equal(Ts[col], Tl[col]), col
 
 
 class TestComponents:
@@ -295,14 +288,16 @@ class TestComponents:
         assert np.max(c(y)[0] / np.log(y) ** 3) < 5.0
 
     def test_invalid_index(self):
-        with pytest.raises(ConstructionError):
-            build_component(5, 1e4)
+        # L^{-1} phi is the table's g4, not a component
+        for i in (4, 5):
+            with pytest.raises(ConstructionError):
+                build_component(i, 1e4)
 
     def test_cutoff_blend_insensitivity(self):
         # the cutoff is free below y = 1; two C^1 choices shift the inverse
         # only by a bounded amount (the sources differ on [0, 1] only)
-        a = build_component(2, 1e5, cutoff=smoothstep_cutoff)
-        b = build_component(2, 1e5, cutoff=quintic_cutoff)
+        a = build_component(2, 1e5)
+        b = OperatorInverse(quintic_cutoff, 1e5, check_origin=False)
         y = np.geomspace(1.0, 1e5, 40)
         diff = np.abs(a(y)[0] - b(y)[0])
         assert np.max(diff) < 1.0
