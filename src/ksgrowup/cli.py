@@ -107,7 +107,7 @@ def _solver_setup(cfg) -> tuple[Snapshot, pde.SolverConfig, float, list[float]]:
                   left_bc=0.0, right_bc=right_bc)
     solver_cfg = pde.SolverConfig(
         dt_initial=float(sec["dt_initial"]),
-        dt_max=_float_or_none(sec["dt_max"]), newton_tol=float(sec["newton_tol"]),
+        dt_max=_float_or_none(sec["dt_max"]),
         reg_epsilon=float(sec["reg_epsilon"]),
         local_error_tol=_float_or_none(sec["local_error_tol"]))
     t_end = float(sec["t_end"])
@@ -156,8 +156,7 @@ def cmd_tabulate(cfg, out: Path, quiet: bool) -> int:
     sec = cfg["tabulate"]
     table = _barriers(cfg, quiet)[0].table
     (out / "special_table.csv").write_text(ser.table_to_csv(table))
-    ser.dump_json(ser.table_header_json(table, npd=table.funcs.npd),
-                  out / "special_table.json")
+    ser.dump_json(ser.table_header_json(table), out / "special_table.json")
 
     report = check_asymptotics(table, _floats(sec["sweep"]), float(sec["growth_tol"]))
     ser.dump_json({"y_maxes": [ser.fmt(v) for v in report.y_maxes],
@@ -304,7 +303,7 @@ def cmd_certify(cfg, out: Path, quiet: bool) -> int:
 
 def cmd_solve(cfg, out: Path, quiet: bool) -> int:
     traj = _run_critical(cfg, quiet)
-    cmd_solve_from(traj, out, quiet)
+    cmd_solve_from(traj, out)
     _say(quiet, f"solve: {len(traj.step_times)} steps, "
                 f"{len(traj.snapshots)} snapshots")
     return 0
@@ -421,7 +420,7 @@ def cmd_all(cfg, out: Path, quiet: bool) -> int:
     return 1 if rc else 0
 
 
-def cmd_solve_from(traj, out: Path, quiet: bool) -> None:
+def cmd_solve_from(traj, out: Path) -> None:
     for s in traj.snapshots:
         tag = ser.fmt(s.time).replace(".", "p")
         (out / f"snapshot_t{tag}.csv").write_text(ser.snapshot_to_csv(s))
@@ -438,7 +437,6 @@ def _manifest(traj) -> dict:
         "reg_epsilon": ser.fmt(traj.config.reg_epsilon),
         "dt_max": _fmt_or_none(traj.config.dt_max),
         "local_error_tol": _fmt_or_none(traj.config.local_error_tol),
-        "newton_tol": ser.fmt(traj.config.newton_tol),
         "data_K": ser.fmt(traj.data_K),
         "dt_min_accepted": ser.fmt(float(traj.step_sizes.min())),
         "dt_max_accepted": ser.fmt(float(traj.step_sizes.max())),
@@ -448,7 +446,6 @@ def _manifest(traj) -> dict:
         # steps by the larger Newton iteration count of their two stages
         "newton_iters_histogram": {str(k): int(n) for k, n in
                                    enumerate(np.bincount(traj.newton_iters))},
-        "newton_loose_solves": int(traj.newton_loose_solves),
         "rejected_error_test": int(traj.rejected_error_test),
         "rejected_newton": int(traj.rejected_newton),
         "output_times": [ser.fmt(s.time) for s in traj.snapshots],

@@ -13,9 +13,12 @@ point of the discretization (both factors reduce to a sqrt(x_i x_{i+1}) /
 the time integrator alone.  When the advective face value degenerates
 (boundary value 1 at x = 1, or data outside [0,1] in supercritical
 diagnostics) a quadratic extrapolation / arithmetic-mean branch keeps the
-scheme consistent at second order.  Coarse cells get an upwind-biased
-advective flux via a face-Peclet switch (inactive on layer-resolving
-grids, so the steady exactness is untouched).
+scheme consistent at second order.  A face-Peclet switch blends the face
+value towards the upwind node where the cell Peclet number exceeds 2.  On
+the default grid (and at 378 or 462 nodes) it acts in every step, on face 0
+alone, and upwinds it fully: its coefficient sqrt(x_0 x_1) is 0 at eps = 0.
+The steady flux through face 0 is 0: the upwind value u_0(1-u_0) = 0 keeps
+it so, while the arithmetic mean u_1(1-u_1)/2 would not.
 
 w-form:  w_t = w_rr + 3 w_r / r + w^2 + (r/2) w w_r on (0,1), w_r(0,t)=0,
 w(1,t) = 8 xi; the diffusion is the radial Laplacian in 4 space dimensions,
@@ -31,19 +34,20 @@ one, as its blow-up detection relies on it).  The u-form sums the estimate,
 relative to u on the nodes the origin-slope fit reads, over the accepted
 steps, and reports it, times a safety factor, as a time-error bar on
 d(t) = log u_x(0,t) - sqrt(2t) at each snapshot.  Each form supplies only
-its residual with the Jacobian bands (`rhs_and_jac`) and the scale of its
-error tests (`scale`).  Every tridiagonal system goes through
+its residual with the Jacobian bands (`rhs_and_jac`), the size of each
+residual row's terms (`term_size`) and the scale of its local-error test
+(`scale`).  Every tridiagonal system goes through
 `solve_banded`, one LAPACK ?gtsv call into the OpenBLAS that numpy's
 wheels bundle (scipy's LAPACK where numpy has none), so a run needs no
 scipy.  Newton starts each TR-BDF2 stage from a quadratic predictor
 (Hairer & Wanner, Solving ODEs II, IV.8): the first stage extrapolates the
 previous accepted state, the current one and its slope F(u); the second
 stage the current state, its slope and the first stage's value.  Newton
-stops at the residual tolerance `newton_tol * scale(U)`, or as soon as its
-last update is at round-off; in the fine cells the residual's own round-off
-can lie above that tolerance.  A solve that stops short of it is accepted
-only below the form's `loose` bar, and each such solve is counted in
-`newton_loose_solves`.
+accepts a stage once every row's residual is at most _NEWTON_TOL times
+|U_i| + |rhs_i| + coef * term_size_i (term sizes from the step's start).
+A sum cannot be rounded below a few eps times its terms, so in every row,
+the fine cells near x = 0 included, that bar lies above the round-off.
+Anything else fails the solve, and the step is retried smaller.
 """
 
 from __future__ import annotations
@@ -66,8 +70,6 @@ _TRBDF2_K = (-3.0 * _TRBDF2_GAMMA ** 2 + 4.0 * _TRBDF2_GAMMA - 2.0) / (
 # a step that would leave less than this fraction of itself before its
 # target goes to the target, so the round-off of t makes no sliver step
 _SLIVER = 1e-6
-# a Newton update no larger than this times max|U| is at round-off
-_ROUNDOFF = 8.0 * np.finfo(float).eps
 # the inner-coordinate window y = s x of the origin-slope fit, and the
 # largest relative fit residual it accepts before falling back to the ratio
 _Y_WINDOW = (0.02, 0.5)
@@ -80,6 +82,10 @@ _FIT_TOL = 2e-3
 _TIME_ERR_SAFETY = 2.0
 # Newton iterations per stage solve before the step is retried smaller
 _MAX_NEWTON = 14
+# a stage solve is converged when each row's residual is at most this times
+# the size of the row's terms (_newton); on the default run, values from
+# 1e-10 to 1e-14 fail no solve and give d(50) within 4e-10 of each other
+_NEWTON_TOL = 1e-12
 
 
 @dataclass
@@ -88,15 +94,14 @@ class SolverConfig:
 
     dt_initial: float = 1e-7
     dt_max: float | None = None         # step cap; fixed steps need it
-    newton_tol: float = 1e-11
     reg_epsilon: float = 0.0
     local_error_tol: float | None = 1e-6  # None -> fixed steps of dt_max
     blowup_cap: float = 1e6             # w-form blow-up detector
 
     def __post_init__(self):
-        if self.newton_tol <= 0 or self.dt_initial <= 0 or (
+        if self.dt_initial <= 0 or (
                 self.dt_max is not None and self.dt_max <= 0):
-            raise ValueError("tolerances and steps must be positive")
+            raise ValueError("steps must be positive")
         if self.dt_max is None:
             if self.local_error_tol is None:
                 raise ValueError("fixed steps (local_error_tol = none) need "
@@ -118,7 +123,6 @@ class Trajectory:
     # embedded estimate summed over the steps up to it (_d_step_error)
     d_time_err: np.ndarray
     data_K: float = np.nan
-    newton_loose_solves: int = 0   # solves accepted only by problem.loose
     rejected_error_test: int = 0   # steps rejected by the local-error test
     rejected_newton: int = 0       # steps rejected for a Newton failure
 
@@ -203,51 +207,38 @@ def solve_banded(bands, b):
     return x
 
 
-def _newton(problem, u_start, coef, rhs, tol, maxit):
+def _newton(problem, u_start, coef, rhs, size, maxit):
     """Solve U - coef*F(U) = rhs on the problem's unknown rows.
 
-    Stops when the max-norm residual drops below tol * problem.scale(U).
-    It also stops once the last update max|dU| is at round-off, at most
-    _ROUNDOFF * max|U|: further iterations cannot move U, only the rounding
-    of the residual (Hairer & Wanner, Solving ODEs II, IV.8).  That solve,
-    like one that runs out of maxit iterations, is accepted when its
-    residual is below problem.loose * problem.scale(U), and each such loose
-    acceptance is counted in problem.loose_solves.  A residual that is not
-    finite, or a singular iteration matrix, fails the solve at once.
+    Accepts U once every row's residual is at most _NEWTON_TOL times the
+    size of the row's own terms, |U_i| + size_i, where size = |rhs| +
+    coef * problem.term_size(u) at the step's start: a bar relative to what
+    the row sums, so it lies above the residual's round-off in every row
+    (Hairer & Wanner, Solving ODEs II, IV.8).  Any other outcome fails the
+    solve: a residual that is not finite or a singular iteration matrix at
+    once, else running out of maxit iterations.
     """
     u = u_start.copy()
     sl = slice(problem.ilo, len(u) - 1)
-    nrm = np.inf
-    du_max = np.inf
     for it in range(maxit):
         F, sub, diag, sup = problem.rhs_and_jac(u)
         R = u[sl] - coef * F - rhs
-        nrm = float(np.max(np.abs(R)))
-        if not math.isfinite(nrm):
+        excess = float(np.max(np.abs(R) - _NEWTON_TOL * (np.abs(u[sl]) + size)))
+        if not math.isfinite(excess):
             return u, it, False
-        if nrm < tol * problem.scale(u):
+        if excess <= 0.0:
             return u, it, True
-        if du_max <= _ROUNDOFF * float(np.max(np.abs(u))):
-            return u, it, _accept_loose(problem, u, nrm)
         try:
             du = solve_banded(_iteration_bands(coef, sub, diag, sup), -R)
         except np.linalg.LinAlgError:
             return u, it, False
         u[sl] += du
-        du_max = float(np.max(np.abs(du)))
-    return u, maxit, _accept_loose(problem, u, nrm)
+    return u, maxit, False
 
 
 def _iteration_bands(coef, sub, diag, sup):
     """The bands (sub, diag, sup) of I - coef*J, as solve_banded takes them."""
     return -coef * sub[1:], 1.0 - coef * diag, -coef * sup[:-1]
-
-
-def _accept_loose(problem, u, nrm):
-    """The loose residual test, counting each solve it accepts."""
-    ok = nrm < problem.loose * problem.scale(u)
-    problem.loose_solves += ok
-    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +247,6 @@ def _accept_loose(problem, u, nrm):
 
 class _UProblem:
     ilo = 1   # first unknown slot (both boundary nodes are Dirichlet)
-    loose = 1e-7   # residual accepted when Newton stalls or runs out of iterations
     newton = _newton
 
     def __init__(self, grid: GradedGrid, xi: float, eps: float):
@@ -268,7 +258,6 @@ class _UProblem:
         self.theta = np.zeros(len(self.h))     # upwind blend, frozen per step
         self.upwind_left = np.zeros(len(self.h), dtype=bool)
         self.blend = np.zeros(0, dtype=int)     # faces with theta > 0
-        self.loose_solves = 0
         # quadratic extrapolation of u(1-u) to the last face when xi == 1
         self.extrapolate_last = (xi == 1.0)
         if self.extrapolate_last:
@@ -341,6 +330,13 @@ class _UProblem:
         return (F, -d_l[:-1] / self.dlt, (d_l[1:] - d_r[:-1]) / self.dlt,
                 d_r[1:] / self.dlt)
 
+    def term_size(self, u):
+        """Per unknown row, the sum of |terms| that make up F(u): on each of
+        its two faces xhat/h (|u_l| + |u_r|) + |u(1-u) face value|, over dlt."""
+        face = (self.xhat_h * (np.abs(u[:-1]) + np.abs(u[1:]))
+                + np.abs(self._advective_face(u)[0]))
+        return (face[:-1] + face[1:]) / self.dlt
+
     def scale(self, u):
         return 1.0
 
@@ -349,7 +345,7 @@ class _UProblem:
 # generic implicit stepping with local-error control
 
 
-def _step_once(problem, u, dt, cfg, u_prev=None, dt_prev=None):
+def _step_once(problem, u, dt, u_prev=None, dt_prev=None):
     """One implicit step of size dt from u: (u_new, ok, Newton its, est).
 
     TR-BDF2 takes a trapezoidal stage to t + gam*dt and a BDF2 stage to
@@ -365,7 +361,9 @@ def _step_once(problem, u, dt, cfg, u_prev=None, dt_prev=None):
     Solving ODEs II, IV.8): stage 1 from the quadratic through u_prev, the
     accepted state dt_prev before u, and u with slope F0 = F(u) (the Euler
     line u + tau F0 when there is no u_prev); stage 2 from the quadratic
-    through u with slope F0 and the stage-1 value u1.
+    through u with slope F0 and the stage-1 value u1.  Both stage solves
+    measure their residual rows against |rhs| + coef * problem.term_size(u),
+    the size of each row's terms at the step's start.
     """
     sl = slice(problem.ilo, len(u) - 1)
     gam = _TRBDF2_GAMMA
@@ -379,13 +377,16 @@ def _step_once(problem, u, dt, cfg, u_prev=None, dt_prev=None):
         c = (u_prev[sl] - u[sl] + dt_prev * F0) / dt_prev ** 2
         start[sl] = u[sl] + tau * F0 + c * tau ** 2
     rhs1 = u[sl] + coef * F0
-    u1, its1, ok = problem.newton(start, coef, rhs1, cfg.newton_tol, _MAX_NEWTON)
+    terms = coef * problem.term_size(u)
+    u1, its1, ok = problem.newton(start, coef, rhs1, np.abs(rhs1) + terms,
+                                  _MAX_NEWTON)
     if not ok:
         return u, False, its1, None
     start = u1.copy()
     start[sl] = u[sl] + dt * F0 + (u1[sl] - u[sl] - tau * F0) / gam ** 2
     rhs2 = (u1[sl] - (1.0 - gam) ** 2 * u[sl]) / (gam * (2.0 - gam))
-    u2, its2, ok = problem.newton(start, coef, rhs2, cfg.newton_tol, _MAX_NEWTON)
+    u2, its2, ok = problem.newton(start, coef, rhs2, np.abs(rhs2) + terms,
+                                  _MAX_NEWTON)
     its = max(its1, its2)
     if not ok:
         return u, False, its, None
@@ -436,7 +437,7 @@ def _advance(problem, u0_vec, t_end, out_times, cfg, post_check):
         if dtc >= (1.0 - _SLIVER) * remaining:
             dtc = remaining
         problem.freeze_blend(u)
-        un, ok, n_newton, est = _step_once(problem, u, dtc, cfg, u_prev, dt_prev)
+        un, ok, n_newton, est = _step_once(problem, u, dtc, u_prev, dt_prev)
         if not ok:
             if not adaptive:
                 raise SolverFailureError(f"Newton failed at t = {t:.6g} (fixed step)")
@@ -518,8 +519,7 @@ def solve(u0: Snapshot, config: SolverConfig, t_end: float,
     return Trajectory(config=config, snapshots=snaps, step_times=times,
                       step_sizes=sizes, newton_iters=iters,
                       d_time_err=_TIME_ERR_SAFETY * summed[steps],
-                      data_K=data_K, newton_loose_solves=problem.loose_solves,
-                      **rejected)
+                      data_K=data_K, **rejected)
 
 
 def _d_step_error(x, u, est):
@@ -542,11 +542,9 @@ def _d_step_error(x, u, est):
 
 class _WProblem:
     ilo = 0   # node r = 0 is an unknown (Neumann axis condition)
-    loose = 1e-6   # relative to scale(w)
     newton = _newton
 
     def __init__(self, r: np.ndarray):
-        self.loose_solves = 0
         rf = 0.5 * (r[:-1] + r[1:])
         self.h = np.diff(r)
         self.rf3 = rf ** 3
@@ -585,6 +583,20 @@ class _WProblem:
         sup[1:] = self.dr + adv * self.d1r
         return F, sub, diag, sup
 
+    def term_size(self, w):
+        """Per unknown row, the sum of |terms| that make up F(w): on each
+        face r^3 (|w_l| + |w_r|)/h over the cell volume, plus w^2, plus
+        (r/2) |w| times the |terms| of the central w_r."""
+        aw = np.abs(w)
+        face = aw[:-1] + aw[1:]
+        size = w[:-1] ** 2
+        size[0] += self.d0 * face[0]
+        size[1:] += (self.dl * face[:-1] + self.dr * face[1:]
+                     + self.half_r * aw[1:-1] * (
+                         np.abs(self.d1l * w[:-2]) + np.abs(self.d1c * w[1:-1])
+                         + np.abs(self.d1r * w[2:])))
+        return size
+
     def scale(self, w):
         return max(1.0, float(np.max(np.abs(w))))
 
@@ -595,7 +607,6 @@ class WTrajectory:
     fields: list
     times: list
     events: list = field(default_factory=list)
-    newton_loose_solves: int = 0   # solves accepted only by problem.loose
 
 
 def solve_w(w0: RadialField, config: SolverConfig, t_end: float,
@@ -623,12 +634,10 @@ def solve_w(w0: RadialField, config: SolverConfig, t_end: float,
     except _BlowUp as bu:
         return WTrajectory(config=config, fields=[], times=[],
                            events=[{"event": "blow-up-detected",
-                                    "time": bu.t, "sup": bu.sup}],
-                           newton_loose_solves=problem.loose_solves)
+                                    "time": bu.t, "sup": bu.sup}])
     fields = [RadialField(r_nodes=r, values=v, total_mass=np.pi * float(v[-1]))
               for _, v in sorted(outs.items())]
-    return WTrajectory(config=config, fields=fields, times=sorted(outs.keys()),
-                       newton_loose_solves=problem.loose_solves)
+    return WTrajectory(config=config, fields=fields, times=sorted(outs.keys()))
 
 
 class _BlowUp(Exception):
@@ -644,10 +653,7 @@ class _BlowUp(Exception):
 class SlopeFit:
     value: float
     method: str          # "fit" | "ratio"
-    ahat: float
-    ratio: float
     fit_residual: float
-    n_window: int
 
 
 def slope_origin_info(snap: Snapshot) -> SlopeFit:
@@ -686,15 +692,13 @@ def slope_origin_info(snap: Snapshot) -> SlopeFit:
     ahat = s_est
     layer_resolved = x[1] * max(ratio, ahat) <= 0.01
     if n_win >= 4 and resid <= _FIT_TOL:
-        return SlopeFit(value=float(ahat), method="fit", ahat=float(ahat),
-                        ratio=ratio, fit_residual=resid, n_window=n_win)
+        return SlopeFit(value=float(ahat), method="fit", fit_residual=resid)
     if not layer_resolved and (
             n_win < 4 or abs(ahat - ratio) > 0.1 * max(abs(ahat), abs(ratio))):
         raise ResolutionError(
             f"layer unresolved: x1 = {x[1]:.2e}, slope ~ {ahat:.3e}, "
             f"fit residual {resid:.2e}")
-    return SlopeFit(value=ratio, method="ratio", ahat=float(ahat),
-                    ratio=ratio, fit_residual=resid, n_window=n_win)
+    return SlopeFit(value=ratio, method="ratio", fit_residual=resid)
 
 
 def l1_to_one(snap: Snapshot) -> float:

@@ -44,12 +44,13 @@ def table_to_csv(table: SpecialTable) -> str:
     return _csv(rows, ["y", "f", "f'", "tilde_f", "g", "g'", "h", "h'"])
 
 
-def table_header_json(table: SpecialTable, npd: int | None = None) -> dict:
+def table_header_json(table: SpecialTable) -> dict:
+    funcs = table.funcs
     return {
         "M": fmt(table.M),
-        "y_max": fmt(table.y_max),
-        "phi_blend": {"join": fmt(table.phi.join), "slope0": fmt(table.phi.slope0)},
-        "nodes_per_decade": npd,
+        "y_max": fmt(funcs.y_max),
+        "phi_blend": {"join": fmt(funcs.phi.join), "slope0": fmt(funcs.phi.slope0)},
+        "nodes_per_decade": funcs.npd,
         "gauss_legendre_order": GL_ORDER,
         "n_nodes": int(len(table.y)),
     }

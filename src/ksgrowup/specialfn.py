@@ -246,14 +246,13 @@ class SpecialTable:
     derivatives) anywhere in the range.
 
     The range ends at the partition's last node, the first lattice node at
-    or above y_max.  eval reads the panel data of the SpecialFunctions that
-    built the table; at a node it returns the cumulative node sums.
+    or above funcs.y_max.  eval reads the panel data and phi of funcs, the
+    SpecialFunctions that built the table, and h with the table's own M; at a
+    node it returns the cumulative node sums.
     """
 
     y: np.ndarray
     M: float
-    y_max: float
-    phi: PhiBlend
     funcs: SpecialFunctions = field(repr=False, compare=False)
 
     def eval(self, yq):
@@ -267,7 +266,7 @@ class SpecialTable:
         q, qp = fn._g4.pair(loc)
         return {"f": f, "f_prime": fp, "g": g, "g_prime": gp,
                 "h": g + self.M * q, "h_prime": gp + self.M * qp,
-                "g4": q, "g4_prime": qp, "phi": self.phi(loc.y)}
+                "g4": q, "g4_prime": qp, "phi": fn.phi(loc.y)}
 
 
 class SpecialFunctions:
@@ -321,8 +320,7 @@ class SpecialFunctions:
 
     def table(self) -> SpecialTable:
         """The partition nodes, and evaluation anywhere in the range."""
-        return SpecialTable(y=self._f.nodes, M=self.M, y_max=self.y_max,
-                            phi=self.phi, funcs=self)
+        return SpecialTable(y=self._f.nodes, M=self.M, funcs=self)
 
 
 def build_component(i: int, y_max: float, npd: int = 40) -> OperatorInverse:
@@ -393,9 +391,9 @@ def check_asymptotics(table: SpecialTable, y_maxes,
     if y_maxes[0] < 1e4:
         raise ConstructionError("asymptotic window needs y_max >= 1e4")
     top = y_maxes[-1]
-    if table.y_max < top:
+    if table.funcs.y_max < top:
         raise ConstructionError(
-            f"the table ends at y_max = {table.y_max:g}, below the sweep's {top:g}")
+            f"the table ends at y_max = {table.funcs.y_max:g}, below the sweep's {top:g}")
     comps = {i: build_component(i, top, npd=table.funcs.npd) for i in (1, 2, 3)}
     ratios = {name: [] for name in _CLAIMS}
     for ym in y_maxes:

@@ -54,9 +54,10 @@ class TestCommands:
         ("[match]\nt_end = 1000\n", "t_end"),        # the barrier paths' end
         ("[match]\nsigma_step = 0.005\n", "sigma_step"),  # moved to [barriers]
         ("[match]\nhalving_rtol = 1e-8\n", "halving_rtol"),  # now dense_rtol
+        ("[solve]\nnewton_tol = 1e-11\n", "newton_tol"),  # one scaled Newton bar
     ], ids=["key", "moved_key", "section", "derived_y_max", "moved_npd",
             "removed_scheme", "removed_match_t_end", "moved_sigma_step",
-            "renamed_halving_rtol"])
+            "renamed_halving_rtol", "removed_newton_tol"])
     def test_unknown_config_key_is_exit_2(self, tmp_path, capsys, text, name):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(text)

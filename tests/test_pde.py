@@ -77,34 +77,56 @@ class TestNewtonStop:
         a = w_origin / 8.0
         return r, 8.0 * a / (a * r * r + 1.0)
 
+    @staticmethod
+    def _size(problem, u, coef, rhs):
+        """The row sizes _step_once hands to a stage solve from u."""
+        return np.abs(rhs) + coef * problem.term_size(u)
+
     def test_stops_at_round_off(self):
         # near w(0) = 750 the residual of a converged step sits near 1e-8,
-        # far above newton_tol = 1e-11: Newton must stop once its update is
-        # at round-off, not run all _MAX_NEWTON iterations
+        # far above an absolute bar of 1e-11; against the size of each
+        # row's terms it is round-off, reached in at most 2 updates
         r, w = self._steady_w()
         problem = _WProblem(r)
-        cfg = SolverConfig()
-        w_new, its, ok = problem.newton(w, 1e-3, w[:-1], cfg.newton_tol, pde._MAX_NEWTON)
+        coef, rhs = 1e-3, w[:-1]
+        w_new, its, ok = problem.newton(w, coef, rhs, self._size(problem, w, coef, rhs),
+                                        pde._MAX_NEWTON)
         F = problem.rhs_and_jac(w_new)[0]
-        assert np.max(np.abs(w_new[:-1] - 1e-3 * F - w[:-1])) >= cfg.newton_tol
-        assert its <= 5
+        assert np.max(np.abs(w_new[:-1] - coef * F - rhs)) >= 1e-9
+        assert its <= 2
         assert ok
-        assert problem.loose_solves == 1
 
-    @pytest.mark.parametrize("band_scale, its_expected", [(1e3, 14), (1e20, 1)],
+    @pytest.mark.parametrize("band_scale, its_expected", [(1e3, 14), (1e20, 14)],
                              ids=["slow", "stalled"])
     def test_wrong_jacobian_is_not_accepted(self, band_scale, its_expected):
-        # bands 1e3 too large: Newton creeps and runs out of iterations;
-        # 1e20 too large: the first update is at round-off, so the stop
-        # fires, but the residual is far above the loose bar
+        # bands 1e3 too large: Newton creeps; 1e20 too large: its updates
+        # are at round-off and the residual stays.  Both run out of
+        # iterations with the residual above the bar
         r, w = self._steady_w()
         problem = _ScaledBands(r)
         problem.band_scale = band_scale
-        cfg = SolverConfig()
-        _, its, ok = problem.newton(w, 1e-4, w[:-1], cfg.newton_tol, pde._MAX_NEWTON)
+        coef, rhs = 1e-4, w[:-1]
+        _, its, ok = problem.newton(w, coef, rhs, self._size(problem, w, coef, rhs),
+                                    pde._MAX_NEWTON)
         assert its == its_expected
         assert not ok
-        assert problem.loose_solves == 0
+
+    @pytest.mark.parametrize("factor, accepted", [(0.1, True), (10.0, False)])
+    def test_bar_is_per_row(self, factor, accepted):
+        # the steady profile is an exact fixed point of the u-form, so its
+        # residual is round-off; moving the right-hand side of the finest
+        # row by a multiple of that row's allowance moves its residual by
+        # the same amount, and the bar sees that one row
+        grid = make_graded_grid(420, 1e-8, 1.07)
+        u = steady_profile(1e5, grid).values
+        problem = _UProblem(grid, u[-1], 0.0)
+        problem.freeze_blend(u)
+        coef, rhs = 0.1, u[1:-1].copy()
+        size = self._size(problem, u, coef, rhs)
+        rhs[0] += factor * pde._NEWTON_TOL * (abs(u[1]) + size[0])
+        _, its, ok = problem.newton(u, coef, rhs, size, 1)
+        assert ok == accepted
+        assert its == (0 if accepted else 1)
 
 
 def _faces_one_by_one(problem, u):
@@ -580,12 +602,12 @@ def _d(snap):
     return math.log(slope_origin_info(snap).value) - math.sqrt(2.0 * snap.time)
 
 
-def _local_errors(u, dt, problem, cfg):
+def _local_errors(u, dt, problem):
     """One TR-BDF2 step from u: (max|est|, max error against 64 substeps)."""
-    u_step, ok, _, est = _step_once(problem, u, dt, cfg)
+    u_step, ok, _, est = _step_once(problem, u, dt)
     ref = u.copy()
     for _ in range(64):
-        ref = _step_once(problem, ref, dt / 64, cfg)[0]
+        ref = _step_once(problem, ref, dt / 64)[0]
     assert ok
     return np.max(np.abs(est)), np.max(np.abs(u_step - ref))
 
@@ -598,17 +620,17 @@ class TestStepControl:
                       left_bc=0.0, right_bc=xi)
         cfg = SolverConfig(dt_max=1e-3, dt_initial=1e-3, local_error_tol=None)
         u = solve(u0, cfg, 0.2, [0.2]).snapshots[-1].values
-        return grid.nodes, u, _UProblem(grid, xi, 0.0), cfg
+        return grid.nodes, u, _UProblem(grid, xi, 0.0)
 
     def test_estimate_matches_local_error(self):
         # one TR-BDF2 step from a smooth state: the embedded estimate agrees
         # with the error against a 64-substep reference within a factor 3,
         # and it shrinks like dt^3 (8x per halving; accepted: 6x to 10x)
-        _, u, problem, cfg = self._smooth_state()
+        _, u, problem = self._smooth_state()
         problem.freeze_blend(u)
         ests = []
         for dt in (0.02, 0.01):
-            est, true = _local_errors(u, dt, problem, cfg)
+            est, true = _local_errors(u, dt, problem)
             assert true / 3.0 < est < 3.0 * true
             ests.append(est)
         assert 6.0 < ests[0] / ests[1] < 10.0
@@ -617,10 +639,10 @@ class TestStepControl:
         # a grid-scale ripple is damped within the step, so the error it
         # leaves is small; filtered by (I - d dt J)^{-1} the estimate stays
         # within 50x of that error (unfiltered it is 400x too large)
-        x, u, problem, cfg = self._smooth_state()
+        x, u, problem = self._smooth_state()
         u += 1e-3 * x * np.sin(20.0 * np.pi * x)
         problem.freeze_blend(u)
-        est, true = _local_errors(u, 0.02, problem, cfg)
+        est, true = _local_errors(u, 0.02, problem)
         assert est < 50.0 * true
 
     def test_time_error_of_d(self, critical_traj):

@@ -42,9 +42,10 @@ class TestTableCsv:
             assert np.array_equal(col, T[name]), name
 
     def test_header(self, table_med):
-        hdr = ser.table_header_json(table_med, npd=40)
+        hdr = ser.table_header_json(table_med)
         assert float(hdr["M"]) == table_med.M
-        assert float(hdr["y_max"]) == table_med.y_max
+        assert float(hdr["y_max"]) == table_med.funcs.y_max
+        assert hdr["nodes_per_decade"] == table_med.funcs.npd
         assert "phi_blend" in hdr
 
 
