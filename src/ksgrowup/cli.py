@@ -106,9 +106,7 @@ def _solver_setup(cfg) -> tuple[Snapshot, pde.SolverConfig, float, list[float]]:
     u0 = Snapshot(grid=grid, values=right_bc * grid.nodes, time=0.0,
                   left_bc=0.0, right_bc=right_bc)
     solver_cfg = pde.SolverConfig(
-        dt_initial=float(sec["dt_initial"]),
         dt_max=_float_or_none(sec["dt_max"]),
-        reg_epsilon=float(sec["reg_epsilon"]),
         local_error_tol=_float_or_none(sec["local_error_tol"]))
     t_end = float(sec["t_end"])
     out_times = _floats(sec["output_times"])
@@ -434,7 +432,6 @@ def _manifest(traj) -> dict:
         "n_steps": int(len(traj.step_times)),
         "grid_nodes": int(first.grid.n),
         "right_bc": ser.fmt(first.right_bc),
-        "reg_epsilon": ser.fmt(traj.config.reg_epsilon),
         "dt_max": _fmt_or_none(traj.config.dt_max),
         "local_error_tol": _fmt_or_none(traj.config.local_error_tol),
         "data_K": ser.fmt(traj.data_K),

@@ -1,10 +1,10 @@
 """Implicit solvers for the degenerate problem and its smoothed radial form.
 
 u-form:  u_t = x u_xx + 2 u u_x on (0,1), u(0,t)=0, u(1,t)=xi.
-In flux form u_t = d/dx [ (x+eps) u_x - u(1-u) ], discretized with
+In flux form u_t = d/dx [ x u_x - u(1-u) ], discretized with
 vertex-centered flux differences.  Face coefficients use geometric means,
 
-    flux_{i+1/2} = sqrt((x_i+eps)(x_{i+1}+eps)) (u_{i+1}-u_i)/h
+    flux_{i+1/2} = sqrt(x_i x_{i+1}) (u_{i+1}-u_i)/h
                    - sqrt(u_i (1-u_i) u_{i+1} (1-u_{i+1})),
 
 which makes every steady profile U_a(x) = a x/(a x + 1) an EXACT fixed
@@ -13,12 +13,16 @@ point of the discretization (both factors reduce to a sqrt(x_i x_{i+1}) /
 the time integrator alone.  When the advective face value degenerates
 (boundary value 1 at x = 1, or data outside [0,1] in supercritical
 diagnostics) a quadratic extrapolation / arithmetic-mean branch keeps the
-scheme consistent at second order.  A face-Peclet switch blends the face
-value towards the upwind node where the cell Peclet number exceeds 2.  On
-the default grid (and at 378 or 462 nodes) it acts in every step, on face 0
-alone, and upwinds it fully: its coefficient sqrt(x_0 x_1) is 0 at eps = 0.
-The steady flux through face 0 is 0: the upwind value u_0(1-u_0) = 0 keeps
-it so, while the arithmetic mean u_1(1-u_1)/2 would not.
+scheme consistent at second order.  Face 0 is the exception: x_0 = 0 gives
+it no diffusion, so it carries advection alone and takes the upwind value
+of u(1-u), node 0's when u_0 + u_1 < 1, else node 1's.  Its steady flux is
+then u_0(1-u_0) = 0, as U_a needs; the arithmetic mean u_1(1-u_1)/2 would
+not give it.  Every other face stays central, so a grid is refused
+(ResolutionError) when one of them could reach a cell Peclet number
+|1 - (u_l + u_r)| h / sqrt(x_l x_r) above 2 (Patankar, Numerical Heat
+Transfer and Fluid Flow, 1980, 5.2) for u in [0, xi], where
+|1 - (u_l + u_r)| <= max(1, 2 xi - 1).  On the default grid that bound is
+at most 0.744.
 
 w-form:  w_t = w_rr + 3 w_r / r + w^2 + (r/2) w w_r on (0,1), w_r(0,t)=0,
 w(1,t) = 8 xi; the diffusion is the radial Laplacian in 4 space dimensions,
@@ -86,30 +90,24 @@ _MAX_NEWTON = 14
 # the size of the row's terms (_newton); on the default run, values from
 # 1e-10 to 1e-14 fail no solve and give d(50) within 4e-10 of each other
 _NEWTON_TOL = 1e-12
+# the first adaptive step; _advance caps it at dt_max
+_DT_INITIAL = 1e-7
 
 
 @dataclass
 class SolverConfig:
     """How to integrate; the grid and the boundary value come with the data."""
 
-    dt_initial: float = 1e-7
     dt_max: float | None = None         # step cap; fixed steps need it
-    reg_epsilon: float = 0.0
     local_error_tol: float | None = 1e-6  # None -> fixed steps of dt_max
     blowup_cap: float = 1e6             # w-form blow-up detector
 
     def __post_init__(self):
-        if self.dt_initial <= 0 or (
-                self.dt_max is not None and self.dt_max <= 0):
-            raise ValueError("steps must be positive")
-        if self.dt_max is None:
-            if self.local_error_tol is None:
-                raise ValueError("fixed steps (local_error_tol = none) need "
-                                 "a step size: set dt_max")
-        elif self.dt_initial > self.dt_max:
-            raise ValueError("dt_initial must not exceed dt_max")
-        if self.reg_epsilon < 0:
-            raise ValueError("reg_epsilon must be >= 0")
+        if self.dt_max is not None and self.dt_max <= 0:
+            raise ValueError("dt_max must be positive")
+        if self.dt_max is None and self.local_error_tol is None:
+            raise ValueError("fixed steps (local_error_tol = none) need "
+                             "a step size: set dt_max")
 
 
 @dataclass
@@ -249,15 +247,22 @@ class _UProblem:
     ilo = 1   # first unknown slot (both boundary nodes are Dirichlet)
     newton = _newton
 
-    def __init__(self, grid: GradedGrid, xi: float, eps: float):
+    def __init__(self, grid: GradedGrid, xi: float):
         x = grid.nodes
         self.h = np.diff(x)
-        self.xhat = np.sqrt((x[:-1] + eps) * (x[1:] + eps))
+        self.xhat = np.sqrt(x[:-1] * x[1:])
         self.xhat_h = self.xhat / self.h
         self.dlt = 0.5 * (x[2:] - x[:-2])
-        self.theta = np.zeros(len(self.h))     # upwind blend, frozen per step
-        self.upwind_left = np.zeros(len(self.h), dtype=bool)
-        self.blend = np.zeros(0, dtype=int)     # faces with theta > 0
+        # faces 1.. stay central: the bound on their cell Peclet number for
+        # u in [0, xi], where |1 - (u_l + u_r)| <= max(1, 2 xi - 1)
+        pe = max(1.0, 2.0 * xi - 1.0) * self.h[1:] / self.xhat[1:]
+        if np.any(pe > 2.0):
+            i = int(np.argmax(pe > 2.0)) + 1
+            raise ResolutionError(
+                f"grid refused: face {i} (x = {x[i]:.3g} to {x[i + 1]:.3g}) "
+                f"reaches a cell Peclet number of {pe[i - 1]:.3g} > 2 for u "
+                f"in [0, {xi:g}]; its central advective value needs a finer "
+                f"grid there")
         # quadratic extrapolation of u(1-u) to the last face when xi == 1
         self.extrapolate_last = (xi == 1.0)
         if self.extrapolate_last:
@@ -266,32 +271,13 @@ class _UProblem:
             self.cA = (xf - xb) * (xf - xc) / ((xa - xb) * (xa - xc))
             self.cB = (xf - xa) * (xf - xc) / ((xb - xa) * (xb - xc))
 
-    def freeze_blend(self, u: np.ndarray) -> None:
-        """Recompute the upwind blend from the step's starting state."""
-        ul, ur = u[:-1], u[1:]
-        speed = 1.0 - (ul + ur)            # d/du of the advective flux u - u^2
-        pe = np.abs(speed) * self.h / np.maximum(self.xhat, 1e-300)
-        self.theta = np.where(pe > 2.0, 1.0 - 2.0 / np.maximum(pe, 2.0), 0.0)
-        self.upwind_left = speed > 0.0
-        # each blended face's upwind node, the weight 1 - theta its central
-        # value keeps, and theta on the upwind side
-        k = np.flatnonzero(self.theta)
-        th = self.theta[k]
-        left = self.upwind_left[k]
-        self.blend = k
-        self.blend_node = np.where(left, k, k + 1)
-        self.blend_keep = 1.0 - th
-        self.blend_theta = th
-        self.blend_theta_left = np.where(left, th, 0.0)
-        self.blend_theta_right = np.where(left, 0.0, th)
-
     def _advective_face(self, u):
         """Face value of u(1-u) and its derivatives wrt (u_left, u_right).
 
         The geometric mean sqrt(w_l w_r) of w = u(1-u) where both nodes are
-        positive, else the arithmetic mean, blended towards the upwind node
-        on the faces freeze_blend flagged; at xi = 1 the last face is
-        extrapolated instead.
+        positive, else the arithmetic mean.  Face 0, which has no diffusion,
+        takes the upwind value instead: w_0 when u_0 + u_1 < 1, else w_1.
+        At xi = 1 the last face is extrapolated.
         """
         w = u * (1.0 - u)
         s = 1.0 - 2.0 * u
@@ -302,12 +288,10 @@ class _UProblem:
         g_val = np.where(both_pos, wl * root, 0.5 * (wl + wr))
         dl = 0.5 * s[:-1] * root
         dr = 0.5 * s[1:] / root
-        k = self.blend
-        if len(k):
-            keep = self.blend_keep
-            g_val[k] = keep * g_val[k] + self.blend_theta * w[self.blend_node]
-            dl[k] = keep * dl[k] + self.blend_theta_left * s[k]
-            dr[k] = keep * dr[k] + self.blend_theta_right * s[k + 1]
+        if u[0] + u[1] < 1.0:
+            g_val[0], dl[0], dr[0] = w[0], s[0], 0.0
+        else:
+            g_val[0], dl[0], dr[0] = w[1], 0.0, s[1]
         if self.extrapolate_last:
             g_val[-1] = self.cA * w[-3] + self.cB * w[-2]
             dl[-1] = self.cB * s[-2]
@@ -419,7 +403,7 @@ def _advance(problem, u0_vec, t_end, out_times, cfg, post_check):
     adaptive = cfg.local_error_tol is not None
     u = u0_vec.copy()
     t = 0.0
-    dt = cfg.dt_initial if adaptive else cfg.dt_max
+    dt = _DT_INITIAL if adaptive else cfg.dt_max
     u_prev = dt_prev = None   # the accepted state before u, for the predictor
     outs = {}
     times, sizes, iters = [], [], []
@@ -436,7 +420,6 @@ def _advance(problem, u0_vec, t_end, out_times, cfg, post_check):
         dtc = dt if cfg.dt_max is None else min(dt, cfg.dt_max)
         if dtc >= (1.0 - _SLIVER) * remaining:
             dtc = remaining
-        problem.freeze_blend(u)
         un, ok, n_newton, est = _step_once(problem, u, dtc, u_prev, dt_prev)
         if not ok:
             if not adaptive:
@@ -494,7 +477,7 @@ def solve(u0: Snapshot, config: SolverConfig, t_end: float,
         raise ValueError("initial data must be nondecreasing")
     data_K = float(np.max(u0.values[1:] / grid.nodes[1:]))
 
-    problem = _UProblem(grid, hi, config.reg_epsilon)
+    problem = _UProblem(grid, hi)
     monotone_tol = 1e-8
     d_errs = []
 
@@ -561,9 +544,6 @@ class _WProblem:
         self.dl = (self.rf3[:-1] / self.h[:-1]) / self.vol
         self.dr = (self.rf3[1:] / self.h[1:]) / self.vol
         self.dlr = -(self.dl + self.dr)
-
-    def freeze_blend(self, w):
-        pass  # diffusion-dominated form; no upwind switch needed
 
     def rhs_and_jac(self, w):
         """F(w) at nodes 0..n-2 (Dirichlet at r = 1) and its Jacobian bands."""

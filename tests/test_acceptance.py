@@ -185,7 +185,7 @@ class TestCriterion6:
             grid = make_graded_grid(n, 1.0 / (n - 1), 1.0)
             u0 = Snapshot(grid=grid, values=xi * grid.nodes, time=0.0,
                           left_bc=0.0, right_bc=xi)
-            cfg = SolverConfig(dt_max=dt, dt_initial=dt, local_error_tol=None)
+            cfg = SolverConfig(dt_max=dt, local_error_tol=None)
             return grid, solve(u0, cfg, 1.0, [1.0]).snapshots[-1].values
 
         _, ref_t = run(201, 0.000625)

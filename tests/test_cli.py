@@ -55,9 +55,12 @@ class TestCommands:
         ("[match]\nsigma_step = 0.005\n", "sigma_step"),  # moved to [barriers]
         ("[match]\nhalving_rtol = 1e-8\n", "halving_rtol"),  # now dense_rtol
         ("[solve]\nnewton_tol = 1e-11\n", "newton_tol"),  # one scaled Newton bar
+        ("[solve]\nreg_epsilon = 0\n", "reg_epsilon"),    # the operator has no eps
+        ("[solve]\ndt_initial = 1e-7\n", "dt_initial"),   # a constant of the solver
     ], ids=["key", "moved_key", "section", "derived_y_max", "moved_npd",
             "removed_scheme", "removed_match_t_end", "moved_sigma_step",
-            "renamed_halving_rtol", "removed_newton_tol"])
+            "renamed_halving_rtol", "removed_newton_tol", "removed_reg_epsilon",
+            "removed_dt_initial"])
     def test_unknown_config_key_is_exit_2(self, tmp_path, capsys, text, name):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(text)
@@ -72,6 +75,17 @@ class TestCommands:
         assert main(["solve", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
         assert "dt_max" in capsys.readouterr().err
+
+    def test_grid_with_an_unresolved_central_face_is_exit_2(self, tmp_path, capsys):
+        # ratio 1 gives one cell of x_min, then equal cells of 2.4e-3: face 1
+        # would reach a cell Peclet number of 489, so the grid is refused
+        cfg = tmp_path / "uniform.ini"
+        cfg.write_text("[solve]\ngrading_ratio = 1.0\nt_end = 1\n"
+                       "output_times = 0.25,1\n")
+        assert main(["solve", "--config", str(cfg), "--out",
+                     str(tmp_path / "o"), "--quiet"]) == 2
+        assert re.search(r"grid refused: face 1 .* Peclet number of 489 > 2",
+                         capsys.readouterr().err)
 
     def test_solve_writes_snapshots(self, small_cfg, tmp_path):
         out = tmp_path / "o"

@@ -23,9 +23,7 @@ def _u_problem():
     grid = make_graded_grid(120, 1e-6, 1.1)
     x = grid.nodes
     u = 2.0 * x / (3.0 * x + 1.0) * (1.0 + 0.2 * x * (1.0 - x) * np.sin(5.0 * x))
-    problem = _UProblem(grid, 0.5, 0.0)
-    problem.freeze_blend(u)       # upwinds the face at x = 0
-    return problem, u
+    return _UProblem(grid, 0.5), u
 
 
 def _w_problem():
@@ -119,8 +117,7 @@ class TestNewtonStop:
         # the same amount, and the bar sees that one row
         grid = make_graded_grid(420, 1e-8, 1.07)
         u = steady_profile(1e5, grid).values
-        problem = _UProblem(grid, u[-1], 0.0)
-        problem.freeze_blend(u)
+        problem = _UProblem(grid, u[-1])
         coef, rhs = 0.1, u[1:-1].copy()
         size = self._size(problem, u, coef, rhs)
         rhs[0] += factor * pde._NEWTON_TOL * (abs(u[1]) + size[0])
@@ -130,19 +127,21 @@ class TestNewtonStop:
 
 
 def _faces_one_by_one(problem, u):
-    """Reference face values and derivatives, face by face by the case split."""
+    """Reference face values and derivatives, face by face by the case split:
+    face 0 upwind by the sign of 1 - (u_0 + u_1), every other face geometric
+    or arithmetic."""
     out = np.empty((3, len(u) - 1))
     for i in range(len(u) - 1):
         wl, wr = u[i] * (1.0 - u[i]), u[i + 1] * (1.0 - u[i + 1])
         sl, sr = 1.0 - 2.0 * u[i], 1.0 - 2.0 * u[i + 1]
-        if wl > 0.0 and wr > 0.0:
+        if i == 0:
+            face = (wl, sl, 0.0) if u[0] + u[1] < 1.0 else (wr, 0.0, sr)
+        elif wl > 0.0 and wr > 0.0:
             face = (math.sqrt(wl * wr), 0.5 * math.sqrt(wr / wl) * sl,
                     0.5 * math.sqrt(wl / wr) * sr)
         else:
             face = (0.5 * (wl + wr), 0.5 * sl, 0.5 * sr)
-        up = (wl, sl, 0.0) if problem.upwind_left[i] else (wr, 0.0, sr)
-        th = problem.theta[i]
-        out[:, i] = [(1.0 - th) * f + th * v for f, v in zip(face, up)]
+        out[:, i] = face
     if problem.extrapolate_last:
         wa, wb = u[-3] * (1.0 - u[-3]), u[-2] * (1.0 - u[-2])
         out[:, -1] = (problem.cA * wa + problem.cB * wb,
@@ -151,30 +150,32 @@ def _faces_one_by_one(problem, u):
 
 
 class TestAdvectiveFace:
-    @pytest.mark.parametrize("xi, zero_node", [
-        (1.0, None),   # w > 0 on every interior node, w <= 0 at both ends
-        (0.5, None),   # w(1) > 0: the last face is geometric too
-        (1.0, 1),      # w = 0 on an interior node: arithmetic faces inside
-    ], ids=["xi_1", "xi_below_1", "interior_zero"])
-    def test_faces_agree_with_face_by_face(self, xi, zero_node):
-        # coarse jumps make the face at x = 0 upwind to the left and the
-        # face from 0.1 to 0.9 upwind to the right
-        x = np.concatenate([[0.0], np.geomspace(1e-4, 0.1, 30), [0.9, 0.95, 1.0]])
-        u = xi * 41.0 * x / (40.0 * x + 1.0)
+    @pytest.mark.parametrize("xi, a, zero_node", [
+        (1.0, 40.0, None),   # w > 0 on every interior node, w <= 0 at both ends
+        (0.5, 40.0, None),   # w(1) > 0: the last face is geometric too
+        (1.0, 40.0, 1),      # w = 0 on an interior node: arithmetic faces inside
+        (1.5, 1e5, None),    # u_1 > 1: face 0 upwind from node 1
+    ], ids=["xi_1", "xi_below_1", "interior_zero", "face_0_from_the_right"])
+    def test_faces_agree_with_face_by_face(self, xi, a, zero_node):
+        x = np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 31)])
+        u = xi * (a + 1.0) * x / (a * x + 1.0)
         u[-1] = xi
         if zero_node is not None:
             u[:zero_node + 1] = 0.0
         problem = _UProblem(GradedGrid(nodes=x, x_min=x[1], grading_ratio=1.0),
-                            xi, 0.0)
-        problem.freeze_blend(u)
-        blended = problem.theta > 0.0
-        assert np.any(blended & problem.upwind_left)
-        if xi == 1.0 and zero_node is None:
-            assert np.any(blended & ~problem.upwind_left)
+                            xi)
         got = np.array(problem._advective_face(u))
         ref = _faces_one_by_one(problem, u)
         for g, r in zip(got, ref):
             assert np.max(np.abs(g - r)) <= 1e-14 * np.max(np.abs(r))
+
+    def test_grid_a_central_face_cannot_resolve_is_refused(self):
+        # the jump from 0.1 to 0.9 gives face 30 a cell Peclet number of
+        # 0.8 / 0.3 = 2.7 at |1 - (u_l + u_r)| = 1
+        x = np.concatenate([[0.0], np.geomspace(1e-4, 0.1, 30), [0.9, 0.95, 1.0]])
+        grid = GradedGrid(nodes=x, x_min=x[1], grading_ratio=1.0)
+        with pytest.raises(ResolutionError, match="face 30 .* Peclet number of 2.67"):
+            _UProblem(grid, 1.0)
 
 
 def _pivoting_system(rng, n):
@@ -329,16 +330,6 @@ class TestSteadyStates:
         drift = max(np.max(np.abs(s.values - ua.values)) for s in traj.snapshots)
         assert drift <= 1e-8
 
-    def test_steady_profile_with_regularization_drifts_slightly(self):
-        # the eps > 0 operator has a different steady state; U_a drift is
-        # no longer zero but stays at the perturbation scale
-        grid = make_graded_grid(160, 1e-6, 1.1)
-        ua = steady_profile(1.0, grid)
-        cfg = SolverConfig(reg_epsilon=1e-4)
-        traj = solve(ua, cfg, 2.0, [2.0])
-        drift = np.max(np.abs(traj.snapshots[-1].values - ua.values))
-        assert 1e-9 < drift < 1e-2
-
 
 class TestMaximumPrinciple:
     def test_range_and_monotonicity_preserved(self, fast_traj):
@@ -405,25 +396,6 @@ class TestOrdering:
         s = critical_snapshot(grid)
         cfg = SolverConfig()
         assert ordered_pair_test(s, s, cfg, 0.5, [0.5])
-
-
-class TestRegularization:
-    def test_monotone_convergence_to_degenerate(self):
-        grid = make_graded_grid(160, 1e-6, 1.1)
-        u0 = critical_snapshot(grid)
-        t_out = [1.0]
-        runs = {}
-        for eps in (3e-3, 1e-3, 3e-4, 0.0):
-            cfg = SolverConfig(reg_epsilon=eps)
-            runs[eps] = solve(u0, cfg, 1.0, t_out).snapshots[-1].values
-        # concave-type data: extra diffusion lowers the profile, so values
-        # increase monotonically as eps decreases
-        assert np.all(runs[3e-3] <= runs[1e-3] + 1e-7)
-        assert np.all(runs[1e-3] <= runs[3e-4] + 1e-7)
-        assert np.all(runs[3e-4] <= runs[0.0] + 1e-7)
-        gaps = [np.max(np.abs(runs[eps] - runs[0.0]))
-                for eps in (3e-3, 1e-3, 3e-4)]
-        assert gaps[0] > gaps[1] > gaps[2]
 
 
 class TestSlopeExtraction:
@@ -569,7 +541,7 @@ class TestConvergence:
                       left_bc=0.0, right_bc=xi)
 
         def run(dt):
-            cfg = SolverConfig(dt_max=dt, dt_initial=dt, local_error_tol=None)
+            cfg = SolverConfig(dt_max=dt, local_error_tol=None)
             return solve(u0, cfg, 1.0, [1.0]).snapshots[-1].values
 
         ref = run(0.000625)
@@ -584,7 +556,7 @@ class TestConvergence:
             grid = make_graded_grid(n, 1.0 / (n - 1), 1.0)
             u0 = Snapshot(grid=grid, values=xi * grid.nodes, time=0.0,
                           left_bc=0.0, right_bc=xi)
-            cfg = SolverConfig(dt_max=dt, dt_initial=dt, local_error_tol=None)
+            cfg = SolverConfig(dt_max=dt, local_error_tol=None)
             return grid, solve(u0, cfg, 1.0, [1.0]).snapshots[-1].values
 
         ref_grid, ref = run(513)
@@ -618,16 +590,15 @@ class TestStepControl:
         grid = make_graded_grid(41, 1.0 / 40, 1.0)
         u0 = Snapshot(grid=grid, values=xi * grid.nodes, time=0.0,
                       left_bc=0.0, right_bc=xi)
-        cfg = SolverConfig(dt_max=1e-3, dt_initial=1e-3, local_error_tol=None)
+        cfg = SolverConfig(dt_max=1e-3, local_error_tol=None)
         u = solve(u0, cfg, 0.2, [0.2]).snapshots[-1].values
-        return grid.nodes, u, _UProblem(grid, xi, 0.0)
+        return grid.nodes, u, _UProblem(grid, xi)
 
     def test_estimate_matches_local_error(self):
         # one TR-BDF2 step from a smooth state: the embedded estimate agrees
         # with the error against a 64-substep reference within a factor 3,
         # and it shrinks like dt^3 (8x per halving; accepted: 6x to 10x)
         _, u, problem = self._smooth_state()
-        problem.freeze_blend(u)
         ests = []
         for dt in (0.02, 0.01):
             est, true = _local_errors(u, dt, problem)
@@ -641,7 +612,6 @@ class TestStepControl:
         # within 50x of that error (unfiltered it is 400x too large)
         x, u, problem = self._smooth_state()
         u += 1e-3 * x * np.sin(20.0 * np.pi * x)
-        problem.freeze_blend(u)
         est, true = _local_errors(u, 0.02, problem)
         assert est < 50.0 * true
 
@@ -685,7 +655,8 @@ class TestStepControl:
             return _step_once(*args)
         monkeypatch.setattr(pde, "_step_once", counted)
         monkeypatch.setattr(pde, "_MAX_NEWTON", max_newton)
-        cfg = SolverConfig(dt_initial=0.05, **extra)
+        monkeypatch.setattr(pde, "_DT_INITIAL", 0.05)
+        cfg = SolverConfig(**extra)
         traj = solve(critical_snapshot(grid), cfg, 3.0, [1.0, 3.0])
         rejected = {"error_test": traj.rejected_error_test,
                     "newton": traj.rejected_newton}
@@ -711,10 +682,6 @@ class TestStepControl:
         with pytest.raises(ValueError, match="dt_max"):
             SolverConfig(local_error_tol=None, dt_max=None)
         assert SolverConfig().dt_max is None
-        # dt_initial is checked against dt_max only when a cap is set
-        assert SolverConfig(dt_initial=1.0).dt_initial == 1.0
-        with pytest.raises(ValueError, match="dt_initial"):
-            SolverConfig(dt_initial=1.0, dt_max=0.5)
 
 
 def _critical_run(n, x_min, ratio, t_out, **cfg):
