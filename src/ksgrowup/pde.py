@@ -51,7 +51,10 @@ accepts a stage once every row's residual is at most _NEWTON_TOL times
 |U_i| + |rhs_i| + coef * term_size_i (term sizes from the step's start).
 A sum cannot be rounded below a few eps times its terms, so in every row,
 the fine cells near x = 0 included, that bar lies above the round-off.
-Anything else fails the solve, and the step is retried smaller.
+Anything else fails the solve, and the step is retried smaller.  Each
+state is evaluated once: the residual and Jacobian bands with which Newton
+accepts a step's new state travel with it to the next step, as the F(u)
+and J(u) that step starts from.
 """
 
 from __future__ import annotations
@@ -214,24 +217,27 @@ def _newton(problem, u_start, coef, rhs, size, maxit):
     the row sums, so it lies above the residual's round-off in every row
     (Hairer & Wanner, Solving ODEs II, IV.8).  Any other outcome fails the
     solve: a residual that is not finite or a singular iteration matrix at
-    once, else running out of maxit iterations.
+    once, else running out of maxit iterations.  Returns (U, iterations,
+    ok, ev): ev is problem.rhs_and_jac(U), the evaluation that accepted U,
+    or None when the solve fails.
     """
     u = u_start.copy()
     sl = slice(problem.ilo, len(u) - 1)
     for it in range(maxit):
-        F, sub, diag, sup = problem.rhs_and_jac(u)
+        ev = problem.rhs_and_jac(u)
+        F, sub, diag, sup = ev
         R = u[sl] - coef * F - rhs
-        excess = float(np.max(np.abs(R) - _NEWTON_TOL * (np.abs(u[sl]) + size)))
+        excess = float((np.abs(R) - _NEWTON_TOL * (np.abs(u[sl]) + size)).max())
         if not math.isfinite(excess):
-            return u, it, False
+            return u, it, False, None
         if excess <= 0.0:
-            return u, it, True
+            return u, it, True, ev
         try:
             du = solve_banded(_iteration_bands(coef, sub, diag, sup), -R)
         except np.linalg.LinAlgError:
-            return u, it, False
+            return u, it, False, None
         u[sl] += du
-    return u, maxit, False
+    return u, maxit, False, None
 
 
 def _iteration_bands(coef, sub, diag, sup):
@@ -329,9 +335,13 @@ class _UProblem:
 # generic implicit stepping with local-error control
 
 
-def _step_once(problem, u, dt, u_prev=None, dt_prev=None):
-    """One implicit step of size dt from u: (u_new, ok, Newton its, est).
+def _step_once(problem, u, ev, dt, u_prev=None, dt_prev=None):
+    """One implicit step of size dt from u: (u_new, ok, its, est, ev_new).
 
+    ev is problem.rhs_and_jac(u), F(u) with its Jacobian bands, which the
+    caller keeps with u; ev_new is the same for u_new, taken from the Newton
+    solve that accepted it (None when the step fails).  its is the larger
+    Newton iteration count of the two stages.
     TR-BDF2 takes a trapezoidal stage to t + gam*dt and a BDF2 stage to
     t + dt; with gam = 2 - sqrt(2) both stages solve with the iteration
     matrix I - d*dt*J, d = gam/2.  est estimates the local error on the
@@ -352,7 +362,7 @@ def _step_once(problem, u, dt, u_prev=None, dt_prev=None):
     sl = slice(problem.ilo, len(u) - 1)
     gam = _TRBDF2_GAMMA
     coef = 0.5 * gam * dt
-    F0, sub, diag, sup = problem.rhs_and_jac(u)
+    F0, sub, diag, sup = ev
     tau = gam * dt
     start = u.copy()
     if u_prev is None:
@@ -362,18 +372,18 @@ def _step_once(problem, u, dt, u_prev=None, dt_prev=None):
         start[sl] = u[sl] + tau * F0 + c * tau ** 2
     rhs1 = u[sl] + coef * F0
     terms = coef * problem.term_size(u)
-    u1, its1, ok = problem.newton(start, coef, rhs1, np.abs(rhs1) + terms,
-                                  _MAX_NEWTON)
+    u1, its1, ok, _ = problem.newton(start, coef, rhs1, np.abs(rhs1) + terms,
+                                     _MAX_NEWTON)
     if not ok:
-        return u, False, its1, None
+        return u, False, its1, None, None
     start = u1.copy()
     start[sl] = u[sl] + dt * F0 + (u1[sl] - u[sl] - tau * F0) / gam ** 2
     rhs2 = (u1[sl] - (1.0 - gam) ** 2 * u[sl]) / (gam * (2.0 - gam))
-    u2, its2, ok = problem.newton(start, coef, rhs2, np.abs(rhs2) + terms,
-                                  _MAX_NEWTON)
+    u2, its2, ok, ev_new = problem.newton(start, coef, rhs2,
+                                          np.abs(rhs2) + terms, _MAX_NEWTON)
     its = max(its1, its2)
     if not ok:
-        return u, False, its, None
+        return u, False, its, None, None
     Fg = (u1[sl] - rhs1) / coef
     F1 = (u2[sl] - rhs2) / coef
     est = 2.0 * _TRBDF2_K * dt * (
@@ -381,8 +391,8 @@ def _step_once(problem, u, dt, u_prev=None, dt_prev=None):
     try:
         est = solve_banded(_iteration_bands(coef, sub, diag, sup), est)
     except np.linalg.LinAlgError:
-        return u, False, its, None
-    return u2, True, its, est
+        return u, False, its, None, None
+    return u2, True, its, est, ev_new
 
 
 def _advance(problem, u0_vec, t_end, out_times, cfg, post_check):
@@ -394,14 +404,18 @@ def _advance(problem, u0_vec, t_end, out_times, cfg, post_check):
     it.  A step rejected by that test or for a Newton failure is retried
     smaller; both causes are counted.  Without it, steps are fixed at
     dt_max.  post_check(u, t, est) sees every accepted state with its
-    error estimate.  Returns (outputs, step times, step sizes, Newton
-    iterations, rejection counts by cause).
+    error estimate.  The initial state is evaluated here; every later
+    state's evaluation comes from the step that accepted it, and a
+    rejected step leaves u and its evaluation as they were.  Returns
+    (outputs, step times, step sizes, Newton iterations, rejection counts
+    by cause).
     """
     out_times = sorted(set(float(t) for t in out_times))
     if out_times and (out_times[0] < 0.0 or out_times[-1] > t_end + 1e-12):
         raise RangeError("output times must lie in [0, t_end]")
     adaptive = cfg.local_error_tol is not None
     u = u0_vec.copy()
+    ev = problem.rhs_and_jac(u)
     t = 0.0
     dt = _DT_INITIAL if adaptive else cfg.dt_max
     u_prev = dt_prev = None   # the accepted state before u, for the predictor
@@ -420,7 +434,8 @@ def _advance(problem, u0_vec, t_end, out_times, cfg, post_check):
         dtc = dt if cfg.dt_max is None else min(dt, cfg.dt_max)
         if dtc >= (1.0 - _SLIVER) * remaining:
             dtc = remaining
-        un, ok, n_newton, est = _step_once(problem, u, dtc, u_prev, dt_prev)
+        un, ok, n_newton, est, ev_new = _step_once(problem, u, ev, dtc,
+                                                   u_prev, dt_prev)
         if not ok:
             if not adaptive:
                 raise SolverFailureError(f"Newton failed at t = {t:.6g} (fixed step)")
@@ -431,7 +446,7 @@ def _advance(problem, u0_vec, t_end, out_times, cfg, post_check):
                     f"Newton failed at t = {t:.6g} with dt at the floor")
             continue
         if adaptive:
-            err = float(np.max(np.abs(est))) / (
+            err = float(np.abs(est).max()) / (
                 cfg.local_error_tol * problem.scale(un))
             if err > 1.0:
                 rejected["rejected_error_test"] += 1
@@ -443,7 +458,7 @@ def _advance(problem, u0_vec, t_end, out_times, cfg, post_check):
             dt = dtc * min(2.5, max(0.3, 0.85 * max(err, 1e-10) ** (-1.0 / 3.0)))
         t = target if dtc == remaining else t + dtc
         post_check(un, t, est)
-        u_prev, dt_prev, u = u, dtc, un
+        u_prev, dt_prev, u, ev = u, dtc, un, ev_new
         times.append(t)
         sizes.append(dtc)
         iters.append(n_newton)
@@ -486,10 +501,11 @@ def solve(u0: Snapshot, config: SolverConfig, t_end: float,
             raise MaximumPrincipleViolation(
                 f"values left [0, {hi}] at t = {t:.6g}: "
                 f"[{u.min():.3e}, {u.max():.3e}]")
-        if np.any(np.diff(u) < -monotone_tol):
+        du = np.diff(u)
+        if (du < -monotone_tol).any():
             raise MaximumPrincipleViolation(
                 f"monotonicity lost at t = {t:.6g} "
-                f"(worst drop {np.min(np.diff(u)):.3e})")
+                f"(worst drop {du.min():.3e})")
         d_errs.append(_d_step_error(grid.nodes, u, est))
 
     outs, times, sizes, iters, rejected = _advance(
@@ -516,7 +532,7 @@ def _d_step_error(x, u, est):
     y = (u[1] / x[1]) * x[1:-1]
     m = (y >= _Y_WINDOW[0]) & (y <= _Y_WINDOW[1])
     m[0] |= not m.any()
-    return float(np.max(np.abs(est[m]) / u[1:-1][m]))
+    return float((np.abs(est[m]) / u[1:-1][m]).max())
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +594,7 @@ class _WProblem:
         return size
 
     def scale(self, w):
-        return max(1.0, float(np.max(np.abs(w))))
+        return max(1.0, float(np.abs(w).max()))
 
 
 @dataclass
@@ -604,7 +620,7 @@ def solve_w(w0: RadialField, config: SolverConfig, t_end: float,
     problem = _WProblem(r)
 
     def post_check(w, t, est):
-        m = float(np.max(np.abs(w)))
+        m = float(np.abs(w).max())
         if m > config.blowup_cap:
             raise _BlowUp(t, m)
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
+
 from .barriers import ResidualReport
 from .grids import Snapshot
 from .matching import MatchingPath
@@ -20,18 +22,19 @@ def fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _csv(rows, header) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _csv(columns, header) -> str:
+    """One line per row of the columns, each value written as fmt writes it
+    ("%.17g" formats a float as f"{x:.17g}" does), one format call per row."""
+    row = ",".join(["%.17g"] * len(header))
+    lines = [row % tuple(r) for r in np.column_stack(columns).tolist()]
+    return "\n".join([",".join(header), *lines]) + "\n"
 
 
 # -- snapshots ----------------------------------------------------------------
 
 
 def snapshot_to_csv(snap: Snapshot) -> str:
-    return _csv(zip(snap.grid.nodes, snap.values), ["x", "value"])
+    return _csv((snap.grid.nodes, snap.values), ["x", "value"])
 
 
 # -- special-function tables -------------------------------------------------
@@ -39,9 +42,9 @@ def snapshot_to_csv(snap: Snapshot) -> str:
 
 def table_to_csv(table: SpecialTable) -> str:
     T = table.eval(table.y)
-    rows = zip(table.y, T["f"], T["f_prime"], table.funcs.tilde_f(table.y),
+    columns = (table.y, T["f"], T["f_prime"], table.funcs.tilde_f(table.y),
                T["g"], T["g_prime"], T["h"], T["h_prime"])
-    return _csv(rows, ["y", "f", "f'", "tilde_f", "g", "g'", "h", "h'"])
+    return _csv(columns, ["y", "f", "f'", "tilde_f", "g", "g'", "h", "h'"])
 
 
 def table_header_json(table: SpecialTable) -> dict:
@@ -60,8 +63,8 @@ def table_header_json(table: SpecialTable) -> dict:
 
 
 def path_to_csv(path: MatchingPath) -> str:
-    rows = zip(path.t, path.a, path.a_prime, path.b, path.gamma)
-    return _csv(rows, ["t", "a", "a'", "b", "gamma"])
+    columns = (path.t, path.a, path.a_prime, path.b, path.gamma)
+    return _csv(columns, ["t", "a", "a'", "b", "gamma"])
 
 
 def path_header_json(path: MatchingPath, sigma_step: float) -> dict:

@@ -14,6 +14,7 @@ import numpy as np
 
 from ksgrowup import pde
 from ksgrowup.barriers import BarrierSpec, eval_barrier
+from ksgrowup.grids import make_graded_grid
 from ksgrowup.matching import integrate_a
 from ksgrowup.specialfn import SpecialFunctions
 
@@ -66,3 +67,22 @@ def test_special_function_metrics_are_entered(monkeypatch):
     for name in ("specialfn.quad_points", "specialfn.table_eval_points",
                  "specialfn.table_eval_s"):
         assert metrics[name]["value"], (name, metrics[name])
+
+
+def test_newton_maxit_is_counted(monkeypatch):
+    # pde.newton_maxit_solves reads the iteration count at index 1 of what
+    # newton returns: a solve stopped by maxit = 1 on a state that needs an
+    # update counts once
+    tracer = tracing.Tracer()
+    key = "pde._UProblem.newton"
+    owner, attr, original = tracing._resolve(key)
+    monkeypatch.setattr(owner, attr, tracer._newton_wrapper(key, original))
+    grid = make_graded_grid(140, 1e-6, 1.12)
+    u = grid.nodes.copy()
+    problem = pde._UProblem(grid, 1.0)
+    coef, rhs = 0.01, u[1:-1].copy()
+    _, its, ok, _ = problem.newton(u, coef, rhs,
+                                   np.abs(rhs) + coef * problem.term_size(u), 1)
+    assert (its, ok) == (1, False)
+    metrics = tracing.Summary(tracer).metrics("pipeline")
+    assert metrics["pde.newton_maxit_solves"]["value"] == 1

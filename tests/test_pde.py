@@ -87,8 +87,9 @@ class TestNewtonStop:
         r, w = self._steady_w()
         problem = _WProblem(r)
         coef, rhs = 1e-3, w[:-1]
-        w_new, its, ok = problem.newton(w, coef, rhs, self._size(problem, w, coef, rhs),
-                                        pde._MAX_NEWTON)
+        w_new, its, ok, _ = problem.newton(w, coef, rhs,
+                                           self._size(problem, w, coef, rhs),
+                                           pde._MAX_NEWTON)
         F = problem.rhs_and_jac(w_new)[0]
         assert np.max(np.abs(w_new[:-1] - coef * F - rhs)) >= 1e-9
         assert its <= 2
@@ -104,8 +105,9 @@ class TestNewtonStop:
         problem = _ScaledBands(r)
         problem.band_scale = band_scale
         coef, rhs = 1e-4, w[:-1]
-        _, its, ok = problem.newton(w, coef, rhs, self._size(problem, w, coef, rhs),
-                                    pde._MAX_NEWTON)
+        _, its, ok, _ = problem.newton(w, coef, rhs,
+                                       self._size(problem, w, coef, rhs),
+                                       pde._MAX_NEWTON)
         assert its == its_expected
         assert not ok
 
@@ -121,7 +123,7 @@ class TestNewtonStop:
         coef, rhs = 0.1, u[1:-1].copy()
         size = self._size(problem, u, coef, rhs)
         rhs[0] += factor * pde._NEWTON_TOL * (abs(u[1]) + size[0])
-        _, its, ok = problem.newton(u, coef, rhs, size, 1)
+        _, its, ok, _ = problem.newton(u, coef, rhs, size, 1)
         assert ok == accepted
         assert its == (0 if accepted else 1)
 
@@ -316,7 +318,7 @@ class TestFailedSolve:
     def test_nan_state_fails_the_solve_at_once(self):
         problem, u = _w_problem()
         u[5] = np.nan
-        _, its, ok = problem.newton(u, 1e-3, u[:-1], 1e-11, 14)
+        _, its, ok, _ = problem.newton(u, 1e-3, u[:-1], 1e-11, 14)
         assert (its, ok) == (0, False)
 
 
@@ -576,10 +578,10 @@ def _d(snap):
 
 def _local_errors(u, dt, problem):
     """One TR-BDF2 step from u: (max|est|, max error against 64 substeps)."""
-    u_step, ok, _, est = _step_once(problem, u, dt)
+    u_step, ok, _, est, _ = _step_once(problem, u, problem.rhs_and_jac(u), dt)
     ref = u.copy()
     for _ in range(64):
-        ref = _step_once(problem, ref, dt / 64)[0]
+        ref = _step_once(problem, ref, problem.rhs_and_jac(ref), dt / 64)[0]
     assert ok
     return np.max(np.abs(est)), np.max(np.abs(u_step - ref))
 
@@ -682,6 +684,60 @@ class TestStepControl:
         with pytest.raises(ValueError, match="dt_max"):
             SolverConfig(local_error_tol=None, dt_max=None)
         assert SolverConfig().dt_max is None
+
+
+class TestEvaluationReuse:
+    """Each state is evaluated once: the Newton solve that accepts a state
+    hands F(u) and its Jacobian bands on to the next step."""
+
+    @pytest.mark.parametrize("extra, max_newton, cause", [
+        ({}, pde._MAX_NEWTON, "error_test"),
+        ({"local_error_tol": 1.0}, 3, "newton"),
+    ], ids=["error_test", "newton"])
+    def test_carried_evaluation_is_fresh(self, monkeypatch, extra, max_newton,
+                                         cause):
+        # the rejection scenarios of test_rejections_counted_by_cause: a
+        # rejected step leaves u, and the evaluation carried with it must
+        # stay that of u, at every attempt
+        grid = make_graded_grid(140, 1e-6, 1.12)
+        stale = []
+
+        def checked(problem, u, ev, *args):
+            fresh = problem.rhs_and_jac(u)
+            stale.append(not all(np.array_equal(a, b) for a, b in zip(ev, fresh)))
+            return _step_once(problem, u, ev, *args)
+        monkeypatch.setattr(pde, "_step_once", checked)
+        monkeypatch.setattr(pde, "_MAX_NEWTON", max_newton)
+        monkeypatch.setattr(pde, "_DT_INITIAL", 0.05)
+        traj = solve(critical_snapshot(grid), SolverConfig(**extra), 3.0,
+                     [1.0, 3.0])
+        assert getattr(traj, f"rejected_{cause}") > 0
+        assert len(stale) == (len(traj.step_times) + traj.rejected_error_test
+                              + traj.rejected_newton)
+        assert not any(stale)
+
+    @pytest.mark.parametrize("form", ["u", "w"])
+    def test_no_state_is_evaluated_twice(self, monkeypatch, form):
+        # the default-grid u-form run to t = 2 and the critical w-form run:
+        # no rhs_and_jac call sees a state an earlier call has seen
+        cls = _UProblem if form == "u" else _WProblem
+        seen = []
+        rhs_and_jac = cls.rhs_and_jac
+
+        def recorded(self, u):
+            seen.append(u.tobytes())
+            return rhs_and_jac(self, u)
+        monkeypatch.setattr(cls, "rhs_and_jac", recorded)
+        if form == "u":
+            grid = make_graded_grid(420, 1e-8, 1.07)
+            solve(critical_snapshot(grid), SolverConfig(), 2.0, [1.0, 2.0])
+        else:
+            r = _radial_grid()
+            field = RadialField(r_nodes=r, values=np.full_like(r, 8.0),
+                                total_mass=8 * np.pi)
+            solve_w(field, SolverConfig(dt_max=0.005), 1.25,
+                    [0.0625, 0.25, 0.5, 1.25])
+        assert seen and len(set(seen)) == len(seen)
 
 
 def _critical_run(n, x_min, ratio, t_out, **cfg):

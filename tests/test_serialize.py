@@ -57,3 +57,17 @@ class TestPathCsv:
         hdr = ser.path_header_json(path_k5, sigma_step=0.005)
         assert hdr["integrator_order"] == 4
         assert float(hdr["K"]) == 5.0
+
+
+class TestCsvFormat:
+    def test_one_format_per_row_writes_what_fmt_writes(self):
+        # signed zero, nan, the infinities, the smallest subnormal and values
+        # near the largest float, then random floats over the whole range
+        rng = np.random.default_rng(5)
+        edge = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                         1.8e308, -1.8e308, 1.0 / 3.0])
+        wide = rng.standard_normal(2000) * 10.0 ** rng.integers(-300, 300, 2000)
+        a = np.concatenate([edge, wide])
+        b = np.concatenate([wide[::-1], edge])
+        ref = "\n".join(["p,q"] + [f"{ser.fmt(x)},{ser.fmt(y)}" for x, y in zip(a, b)])
+        assert ser._csv((a, b), ["p", "q"]) == ref + "\n"
