@@ -10,9 +10,9 @@ with Q(s) = s^2 + 5s/2 + K is elementary: a polynomial part, a
 ((25/4 - K)/2) log Q term, and an arctan (K > 25/16), atanh (K < 25/16) or
 rational (K = 25/16) term, each written in the difference ell - log 2
 (log1p; arctan and atanh of the difference) so nothing cancels near a = 2.
-The knots solve t(ell_k) = sigma_k^2 / 2 on a uniform sigma grid by a
-safeguarded Newton, exact to round-off; between them a(t) is cubic Hermite
-in sigma with the ODE's own slopes, fourth order in the sigma step.
+A path answers every query by solving t(ell) = t at the times asked for
+with a safeguarded Newton, exact to round-off; it stores no knots and
+interpolates nothing, so no step size sets its accuracy.
 
 Derived closed forms, exact along solutions of the ODE:
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidKError, RangeError
+from .errors import InvalidKError, RangeError, SolverFailureError
 
 
 def _gp(s, K):
@@ -51,11 +51,10 @@ def _hp_prime(s, K):
 
 @dataclass(frozen=True)
 class MatchingPath:
-    """Path of a(t) with sampled derived quantities.
+    """Path of a(t) to t_end: sampled rows and exact queries.
 
-    The samples, like the knots, solve the exact t(log a).  Dense
-    evaluation goes through the stored knots (cubic Hermite in
-    sigma = sqrt(2t), slopes from the ODE itself).
+    The rows (t, a, a', b, gamma) and every query solve the exact
+    t(log a) at the time asked for; nothing is interpolated.
     """
 
     K: float
@@ -64,55 +63,32 @@ class MatchingPath:
     a_prime: np.ndarray
     b: np.ndarray
     gamma: np.ndarray
-    sigma_knots: np.ndarray
-    ell_knots: np.ndarray
+    t_end: float
 
     @property
-    def t_end(self) -> float:
-        return float(self.sigma_knots[-1] ** 2 / 2.0)
-
-    def _ell(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0) or np.any(t > self.t_end * (1 + 1e-12)):
-            raise RangeError(f"t outside the integrated range [0, {self.t_end:g}]")
-        sig = np.sqrt(2.0 * t)
-        sk, ek = self.sigma_knots, self.ell_knots
-        k = np.clip(np.searchsorted(sk, sig, side="right") - 1, 0, len(sk) - 2)
-        h = sk[k + 1] - sk[k]
-        s = (sig - sk[k]) / h
-        d0 = sk[k] * _gp(1.0 / ek[k], self.K)
-        d1 = sk[k + 1] * _gp(1.0 / ek[k + 1], self.K)
-        h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
-        h10 = s * (1.0 - s) ** 2
-        h01 = s * s * (3.0 - 2.0 * s)
-        h11 = s * s * (s - 1.0)
-        return h00 * ek[k] + h10 * h * d0 + h01 * ek[k + 1] + h11 * h * d1
+    def sigma_knots(self) -> np.ndarray:
+        # sigma = sqrt(2t) of the rows; perfbench/tracing.py counts them
+        return np.sqrt(2.0 * self.t)
 
     def loga_at(self, t):
-        return self._ell(t)
+        t = np.asarray(t, dtype=float)
+        if not np.all((t >= 0.0) & (t <= self.t_end * (1 + 1e-12))):
+            raise RangeError(f"t outside the integrated range [0, {self.t_end:g}]")
+        return _ell_at(self.K, t)
 
     def a_at(self, t):
-        return np.exp(self._ell(t))
+        return np.exp(self.loga_at(t))
 
     def b_at(self, t):
-        ell = self._ell(t)
+        ell = self.loga_at(t)
         return _gp(1.0 / ell, self.K) / np.exp(ell)
 
     def gamma_at(self, t):
-        return _hp(1.0 / self._ell(t), self.K)
+        return _hp(1.0 / self.loga_at(t), self.K)
 
     def gamma_prime_at(self, t):
-        s = 1.0 / self._ell(t)
+        s = 1.0 / self.loga_at(t)
         return -s * s * _gp(s, self.K) * _hp_prime(s, self.K)
-
-    def dense_error(self, t_lo: float) -> float:
-        """Largest relative error of the dense a(t) at the knot midpoints
-        from t_lo on, against the exact a there."""
-        sig = 0.5 * (self.sigma_knots[1:] + self.sigma_knots[:-1])
-        sig = sig[0.5 * sig * sig >= t_lo]
-        exact = np.exp(_ell_knots(self.K, sig))
-        return float(np.max(np.abs(self.a_at(0.5 * sig * sig) - exact) / exact,
-                            initial=0.0))
 
 
 def _t_of_ell(ell, K: float):
@@ -128,41 +104,49 @@ def _t_of_ell(ell, K: float):
     t = (d * (0.5 * (ell + l0) - 2.5)
          + 0.5 * (6.25 - K) * np.log1p(d * (ell + l0 + 2.5) / (l0 * (l0 + 2.5) + K))
          + 1.25 * (3.0 * K - 6.25) * third)
-    return t, ell ** 3 / (ell * (ell + 2.5) + K)
+    # ell * ell * ell: ** 3 of a numpy scalar may round unlike that of an array
+    return t, ell * ell * ell / (ell * (ell + 2.5) + K)
 
 
-def _ell_knots(K: float, sigma: np.ndarray) -> np.ndarray:
-    """ell solving t(ell) = sigma^2 / 2 at every sigma: Newton steps kept
-    inside the bracket that each residual narrows, bisection otherwise."""
+def _ell_at(K: float, t) -> np.ndarray:
+    """ell solving t(ell) = t at every t: Newton steps kept inside the
+    bracket that each residual narrows, bisection otherwise.  Each point
+    stops on its own step, so its bits do not depend on the other points.
+
+    Raises SolverFailureError if a point has not converged in 50 steps.
+    """
     l0 = math.log(2.0)
-    tau = 0.5 * sigma * sigma
+    tau = np.asarray(t, dtype=float)
     # t is convex for K >= 0, so its tangent at log 2 lies right of the root;
-    # sigma + 5/2 is the large-t asymptote
-    ell = np.minimum(l0 + tau * (l0 * (l0 + 2.5) + K) / l0 ** 3, sigma + 2.5)
+    # sqrt(2t) + 5/2 is the large-t asymptote
+    ell = np.minimum(l0 + tau * (l0 * (l0 + 2.5) + K) / l0 ** 3,
+                     np.sqrt(2.0 * tau) + 2.5)
     lo, hi = np.full_like(tau, l0), np.full_like(tau, np.inf)
+    active = np.ones_like(tau, dtype=bool)
     for _ in range(50):
-        t, dt = _t_of_ell(ell, K)
-        lo = np.where(t < tau, ell, lo)
-        hi = np.where(t > tau, ell, hi)
-        new = ell - (t - tau) / dt
+        tt, dt = _t_of_ell(ell, K)
+        lo = np.where(tt < tau, ell, lo)
+        hi = np.where(tt > tau, ell, hi)
+        new = ell - (tt - tau) / dt
         new = np.where((new < lo) | (new > hi), 0.5 * (lo + hi), new)
-        step = float(np.max(np.abs(new - ell) / ell))
-        ell = new
-        if step <= 1e-10:   # quadratic convergence: the error is now round-off
-            break
-    assert step <= 1e-10
-    return ell
+        step = np.abs(new - ell) / ell
+        ell = np.where(active, new, ell)
+        # quadratic convergence: after a step this small the error is round-off
+        active = active & (step > 1e-10)
+        if not active.any():
+            return ell[()]
+    raise SolverFailureError(
+        f"t(log a) not inverted for K = {K}: {int(active.sum())} of "
+        f"{active.size} points still moving after 50 Newton steps")
 
 
-def integrate_a(K: float, t_end: float, sigma_step: float) -> MatchingPath:
-    """The matching path to t_end: knots at a uniform sigma step of at most
-    ``sigma_step`` (at least 8 intervals) and 241 samples on [0, t_end],
-    each exact to round-off.  The step has no default here; runs take
-    ``[barriers] sigma_step`` from ``defaults.ini``.
+def integrate_a(K: float, t_end: float) -> MatchingPath:
+    """The matching path to t_end: 241 rows on [0, t_end] (t = 0 and 240
+    geometric times from 1e-3), each exact to round-off.  Queries of the
+    path solve t(log a) = t at the times asked for.
 
-    ``sigma_step`` sets only the spacing of the dense Hermite evaluation;
-    halving it moves a(t) between knots by the interpolation error, which
-    is fourth order in the step.
+    Raises SolverFailureError if the rows break a(0) = 2, a increasing or
+    log a >= sqrt(2t), which every solution of the ODE keeps.
     """
     if not math.isfinite(K):
         raise InvalidKError("K must be finite")
@@ -173,22 +157,15 @@ def integrate_a(K: float, t_end: float, sigma_step: float) -> MatchingPath:
     if t_end <= 0.0:
         raise RangeError("t_end must be positive")
 
-    sig_end = math.sqrt(2.0 * t_end)
-    n = max(8, int(math.ceil(sig_end / sigma_step)))
-    sigma_knots = np.linspace(0.0, sig_end, n + 1)
-    ells = _ell_knots(float(K), sigma_knots)
-
     samples = np.unique(np.clip(
         np.concatenate([[0.0], np.geomspace(1e-3, t_end, 240)]), 0.0, t_end))
-    ell = _ell_knots(float(K), np.sqrt(2.0 * samples))
+    ell = _ell_at(float(K), samples)
     a, s = np.exp(ell), 1.0 / ell
-    gp, gamma = _gp(s, K), _hp(s, K)
-    path = MatchingPath(K=float(K), t=samples, a=a, a_prime=a * gp, b=gp / a,
-                        gamma=gamma,
-                        sigma_knots=sigma_knots, ell_knots=ells)
-
-    # construction invariants
-    assert abs(path.a_at(0.0) - 2.0) < 1e-12
-    assert np.all(np.diff(ells) > 0.0)
-    assert np.all(ells >= sigma_knots - 1e-10)
-    return path
+    gp = _gp(s, K)
+    if (abs(a[0] - 2.0) >= 1e-12 or not np.all(np.diff(a) > 0.0)
+            or not np.all(ell >= np.sqrt(2.0 * samples) - 1e-10)):
+        raise SolverFailureError(
+            f"matching path for K = {K} breaks a(0) = 2, a increasing or "
+            "log a >= sqrt(2t)")
+    return MatchingPath(K=float(K), t=samples, a=a, a_prime=a * gp, b=gp / a,
+                        gamma=_hp(s, K), t_end=float(t_end))

@@ -67,16 +67,10 @@ def path_to_csv(path: MatchingPath) -> str:
     return _csv(columns, ["t", "a", "a'", "b", "gamma"])
 
 
-def path_header_json(path: MatchingPath, sigma_step: float) -> dict:
-    return {
-        "K": fmt(path.K),
-        "t_end": fmt(path.t_end),
-        # exact knots; between them cubic Hermite in sigma, fourth order
-        "integrator": "exact-knots-sigma",
-        "integrator_order": 4,
-        "sigma_step": fmt(sigma_step),
-        "n_knots": int(len(path.sigma_knots)),
-    }
+def path_header_json(path: MatchingPath) -> dict:
+    # every row solves the exact t(log a) at its time
+    return {"K": fmt(path.K), "t_end": fmt(path.t_end),
+            "integrator": "exact-inverse"}
 
 
 # -- reports ------------------------------------------------------------------

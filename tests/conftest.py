@@ -36,22 +36,22 @@ def table_big(funcs_big):
 
 @pytest.fixture(scope="session")
 def path_k5():
-    return integrate_a(5.0, 1100.0, 0.005)
+    return integrate_a(5.0, 1100.0)
 
 
 @pytest.fixture(scope="session")
 def path_k6():
-    return integrate_a(6.0, 1100.0, 0.005)
+    return integrate_a(6.0, 1100.0)
 
 
 @pytest.fixture(scope="session")
 def path_k5_big():
-    return integrate_a(5.0, 3100.0, 0.005)
+    return integrate_a(5.0, 3100.0)
 
 
 @pytest.fixture(scope="session")
 def path_k6_big():
-    return integrate_a(6.0, 3100.0, 0.005)
+    return integrate_a(6.0, 3100.0)
 
 
 CRITICAL_OUTPUTS = [0.05, 0.1, 0.2, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 15.0,

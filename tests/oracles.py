@@ -7,6 +7,7 @@ ordering experiment), or a reader of a result that only the tests need.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +70,34 @@ def a_prime_at(path, t):
     """a'(t) = a Gp(1/log a) on a matching path."""
     ell = path.loga_at(t)
     return np.exp(ell) * _gp(1.0 / ell, path.K)
+
+
+def time_integral(ell, K: float, panel: float = 0.25):
+    """t(ell) = int_{log 2}^{ell} s^3 / (s^2 + 5s/2 + K) ds at each ell > log 2:
+    10-point Gauss-Legendre on panels at most ``panel`` wide from log 2 to
+    the largest ell, with every ell a panel edge, summed up to it.  A second
+    way to the path's closed-form t(ell), by quadrature alone."""
+    ell = np.asarray(ell, dtype=float)
+    l0 = math.log(2.0)
+    edges = np.unique(np.concatenate([np.arange(l0, ell.max(), panel), ell]))
+    x, w = np.polynomial.legendre.leggauss(10)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    s = mid[:, None] + half[:, None] * x[None, :]
+    part = half * ((s ** 3 / (s * s + 2.5 * s + K)) @ w)
+    t = np.concatenate([[0.0], np.cumsum(part)])
+    return t[np.searchsorted(edges, ell)]
+
+
+def queries_solve_the_time_integral(path):
+    """Whether loga_at(t) solves time_integral(ell) = t to 1e-12 relative in
+    t beyond what one ulp of ell moves t (near a = 2 an ulp of ell is a
+    large part of ell - log 2), at 200 times on [1e-6, 0.5] and 400 on
+    [100, 1000]: one bool per time."""
+    t = np.concatenate([np.geomspace(1e-6, 0.5, 200), np.linspace(100.0, 1000.0, 400)])
+    ell = path.loga_at(t)
+    dt_dell = ell ** 3 / (ell * ell + 2.5 * ell + path.K)
+    err = np.abs(time_integral(ell, path.K) - t)
+    return err <= 1e-12 * t + np.spacing(ell) * dt_dell
 
 
 # -- barriers -------------------------------------------------------------------

@@ -16,7 +16,8 @@ from ksgrowup.matching import integrate_a
 from ksgrowup.pde import SolverConfig, l1_to_one, slope_origin_info, solve
 from ksgrowup.specialfn import (OperatorInverse, SpecialFunctions,
                                 check_asymptotics, w0)
-from oracles import (apply_operator, ordered_pair_test, residual_fd,
+from oracles import (apply_operator, ordered_pair_test,
+                     queries_solve_the_time_integral, residual_fd,
                      residual_full, small_time_checks, steady_profile)
 
 
@@ -66,18 +67,14 @@ class TestCriterion2:
 
 class TestCriterion3:
     def test_matching_ode(self):
-        """K=5: log a - sqrt(2t) in [2,3] on [100,1000], halving < 1e-8."""
+        """K=5: log a - sqrt(2t) in [2,3] on [100,1000]; the path's log a
+        solves the quadrature t(log a) = t to round-off, for K = 5 and on
+        the arctan, atanh and rational branches (K = 6, -1, 25/16)."""
         start = time.perf_counter()
-        path = integrate_a(5.0, 1000.0, sigma_step=0.005)
-        half = integrate_a(5.0, 1000.0, sigma_step=0.0025)
-        # the knots are exact, so halving the step moves a(t) only between
-        # them: compare at the coarse midpoints from t = 0.5 on
-        sig = 0.5 * (path.sigma_knots[1:] + path.sigma_knots[:-1])
-        t_mid = 0.5 * sig * sig
-        t_mid = t_mid[t_mid >= 0.5]
-        a_half = half.a_at(t_mid)
-        rel = np.max(np.abs(path.a_at(t_mid) - a_half) / a_half)
-        assert rel < 1e-8
+        path = integrate_a(5.0, 1000.0)
+        assert np.all(queries_solve_the_time_integral(path))
+        for K in (6.0, -1.0, 25.0 / 16.0):
+            assert np.all(queries_solve_the_time_integral(integrate_a(K, 1000.0)))
         t = np.linspace(100.0, 1000.0, 400)
         dev = path.loga_at(t) - np.sqrt(2.0 * t)
         assert dev.min() > 2.0 and dev.max() < 3.0
@@ -85,7 +82,7 @@ class TestCriterion3:
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0
         _ok(3, f"deviation in [{dev.min():.3f}, {dev.max():.3f}], "
-               f"halving {rel:.1e}, {elapsed:.1f}s")
+               f"exact inverse, {elapsed:.1f}s")
 
 
 class TestCriterion4:
@@ -107,7 +104,7 @@ class TestCriterion4:
         assert bnd_lo.ok_beyond and bnd_lo.onset_t < 100.0
         assert bnd_up.ok_beyond and bnd_up.onset_t < 3000.0
 
-        swap_lo = BarrierSpec(kind="lower", path=integrate_a(7.0, 3030.0, 0.005),
+        swap_lo = BarrierSpec(kind="lower", path=integrate_a(7.0, 3030.0),
                               table=table_big)
         swap_up = BarrierSpec(kind="upper", path=path_k5_big, table=table_big)
         rep_sl = check_boundary_matching(swap_lo, (1.0, 3000.0))

@@ -226,7 +226,7 @@ class TestBoundaryMatching:
         assert rep.onset_t < 20.0
 
     def test_lower_k7_fails(self, table_med):
-        path = integrate_a(7.0, 60.0, 0.005)
+        path = integrate_a(7.0, 60.0)
         spec = BarrierSpec(kind="lower", path=path, table=table_med)
         rep = check_boundary_matching(spec, (1.0, 50.0))
         assert not rep.ok_beyond
@@ -296,7 +296,7 @@ class TestTimeShifts:
                              upper_onset=1150.6)
 
     def test_path_horizon_guard(self, fast_traj, table_med, path_k5):
-        short = integrate_a(6.0, 20.0, 0.005)
+        short = integrate_a(6.0, 20.0)
         spec_up = BarrierSpec(kind="upper", path=short, table=table_med)
         spec_lo = BarrierSpec(kind="lower", path=path_k5, table=table_med)
         with pytest.raises(RangeError):

@@ -61,7 +61,7 @@ def test_special_function_metrics_are_entered(monkeypatch):
                             tracer._wrapper(key, span, original, measure))
     table = SpecialFunctions(1e3).table()
     assert tracer.calls["specialfn.CumulativeIntegral.__call__"] > 0
-    spec = BarrierSpec(kind="lower", path=integrate_a(5.0, 2.0, 0.005), table=table)
+    spec = BarrierSpec(kind="lower", path=integrate_a(5.0, 2.0), table=table)
     eval_barrier(spec, np.linspace(0.0, 1.0, 9), 1.0)
     metrics = tracing.Summary(tracer).metrics("pipeline")
     for name in ("specialfn.quad_points", "specialfn.table_eval_points",
@@ -86,3 +86,12 @@ def test_newton_maxit_is_counted(monkeypatch):
     assert (its, ok) == (1, False)
     metrics = tracing.Summary(tracer).metrics("pipeline")
     assert metrics["pde.newton_maxit_solves"]["value"] == 1
+
+
+def test_path_measure_reads_a_real_path():
+    # the tracer's matching.rk4_steps measure reads an attribute of what
+    # integrate_a returns; a removed attribute would fail only a traced run
+    measure = tracing.BOUNDARIES["matching.integrate_a"][2]
+    path = integrate_a(5.0, 2.0)
+    (name, count), = measure((5.0, 2.0), {}, path)
+    assert name == "matching.rk4_steps" and count > 0

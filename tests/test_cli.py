@@ -52,15 +52,17 @@ class TestCommands:
         ("[barriers]\nnpd = 40\n", "npd"),           # moved to [tabulate]
         ("[solve]\nscheme = be\n", "scheme"),        # TR-BDF2 is the only one
         ("[match]\nt_end = 1000\n", "t_end"),        # the barrier paths' end
-        ("[match]\nsigma_step = 0.005\n", "sigma_step"),  # moved to [barriers]
-        ("[match]\nhalving_rtol = 1e-8\n", "halving_rtol"),  # now dense_rtol
+        ("[match]\nsigma_step = 0.005\n", "sigma_step"),  # once in [barriers], now gone
+        ("[match]\nhalving_rtol = 1e-8\n", "halving_rtol"),  # once dense_rtol, now gone
         ("[solve]\nnewton_tol = 1e-11\n", "newton_tol"),  # one scaled Newton bar
         ("[solve]\nreg_epsilon = 0\n", "reg_epsilon"),    # the operator has no eps
         ("[solve]\ndt_initial = 1e-7\n", "dt_initial"),   # a constant of the solver
+        ("[barriers]\nsigma_step = 0.005\n", "sigma_step"),  # the paths are exact
+        ("[match]\ndense_rtol = 1e-8\n", "dense_rtol"),      # nothing is interpolated
     ], ids=["key", "moved_key", "section", "derived_y_max", "moved_npd",
             "removed_scheme", "removed_match_t_end", "moved_sigma_step",
             "renamed_halving_rtol", "removed_newton_tol", "removed_reg_epsilon",
-            "removed_dt_initial"])
+            "removed_dt_initial", "removed_sigma_step", "removed_dense_rtol"])
     def test_unknown_config_key_is_exit_2(self, tmp_path, capsys, text, name):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(text)
@@ -167,18 +169,6 @@ class TestCommands:
         monkeypatch.setattr(specialfn.SpecialFunctions, "__init__", counting_init)
         assert main(["match", "--out", str(tmp_path / "m"), "--quiet"]) == 0
         assert builds == []
-
-    def test_match_coarse_sigma_step_fails(self, tmp_path):
-        # the knots are exact at any step, but a coarse one leaves a Hermite
-        # error between them (about 2.5e-7) above dense_rtol = 1e-8: exit 1
-        out = tmp_path / "m"
-        cfg = tmp_path / "m.ini"
-        cfg.write_text("[barriers]\nsigma_step = 0.1\n")
-        assert main(["match", "--config", str(cfg), "--out", str(out),
-                     "--quiet"]) == 1
-        verdict = json.loads((out / "match_verdict.json").read_text())
-        assert any("dense a(t) between knots" in f
-                   for f in verdict["failures"])
 
     def test_tabulate_small_sweep(self, tmp_path):
         out = tmp_path / "t"

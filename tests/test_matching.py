@@ -3,21 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from ksgrowup import matching
 from ksgrowup.matching import MatchingPath, integrate_a
-from ksgrowup.errors import InvalidKError, RangeError
+from ksgrowup.errors import InvalidKError, RangeError, SolverFailureError
 from ksgrowup.matching import _gp
-from oracles import a_prime_at, closed_rate, gamma_of_a
-
-
-def _time_integral(ell, K):
-    """t(ell) = int_{log 2}^{ell} s^3 / (s^2 + 5s/2 + K) ds at each of the
-    increasing ell: 10-point Gauss-Legendre on every interval between them,
-    summed."""
-    x, w = np.polynomial.legendre.leggauss(10)
-    edges = np.concatenate([[math.log(2.0)], ell])
-    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-    s = mid[:, None] + half[:, None] * x[None, :]
-    return np.cumsum(half * ((s ** 3 / (s * s + 2.5 * s + K)) @ w))
+from oracles import (a_prime_at, closed_rate, gamma_of_a,
+                     queries_solve_the_time_integral, time_integral)
 
 
 class TestClosedRate:
@@ -56,51 +47,48 @@ class TestIntegration:
         assert dev.min() > 2.0 and dev.max() < 3.0
         assert np.all(np.diff(np.abs(dev - 2.5)) <= 1e-12)
 
-    def test_step_halving(self):
-        # the knots are exact, so halving the sigma step moves a(t) only
-        # between knots: compare at the coarse knots' midpoints from the
-        # earliest barrier time (t = 0.5) on, and at t_end
-        coarse = integrate_a(5.0, 1000.0, sigma_step=0.005)
-        fine = integrate_a(5.0, 1000.0, sigma_step=0.0025)
-
-        def worst_at_midpoints(path):
-            sig = 0.5 * (path.sigma_knots[1:] + path.sigma_knots[:-1])
-            t = 0.5 * sig * sig
-            t = t[t >= 0.5]
-            return np.max(np.abs(path.a_at(t) - fine.a_at(t)) / fine.a_at(t))
-
-        assert worst_at_midpoints(coarse) < 1e-8
-        assert abs(coarse.a_at(1000.0) / fine.a_at(1000.0) - 1.0) < 1e-13
-        # a coarse step leaves an interpolation error the check must see
-        assert worst_at_midpoints(integrate_a(5.0, 1000.0, sigma_step=0.1)) > 1e-8
+    @pytest.mark.parametrize("K", [5.0, 6.0, -1.0, 25.0 / 16.0])
+    def test_queries_solve_the_time_integral(self, K):
+        # t(ell) = int_{log 2}^{ell} s^3 / (s^2 + 5s/2 + K) ds: K = 5, 6 take
+        # the arctan branch, K = -1 the atanh branch, K = 25/16 the rational
+        # one.  Queries at times off the rows: the criterion-3 window and
+        # the early layer, where a dense interpolant would be worst
+        assert np.all(queries_solve_the_time_integral(integrate_a(K, 1000.0)))
 
     @pytest.mark.parametrize("K", [5.0, 6.0, -1.0, 25.0 / 16.0])
     def test_knots_solve_the_time_integral(self, K):
-        # t(ell) = int_{log 2}^{ell} s^3 / (s^2 + 5s/2 + K) ds: K = 5, 6 take
-        # the arctan branch, K = -1 the atanh branch, K = 25/16 the rational
-        # one
-        path = integrate_a(K, 200.0, 0.005)
-        ell, sig = path.ell_knots, path.sigma_knots
+        # the knots of a uniform sigma = sqrt(2t) grid, 0.005 apart, queried
+        # in one batch
+        path = integrate_a(K, 200.0)
+        sig = np.linspace(0.0, 20.0, 4001)
+        ell = path.loga_at(0.5 * sig * sig)
         tau = 0.5 * sig[1:] ** 2
         assert ell[0] == math.log(2.0)
-        assert np.max(np.abs(_time_integral(ell[1:], K) - tau) / tau) <= 1e-12
+        assert np.max(np.abs(time_integral(ell[1:], K) - tau) / tau) <= 1e-12
 
     @pytest.mark.parametrize("K", [5.0, 6.0, -1.0, 25.0 / 16.0])
     def test_rows_solve_the_time_integral(self, K):
-        # the sampled rows (path_k*.csv) solve t(log a) = t like the knots;
-        # read off the dense interpolant, the rows at t < 0.01 would be off
-        # by up to 9e-8 relative in t
-        path = integrate_a(K, 200.0, 0.005)
+        # the sampled rows (path_k*.csv) solve t(log a) = t like the queries
+        path = integrate_a(K, 200.0)
         assert path.t[0] == 0.0
         t = path.t[1:]
-        t_quad = _time_integral(np.log(path.a[1:]), K)
+        t_quad = time_integral(np.log(path.a[1:]), K)
         assert np.max(np.abs(t_quad - t) / t) <= 1e-12
+
+    @pytest.mark.parametrize("K", [5.0, 6.0])
+    def test_a_point_does_not_depend_on_its_batch(self, K):
+        # each point stops its Newton iteration on its own step, so a batch
+        # gives every time the bits of a query of that time alone
+        path = integrate_a(K, 1000.0)
+        ts = np.concatenate([np.linspace(0.0, 1000.0, 101),
+                             np.geomspace(1e-6, 1000.0, 60), [0.0, 1000.0, 0.5, 0.5]])
+        assert np.array_equal(path.loga_at(ts), [path.loga_at(t) for t in ts])
 
     @pytest.mark.parametrize("K", [5.0, 6.0, -1.0, 25.0 / 16.0])
     def test_rk4_converges_to_the_knots_at_order_4(self, K):
         # classical RK4 on d ell / d sigma = sigma * Gp(1/ell), stage by
-        # stage, on the knots' own sigma grid: its error falls 16-fold when
-        # the step is halved
+        # stage, against the exact path at the knots of its own uniform sigma
+        # grid: its error falls 16-fold when the step is halved
         def rk4(sigma):
             h = sigma[1] - sigma[0]
             ell = np.empty_like(sigma)
@@ -114,17 +102,39 @@ class TestIntegration:
                 ell[i + 1] = e
             return ell
 
+        path = integrate_a(K, 200.0)
         errs = []
-        for step in (0.02, 0.01):
-            path = integrate_a(K, 200.0, sigma_step=step)
-            errs.append(np.max(np.abs(rk4(path.sigma_knots) - path.ell_knots)
-                               / path.ell_knots))
+        for n in (1000, 2000):
+            sigma = np.linspace(0.0, 20.0, n + 1)
+            exact = path.loga_at(0.5 * sigma * sigma)
+            errs.append(np.max(np.abs(rk4(sigma) - exact) / exact))
         assert 12.0 <= errs[0] / errs[1] <= 20.0
+
+    def test_unconverged_inverse_raises(self, monkeypatch):
+        # a wrong slope turns Newton linear and slow: after 50 steps the
+        # points still move, which must raise, not return (python -O strips
+        # asserts)
+        t_of_ell = matching._t_of_ell
+
+        def wrong_slope(ell, K):
+            t, dt = t_of_ell(ell, K)
+            return t, 10.0 * dt
+
+        monkeypatch.setattr(matching, "_t_of_ell", wrong_slope)
+        with pytest.raises(SolverFailureError, match="50 Newton steps"):
+            integrate_a(5.0, 100.0)
+
+    def test_rows_that_break_the_ode_raise(self, monkeypatch):
+        # log a one below the inverse: a(0) != 2 and log a < sqrt(2t) late on
+        ell_at = matching._ell_at
+        monkeypatch.setattr(matching, "_ell_at", lambda K, t: ell_at(K, t) - 1.0)
+        with pytest.raises(SolverFailureError, match="a increasing"):
+            integrate_a(5.0, 100.0)
 
     def test_invalid_k(self):
         with pytest.raises(InvalidKError):
-            integrate_a(-3.0, 10.0, 0.005)
-        integrate_a(-2.0, 10.0, 0.005)  # still admissible
+            integrate_a(-3.0, 10.0)
+        integrate_a(-2.0, 10.0)  # still admissible
 
     def test_range_guard(self, path_k5):
         with pytest.raises(RangeError):
@@ -195,8 +205,7 @@ class TestDerivedQuantities:
         t = np.linspace(0, 10, 20)
         path = MatchingPath(K=5.0, t=t, a=np.exp(t + 1), a_prime=np.exp(t + 1),
                             b=np.exp(-(t + 1)), gamma=np.full_like(t, 0.25),
-                            sigma_knots=np.array([0.0, 1.0]),
-                            ell_knots=np.array([math.log(2.0), 2.0]))
+                            t_end=10.0)
         assert np.all(np.diff(path.gamma) <= 1e-14)
 
     def test_gamma_prime_scale(self, path_k5):

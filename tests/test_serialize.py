@@ -54,8 +54,9 @@ class TestPathCsv:
         header, cols = parse_csv(ser.path_to_csv(path_k5))
         assert header == ["t", "a", "a'", "b", "gamma"]
         assert np.array_equal(cols[1], path_k5.a)
-        hdr = ser.path_header_json(path_k5, sigma_step=0.005)
-        assert hdr["integrator_order"] == 4
+        hdr = ser.path_header_json(path_k5)
+        assert hdr["integrator"] == "exact-inverse"
+        assert float(hdr["t_end"]) == 1100.0
         assert float(hdr["K"]) == 5.0
 
 
