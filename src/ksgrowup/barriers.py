@@ -53,14 +53,14 @@ class BarrierSpec:
         return self.table.M
 
 
-def _at_times(t, *quantities):
-    """Each path quantity at t (one time, or one per point), evaluated once
-    per distinct time."""
+def _at_times(path, t):
+    """(a, b, gamma, gamma') of the path at t (one time, or one per point),
+    from one inversion of t(log a) per distinct time."""
     t = np.asarray(t, dtype=float)
     if t.ndim == 0:
-        return [q(t) for q in quantities]
+        return path.closed_forms_at(t)
     times, where = np.unique(t, return_inverse=True)
-    return [q(times)[where] for q in quantities]
+    return [q[where] for q in path.closed_forms_at(times)]
 
 
 def eval_barrier(spec: BarrierSpec, x, t):
@@ -71,7 +71,7 @@ def eval_barrier(spec: BarrierSpec, x, t):
     table with a larger y_max).
     """
     x = np.asarray(x, dtype=float)
-    a, b, eps = _at_times(t, spec.path.a_at, spec.path.b_at, spec.path.gamma_at)
+    a, b, eps, _ = _at_times(spec.path, t)
     y = a * x
     T = spec.table.eval(y)
     base = y / (y + 1.0)    # one rounding; 1 - 1/(y+1) cancels for small y
@@ -92,8 +92,7 @@ def residual_reduced(spec: BarrierSpec, y, t):
     The full parabolic residual is a(t) * b(t)^2 times this value.
     """
     y = np.asarray(y, dtype=float)
-    a, b, gam, gamp = _at_times(t, spec.path.a_at, spec.path.b_at,
-                                spec.path.gamma_at, spec.path.gamma_prime_at)
+    a, b, gam, gamp = _at_times(spec.path, t)
     T = spec.table.eval(y)
     f, fp = T["f"], T["f_prime"]
     if spec.kind == LOWER:
@@ -115,7 +114,11 @@ def residual_reduced(spec: BarrierSpec, y, t):
 
 @dataclass
 class ResidualReport:
-    """Result of a sign scan of A (lower) / B (upper) over an (x, t) box."""
+    """Result of a sign scan of A (lower) / B (upper) on a lattice of times.
+
+    slope_ok (lower barrier only, else None): whether the barrier's x-slope
+    is positive at every scanned point and x = 0, at the lattice times from
+    threshold_T on (at every lattice time when the sign never certifies)."""
 
     kind: str
     K: float
@@ -126,6 +129,18 @@ class ResidualReport:
     worst_value: float
     worst_location: tuple   # (x, t)
     sign_ok: bool
+    slope_ok: bool | None
+
+
+def time_lattice(t_lo: float, t_hi: float, n_t: int, t_reach: float) -> np.ndarray:
+    """geomspace(t_lo, t_hi, n_t), continued at its ratio until it passes
+    t_reach: the one lattice of times on which certify checks a barrier."""
+    if not 0.0 < t_lo < t_hi or n_t < 2:
+        raise RangeError("a time lattice needs 0 < t_lo < t_hi and n_t >= 2")
+    step = np.log(t_hi / t_lo) / (n_t - 1)
+    n_more = max(0, int(np.floor(np.log(t_reach / t_hi) / step)) + 1)
+    return np.concatenate([np.geomspace(t_lo, t_hi, n_t),
+                           t_hi * np.exp(step * np.arange(1, n_more + 1))])
 
 
 # Points per call of a batched scan.  A SpecialTable.eval call costs about
@@ -159,26 +174,21 @@ def _scan_grid(a: float, per_decade: int) -> np.ndarray:
 
 # a scanned residual counts as of the required sign up to this round-off
 _SIGN_TOL = 1e-11
-# lattice times and scan points per decade of the lower-barrier slope check
-_MONOTONE_N_T, _MONOTONE_Y_RESOLUTION = 24, 40
 
 
-def certify_sign(spec: BarrierSpec, t_range: tuple, y_resolution: int = 40,
-                 n_t: int = 48) -> ResidualReport:
-    """Scan the required residual sign over y in (0, a(t)], t in t_range.
+def certify_sign(spec: BarrierSpec, ts, y_resolution: int) -> ResidualReport:
+    """Scan the required residual sign over y in (0, a(t)] at the lattice
+    times ts, and for the lower barrier its x-slope (see ResidualReport).
 
     The scan skips y = 0, where both A and B vanish identically by the
     anchoring f(0) = g(0) = h(0) = phi(0) = 0 (asserted in the test suite).
     threshold_T is the first lattice time from which the sign holds at all
     later lattice times.
     """
-    t0, t1 = float(t_range[0]), float(t_range[1])
-    if t0 <= 0.0 or t1 <= t0:
-        raise RangeError("t_range must satisfy 0 < t0 < t1")
-    ts = np.geomspace(t0, t1, n_t)
-    a = spec.path.a_at(ts)
+    ts = np.asarray(ts, dtype=float)
+    a = spec.path.closed_forms_at(ts)[0]
     ys = [_scan_grid(float(aj), y_resolution) for aj in a]
-    ok = np.zeros(n_t, dtype=bool)
+    ok = np.zeros(len(ts), dtype=bool)
     worst = []
     for j, vals in enumerate(_batched(lambda y, t: residual_reduced(spec, y, t),
                                       ys, ts)):
@@ -190,35 +200,20 @@ def certify_sign(spec: BarrierSpec, t_range: tuple, y_resolution: int = 40,
             ok[j] = vals[i] >= -_SIGN_TOL
         worst.append((float(vals[i]), float(ys[j][i] / a[j]), float(ts[j])))
 
-    threshold = None
-    for j in range(n_t):
-        if np.all(ok[j:]):
-            threshold = float(ts[j])
-            break
-    if threshold is not None:
-        region = [w for w, t in zip(worst, ts) if t >= threshold]
-    else:
-        region = worst
+    j0 = next((j for j in range(len(ts)) if np.all(ok[j:])), None)
+    start = 0 if j0 is None else j0
+    pick = max if spec.kind == LOWER else min
+    wv, wx, wt = pick(worst[start:], key=lambda r: r[0])
+    slope_ok = None
     if spec.kind == LOWER:
-        wv, wx, wt = max(region, key=lambda r: r[0])
-    else:
-        wv, wx, wt = min(region, key=lambda r: r[0])
+        xs = [np.concatenate([[0.0], y]) / aj for y, aj in zip(ys[start:], a[start:])]
+        slopes = _batched(lambda x, t: eval_barrier(spec, x, t)[1], xs, ts[start:])
+        slope_ok = all(np.all(s > 0.0) for s in slopes)
     return ResidualReport(kind=spec.kind, K=spec.path.K, M=spec.M,
-                          x_range=(0.0, 1.0), t_range=(t0, t1),
-                          threshold_T=threshold, worst_value=wv,
-                          worst_location=(wx, wt),
-                          sign_ok=threshold is not None)
-
-
-def check_lower_monotone(spec: BarrierSpec, t_range: tuple) -> bool:
-    """True iff the lower-barrier slope is > 0 on a dense (x, t) sample."""
-    if spec.kind != LOWER:
-        raise ConstructionError("monotonicity check applies to the lower barrier")
-    ts = np.geomspace(max(t_range[0], 1e-6), t_range[1], _MONOTONE_N_T)
-    xs = [np.concatenate([[0.0], _scan_grid(float(a), _MONOTONE_Y_RESOLUTION)]) / a
-          for a in spec.path.a_at(ts)]
-    slopes = _batched(lambda x, t: eval_barrier(spec, x, t)[1], xs, ts)
-    return all(np.all(s > 0.0) for s in slopes)
+                          x_range=(0.0, 1.0), t_range=(float(ts[0]), float(ts[-1])),
+                          threshold_T=None if j0 is None else float(ts[j0]),
+                          worst_value=wv, worst_location=(wx, wt),
+                          sign_ok=j0 is not None, slope_ok=slope_ok)
 
 
 @dataclass
@@ -241,42 +236,32 @@ def boundary_margin(spec: BarrierSpec, t) -> np.ndarray:
     Positive margin means the inequality holds.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    a = spec.path.a_at(t)
-    b = spec.path.b_at(t)
+    a, b, eps, _ = spec.path.closed_forms_at(t)
     T = spec.table.eval(a)
     if spec.kind == LOWER:
         m = 1.0 / (a + 1.0) - (b * T["f"] - b * b * T["g"])
     else:
-        eps = spec.path.gamma_at(t)
         m = b * (T["f"] - b * (1.0 + eps) * T["h"]) - 1.0 / (a + 1.0)
     return m * (a + 1.0)
 
 
-# lattice times of a boundary-matching scan
-_BOUNDARY_N_T = 96
-
-
-def check_boundary_matching(spec: BarrierSpec, t_range: tuple) -> BoundaryReport:
+def check_boundary_matching(spec: BarrierSpec, ts) -> BoundaryReport:
     """Find the onset time from which the x = 1 matching inequality holds.
 
-    The onset is the first of _BOUNDARY_N_T geometric lattice times from
-    which the inequality holds at every later one, refined between it and
-    the last failing lattice time; None when it fails at the last time.  An
-    onset at the window's first time only bounds the true onset from above."""
-    ts = np.geomspace(max(t_range[0], 1e-3), t_range[1], _BOUNDARY_N_T)
+    The onset is the first of the lattice times ts from which the inequality
+    holds at every later one, refined between it and the last failing
+    lattice time; None when it fails at the last time.  An onset at the
+    lattice's first time only bounds the true onset from above."""
+    ts = np.asarray(ts, dtype=float)
     margins = boundary_margin(spec, ts)
-    onset = None
-    for j in range(_BOUNDARY_N_T):
-        if np.all(margins[j:] > 0.0):
-            onset = float(ts[j])
-            break
-    if onset is not None and onset > ts[0]:
+    j0 = next((j for j in range(len(ts)) if np.all(margins[j:] > 0.0)), None)
+    onset = None if j0 is None else float(ts[j0])
+    if j0:
         # refine between the last failing and first passing lattice time: a
         # round evaluates the 31 inner points of 32 equal sections in one call
         # and keeps the first passing point after the last failing one, so 8
         # rounds shrink the bracket by 2^40, as 40 bisection steps would
-        lo = float(ts[max(0, np.searchsorted(ts, onset) - 1)])
-        hi = onset
+        lo, hi = float(ts[j0 - 1]), onset
         frac = np.arange(1, 32) / 32.0
         for _ in range(8):
             pts = np.concatenate([[lo], lo + (hi - lo) * frac, [hi]])
@@ -301,6 +286,8 @@ class ShiftReport:
     upper_onset: float
     n_times_lower: int
     n_times_upper: int
+    max_t_lower: float | None     # latest barrier time compared, None if none
+    max_t_upper: float | None
     worst_lower: float      # max of (barrier - u); <= slack when ordered
     worst_upper: float      # max of (u - barrier); <= slack when ordered
 
@@ -401,10 +388,13 @@ def find_time_shifts(lower_spec: BarrierSpec, upper_spec: BarrierSpec,
         lambda s: _upper_violation(upper_spec, snaps, s, t_min_upper),
         shift_max, lattice, slack, start=start)
 
+    lower_times = [s.time - T1 for s in snaps if s.time - T1 >= lower_onset]
+    upper_times = [s.time + T2 for s in snaps if s.time >= t_min_upper]
     return ShiftReport(
         T1=T1, T2=T2, slack=slack,
         lower_onset=float(lower_onset), upper_onset=float(upper_onset),
-        n_times_lower=sum(1 for s in snaps if s.time - T1 >= lower_onset),
-        n_times_upper=sum(1 for s in snaps if s.time >= t_min_upper),
+        n_times_lower=len(lower_times), n_times_upper=len(upper_times),
+        max_t_lower=max(lower_times, default=None),
+        max_t_upper=max(upper_times, default=None),
         worst_lower=_lower_violation(lower_spec, snaps, T1, lower_onset),
         worst_upper=_upper_violation(upper_spec, snaps, T2, t_min_upper))

@@ -197,12 +197,23 @@ def cmd_match(cfg, out: Path, quiet: bool) -> int:
     return _verdict(out / "match_verdict.json", failures, quiet)
 
 
+@functools.lru_cache(maxsize=1)
+def _lattice(cfg) -> np.ndarray:
+    """The run's one certify lattice: geomspace([certify] t_lo, t_hi, n_t),
+    continued at its ratio past [solve] t_end + [sandwich] shift_max, the
+    latest barrier time that sandwich may compare."""
+    sec = cfg["certify"]
+    ts = bar.time_lattice(float(sec["t_lo"]), float(sec["t_hi"]), int(sec["n_t"]),
+                          float(cfg["solve"]["t_end"])
+                          + float(cfg["sandwich"]["shift_max"]))
+    ts.flags.writeable = False
+    return ts
+
+
 def _path_end(cfg) -> float:
-    """t_path: long enough for certify's boundary scan and for sandwich's
-    largest shift."""
-    return max(1.01 * float(cfg["certify"]["boundary_t_hi"]),
-               float(cfg["solve"]["t_end"])
-               + float(cfg["sandwich"]["shift_max"]) + 1.0)
+    """t_path: the lattice's last time, so the paths, the swap paths and the
+    table reach exactly as far as certify checks."""
+    return float(_lattice(cfg)[-1])
 
 
 @functools.lru_cache(maxsize=1)
@@ -219,36 +230,30 @@ def _barrier_paths(cfg) -> tuple[mat.MatchingPath, mat.MatchingPath]:
 def _barriers(cfg, quiet: bool) -> tuple[bar.BarrierSpec, bar.BarrierSpec,
                                          bar.BoundaryReport, bar.BoundaryReport]:
     """The (lower, upper) barriers on the _barrier_paths and their x = 1
-    matching reports on certify's window [1, boundary_t_hi], with the run's
-    one special-function table, to max(1.05 a_upper(t_path), max([tabulate]
+    matching reports on the run's _lattice, with the run's one
+    special-function table, to max(1.05 a_upper(t_path), max([tabulate]
     sweep)) with [tabulate] npd.  Tabulate writes the table, certify writes
     the reports, and sandwich compares from their onsets."""
     path_lo, path_up = _barrier_paths(cfg)
     tab = cfg["tabulate"]
-    y_max = max(float(path_up.a_at(_path_end(cfg))) * 1.05,
+    y_max = max(float(path_up.closed_forms_at(_path_end(cfg))[0]) * 1.05,
                 max(_floats(tab["sweep"])))
     _say(quiet, f"building tables to y_max = {y_max:.3e} ...")
     table = SpecialFunctions(y_max, npd=int(tab["npd"])).table()
     specs = (bar.BarrierSpec(kind=bar.LOWER, path=path_lo, table=table),
              bar.BarrierSpec(kind=bar.UPPER, path=path_up, table=table))
-    bnd_hi = float(cfg["certify"]["boundary_t_hi"])
-    return specs + tuple(bar.check_boundary_matching(spec, (1.0, bnd_hi))
+    return specs + tuple(bar.check_boundary_matching(spec, _lattice(cfg))
                          for spec in specs)
 
 
 def cmd_certify(cfg, out: Path, quiet: bool) -> int:
     lower, upper, bnd_lo, bnd_up = _barriers(cfg, quiet)
     sec = cfg["certify"]
-    t_hi = float(sec["t_hi"])
-    bnd_hi = float(sec["boundary_t_hi"])
-    n_t = int(sec["n_t"])
-    res = int(sec["y_resolution"])
+    ts = _lattice(cfg)
     failures = []
 
-    rep_lo = bar.certify_sign(lower, (float(sec["t_lo"]), t_hi),
-                              y_resolution=res, n_t=n_t)
-    rep_up = bar.certify_sign(upper, (float(sec["t_lo"]), t_hi),
-                              y_resolution=res, n_t=n_t)
+    rep_lo, rep_up = (bar.certify_sign(spec, ts, int(sec["y_resolution"]))
+                      for spec in (lower, upper))
     ser.dump_json(ser.residual_report_to_json(rep_lo), out / "residual_lower.json")
     ser.dump_json(ser.residual_report_to_json(rep_up), out / "residual_upper.json")
     for rep in (rep_lo, rep_up):
@@ -257,9 +262,8 @@ def cmd_certify(cfg, out: Path, quiet: bool) -> int:
         if not rep.sign_ok:
             failures.append(f"{rep.kind} residual sign not certified")
 
-    mono = bar.check_lower_monotone(lower, (max(rep_lo.threshold_T or 1.0, 1.0), t_hi))
-    _say(quiet, f"lower barrier slope > 0: {mono}")
-    if not mono:
+    _say(quiet, f"lower barrier slope > 0: {rep_lo.slope_ok}")
+    if not rep_lo.slope_ok:
         failures.append("lower barrier not increasing beyond threshold")
 
     for rep, name in ((bnd_lo, "lower"), (bnd_up, "upper")):
@@ -269,15 +273,15 @@ def cmd_certify(cfg, out: Path, quiet: bool) -> int:
                       out / f"boundary_{name}.json")
         _say(quiet, f"{name} boundary matching onset: {rep.onset_t}")
         if not rep.ok_beyond:
-            failures.append(f"{name} boundary matching never holds up to {bnd_hi}")
+            failures.append(f"{name} boundary matching never holds up to {ts[-1]:g}")
 
     # deliberate K swaps must fail the matching inequalities at large time
     swaps = {}
     for kind, K in ((bar.LOWER, float(sec["k_lower_swap"])),
                     (bar.UPPER, float(sec["k_upper_swap"]))):
-        spec = bar.BarrierSpec(kind=kind, path=mat.integrate_a(K, bnd_hi * 1.01),
+        spec = bar.BarrierSpec(kind=kind, path=mat.integrate_a(K, _path_end(cfg)),
                                table=lower.table)
-        rep = bar.check_boundary_matching(spec, (1.0, bnd_hi))
+        rep = bar.check_boundary_matching(spec, ts)
         failed_as_predicted = rep.onset_t is None
         swaps[f"{kind}_K{K:g}"] = failed_as_predicted
         _say(quiet, f"swapped {kind} K={K:g}: matching fails as predicted: "
@@ -285,7 +289,8 @@ def cmd_certify(cfg, out: Path, quiet: bool) -> int:
         if not failed_as_predicted:
             failures.append(f"swapped {kind} K={K:g} unexpectedly matched")
 
-    return _verdict(out / "certify_verdict.json", failures, quiet, swaps=swaps)
+    return _verdict(out / "certify_verdict.json", failures, quiet, swaps=swaps,
+                    lattice_t_end=ser.fmt(ts[-1]))
 
 
 def cmd_solve(cfg, out: Path, quiet: bool) -> int:
@@ -393,6 +398,8 @@ def cmd_sandwich(cfg, out: Path, quiet: bool) -> int:
                    "worst_upper": ser.fmt(report.worst_upper),
                    "n_times_lower": report.n_times_lower,
                    "n_times_upper": report.n_times_upper,
+                   "max_t_lower": _fmt_or_none(report.max_t_lower),
+                   "max_t_upper": _fmt_or_none(report.max_t_upper),
                    "ok": bool(ok)}, out / "sandwich.json")
     _say(quiet, f"sandwich: T1 = {report.T1}, T2 = {report.T2}, ok = {ok}")
     return 0 if ok else 1

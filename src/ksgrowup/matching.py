@@ -76,19 +76,12 @@ class MatchingPath:
             raise RangeError(f"t outside the integrated range [0, {self.t_end:g}]")
         return _ell_at(self.K, t)
 
-    def a_at(self, t):
-        return np.exp(self.loga_at(t))
-
-    def b_at(self, t):
+    def closed_forms_at(self, t):
+        """(a, b, gamma, gamma') at t, from one inversion of t(log a)."""
         ell = self.loga_at(t)
-        return _gp(1.0 / ell, self.K) / np.exp(ell)
-
-    def gamma_at(self, t):
-        return _hp(1.0 / self.loga_at(t), self.K)
-
-    def gamma_prime_at(self, t):
-        s = 1.0 / self.loga_at(t)
-        return -s * s * _gp(s, self.K) * _hp_prime(s, self.K)
+        s, a = 1.0 / ell, np.exp(ell)
+        gp = _gp(s, self.K)
+        return a, gp / a, _hp(s, self.K), -s * s * gp * _hp_prime(s, self.K)
 
 
 def _t_of_ell(ell, K: float):

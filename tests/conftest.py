@@ -35,6 +35,13 @@ def table_big(funcs_big):
 
 
 @pytest.fixture(scope="session")
+def default_lattice():
+    """certify's time lattice at the defaults: 53 times on [0.5, 2244.78]."""
+    from ksgrowup import cli
+    return cli._lattice(cli._load_config(None))
+
+
+@pytest.fixture(scope="session")
 def path_k5():
     return integrate_a(5.0, 1100.0)
 

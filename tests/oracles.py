@@ -105,8 +105,7 @@ def queries_solve_the_time_integral(path):
 
 def residual_full(spec, y, t: float):
     """a b^2 A (resp. a b^2 B): the parabolic residual itself."""
-    a = float(spec.path.a_at(t))
-    b = float(spec.path.b_at(t))
+    a, b = (float(v) for v in spec.path.closed_forms_at(t)[:2])
     return a * b * b * residual_reduced(spec, y, t)
 
 
@@ -139,9 +138,9 @@ def residual_fd(spec, x: float, t: float,
     u_x = (up - um) / (2.0 * dx)
     fd = u_t - x * u_xx - 2.0 * u0 * u_x
     if check_tol is not None:
-        a = float(spec.path.a_at(t))
+        a, b = (float(v) for v in spec.path.closed_forms_at(t)[:2])
         ref = float(residual_full(spec, np.asarray([a * x]), t)[0])
-        scale = max(abs(ref), a * float(spec.path.b_at(t)) ** 2 * 1e-6)
+        scale = max(abs(ref), a * b ** 2 * 1e-6)
         if abs(fd - ref) > check_tol * scale:
             raise ResolutionError(
                 f"finite differences disagree with the grouped residual "

@@ -87,28 +87,31 @@ class TestCriterion3:
 
 class TestCriterion4:
     def test_barrier_certification(self, path_k5_big, path_k6_big, table_big,
-                                   funcs_big):
-        """Residual signs certify with thresholds <= 1000; boundary matching
-        holds beyond finite onsets; K swaps fail as predicted."""
+                                   funcs_big, default_lattice):
+        """On certify's one lattice (to t_end + shift_max): residual signs
+        certify with thresholds <= 1000 and the lower barrier increases in x
+        from there; boundary matching holds beyond finite onsets; K swaps
+        fail as predicted."""
         start = time.perf_counter()
+        ts = default_lattice
         lower = BarrierSpec(kind="lower", path=path_k5_big, table=table_big)
         upper = BarrierSpec(kind="upper", path=path_k6_big, table=table_big)
 
-        rep_lo = certify_sign(lower, (0.5, 1000.0), n_t=48)
-        rep_up = certify_sign(upper, (0.5, 1000.0), n_t=48)
-        assert rep_lo.sign_ok and rep_lo.threshold_T <= 1000.0
+        rep_lo = certify_sign(lower, ts, 40)
+        rep_up = certify_sign(upper, ts, 40)
+        assert rep_lo.sign_ok and rep_lo.threshold_T <= 1000.0 and rep_lo.slope_ok
         assert rep_up.sign_ok and rep_up.threshold_T <= 1000.0
 
-        bnd_lo = check_boundary_matching(lower, (1.0, 3000.0))
-        bnd_up = check_boundary_matching(upper, (1.0, 3000.0))
+        bnd_lo = check_boundary_matching(lower, ts)
+        bnd_up = check_boundary_matching(upper, ts)
         assert bnd_lo.ok_beyond and bnd_lo.onset_t < 100.0
-        assert bnd_up.ok_beyond and bnd_up.onset_t < 3000.0
+        assert bnd_up.ok_beyond and bnd_up.onset_t < ts[-1]
 
-        swap_lo = BarrierSpec(kind="lower", path=integrate_a(7.0, 3030.0),
+        swap_lo = BarrierSpec(kind="lower", path=integrate_a(7.0, ts[-1]),
                               table=table_big)
         swap_up = BarrierSpec(kind="upper", path=path_k5_big, table=table_big)
-        rep_sl = check_boundary_matching(swap_lo, (1.0, 3000.0))
-        rep_su = check_boundary_matching(swap_up, (1.0, 3000.0))
+        rep_sl = check_boundary_matching(swap_lo, ts)
+        rep_su = check_boundary_matching(swap_up, ts)
         assert not rep_sl.ok_beyond and np.all(rep_sl.margins[-10:] < 0)
         assert not rep_su.ok_beyond and np.all(rep_su.margins[-10:] < 0)
 
@@ -132,7 +135,7 @@ class TestCriterion5:
         for i in range(100):
             spec = lower if i % 2 == 0 else upper
             t = rng.uniform(0.7, 4.0)
-            a = float(spec.path.a_at(t))
+            a = float(spec.path.closed_forms_at(t)[0])
             y = np.exp(rng.uniform(np.log(0.3), np.log(min(30.0, 0.9 * a))))
             ref = float(residual_full(spec, np.array([y]), t)[0])
             errs = [abs(residual_fd(spec, y / a, t, dx_rel=s, dt_rel=2 * s)
@@ -247,13 +250,14 @@ class TestCriterion7:
 
 
 class TestCriterion8:
-    def test_sandwich(self, critical_traj, path_k5_big, path_k6_big, table_big):
+    def test_sandwich(self, critical_traj, path_k5_big, path_k6_big, table_big,
+                      default_lattice):
         """Finite shifts order the numeric run between the barriers at all
         certified nodes/times."""
         lower = BarrierSpec(kind="lower", path=path_k5_big, table=table_big)
         upper = BarrierSpec(kind="upper", path=path_k6_big, table=table_big)
         # from the onsets of certify's boundary scan (criterion 4)
-        onsets = [check_boundary_matching(spec, (1.0, 3000.0)).onset_t
+        onsets = [check_boundary_matching(spec, default_lattice).onset_t
                   for spec in (lower, upper)]
         rep = find_time_shifts(lower, upper, critical_traj.snapshots,
                                shift_max=2000.0, lattice=0.25, slack=1e-9,
@@ -264,6 +268,9 @@ class TestCriterion8:
         assert rep.worst_upper <= rep.slack
         assert rep.n_times_lower >= 5
         assert rep.n_times_upper >= 10
+        # every compared barrier time lies on certify's lattice
+        assert rep.max_t_lower <= default_lattice[-1]
+        assert rep.max_t_upper <= default_lattice[-1]
         # the sandwich tightens: its width at a fixed station decreases
         from ksgrowup.barriers import eval_barrier
         widths = []

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from ksgrowup.barriers import (BarrierSpec, certify_sign,
-                               check_boundary_matching, check_lower_monotone,
-                               eval_barrier, find_time_shifts, residual_reduced)
+                               check_boundary_matching, eval_barrier,
+                               find_time_shifts, residual_reduced, time_lattice)
 from ksgrowup.grids import Snapshot, make_graded_grid
 from ksgrowup.matching import integrate_a
 from ksgrowup.specialfn import PhiBlend, SpecialFunctions
 from ksgrowup.barriers import boundary_margin
 from ksgrowup.errors import ConstructionError, OrderingFailureError, RangeError
 from oracles import residual_fd, residual_full
+
+# the lattice of the desk-scale scans, inside the reach of table_med
+DESK = np.geomspace(1.0, 50.0, 96)
 
 
 class StubPath:
@@ -23,24 +26,12 @@ class StubPath:
         self.K = K
         self.t_end = 1e9
 
-    @staticmethod
-    def _per_time(t, value):
-        return np.full(np.shape(t), value, dtype=float)
-
-    def a_at(self, t):
-        return self._per_time(t, self._a)
-
-    def b_at(self, t):
-        return self._per_time(t, self._b)
-
-    def gamma_at(self, t):
-        return self._per_time(t, self._g)
-
-    def gamma_prime_at(self, t):
-        return self._per_time(t, 0.0)
+    def closed_forms_at(self, t):
+        return tuple(np.full(np.shape(t), v, dtype=float)
+                     for v in (self._a, self._b, self._g, 0.0))
 
     def loga_at(self, t):
-        return self._per_time(t, np.log(self._a))
+        return np.full(np.shape(t), np.log(self._a))
 
 
 @pytest.fixture(scope="module")
@@ -64,8 +55,7 @@ class TestEval:
         # asymptotically a(t)
         for t in (2.0, 20.0):
             _, s = eval_barrier(lower_med, np.array([0.0]), t)
-            a = lower_med.path.a_at(t)
-            b = lower_med.path.b_at(t)
+            a, b, _, _ = lower_med.path.closed_forms_at(t)
             assert abs(s[0] - a * (1.0 + b)) < 1e-9 * a
             assert abs(s[0] / a - 1.0) < 2.0 * b
 
@@ -105,10 +95,10 @@ class TestResidual:
 
     def test_signs_at_moderate_times(self, lower_med, upper_med):
         for t in (2.0, 10.0, 50.0):
-            a = float(lower_med.path.a_at(t))
+            a = float(lower_med.path.closed_forms_at(t)[0])
             y = np.geomspace(1e-6, a, 400)
             assert np.max(residual_reduced(lower_med, y, t)) <= 1e-11
-            a = float(upper_med.path.a_at(t))
+            a = float(upper_med.path.closed_forms_at(t)[0])
             y = np.geomspace(1e-6, a, 400)
             assert np.min(residual_reduced(upper_med, y, t)) >= -1e-11
 
@@ -116,14 +106,14 @@ class TestResidual:
         for spec, t, x in ((lower_med, 2.0, 0.1), (lower_med, 4.0, 0.02),
                            (upper_med, 3.0, 0.05)):
             ref = float(residual_full(
-                spec, np.array([spec.path.a_at(t) * x]), t)[0])
+                spec, np.array([spec.path.closed_forms_at(t)[0] * x]), t)[0])
             fd = residual_fd(spec, x, t)
             assert abs(fd - ref) < 2e-2 * abs(ref)
 
     def test_fd_second_order(self, lower_med):
         t, x = 2.0, 0.08
         ref = float(residual_full(
-            lower_med, np.array([lower_med.path.a_at(t) * x]), t)[0])
+            lower_med, np.array([lower_med.path.closed_forms_at(t)[0] * x]), t)[0])
         e1 = abs(residual_fd(lower_med, x, t, dx_rel=2e-3, dt_rel=4e-3) - ref)
         e2 = abs(residual_fd(lower_med, x, t, dx_rel=1e-3, dt_rel=2e-3) - ref)
         assert e2 < 0.4 * e1
@@ -150,13 +140,13 @@ class TestResidual:
 
 class TestCertify:
     def test_lower_certifies(self, lower_med):
-        rep = certify_sign(lower_med, (0.5, 50.0), n_t=24)
+        rep = certify_sign(lower_med, np.geomspace(0.5, 50.0, 24), 40)
         assert rep.sign_ok
         assert rep.threshold_T <= 1.0
         assert rep.worst_value <= 1e-11
 
     def test_upper_certifies(self, upper_med):
-        rep = certify_sign(upper_med, (0.5, 50.0), n_t=24)
+        rep = certify_sign(upper_med, np.geomspace(0.5, 50.0, 24), 40)
         assert rep.sign_ok
         assert rep.worst_value >= -1e-11
 
@@ -165,16 +155,18 @@ class TestCertify:
         # of the residual both read the table's M
         weak = dataclasses.replace(table_med, M=0.02)
         spec = BarrierSpec(kind="upper", path=path_k6, table=weak)
-        rep = certify_sign(spec, (1.0, 20.0), n_t=16)
+        rep = certify_sign(spec, np.geomspace(1.0, 20.0, 16), 40)
         assert not rep.sign_ok
         # the failure sits at moderate inner coordinate, where M phi is the
         # only positive contribution once gamma (2ff'-yf') turns negative
-        worst_y = rep.worst_location[0] * path_k6.a_at(rep.worst_location[1])
+        a = path_k6.closed_forms_at(rep.worst_location[1])[0]
+        worst_y = rep.worst_location[0] * a
         assert worst_y < 100.0
 
     def test_refining_scan_never_rescues(self, lower_med):
-        coarse = certify_sign(lower_med, (0.5, 20.0), y_resolution=10, n_t=12)
-        fine = certify_sign(lower_med, (0.5, 20.0), y_resolution=80, n_t=12)
+        ts = np.geomspace(0.5, 20.0, 12)
+        coarse = certify_sign(lower_med, ts, 10)
+        fine = certify_sign(lower_med, ts, 80)
         assert fine.worst_value >= coarse.worst_value - 1e-15
         assert coarse.sign_ok and fine.sign_ok
 
@@ -190,24 +182,26 @@ class TestCertify:
                 phi = Blend()
             fn = Funcs(3e6, npd=20)
             spec = BarrierSpec(kind="upper", path=path_k6, table=fn.table())
-            rep = certify_sign(spec, (0.5, 50.0), n_t=16)
+            rep = certify_sign(spec, np.geomspace(0.5, 50.0, 16), 40)
             assert rep.sign_ok
             thresholds.append(rep.threshold_T)
         assert max(thresholds) <= 4.0 * max(min(thresholds), 0.5)
 
 
 class TestMonotone:
+    # certify_sign checks the lower barrier's x-slope on the lattice it scans
     def test_lower_monotone_beyond_threshold(self, lower_med):
-        assert check_lower_monotone(lower_med, (1.0, 50.0))
+        rep = certify_sign(lower_med, np.geomspace(0.5, 50.0, 24), 40)
+        assert rep.threshold_T < 1.0 and rep.slope_ok
 
     def test_huge_b_breaks_monotonicity(self, table_med):
         spec = BarrierSpec(kind="lower", path=StubPath(a=50.0, b=5.0),
                            table=table_med)
-        assert not check_lower_monotone(spec, (1.0, 2.0))
+        assert certify_sign(spec, np.geomspace(1.0, 2.0, 24), 40).slope_ok is False
 
     def test_kind_guard(self, upper_med):
-        with pytest.raises(ConstructionError):
-            check_lower_monotone(upper_med, (1.0, 2.0))
+        # the slope check applies to the lower barrier only
+        assert certify_sign(upper_med, np.geomspace(1.0, 2.0, 4), 40).slope_ok is None
 
 
 class TestBoundaryMatching:
@@ -221,14 +215,14 @@ class TestBoundaryMatching:
         assert np.array_equal(boundary_margin(spec, ts), pointwise)
 
     def test_lower_k5_holds(self, lower_med):
-        rep = check_boundary_matching(lower_med, (1.0, 50.0))
+        rep = check_boundary_matching(lower_med, DESK)
         assert rep.ok_beyond
         assert rep.onset_t < 20.0
 
     def test_lower_k7_fails(self, table_med):
         path = integrate_a(7.0, 60.0)
         spec = BarrierSpec(kind="lower", path=path, table=table_med)
-        rep = check_boundary_matching(spec, (1.0, 50.0))
+        rep = check_boundary_matching(spec, DESK)
         assert not rep.ok_beyond
         assert rep.onset_t is None
         assert np.all(rep.margins[-10:] < 0.0)
@@ -236,21 +230,22 @@ class TestBoundaryMatching:
     def test_upper_k6_desk_scale_negative(self, upper_med):
         # the upper inequality needs the deep-asymptotic regime; margins are
         # still negative at t <= 50 and shrink toward zero
-        rep = check_boundary_matching(upper_med, (1.0, 50.0))
+        rep = check_boundary_matching(upper_med, DESK)
         assert not rep.ok_beyond
         m = rep.margins
         assert np.all(m < 0.0)
         assert abs(m[-1]) < abs(m[0])
 
-    def test_upper_k6_certifies_eventually(self, path_k6_big, table_big):
+    def test_upper_k6_certifies_eventually(self, path_k6_big, table_big,
+                                           default_lattice):
         spec = BarrierSpec(kind="upper", path=path_k6_big, table=table_big)
-        rep = check_boundary_matching(spec, (1.0, 3000.0))
+        rep = check_boundary_matching(spec, default_lattice)
         assert rep.ok_beyond
         assert 500.0 < rep.onset_t < 2000.0
 
-    def test_upper_k5_swap_fails(self, path_k5_big, table_big):
+    def test_upper_k5_swap_fails(self, path_k5_big, table_big, default_lattice):
         spec = BarrierSpec(kind="upper", path=path_k5_big, table=table_big)
-        rep = check_boundary_matching(spec, (1.0, 3000.0))
+        rep = check_boundary_matching(spec, default_lattice)
         assert not rep.ok_beyond
         assert np.all(rep.margins[-10:] < 0.0)
 
@@ -288,7 +283,7 @@ class TestTimeShifts:
     def test_shift_search_raises_when_capped(self, fast_traj, lower_med,
                                              upper_med):
         # the K = 6 upper onset (t ~ 1150.6) needs a shift far above 5
-        lower_onset = check_boundary_matching(lower_med, (1.0, 50.0)).onset_t
+        lower_onset = check_boundary_matching(lower_med, DESK).onset_t
         with pytest.raises(OrderingFailureError, match="shift_max"):
             find_time_shifts(lower_med, upper_med, fast_traj.snapshots,
                              shift_max=5.0, lattice=0.5, slack=1e-9,
@@ -306,14 +301,14 @@ class TestTimeShifts:
                              upper_onset=1150.6)
 
     def test_lower_onset_at_the_scans_first_time_is_used_as_is(
-            self, fast_traj, lower_med, path_k6_big, table_big):
+            self, fast_traj, lower_med, path_k6_big, table_big, default_lattice):
         # a scan that starts past the true onset (t ~ 5.8) puts the onset at
         # its first time; the sandwich then compares exactly the snapshots
         # with t - T1 >= that time, and none below it
-        late = check_boundary_matching(lower_med, (7.0, 50.0))
+        late = check_boundary_matching(lower_med, np.geomspace(7.0, 50.0, 96))
         assert late.onset_t == late.times[0] == 7.0
         upper = BarrierSpec(kind="upper", path=path_k6_big, table=table_big)
-        upper_onset = check_boundary_matching(upper, (1.0, 3000.0)).onset_t
+        upper_onset = check_boundary_matching(upper, default_lattice).onset_t
         rep = find_time_shifts(lower_med, upper, fast_traj.snapshots,
                                shift_max=2000.0, lattice=0.25, slack=1e-9,
                                t_min_upper=0.5, lower_onset=late.onset_t,
@@ -322,6 +317,8 @@ class TestTimeShifts:
         compared = [t for t in times if t - rep.T1 >= 7.0]
         assert rep.lower_onset == 7.0
         assert 0 < rep.n_times_lower == len(compared) < len(times)
+        assert rep.max_t_lower == max(compared) - rep.T1
+        assert rep.max_t_upper == max(times) + rep.T2
         assert rep.worst_lower <= rep.slack
 
 
@@ -329,30 +326,31 @@ class TestTimeShifts:
 # batching oracles: the per-time loops the batched scans replaced
 
 
-def _certify_per_time(spec, t_range, y_resolution, n_t, tol=1e-11):
+def _certify_per_time(spec, ts, y_resolution, tol=1e-11):
     """threshold_T, worst_value and worst_location from one residual call
     per lattice time."""
     from ksgrowup.barriers import _scan_grid
-    ts = np.geomspace(t_range[0], t_range[1], n_t)
     ok, worst = [], []
     for t in ts:
-        a = float(spec.path.a_at(t))
+        a = float(spec.path.closed_forms_at(t)[0])
         ys = _scan_grid(a, y_resolution)
         vals = residual_reduced(spec, ys, float(t))
         i = int(np.argmax(vals) if spec.kind == "lower" else np.argmin(vals))
         ok.append(vals[i] <= tol if spec.kind == "lower" else vals[i] >= -tol)
         worst.append((float(vals[i]), float(ys[i] / a), float(t)))
-    j = next((j for j in range(n_t) if all(ok[j:])), None)
+    j = next((j for j in range(len(ts)) if all(ok[j:])), None)
     region = worst if j is None else worst[j:]
     pick = max if spec.kind == "lower" else min
     w = pick(region, key=lambda r: r[0])
     return None if j is None else float(ts[j]), w[0], (w[1], w[2])
 
 
-def _monotone_per_time(spec, t_range, n_t=24, y_resolution=40):
+def _monotone_per_time(spec, ts, y_resolution):
+    """Whether the barrier's x-slope is positive at x = 0 and at every scan
+    point, at each of the times ts, from one call per time."""
     from ksgrowup.barriers import _scan_grid
-    for t in np.geomspace(max(t_range[0], 1e-6), t_range[1], n_t):
-        a = float(spec.path.a_at(t))
+    for t in ts:
+        a = float(spec.path.closed_forms_at(t)[0])
         ys = np.concatenate([[0.0], _scan_grid(a, y_resolution)])
         if np.any(eval_barrier(spec, ys / a, float(t))[1] <= 0.0):
             return False
@@ -373,11 +371,10 @@ def _violations_per_snapshot(lower, upper, snaps, T1, onset, T2, t_min):
     return worst_lo, worst_up
 
 
-def _bisected_onset(spec, t_range, n_t):
-    """The onset as 40 one-point bisection steps refine it."""
-    ts = np.geomspace(t_range[0], t_range[1], n_t)
+def _bisected_onset(spec, ts):
+    """The onset on the lattice ts as 40 one-point bisection steps refine it."""
     m = boundary_margin(spec, ts)
-    j = next(j for j in range(n_t) if np.all(m[j:] > 0.0))
+    j = next(j for j in range(len(ts)) if np.all(m[j:] > 0.0))
     lo, hi = float(ts[j - 1]), float(ts[j])
     for _ in range(40):
         mid = 0.5 * (lo + hi)
@@ -400,7 +397,7 @@ class TestBatchedScans:
         parts = [eval_barrier(spec, v, float(tj)) for v, tj in zip(xs, ts)]
         assert np.array_equal(value, np.concatenate([p[0] for p in parts]))
         assert np.array_equal(slope, np.concatenate([p[1] for p in parts]))
-        ys = [v * float(spec.path.a_at(tj)) for v, tj in zip(xs, ts)]
+        ys = [v * float(spec.path.closed_forms_at(tj)[0]) for v, tj in zip(xs, ts)]
         batched = residual_reduced(spec, np.concatenate(ys), t)
         per_time = [residual_reduced(spec, y, float(tj)) for y, tj in zip(ys, ts)]
         assert np.array_equal(batched, np.concatenate(per_time))
@@ -408,26 +405,34 @@ class TestBatchedScans:
     @pytest.mark.parametrize("kind", ["lower", "upper"])
     def test_certify_sign_equals_per_time_loop(self, kind, lower_med, upper_med):
         spec = lower_med if kind == "lower" else upper_med
-        rep = certify_sign(spec, (0.5, 60.0), y_resolution=30, n_t=20)
-        ref = _certify_per_time(spec, (0.5, 60.0), 30, 20)
+        ts = np.geomspace(0.5, 60.0, 20)
+        rep = certify_sign(spec, ts, 30)
+        ref = _certify_per_time(spec, ts, 30)
         assert (rep.threshold_T, rep.worst_value, rep.worst_location) == ref
 
     def test_failing_certify_equals_per_time_loop(self, path_k6, table_med):
         # M = 0 leaves the upper residual negative: no threshold
         small = dataclasses.replace(table_med, M=0.0)
         spec = BarrierSpec(kind="upper", path=path_k6, table=small)
-        rep = certify_sign(spec, (0.5, 60.0), y_resolution=30, n_t=20)
-        ref = _certify_per_time(spec, (0.5, 60.0), 30, 20)
+        ts = np.geomspace(0.5, 60.0, 20)
+        rep = certify_sign(spec, ts, 30)
+        ref = _certify_per_time(spec, ts, 30)
         assert ref[0] is None
         assert (rep.threshold_T, rep.worst_value, rep.worst_location) == ref
 
     def test_lower_monotone_equals_per_time_loop(self, lower_med, table_med):
-        assert check_lower_monotone(lower_med, (1.0, 60.0)) \
-            == _monotone_per_time(lower_med, (1.0, 60.0)) is True
+        # the slope is checked from threshold_T on, at every lattice time
+        # when the sign never certifies
+        ts = np.geomspace(0.5, 60.0, 24)
+        rep = certify_sign(lower_med, ts, 40)
+        assert rep.slope_ok == _monotone_per_time(
+            lower_med, ts[ts >= rep.threshold_T], 40) is True
         steep = BarrierSpec(kind="lower", path=StubPath(a=50.0, b=5.0),
                             table=table_med)
-        assert check_lower_monotone(steep, (1.0, 2.0)) \
-            == _monotone_per_time(steep, (1.0, 2.0)) is False
+        ts = np.geomspace(1.0, 2.0, 24)
+        rep = certify_sign(steep, ts, 40)
+        assert rep.threshold_T is None
+        assert rep.slope_ok == _monotone_per_time(steep, ts, 40) is False
 
     @pytest.mark.parametrize("T1,T2", [(0.0, 0.0), (0.75, 10.0), (3.0, 40.0)])
     def test_violations_equal_snapshot_loop(self, T1, T2, fast_traj,
@@ -443,13 +448,78 @@ class TestBatchedScans:
 
     @pytest.mark.parametrize("kind", ["lower", "upper"])
     def test_onset_matches_bisection(self, kind, lower_med, path_k6_big,
-                                     table_big):
+                                     table_big, default_lattice):
         if kind == "lower":
-            spec, window = lower_med, (1.0, 50.0)
+            spec, ts = lower_med, DESK
         else:
             spec = BarrierSpec(kind="upper", path=path_k6_big, table=table_big)
-            window = (1.0, 3000.0)
-        rep = check_boundary_matching(spec, window)
-        ref = _bisected_onset(spec, window, 96)
+            ts = default_lattice
+        rep = check_boundary_matching(spec, ts)
+        ref = _bisected_onset(spec, ts)
         assert abs(rep.onset_t - ref) <= 1e-9 * ref
         assert boundary_margin(spec, rep.onset_t)[0] > 0.0
+
+
+# ---------------------------------------------------------------------------
+# certify's one time lattice
+
+
+class TestLattice:
+    @pytest.mark.parametrize("n_t", [43, 48, 53])
+    def test_prefix_is_geomspace_and_end_reaches_the_sandwich(self, n_t):
+        ts = time_lattice(0.5, 1000.0, n_t, 2050.0)
+        assert np.array_equal(ts[:n_t], np.geomspace(0.5, 1000.0, n_t))
+        assert ts[-1] >= 2050.0 > ts[-2]
+        ratios = ts[1:] / ts[:-1]
+        assert np.allclose(ratios, ratios[0], rtol=1e-12, atol=0.0)
+
+    def test_reach_inside_the_geomspace_adds_nothing(self):
+        assert np.array_equal(time_lattice(0.5, 1000.0, 48, 800.0),
+                              np.geomspace(0.5, 1000.0, 48))
+
+    def test_bad_lattice(self):
+        with pytest.raises(RangeError):
+            time_lattice(1000.0, 0.5, 48, 2050.0)
+
+    def test_default_thresholds_are_the_benchmark_references(
+            self, default_lattice, path_k5_big, path_k6_big, table_big):
+        # perfbench/workloads.py checks threshold_T against these lattice
+        # points of geomspace(0.5, 1000, 48)
+        assert len(default_lattice) == 53
+        lower = certify_sign(BarrierSpec(kind="lower", path=path_k5_big,
+                                         table=table_big), default_lattice, 40)
+        upper = certify_sign(BarrierSpec(kind="upper", path=path_k6_big,
+                                         table=table_big), default_lattice, 40)
+        assert lower.threshold_T == 0.69093845710337354 and lower.slope_ok
+        assert upper.threshold_T == 0.5
+
+    # A refined onset lies where the margin's sign is round-off.  Around the
+    # lower onset that zone is 1e-14 (relative) wide.  The upper margin
+    # rises by only 4e-5 per unit of relative time there, so its sign
+    # flips back and forth over a zone 1.8e-11 wide: no lattice can place
+    # that onset more closely.
+    @pytest.mark.parametrize("kind, rtol", [("lower", 1e-12), ("upper", 2e-11)])
+    def test_onset_stands_a_four_times_denser_lattice(
+            self, kind, rtol, default_lattice, path_k5_big, path_k6_big, table_big):
+        spec = BarrierSpec(kind=kind, table=table_big,
+                           path=path_k5_big if kind == "lower" else path_k6_big)
+        onset = check_boundary_matching(spec, default_lattice).onset_t
+        dense = time_lattice(0.5, 1000.0, 4 * 47 + 1, 2050.0)
+        ref = check_boundary_matching(spec, dense).onset_t
+        assert abs(onset - ref) <= rtol * ref
+
+    @pytest.mark.parametrize("n_t", [43, 48, 53])
+    def test_signs_certify_and_swaps_fail_to_the_end(self, n_t, table_big,
+                                                     path_k5_big, path_k6_big):
+        # certify's defaults with n_t scaled as the benchmark's seeds scale it
+        ts = time_lattice(0.5, 1000.0, n_t, 2050.0)
+        lower = certify_sign(BarrierSpec(kind="lower", path=path_k5_big,
+                                         table=table_big), ts, 40)
+        upper = certify_sign(BarrierSpec(kind="upper", path=path_k6_big,
+                                         table=table_big), ts, 40)
+        assert lower.sign_ok and lower.slope_ok and upper.sign_ok
+        for kind, path in (("lower", integrate_a(7.0, ts[-1])),
+                           ("upper", path_k5_big)):
+            rep = check_boundary_matching(
+                BarrierSpec(kind=kind, path=path, table=table_big), ts)
+            assert rep.onset_t is None and rep.margins[-1] < 0.0

@@ -69,6 +69,30 @@ def test_special_function_metrics_are_entered(monkeypatch):
         assert metrics[name]["value"], (name, metrics[name])
 
 
+def test_certify_enters_every_barrier_scan_boundary(monkeypatch, tmp_path):
+    # a certify run enters each barriers.* boundary that the pipeline must
+    # enter, the shift search aside, so a restructured scan cannot leave
+    # barriers.residual_points or barriers.boundary_* unmeasured
+    from ksgrowup import cli
+    tracer = tracing.Tracer()
+    keys = [key for key, (_, needed, _) in tracing.BOUNDARIES.items()
+            if key.startswith("barriers.") and tracing.P in needed
+            and key not in ("barriers.find_time_shifts",
+                            "barriers._lower_violation",
+                            "barriers._upper_violation")]
+    for key in keys:
+        span, _, measure = tracing.BOUNDARIES[key]
+        owner, attr, original = tracing._resolve(key)
+        monkeypatch.setattr(owner, attr,
+                            tracer._wrapper(key, span, original, measure))
+    assert cli.main(["certify", "--out", str(tmp_path), "--quiet"]) == 0
+    assert sorted(k for k in keys if tracer.calls[k] == 0) == []
+    metrics = tracing.Summary(tracer).metrics("certify")
+    for name in ("barriers.residual_points", "barriers.certify_sign_s",
+                 "barriers.boundary_margin_evals", "barriers.boundary_s"):
+        assert metrics[name]["value"], (name, metrics[name])
+
+
 def test_newton_maxit_is_counted(monkeypatch):
     # pde.newton_maxit_solves reads the iteration count at index 1 of what
     # newton returns: a solve stopped by maxit = 1 on a state that needs an

@@ -59,10 +59,12 @@ class TestCommands:
         ("[solve]\ndt_initial = 1e-7\n", "dt_initial"),   # a constant of the solver
         ("[barriers]\nsigma_step = 0.005\n", "sigma_step"),  # the paths are exact
         ("[match]\ndense_rtol = 1e-8\n", "dense_rtol"),      # nothing is interpolated
+        ("[certify]\nboundary_t_hi = 3000\n", "boundary_t_hi"),  # one lattice
     ], ids=["key", "moved_key", "section", "derived_y_max", "moved_npd",
             "removed_scheme", "removed_match_t_end", "moved_sigma_step",
             "renamed_halving_rtol", "removed_newton_tol", "removed_reg_epsilon",
-            "removed_dt_initial", "removed_sigma_step", "removed_dense_rtol"])
+            "removed_dt_initial", "removed_sigma_step", "removed_dense_rtol",
+            "removed_boundary_t_hi"])
     def test_unknown_config_key_is_exit_2(self, tmp_path, capsys, text, name):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(text)
@@ -194,15 +196,17 @@ class TestCommands:
 
     def test_certify_short_window_fails_scientifically(self, small_cfg,
                                                        tmp_path):
-        # the upper matching inequality cannot certify by t = 30: exit 1
+        # shift_max = 100 ends the lattice near t_end + 100 = 150, long
+        # before the upper matching inequality holds (t ~ 1150): exit 1
         out = tmp_path / "c"
         cfg = tmp_path / "c.ini"
-        cfg.write_text("[certify]\nt_lo = 0.5\nt_hi = 20\n"
-                       "boundary_t_hi = 30\nn_t = 12\n")
+        cfg.write_text("[certify]\nt_lo = 0.5\nt_hi = 20\nn_t = 12\n"
+                       "[sandwich]\nshift_max = 100\n")
         assert main(["certify", "--config", str(cfg), "--out", str(out),
                      "--quiet"]) == 1
         verdict = json.loads((out / "certify_verdict.json").read_text())
         assert not verdict["ok"]
+        assert 150.0 <= float(verdict["lattice_t_end"]) < 1150.0
         assert any("upper boundary" in f for f in verdict["failures"])
 
     def test_all_pipeline_default_config(self, tmp_path, monkeypatch):
@@ -271,6 +275,23 @@ class TestCommands:
         assert manifest["rejected_error_test"] + manifest["rejected_newton"] <= 5
         hist = manifest["newton_iters_histogram"]
         assert sum(hist.values()) == manifest["n_steps"]
+
+    def test_sandwich_compares_inside_the_certified_lattice(self, tmp_path):
+        # certify checks both barriers on one lattice; every barrier time
+        # the sandwich compares (t - T1 and t + T2 at the snapshots) lies
+        # on it, the upper ones (to t_end + T2 = 1200.5) included
+        out = tmp_path / "all"
+        assert main(["all", "--out", str(out), "--quiet"]) == 0
+        end = float(json.loads((out / "certify_verdict.json").read_text())
+                    ["lattice_t_end"])
+        sandwich = json.loads((out / "sandwich.json").read_text())
+        for kind in ("lower", "upper"):
+            res = json.loads((out / f"residual_{kind}.json").read_text())
+            t_lo, t_hi = (float(v) for v in res["box"]["t"])
+            assert t_hi == end
+            assert t_lo <= float(sandwich[f"{kind}_onset"])
+            assert float(sandwich[f"max_t_{kind}"]) <= t_hi
+        assert float(sandwich["max_t_upper"]) == 1200.5
 
     def test_sandwich_capped_shift_is_numeric_failure(self, small_cfg,
                                                       tmp_path):

@@ -31,10 +31,10 @@ class TestIntegration:
         assert abs(expected - 43.32) < 0.01
         # tiny-step cross-check (first-order in eps through a''(0))
         eps = 1e-4
-        assert abs((path_k5.a_at(eps) - 2.0) / eps - expected) < 0.2
+        assert abs((path_k5.closed_forms_at(eps)[0] - 2.0) / eps - expected) < 0.2
 
     def test_start_value(self, path_k5):
-        assert abs(path_k5.a_at(0.0) - 2.0) < 1e-12
+        assert abs(path_k5.closed_forms_at(0.0)[0] - 2.0) < 1e-12
         assert path_k5.a[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_log_bound(self, path_k5):
@@ -138,7 +138,7 @@ class TestIntegration:
 
     def test_range_guard(self, path_k5):
         with pytest.raises(RangeError):
-            path_k5.a_at(2000.0)
+            path_k5.closed_forms_at(2000.0)
 
     def test_path_monotone(self, path_k5):
         assert np.all(np.diff(path_k5.a) > 0)
@@ -160,9 +160,10 @@ class TestDerivedQuantities:
         # gamma = (a/a')' along the path
         for t in (5.0, 50.0, 400.0):
             d = 1e-3 * max(t, 1.0)
-            q = (path_k5.a_at(t + d) / a_prime_at(path_k5, t + d)
-                 - path_k5.a_at(t - d) / a_prime_at(path_k5, t - d)) / (2 * d)
-            assert abs(q - path_k5.gamma_at(t)) < 1e-5 * max(1.0, abs(q))
+            a_over_ap = [path_k5.closed_forms_at(s)[0] / a_prime_at(path_k5, s)
+                         for s in (t + d, t - d)]
+            q = (a_over_ap[0] - a_over_ap[1]) / (2 * d)
+            assert abs(q - path_k5.closed_forms_at(t)[2]) < 1e-5 * max(1.0, abs(q))
 
     def test_gamma_small_s_expansion(self):
         # H(s) = s + O(s^2): relative deviation scales linearly in s
@@ -174,7 +175,7 @@ class TestDerivedQuantities:
 
     def test_gamma_equivalent_to_inverse_log(self, path_k5):
         t = 1000.0
-        g = path_k5.gamma_at(t)
+        g = path_k5.closed_forms_at(t)[2]
         assert abs(g * path_k5.loga_at(t) - 1.0) < 0.15
 
     def test_b_identity_and_positivity(self, path_k5):
@@ -185,7 +186,8 @@ class TestDerivedQuantities:
         # b a log a = 1 + 5/(2 log a) + K/log^2 a; inside [0.9, 1.1] once
         # log a is large enough (t >= 400 for K = 5), approaching 1
         t = np.linspace(400.0, 1000.0, 60)
-        vals = path_k5.b_at(t) * path_k5.a_at(t) * path_k5.loga_at(t)
+        a, b, _, _ = path_k5.closed_forms_at(t)
+        vals = b * a * path_k5.loga_at(t)
         assert np.all((vals > 0.9) & (vals < 1.1))
         assert np.all(np.diff(vals) < 0)
 
@@ -193,8 +195,10 @@ class TestDerivedQuantities:
         # b' = -(1 + gamma) a b^2
         for t in (10.0, 200.0):
             d = 1e-3 * t
-            bp = (path_k5.b_at(t + d) - path_k5.b_at(t - d)) / (2 * d)
-            rhs = -(1.0 + path_k5.gamma_at(t)) * path_k5.a_at(t) * path_k5.b_at(t) ** 2
+            bp = (path_k5.closed_forms_at(t + d)[1]
+                  - path_k5.closed_forms_at(t - d)[1]) / (2 * d)
+            a, b, gamma, _ = path_k5.closed_forms_at(t)
+            rhs = -(1.0 + gamma) * a * b ** 2
             assert abs(bp - rhs) < 1e-4 * abs(rhs)
 
     def test_gamma_monotone(self, path_k6):
@@ -213,9 +217,11 @@ class TestDerivedQuantities:
         # closed form
         t = 1000.0
         d = 1.0
-        fd = (path_k5.gamma_at(t + d) - path_k5.gamma_at(t - d)) / (2 * d)
-        assert abs(fd - path_k5.gamma_prime_at(t)) < 1e-9
-        scaled = path_k5.gamma_prime_at(t) * path_k5.loga_at(t) ** 3
+        fd = (path_k5.closed_forms_at(t + d)[2]
+              - path_k5.closed_forms_at(t - d)[2]) / (2 * d)
+        gamma_prime = path_k5.closed_forms_at(t)[3]
+        assert abs(fd - gamma_prime) < 1e-9
+        scaled = gamma_prime * path_k5.loga_at(t) ** 3
         assert -1.5 < scaled < -0.8
 
     def test_integrated_ode_relation_bounded(self, path_k5):
@@ -232,7 +238,7 @@ class TestDerivedQuantities:
 
     def test_rate_ratio_decay(self, path_k5):
         # |a/A - 1| shrinks; quadrupling t roughly halves it (log-corrected)
-        dev = np.abs(path_k5.a_at(np.array([250.0, 1000.0]))
+        dev = np.abs(path_k5.closed_forms_at(np.array([250.0, 1000.0]))[0]
                      / closed_rate(np.array([250.0, 1000.0])) - 1.0)
         assert dev[1] < dev[0]
         assert dev[1] / dev[0] < 0.7
