@@ -461,6 +461,58 @@ class TestBatchedScans:
 
 
 # ---------------------------------------------------------------------------
+# certify's one y-lattice, shared by every lattice time
+
+# inner-variable ends a(t) of a scan: both sides of y_floor's switch at
+# a = 1000, lattice points themselves (10, 1000), and far beyond the tables
+SCAN_ENDS = [0.3, 1.0, 7.5, 10.0, 999.0, 1000.0, 1234.5, 3.2e4, 1e8, 1e30]
+RESOLUTIONS = [10, 36, 40, 44, 80]
+
+
+class TestScanLattice:
+    @pytest.mark.parametrize("r", RESOLUTIONS)
+    def test_lattice_points_are_shared_bitwise(self, r):
+        from ksgrowup.barriers import _scan_grid
+        for i, a1 in enumerate(SCAN_ENDS):
+            for a2 in SCAN_ENDS[i + 1:]:
+                g1, g2 = _scan_grid(a1, r), _scan_grid(a2, r)
+                lat1, lat2 = g1[8:-1], g2[8:-1]
+                # g2[7] is the larger y_floor; below it only g1 scans
+                assert np.array_equal(lat1[lat1 > g2[7]], lat2[lat2 < a1])
+
+    @pytest.mark.parametrize("r", RESOLUTIONS)
+    def test_scan_ends_at_a_and_keeps_the_old_density(self, r):
+        from ksgrowup.barriers import _scan_grid
+        for a in SCAN_ENDS + list(np.geomspace(0.5, 1e30, 97)):
+            g = _scan_grid(float(a), r)
+            assert g[-1] == a and np.all(np.diff(g) > 0.0)
+            y_floor = min(1e-6, a * 1e-9)
+            decades = max(1.0, np.log10(a / y_floor))
+            assert len(g) >= max(16, int(decades * r)) + 8
+
+    @pytest.mark.parametrize("kind", ["lower", "upper"])
+    def test_one_table_evaluation_per_certify(self, kind, lower_med, upper_med,
+                                              monkeypatch):
+        from ksgrowup.barriers import _BATCH_POINTS, _scan_grid
+        from ksgrowup.specialfn import SpecialTable
+        spec = lower_med if kind == "lower" else upper_med
+        sizes = []
+        original = SpecialTable.eval
+
+        def counted(table, yq):
+            sizes.append(np.size(yq))
+            return original(table, yq)
+
+        monkeypatch.setattr(SpecialTable, "eval", counted)
+        rep = certify_sign(spec, DESK, 40)
+        assert rep.sign_ok and len(sizes) == 1
+        # the scans hold several batches' worth of points, their union fewer
+        a = spec.path.closed_forms_at(DESK)[0]
+        scanned = sum(len(_scan_grid(float(aj), 40)) for aj in a)
+        assert sizes[0] < _BATCH_POINTS < scanned
+
+
+# ---------------------------------------------------------------------------
 # certify's one time lattice
 
 

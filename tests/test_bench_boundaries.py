@@ -8,9 +8,16 @@ wrapper) turns such a rename into a test failure instead.
 
 import importlib.util
 import inspect
+import json
+import math
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from ksgrowup import pde
 from ksgrowup.barriers import BarrierSpec, eval_barrier
@@ -18,7 +25,8 @@ from ksgrowup.grids import make_graded_grid
 from ksgrowup.matching import integrate_a
 from ksgrowup.specialfn import SpecialFunctions
 
-_TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+_ROOT = Path(__file__).resolve().parents[1]
+_TRACING = _ROOT / "perfbench" / "tracing.py"
 
 
 def _load_tracing():
@@ -119,3 +127,29 @@ def test_path_measure_reads_a_real_path():
     path = integrate_a(5.0, 2.0)
     (name, count), = measure((5.0, 2.0), {}, path)
     assert name == "matching.rk4_steps" and count > 0
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("workload", ["pipeline", "radial_w"])
+def test_traced_worker_prints_a_whole_result(workload, tmp_path):
+    # a traced benchmark iteration must end in one strict-JSON result line
+    # whose every layer metric was measured; a bypassed boundary reads null
+    work = tmp_path / "work"
+    work.mkdir()
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, str(_ROOT / "perfbench" / "worker.py"),
+         "--workload", workload, "--seed", "0", "--work", str(work),
+         "--spawned-at", str(time.monotonic()), "--trace"],
+        cwd=_ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1],
+                        parse_constant=_reject_constant)
+    bad = {name: m for name, m in result["layers"].items()
+           if m["value"] is None or not math.isfinite(m["value"])}
+    assert bad == {}
+    assert [c for c in result["checks"] if not c[1]] == []
