@@ -86,15 +86,15 @@ def _value_and_slope(spec: BarrierSpec, y, a, b, eps, T):
             a * (dbase + b * T["f_prime"] - c * T[q + "_prime"]))
 
 
-def residual_reduced(spec: BarrierSpec, y, t, T=None):
+def residual_reduced(spec: BarrierSpec, y, t, T=None, forms=None):
     """The grouped residual factor A (lower) or B (upper) at inner points y,
-    at one time t or at an array of times matching y; T, when given, holds
-    the table columns at y (else they are evaluated here).
+    at one time t or at an array of times matching y; T and forms, when given,
+    hold the table columns at y and the path's (a, b, gamma, gamma') at t.
 
     The full parabolic residual is a(t) * b(t)^2 times this value.
     """
     y = np.asarray(y, dtype=float)
-    a, b, gam, gamp = _at_times(spec.path, t)
+    a, b, gam, gamp = _at_times(spec.path, t) if forms is None else forms
     T = spec.table.eval(y) if T is None else T
     f, fp = T["f"], T["f_prime"]
     if spec.kind == LOWER:
@@ -152,10 +152,10 @@ _BATCH_POINTS = 4096
 
 
 def _batched(fn, xs, ts) -> list[np.ndarray]:
-    """fn(x, t) on blocks of points xs[j] at the times ts[j], in calls of at
-    most _BATCH_POINTS points that keep each block whole; each block's result."""
+    """fn(x, t) of each block of points xs[j] at ts[j] (times or indices), in
+    calls of at most _BATCH_POINTS points that keep each block whole."""
     sizes = np.array([len(x) for x in xs])
-    ts = np.asarray(ts, dtype=float)
+    ts = np.asarray(ts)
     out = []
     j = 0
     while j < len(xs):
@@ -191,12 +191,13 @@ def certify_sign(spec: BarrierSpec, ts, y_resolution: int) -> ResidualReport:
     The scan skips y = 0, where both A and B vanish identically by the
     anchoring f(0) = g(0) = h(0) = phi(0) = 0 (asserted in the test suite).
     threshold_T is the first lattice time from which the sign holds at all
-    later lattice times.  The table is evaluated once, on the union of the
-    scans (and y = 0 for the slope); a point's columns do not depend on the
-    other points, so each residual has the bits of a per-time call.
+    later lattice times.  The table (on the union of the scans, and y = 0 for
+    the slope) and the path (at ts) are evaluated once; a point's values do
+    not depend on the other points, so each residual has a per-time call's bits.
     """
     ts = np.asarray(ts, dtype=float)
-    a = spec.path.closed_forms_at(ts)[0]
+    forms = spec.path.closed_forms_at(ts)
+    a = forms[0]
     ys = [_scan_grid(float(aj), y_resolution) for aj in a]
     union = np.unique(np.concatenate([[0.0], *ys]))
     table = spec.table.eval(union)
@@ -205,10 +206,12 @@ def certify_sign(spec: BarrierSpec, ts, y_resolution: int) -> ResidualReport:
         i = np.searchsorted(union, y)
         return {key: col[i] for key, col in table.items()}
 
+    rows = np.arange(len(ts))
     ok = np.zeros(len(ts), dtype=bool)
     worst = []
     for j, vals in enumerate(_batched(
-            lambda y, t: residual_reduced(spec, y, t, columns(y)), ys, ts)):
+            lambda y, j: residual_reduced(spec, y, ts[j], columns(y),
+                                          forms=[q[j] for q in forms]), ys, rows)):
         if spec.kind == LOWER:
             i = int(np.argmax(vals))
             ok[j] = vals[i] <= _SIGN_TOL
@@ -223,11 +226,11 @@ def certify_sign(spec: BarrierSpec, ts, y_resolution: int) -> ResidualReport:
     wv, wx, wt = pick(worst[start:], key=lambda r: r[0])
     slope_ok = None
     if spec.kind == LOWER:
-        def slope(y, t):
-            a_t, b_t, eps_t, _ = _at_times(spec.path, t)
+        def slope(y, j):
+            a_t, b_t, eps_t, _ = (q[j] for q in forms)
             return _value_and_slope(spec, y, a_t, b_t, eps_t, columns(y))[1]
         y0 = [np.concatenate([[0.0], y]) for y in ys[start:]]
-        slope_ok = all(np.all(s > 0.0) for s in _batched(slope, y0, ts[start:]))
+        slope_ok = all(np.all(s > 0.0) for s in _batched(slope, y0, rows[start:]))
     return ResidualReport(kind=spec.kind, K=spec.path.K, M=spec.M,
                           x_range=(0.0, 1.0), t_range=(float(ts[0]), float(ts[-1])),
                           threshold_T=None if j0 is None else float(ts[j0]),

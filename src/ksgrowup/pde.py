@@ -39,22 +39,23 @@ relative to u on the nodes the origin-slope fit reads, over the accepted
 steps, and reports it, times a safety factor, as a time-error bar on
 d(t) = log u_x(0,t) - sqrt(2t) at each snapshot.  Each form supplies only
 its residual with the Jacobian bands (`rhs_and_jac`), the size of each
-residual row's terms (`term_size`) and the scale of its local-error test
-(`scale`).  Every tridiagonal system goes through
-`solve_banded`, one LAPACK ?gtsv call into the OpenBLAS that numpy's
-wheels bundle (scipy's LAPACK where numpy has none), so a run needs no
-scipy.  Newton starts each TR-BDF2 stage from a quadratic predictor
-(Hairer & Wanner, Solving ODEs II, IV.8): the first stage extrapolates the
-previous accepted state, the current one and its slope F(u); the second
-stage the current state, its slope and the first stage's value.  Newton
-accepts a stage once every row's residual is at most _NEWTON_TOL times
-|U_i| + |rhs_i| + coef * term_size_i (term sizes from the step's start).
+residual row's terms (`term_size`, which reads the u-form's face values
+from that evaluation) and the scale of its local-error test (`scale`).
+Every tridiagonal system goes through `solve_banded`, one LAPACK ?gtsv
+call into the OpenBLAS that numpy's wheels bundle (scipy's LAPACK where
+numpy has none), so a run needs no scipy.  Newton starts each TR-BDF2
+stage from a quadratic predictor (Hairer & Wanner, Solving ODEs II, IV.8):
+the first stage extrapolates the previous accepted state, the current one
+and its slope F(u); the second stage the current state, its slope and the
+first stage's value.  Newton accepts a stage once every row's residual is
+at most _NEWTON_TOL times |U_i| + |rhs_i| + coef * term_size_i (term sizes
+from the step's start).
 A sum cannot be rounded below a few eps times its terms, so in every row,
 the fine cells near x = 0 included, that bar lies above the round-off.
 Anything else fails the solve, and the step is retried smaller.  Each
-state is evaluated once: the residual and Jacobian bands with which Newton
-accepts a step's new state travel with it to the next step, as the F(u)
-and J(u) that step starts from.
+state is evaluated once: the residual, Jacobian bands and face values
+with which Newton accepts a step's new state travel with it to the next
+step, as the F(u), J(u) and term sizes that step starts from.
 """
 
 from __future__ import annotations
@@ -213,7 +214,7 @@ def _newton(problem, u_start, coef, rhs, size, maxit):
 
     Accepts U once every row's residual is at most _NEWTON_TOL times the
     size of the row's own terms, |U_i| + size_i, where size = |rhs| +
-    coef * problem.term_size(u) at the step's start: a bar relative to what
+    coef * problem.term_size(u, ev) at the step's start: a bar relative to what
     the row sums, so it lies above the residual's round-off in every row
     (Hairer & Wanner, Solving ODEs II, IV.8).  Any other outcome fails the
     solve: a residual that is not finite or a singular iteration matrix at
@@ -225,7 +226,7 @@ def _newton(problem, u_start, coef, rhs, size, maxit):
     sl = slice(problem.ilo, len(u) - 1)
     for it in range(maxit):
         ev = problem.rhs_and_jac(u)
-        F, sub, diag, sup = ev
+        F, sub, diag, sup, _ = ev
         R = u[sl] - coef * F - rhs
         excess = float((np.abs(R) - _NEWTON_TOL * (np.abs(u[sl]) + size)).max())
         if not math.isfinite(excess):
@@ -259,6 +260,9 @@ class _UProblem:
         self.xhat = np.sqrt(x[:-1] * x[1:])
         self.xhat_h = self.xhat / self.h
         self.dlt = 0.5 * (x[2:] - x[:-2])
+        # negated once: -a - b and -a/b have the bits of (-a) - b and a/(-b)
+        self.neg_xhat_h, self.neg_dlt = -self.xhat_h, -self.dlt
+        self.ones = np.ones(len(x) - 1)
         # faces 1.. stay central: the bound on their cell Peclet number for
         # u in [0, xi], where |1 - (u_l + u_r)| <= max(1, 2 xi - 1)
         pe = max(1.0, 2.0 * xi - 1.0) * self.h[1:] / self.xhat[1:]
@@ -286,26 +290,30 @@ class _UProblem:
         At xi = 1 the last face is extrapolated.
         """
         w = u * (1.0 - u)
-        s = 1.0 - 2.0 * u
+        hs = 0.5 - u    # half of w' = 1 - 2u, bit for bit: halving is exact
         wl, wr = w[:-1], w[1:]
-        both_pos = (wl > 0.0) & (wr > 0.0)
+        pos = w > 0.0
+        both_pos = pos[:-1] & pos[1:]
         # sqrt(w_r/w_l) on geometric faces, 1 on arithmetic ones
-        root = np.sqrt(np.where(both_pos, wr, 1.0) / np.where(both_pos, wl, 1.0))
-        g_val = np.where(both_pos, wl * root, 0.5 * (wl + wr))
-        dl = 0.5 * s[:-1] * root
-        dr = 0.5 * s[1:] / root
+        root = np.divide(wr, wl, out=self.ones.copy(), where=both_pos)
+        np.sqrt(root, out=root)
+        g_val = 0.5 * (wl + wr)
+        np.multiply(wl, root, out=g_val, where=both_pos)
+        dl = hs[:-1] * root
+        dr = hs[1:] / root
         if u[0] + u[1] < 1.0:
-            g_val[0], dl[0], dr[0] = w[0], s[0], 0.0
+            g_val[0], dl[0], dr[0] = w[0], 2.0 * hs[0], 0.0
         else:
-            g_val[0], dl[0], dr[0] = w[1], 0.0, s[1]
+            g_val[0], dl[0], dr[0] = w[1], 0.0, 2.0 * hs[1]
         if self.extrapolate_last:
             g_val[-1] = self.cA * w[-3] + self.cB * w[-2]
-            dl[-1] = self.cB * s[-2]
+            dl[-1] = self.cB * (2.0 * hs[-2])
             dr[-1] = 0.0
         return g_val, dl, dr
 
     def rhs_and_jac(self, u):
-        """F(u) at interior nodes and its Jacobian bands (sub, diag, sup).
+        """F(u) at interior nodes, its Jacobian bands (sub, diag, sup) and the
+        face values of u(1-u), which term_size reads.
 
         The extrapolated last face couples the last row to u[N-3] outside
         the band; that entry is dropped from the Jacobian (the residual is
@@ -314,17 +322,17 @@ class _UProblem:
         s = (u[1:] - u[:-1]) / self.h
         g_val, g_dl, g_dr = self._advective_face(u)
         flux = self.xhat * s - g_val
-        d_l = -self.xhat_h - g_dl
+        d_l = self.neg_xhat_h - g_dl
         d_r = self.xhat_h - g_dr
         F = (flux[1:] - flux[:-1]) / self.dlt
-        return (F, -d_l[:-1] / self.dlt, (d_l[1:] - d_r[:-1]) / self.dlt,
-                d_r[1:] / self.dlt)
+        return (F, d_l[:-1] / self.neg_dlt, (d_l[1:] - d_r[:-1]) / self.dlt,
+                d_r[1:] / self.dlt, g_val)
 
-    def term_size(self, u):
-        """Per unknown row, the sum of |terms| that make up F(u): on each of
-        its two faces xhat/h (|u_l| + |u_r|) + |u(1-u) face value|, over dlt."""
-        face = (self.xhat_h * (np.abs(u[:-1]) + np.abs(u[1:]))
-                + np.abs(self._advective_face(u)[0]))
+    def term_size(self, u, ev):
+        """Per unknown row, the sum of |terms| of F(u): on each of its faces
+        xhat/h (|u_l| + |u_r|) + |face value g of ev = rhs_and_jac(u)|, over dlt."""
+        au = np.abs(u)
+        face = self.xhat_h * (au[:-1] + au[1:]) + np.abs(ev[4])
         return (face[:-1] + face[1:]) / self.dlt
 
     def scale(self, u):
@@ -356,13 +364,13 @@ def _step_once(problem, u, ev, dt, u_prev=None, dt_prev=None):
     accepted state dt_prev before u, and u with slope F0 = F(u) (the Euler
     line u + tau F0 when there is no u_prev); stage 2 from the quadratic
     through u with slope F0 and the stage-1 value u1.  Both stage solves
-    measure their residual rows against |rhs| + coef * problem.term_size(u),
-    the size of each row's terms at the step's start.
+    measure their residual rows against |rhs| + coef * problem.term_size(u,
+    ev), the size of each row's terms at the step's start.
     """
     sl = slice(problem.ilo, len(u) - 1)
     gam = _TRBDF2_GAMMA
     coef = 0.5 * gam * dt
-    F0, sub, diag, sup = ev
+    F0, sub, diag, sup, _ = ev
     tau = gam * dt
     start = u.copy()
     if u_prev is None:
@@ -371,7 +379,7 @@ def _step_once(problem, u, ev, dt, u_prev=None, dt_prev=None):
         c = (u_prev[sl] - u[sl] + dt_prev * F0) / dt_prev ** 2
         start[sl] = u[sl] + tau * F0 + c * tau ** 2
     rhs1 = u[sl] + coef * F0
-    terms = coef * problem.term_size(u)
+    terms = coef * problem.term_size(u, ev)
     u1, its1, ok, _ = problem.newton(start, coef, rhs1, np.abs(rhs1) + terms,
                                      _MAX_NEWTON)
     if not ok:
@@ -501,11 +509,10 @@ def solve(u0: Snapshot, config: SolverConfig, t_end: float,
             raise MaximumPrincipleViolation(
                 f"values left [0, {hi}] at t = {t:.6g}: "
                 f"[{u.min():.3e}, {u.max():.3e}]")
-        du = np.diff(u)
-        if (du < -monotone_tol).any():
+        drop = np.diff(u).min()
+        if drop < -monotone_tol:
             raise MaximumPrincipleViolation(
-                f"monotonicity lost at t = {t:.6g} "
-                f"(worst drop {du.min():.3e})")
+                f"monotonicity lost at t = {t:.6g} (worst drop {drop:.3e})")
         d_errs.append(_d_step_error(grid.nodes, u, est))
 
     outs, times, sizes, iters, rejected = _advance(
@@ -525,14 +532,15 @@ def _d_step_error(x, u, est):
     """One step's contribution to the time error of d = log u_x(0) - sqrt(2t).
 
     max |est_i| / u_i over the interior nodes whose inner coordinate
-    y = (u_1/x_1) x lies in the slope fit's window _Y_WINDOW: the relative
-    error of the profile the fit reads, and so the error of log u_x(0).
-    With no node in the window, node 1, whose ratio the fit falls back to.
+    y = (u_1/x_1) x lies in the slope fit's window _Y_WINDOW (one slice: y
+    rises with x, or is never positive): the relative error of the profile
+    the fit reads, and so the error of log u_x(0).  With no node in the
+    window, node 1, whose ratio the fit falls back to.
     """
     y = (u[1] / x[1]) * x[1:-1]
-    m = (y >= _Y_WINDOW[0]) & (y <= _Y_WINDOW[1])
-    m[0] |= not m.any()
-    return float((np.abs(est[m]) / u[1:-1][m]).max())
+    lo, hi = np.searchsorted(y, _Y_WINDOW[0]), np.searchsorted(y, _Y_WINDOW[1], "right")
+    lo, hi = (lo, hi) if lo < hi else (0, 1)
+    return float((np.abs(est[lo:hi]) / u[1 + lo:1 + hi]).max())
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +570,7 @@ class _WProblem:
         self.dlr = -(self.dl + self.dr)
 
     def rhs_and_jac(self, w):
-        """F(w) at nodes 0..n-2 (Dirichlet at r = 1) and its Jacobian bands."""
+        """F(w) at nodes 0..n-2 (r = 1 is Dirichlet), its Jacobian bands, None."""
         n = len(w)
         dif = self.rf3 * ((w[1:] - w[:-1]) / self.h)
         wr = self.d1l * w[:-2] + self.d1c * w[1:-1] + self.d1r * w[2:]
@@ -577,12 +585,12 @@ class _WProblem:
         diag[1:] = self.dlr + 2.0 * w[1:-1] + self.half_r * wr + adv * self.d1c
         sup[0] = self.d0
         sup[1:] = self.dr + adv * self.d1r
-        return F, sub, diag, sup
+        return F, sub, diag, sup, None
 
-    def term_size(self, w):
+    def term_size(self, w, ev):
         """Per unknown row, the sum of |terms| that make up F(w): on each
         face r^3 (|w_l| + |w_r|)/h over the cell volume, plus w^2, plus
-        (r/2) |w| times the |terms| of the central w_r."""
+        (r/2) |w| times the |terms| of the central w_r; ev is not read."""
         aw = np.abs(w)
         face = aw[:-1] + aw[1:]
         size = w[:-1] ** 2

@@ -16,7 +16,7 @@ from ksgrowup.barriers import eval_barrier, residual_reduced
 from ksgrowup.errors import NumericsError, RangeError, ResolutionError
 from ksgrowup.grids import GradedGrid, RadialField, Snapshot
 from ksgrowup.matching import _gp, _hp
-from ksgrowup.pde import SolverConfig, Trajectory, solve
+from ksgrowup.pde import SolverConfig, Trajectory, _UProblem, solve
 
 # -- special functions ---------------------------------------------------------
 
@@ -198,6 +198,52 @@ def w_from_u(snap: Snapshot) -> RadialField:
     w[0] = 8.0 * slope0
     w[1:] = 8.0 * u[1:] / x[1:]
     return RadialField(r_nodes=r, values=w, total_mass=8.0 * np.pi * snap.right_bc)
+
+
+# -- the u-form kernel ----------------------------------------------------------
+
+
+class ReferenceUProblem(_UProblem):
+    """_UProblem with its face values, residual, Jacobian bands and term
+    sizes in the plain formulas: each operation as the formula reads, and
+    term_size evaluating the faces again.  The package's kernel computes
+    them with fewer numpy passes and must give the same bits; rhs_and_jac
+    here returns (F, sub, diag, sup) and term_size takes the state alone."""
+
+    def _advective_face(self, u):
+        w = u * (1.0 - u)
+        s = 1.0 - 2.0 * u
+        wl, wr = w[:-1], w[1:]
+        both_pos = (wl > 0.0) & (wr > 0.0)
+        # sqrt(w_r/w_l) on geometric faces, 1 on arithmetic ones
+        root = np.sqrt(np.where(both_pos, wr, 1.0) / np.where(both_pos, wl, 1.0))
+        g_val = np.where(both_pos, wl * root, 0.5 * (wl + wr))
+        dl = 0.5 * s[:-1] * root
+        dr = 0.5 * s[1:] / root
+        if u[0] + u[1] < 1.0:
+            g_val[0], dl[0], dr[0] = w[0], s[0], 0.0
+        else:
+            g_val[0], dl[0], dr[0] = w[1], 0.0, s[1]
+        if self.extrapolate_last:
+            g_val[-1] = self.cA * w[-3] + self.cB * w[-2]
+            dl[-1] = self.cB * s[-2]
+            dr[-1] = 0.0
+        return g_val, dl, dr
+
+    def rhs_and_jac(self, u):
+        s = (u[1:] - u[:-1]) / self.h
+        g_val, g_dl, g_dr = self._advective_face(u)
+        flux = self.xhat * s - g_val
+        d_l = -self.xhat_h - g_dl
+        d_r = self.xhat_h - g_dr
+        F = (flux[1:] - flux[:-1]) / self.dlt
+        return (F, -d_l[:-1] / self.dlt, (d_l[1:] - d_r[:-1]) / self.dlt,
+                d_r[1:] / self.dlt)
+
+    def term_size(self, u):
+        face = (self.xhat_h * (np.abs(u[:-1]) + np.abs(u[1:]))
+                + np.abs(self._advective_face(u)[0]))
+        return (face[:-1] + face[1:]) / self.dlt
 
 
 # -- solutions --------------------------------------------------------------------

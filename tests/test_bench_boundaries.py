@@ -21,7 +21,7 @@ import pytest
 
 from ksgrowup import pde
 from ksgrowup.barriers import BarrierSpec, eval_barrier
-from ksgrowup.grids import make_graded_grid
+from ksgrowup.grids import RadialField, Snapshot, make_graded_grid
 from ksgrowup.matching import integrate_a
 from ksgrowup.specialfn import SpecialFunctions
 
@@ -113,11 +113,52 @@ def test_newton_maxit_is_counted(monkeypatch):
     u = grid.nodes.copy()
     problem = pde._UProblem(grid, 1.0)
     coef, rhs = 0.01, u[1:-1].copy()
-    _, its, ok, _ = problem.newton(u, coef, rhs,
-                                   np.abs(rhs) + coef * problem.term_size(u), 1)
+    size = np.abs(rhs) + coef * problem.term_size(u, problem.rhs_and_jac(u))
+    _, its, ok, _ = problem.newton(u, coef, rhs, size, 1)
     assert (its, ok) == (1, False)
     metrics = tracing.Summary(tracer).metrics("pipeline")
     assert metrics["pde.newton_maxit_solves"]["value"] == 1
+
+
+@pytest.mark.parametrize("form", ["u", "w"])
+def test_every_tridiagonal_solve_enters_solve_banded(monkeypatch, form):
+    # pde.tridiag_solves counts calls into pde.solve_banded: one per Newton
+    # update and one error-filter solve per step whose two stages
+    # converged.  A solve that bypasses it would read low only in a traced
+    # benchmark run; here a short solve of each form counts it directly
+    tracer = tracing.Tracer()
+    key = "pde.solve_banded"
+    span, _, measure = tracing.BOUNDARIES[key]
+    monkeypatch.setattr(pde, "solve_banded",
+                        tracer._wrapper(key, span, pde.solve_banded, measure))
+    steps, step_once = [], pde._step_once
+
+    def recorded_step(*args):
+        steps.append([])
+        return step_once(*args)
+
+    def recorded_newton(self, *args):
+        result = pde._newton(self, *args)
+        steps[-1].append(result[:3])
+        return result
+    monkeypatch.setattr(pde, "_step_once", recorded_step)
+    monkeypatch.setattr(pde._UProblem, "newton", recorded_newton)
+    monkeypatch.setattr(pde._WProblem, "newton", recorded_newton)
+    if form == "u":
+        grid = make_graded_grid(140, 1e-6, 1.12)
+        u0 = Snapshot(grid=grid, values=grid.nodes.copy(), time=0.0,
+                      left_bc=0.0, right_bc=1.0)
+        pde.solve(u0, pde.SolverConfig(), 1.0, [1.0])
+    else:
+        r = np.linspace(0.0, 1.0, 81)
+        w0 = RadialField(r_nodes=r, values=np.full_like(r, 8.0),
+                         total_mass=8 * np.pi)
+        pde.solve_w(w0, pde.SolverConfig(dt_max=0.005), 0.1, [0.1])
+    updates = sum(its for stages in steps for _, its, _ in stages)
+    filtered = sum(len(stages) == 2 and stages[1][2] for stages in steps)
+    assert steps and filtered
+    metrics = tracing.Summary(tracer).metrics(tracing.R)
+    assert metrics["pde.tridiag_solves"]["value"] == updates + filtered
 
 
 def test_path_measure_reads_a_real_path():

@@ -10,7 +10,7 @@ from ksgrowup.errors import RangeError, ResolutionError
 from ksgrowup.grids import GradedGrid, RadialField, Snapshot, make_graded_grid
 from ksgrowup.pde import SolverConfig, l1_to_one, slope_origin_info, solve, solve_w
 from ksgrowup.pde import _UProblem, _WProblem, _step_once
-from oracles import (ordered_pair_test, small_time_checks, snapshot_at,
+from oracles import (ReferenceUProblem, ordered_pair_test, small_time_checks, snapshot_at,
                      steady_profile, w_from_u)
 
 
@@ -38,7 +38,7 @@ class TestJacobians:
         # xi != 1: the extrapolated last face of xi = 1 couples the last row
         # to u[N-3], an entry the band leaves out on purpose
         problem, u = make()
-        _, sub, diag, sup = problem.rhs_and_jac(u)
+        _, sub, diag, sup, _ = problem.rhs_and_jac(u)
         J = np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
         rows = range(problem.ilo, len(u) - 1)
         J_fd = np.empty_like(J)
@@ -64,9 +64,9 @@ class _ScaledBands(_WProblem):
     band_scale = 1.0
 
     def rhs_and_jac(self, w):
-        F, sub, diag, sup = super().rhs_and_jac(w)
+        F, sub, diag, sup, faces = super().rhs_and_jac(w)
         c = self.band_scale
-        return F, c * sub, c * diag, c * sup
+        return F, c * sub, c * diag, c * sup, faces
 
 
 class TestNewtonStop:
@@ -78,7 +78,7 @@ class TestNewtonStop:
     @staticmethod
     def _size(problem, u, coef, rhs):
         """The row sizes _step_once hands to a stage solve from u."""
-        return np.abs(rhs) + coef * problem.term_size(u)
+        return np.abs(rhs) + coef * problem.term_size(u, problem.rhs_and_jac(u))
 
     def test_stops_at_round_off(self):
         # near w(0) = 750 the residual of a converged step sits near 1e-8,
@@ -178,6 +178,73 @@ class TestAdvectiveFace:
         grid = GradedGrid(nodes=x, x_min=x[1], grading_ratio=1.0)
         with pytest.raises(ResolutionError, match="face 30 .* Peclet number of 2.67"):
             _UProblem(grid, 1.0)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _kernel_case(case):
+    """(xi, states) on the default grid for one kernel comparison case."""
+    x = make_graded_grid(420, 1e-8, 1.07).nodes
+    quasi = [(a + 1.0) * x / (a * x + 1.0) for a in (1.0, 1e3, 1e6, 1e9)]
+    if case == "xi_0.95":           # no extrapolated face
+        return 0.95, [0.95 * q for q in quasi]
+    if case == "face_0_from_the_right":   # u_0 + u_1 >= 1, values above 1
+        states = [1.5 * q for q in quasi[2:]]
+        states.append(np.where(x > 0.0, 1.0, 0.0))   # u_0 + u_1 == 1 exactly
+        states.append(0.6 + 0.3 * x)    # every w > 0
+        return 1.5, states
+    if case == "arithmetic_faces":  # w <= 0 at interior nodes
+        states = [q.copy() for q in quasi]
+        states[0][:4] = 0.0
+        states[1][5] = -1e-9
+        states[2][200:] = 1.0
+        states[3][100] = 1.25
+        return 1.0, states
+    rng = np.random.default_rng(7)   # mixed faces everywhere
+    states = [rng.uniform(-0.1, 1.2, len(x)) for _ in range(4)]
+    for u in states:
+        u[0], u[-1] = 0.0, 1.0
+    return 1.0, states
+
+
+class TestKernelBits:
+    """The u-form kernel's rewrites with fewer numpy passes, and term_size
+    reading the face values of the state's own evaluation, give the bits of
+    the plain formulas in oracles.ReferenceUProblem."""
+
+    @staticmethod
+    def _check(grid, xi, states):
+        new, ref = _UProblem(grid, xi), ReferenceUProblem(grid, xi)
+        for u in states:
+            ev = new.rhs_and_jac(u)
+            assert len(ev) == 5
+            assert all(_same_bits(g, r) for g, r in zip(ev[:4], ref.rhs_and_jac(u)))
+            assert _same_bits(new.term_size(u, ev), ref.term_size(u))
+
+    def test_default_run_snapshots(self, critical_traj):
+        snaps = critical_traj.snapshots
+        self._check(snaps[0].grid, 1.0, [s.values for s in snaps])
+
+    @pytest.mark.parametrize("case", ["xi_0.95", "face_0_from_the_right",
+                                      "arithmetic_faces", "random"])
+    def test_edge_states(self, case):
+        xi, states = _kernel_case(case)
+        self._check(make_graded_grid(420, 1e-8, 1.07), xi, states)
+
+    def test_cases_reach_every_branch(self):
+        # the face-0 branch each case takes, and whether it has
+        # arithmetic faces (w <= 0 next to a face) besides faces 0 and N-1
+        seen = set()
+        for case in ("xi_0.95", "face_0_from_the_right", "arithmetic_faces", "random"):
+            _, states = _kernel_case(case)
+            for u in states:
+                w = u * (1.0 - u)
+                seen.add(("upwind_left" if u[0] + u[1] < 1.0 else "upwind_right",
+                          bool((w[1:-1] <= 0.0).any())))
+        assert seen >= {("upwind_left", False), ("upwind_left", True),
+                        ("upwind_right", False), ("upwind_right", True)}
 
 
 def _pivoting_system(rng, n):
@@ -290,11 +357,11 @@ class TestFailedSolve:
         rhs_and_jac = _UProblem.rhs_and_jac
 
         def nan_once(self, u):
-            F, sub, diag, sup = rhs_and_jac(self, u)
+            F, *rest = rhs_and_jac(self, u)
             calls.append(1)
             if len(calls) == 3:   # a Newton iterate of the first step
                 F = np.full_like(F, np.nan)
-            return F, sub, diag, sup
+            return F, *rest
         monkeypatch.setattr(_UProblem, "rhs_and_jac", nan_once)
         traj = self._run()
         assert traj.rejected_newton == 1
