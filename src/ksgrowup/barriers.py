@@ -333,16 +333,17 @@ def _upper_violation(spec: BarrierSpec, snaps: list[Snapshot], T2: float,
 
 
 def _search_shift(violation, shift_max: float, lattice: float,
-                  slack: float, start: float = 0.0) -> float:
-    """Smallest lattice shift with violation <= slack (coarse, then refine)."""
-    if violation(start) <= slack:
-        return start
-    probe = max(lattice, start if start > 0 else lattice)
-    lo = start
-    hi = None
+                  slack: float, start: float = 0.0) -> tuple[float, float]:
+    """Smallest lattice shift with violation <= slack (coarse, then refine),
+    and the violation at that shift."""
+    v_hi = violation(start)
+    if v_hi <= slack:
+        return start, v_hi
+    lo, hi, probe = start, None, max(lattice, start)
     while probe <= shift_max:
-        if violation(probe) <= slack:
-            hi = probe
+        v = violation(probe)
+        if v <= slack:
+            hi, v_hi = probe, v
             break
         lo = probe
         probe = max(probe * 2.0, probe + lattice)
@@ -354,11 +355,12 @@ def _search_shift(violation, shift_max: float, lattice: float,
         mid = lattice * round(0.5 * (lo + hi) / lattice)
         if mid in (lo, hi):
             break
-        if violation(mid) <= slack:
-            hi = mid
+        v = violation(mid)
+        if v <= slack:
+            hi, v_hi = mid, v
         else:
             lo = mid
-    return hi
+    return hi, v_hi
 
 
 def find_time_shifts(lower_spec: BarrierSpec, upper_spec: BarrierSpec,
@@ -397,7 +399,7 @@ def find_time_shifts(lower_spec: BarrierSpec, upper_spec: BarrierSpec,
     if lower_onset is None:
         lower_onset = np.inf
 
-    T1 = _search_shift(
+    T1, worst_lower = _search_shift(
         lambda s: _lower_violation(lower_spec, snaps, s, lower_onset),
         shift_max, lattice, slack)
 
@@ -406,7 +408,7 @@ def find_time_shifts(lower_spec: BarrierSpec, upper_spec: BarrierSpec,
         raise OrderingFailureError(
             f"the upper onset {upper_onset:.6g} needs a shift of at least "
             f"{start:g} > shift_max = {shift_max:g}")
-    T2 = _search_shift(
+    T2, worst_upper = _search_shift(
         lambda s: _upper_violation(upper_spec, snaps, s, t_min_upper),
         shift_max, lattice, slack, start=start)
 
@@ -418,5 +420,4 @@ def find_time_shifts(lower_spec: BarrierSpec, upper_spec: BarrierSpec,
         n_times_lower=len(lower_times), n_times_upper=len(upper_times),
         max_t_lower=max(lower_times, default=None),
         max_t_upper=max(upper_times, default=None),
-        worst_lower=_lower_violation(lower_spec, snaps, T1, lower_onset),
-        worst_upper=_upper_violation(upper_spec, snaps, T2, t_min_upper))
+        worst_lower=worst_lower, worst_upper=worst_upper)

@@ -16,7 +16,9 @@ The barrier pair (``[barriers]``) is built once per run, on the run's one
 special-function table: tabulate writes that table and checks its
 asymptotics, match checks the barriers' matching paths, certify certifies
 the barriers, and sandwich orders the solution between exactly those
-barriers.
+barriers.  Each command builds its evidence once per run; a pure
+``*_gate`` of that evidence and its config section names the failures
+(``check_asymptotics`` for tabulate), and the command writes the files.
 """
 
 from __future__ import annotations
@@ -76,13 +78,17 @@ def _say(quiet: bool, msg: str) -> None:
         print(msg)
 
 
-def _verdict(path: Path, failures: list[str], quiet: bool, **extra) -> int:
-    """Write {"failures", "ok", **extra} to path, print each failure, and
-    return the exit status: 1 if a check failed, else 0."""
-    ser.dump_json({"failures": failures, "ok": not failures, **extra}, path)
+def _report(failures: list[str], quiet: bool) -> int:
+    """Print each failure; the exit status is 1 if a check failed, else 0."""
     for f in failures:
         _say(quiet, "FAIL: " + f)
     return 1 if failures else 0
+
+
+def _verdict(path: Path, failures: list[str], quiet: bool, **extra) -> int:
+    """Write {"failures", "ok", **extra} to path and _report the failures."""
+    ser.dump_json({"failures": failures, "ok": not failures, **extra}, path)
+    return _report(failures, quiet)
 
 
 def _trend_slope(t, v):
@@ -95,10 +101,98 @@ def _trend_slope(t, v):
 
 
 # ---------------------------------------------------------------------------
+# verdict gates: evidence (and a config section) -> failure strings
+
+
+def match_gate(K: float, dev: np.ndarray, sec) -> list[str]:
+    """dev = log a - sqrt(2t) of the lower path at K on [match]
+    bracket_window must stay inside [bracket_lo, bracket_hi], and
+    |dev - 5/2| must not increase."""
+    failures = []
+    lo, hi = float(sec["bracket_lo"]), float(sec["bracket_hi"])
+    if dev.min() < lo or dev.max() > hi:
+        failures.append(f"K={K}: log a - sqrt(2t) left [{lo}, {hi}] "
+                        f"(range [{dev.min():.3f}, {dev.max():.3f}])")
+    if np.any(np.diff(np.abs(dev - 2.5)) > 1e-12):
+        failures.append(f"K={K}: |log a - sqrt(2t) - 5/2| not nonincreasing")
+    return failures
+
+
+def certify_gate(residuals, boundaries, swaps, t_last: float) -> list[str]:
+    """Of the (lower, upper) ResidualReports, BoundaryReports and K-swap
+    BoundaryReports: each sign certified, the lower barrier increasing, each
+    x = 1 matching holding up to the lattice's t_last, and no swap's."""
+    failures = [f"{rep.kind} residual sign not certified"
+                for rep in residuals if not rep.sign_ok]
+    if not residuals[0].slope_ok:
+        failures.append("lower barrier not increasing beyond threshold")
+    failures += [f"{rep.kind} boundary matching never holds up to {t_last:g}"
+                 for rep in boundaries if not rep.ok_beyond]
+    return failures + [f"swapped {rep.kind} K={rep.K:g} unexpectedly matched"
+                       for rep in swaps if rep.onset_t is not None]
+
+
+def rate_gate(rows: list[dict], sec) -> tuple[list[str], dict]:
+    """Failures on the _series rows, and the numbers rate_verdict.json
+    records (d_time_err: the largest bar in the d window, or None)."""
+    failures = []
+    w0, w1 = _floats(sec["d_window"])
+    dw = [r for r in rows if w0 - 1e-9 <= r["t"] <= w1 + 1e-9]
+    # d with its time-error bar must stay inside the bracket
+    d_low = [r["d"] - r["d_time_err"] for r in dw]
+    d_high = [r["d"] + r["d_time_err"] for r in dw]
+    d_lo, d_hi = float(sec["d_lo"]), float(sec["d_hi"])
+    if not dw:
+        failures.append("no samples in the d(t) window")
+    elif min(d_low) < d_lo or max(d_high) > d_hi:
+        failures.append(f"d(t) with its time-error bar left [{d_lo}, {d_hi}]: "
+                        f"range [{min(d_low):.4f}, {max(d_high):.4f}]")
+    trend = [r for r in rows if r["t"] >= float(sec["trend_from"])]
+    slope_d = _trend_slope([r["t"] for r in trend], [abs(r["d"] - 2.5) for r in trend])
+    slope_r = _trend_slope([r["t"] for r in trend], [abs(r["r"] - 1.0) for r in trend])
+    if slope_d > float(sec["trend_slope_tol"]):
+        failures.append(f"|d - 5/2| trend not decreasing (slope {slope_d:.2e})")
+    r_end = rows[-1]["r"]
+    if not (float(sec["r_lo"]) <= r_end <= float(sec["r_hi"])):
+        failures.append(f"L1 ratio at t_end = {r_end:.3f} outside bracket")
+    if slope_r > float(sec["trend_slope_tol"]):
+        failures.append(f"|r - 1| trend not decreasing (slope {slope_r:.2e})")
+    return failures, {"d_final": rows[-1]["d"], "r_final": r_end,
+                      "d_trend_slope": slope_d, "r_trend_slope": slope_r,
+                      "d_time_err": max((r["d_time_err"] for r in dw), default=None)}
+
+
+def profile_gate(rows: list[dict], sec) -> list[str]:
+    """E(t) of the _series rows decreases from [profile] decrease_from on,
+    and E(t_end) is at most [profile] e_max."""
+    failures = []
+    tail = [r["E"] for r in rows if r["t"] >= float(sec["decrease_from"])]
+    if any(e2 > e1 + 1e-12 for e1, e2 in zip(tail, tail[1:])):
+        failures.append("profile error E(t) not decreasing beyond "
+                        + sec["decrease_from"])
+    if rows[-1]["E"] > float(sec["e_max"]):
+        failures.append(f"E(t_end) = {rows[-1]['E']:.3f} > {sec['e_max']}")
+    return failures
+
+
+def sandwich_gate(report: bar.ShiftReport) -> list[str]:
+    """Each barrier is compared at some time (else it orders nothing), and
+    each side's worst violation at its shift is within the slack."""
+    sides = ((bar.LOWER, report.n_times_lower, report.worst_lower),
+             (bar.UPPER, report.n_times_upper, report.worst_upper))
+    failures = [f"no time compares the {kind} barrier" for kind, n, _ in sides if n == 0]
+    return failures + [f"{kind} barrier's worst violation {worst:.3e} above the "
+                       f"slack {report.slack:g}"
+                       for kind, _, worst in sides if not worst <= report.slack]
+
+
+# ---------------------------------------------------------------------------
 # shared builders
 
 
-def _solver_setup(cfg) -> tuple[Snapshot, pde.SolverConfig, float, list[float]]:
+@functools.lru_cache(maxsize=1)
+def _run_critical(cfg, quiet: bool) -> pde.Trajectory:
+    """The run's one critical solve; solve, rate, profile and sandwich read it."""
     sec = cfg["solve"]
     grid = make_graded_grid(int(sec["n"]), float(sec["x_min"]),
                             float(sec["grading_ratio"]))
@@ -108,41 +202,34 @@ def _solver_setup(cfg) -> tuple[Snapshot, pde.SolverConfig, float, list[float]]:
     solver_cfg = pde.SolverConfig(
         dt_max=_float_or_none(sec["dt_max"]),
         local_error_tol=_float_or_none(sec["local_error_tol"]))
-    t_end = float(sec["t_end"])
-    out_times = _floats(sec["output_times"])
+    t_end, out_times = float(sec["t_end"]), _floats(sec["output_times"])
     # rate and profile read the last snapshot, and the manifest the first
     if not any(t > 0.0 for t in out_times):
         raise NumericsError("[solve] output_times needs a time > 0")
-    return u0, solver_cfg, t_end, out_times
-
-
-@functools.lru_cache(maxsize=1)
-def _run_critical(cfg, quiet: bool) -> pde.Trajectory:
-    """The run's one critical solve; solve, rate, profile and sandwich read it."""
-    u0, solver_cfg, t_end, out_times = _solver_setup(cfg)
-    _say(quiet, f"solving to t = {t_end} on {u0.grid.n} nodes ...")
+    _say(quiet, f"solving to t = {t_end} on {grid.n} nodes ...")
     return pde.solve(u0, solver_cfg, t_end, out_times)
 
 
-def _slope_fits(traj: pde.Trajectory):
-    """(snapshot, time-error bar on d, SlopeFit) at every output time t > 0.
-
-    The early fallback to the one-sided ratio is expected; the verdicts
-    count it (n_ratio_fallbacks)."""
-    return [(s, float(bar_d), pde.slope_origin_info(s))
-            for s, bar_d in zip(traj.snapshots, traj.d_time_err) if s.time > 0.0]
-
-
-def _rate_series(traj: pde.Trajectory):
+@functools.lru_cache(maxsize=1)
+def _series(cfg, quiet: bool) -> list[dict]:
+    """The run's one observable series, a row per output time t > 0: the
+    origin slope and its fit (rate and profile count the early fallbacks to
+    the one-sided ratio), d = log slope - sqrt(2t) with its time-error bar,
+    the L1 distance l1 to 1 over sqrt(2t) e^(-5/2 - sqrt(2t)) as r, and the
+    profile error E against (1 - x)/(1 + slope x)."""
+    traj = _run_critical(cfg, quiet)
     rows = []
-    for s, bar_d, info in _slope_fits(traj):
-        d = float(np.log(info.value) - np.sqrt(2.0 * s.time))
-        l1 = pde.l1_to_one(s)
-        r = float(l1 / (np.sqrt(2.0 * s.time)
-                        * np.exp(-2.5 - np.sqrt(2.0 * s.time))))
-        rows.append({"t": s.time, "slope": info.value, "method": info.method,
-                     "fit_residual": info.fit_residual, "d": d,
-                     "d_time_err": bar_d, "l1": l1, "r": r})
+    for s, bar_d in zip(traj.snapshots, traj.d_time_err):
+        if s.time > 0.0:
+            info, l1, x = pde.slope_origin_info(s), pde.l1_to_one(s), s.grid.nodes
+            root = np.sqrt(2.0 * s.time)
+            rows.append({
+                "t": s.time, "slope": info.value, "method": info.method,
+                "fit_residual": info.fit_residual,
+                "d": float(np.log(info.value) - root), "d_time_err": float(bar_d),
+                "l1": l1, "r": float(l1 / (root * np.exp(-2.5 - root))),
+                "E": float(np.max(np.abs((1.0 - s.values) * (1.0 + info.value * x)
+                                         - (1.0 - x))))})
     return rows
 
 
@@ -175,26 +262,18 @@ def cmd_tabulate(cfg, out: Path, quiet: bool) -> int:
 
 def cmd_match(cfg, out: Path, quiet: bool) -> int:
     sec = cfg["match"]
-    failures = []
-    for kind, path in zip((bar.LOWER, bar.UPPER), _barrier_paths(cfg)):
-        K = path.K
-        tag = f"k{K:g}".replace(".", "p")
+    w0, w1 = _floats(sec["bracket_window"])
+    paths, devs = _barrier_paths(cfg), []
+    for path in paths:
+        tag = f"k{path.K:g}".replace(".", "p")
         (out / f"path_{tag}.csv").write_text(ser.path_to_csv(path))
         ser.dump_json(ser.path_header_json(path), out / f"path_{tag}.json")
-        w0, w1 = _floats(sec["bracket_window"])
         ts = np.linspace(w0, min(w1, path.t_end), 60)
-        dev = path.loga_at(ts) - np.sqrt(2.0 * ts)
-        lo, hi = float(sec["bracket_lo"]), float(sec["bracket_hi"])
-        is_lower = kind == bar.LOWER
-        if is_lower and (dev.min() < lo or dev.max() > hi):
-            failures.append(
-                f"K={K}: log a - sqrt(2t) left [{lo}, {hi}] "
-                f"(range [{dev.min():.3f}, {dev.max():.3f}])")
-        if is_lower and np.any(np.diff(np.abs(dev - 2.5)) > 1e-12):
-            failures.append(f"K={K}: |log a - sqrt(2t) - 5/2| not nonincreasing")
-        _say(quiet, f"match K={K}: deviation range "
-                    f"[{dev.min():.4f}, {dev.max():.4f}]")
-    return _verdict(out / "match_verdict.json", failures, quiet)
+        devs.append(path.loga_at(ts) - np.sqrt(2.0 * ts))
+        _say(quiet, f"match K={path.K}: deviation range "
+                    f"[{devs[-1].min():.4f}, {devs[-1].max():.4f}]")
+    return _verdict(out / "match_verdict.json",
+                    match_gate(paths[0].K, devs[0], sec), quiet)
 
 
 @functools.lru_cache(maxsize=1)
@@ -250,46 +329,35 @@ def cmd_certify(cfg, out: Path, quiet: bool) -> int:
     lower, upper, bnd_lo, bnd_up = _barriers(cfg, quiet)
     sec = cfg["certify"]
     ts = _lattice(cfg)
-    failures = []
 
-    rep_lo, rep_up = (bar.certify_sign(spec, ts, int(sec["y_resolution"]))
-                      for spec in (lower, upper))
-    ser.dump_json(ser.residual_report_to_json(rep_lo), out / "residual_lower.json")
-    ser.dump_json(ser.residual_report_to_json(rep_up), out / "residual_upper.json")
-    for rep in (rep_lo, rep_up):
+    residuals = [bar.certify_sign(spec, ts, int(sec["y_resolution"]))
+                 for spec in (lower, upper)]
+    for rep in residuals:
+        ser.dump_json(ser.residual_report_to_json(rep), out / f"residual_{rep.kind}.json")
         _say(quiet, f"{rep.kind} residual: sign_ok={rep.sign_ok} "
                     f"threshold_T={rep.threshold_T} worst={rep.worst_value:.3e}")
-        if not rep.sign_ok:
-            failures.append(f"{rep.kind} residual sign not certified")
+    _say(quiet, f"lower barrier slope > 0: {residuals[0].slope_ok}")
 
-    _say(quiet, f"lower barrier slope > 0: {rep_lo.slope_ok}")
-    if not rep_lo.slope_ok:
-        failures.append("lower barrier not increasing beyond threshold")
-
-    for rep, name in ((bnd_lo, "lower"), (bnd_up, "upper")):
+    for rep in (bnd_lo, bnd_up):
         ser.dump_json({"kind": rep.kind, "K": ser.fmt(rep.K),
-                       "onset_t": None if rep.onset_t is None else ser.fmt(rep.onset_t),
+                       "onset_t": _fmt_or_none(rep.onset_t),
                        "ok_beyond": rep.ok_beyond},
-                      out / f"boundary_{name}.json")
-        _say(quiet, f"{name} boundary matching onset: {rep.onset_t}")
-        if not rep.ok_beyond:
-            failures.append(f"{name} boundary matching never holds up to {ts[-1]:g}")
+                      out / f"boundary_{rep.kind}.json")
+        _say(quiet, f"{rep.kind} boundary matching onset: {rep.onset_t}")
 
     # deliberate K swaps must fail the matching inequalities at large time
-    swaps = {}
-    for kind, K in ((bar.LOWER, float(sec["k_lower_swap"])),
-                    (bar.UPPER, float(sec["k_upper_swap"]))):
-        spec = bar.BarrierSpec(kind=kind, path=mat.integrate_a(K, _path_end(cfg)),
-                               table=lower.table)
-        rep = bar.check_boundary_matching(spec, ts)
-        failed_as_predicted = rep.onset_t is None
-        swaps[f"{kind}_K{K:g}"] = failed_as_predicted
-        _say(quiet, f"swapped {kind} K={K:g}: matching fails as predicted: "
-                    f"{failed_as_predicted}")
-        if not failed_as_predicted:
-            failures.append(f"swapped {kind} K={K:g} unexpectedly matched")
+    swaps = [bar.check_boundary_matching(
+                 bar.BarrierSpec(kind=kind, path=mat.integrate_a(float(sec[key]),
+                                                                 _path_end(cfg)),
+                                 table=lower.table), ts)
+             for kind, key in ((bar.LOWER, "k_lower_swap"), (bar.UPPER, "k_upper_swap"))]
+    for rep in swaps:
+        _say(quiet, f"swapped {rep.kind} K={rep.K:g}: matching fails as predicted: "
+                    f"{rep.onset_t is None}")
 
-    return _verdict(out / "certify_verdict.json", failures, quiet, swaps=swaps,
+    return _verdict(out / "certify_verdict.json",
+                    certify_gate(residuals, (bnd_lo, bnd_up), swaps, ts[-1]), quiet,
+                    swaps={f"{rep.kind}_K{rep.K:g}": rep.onset_t is None for rep in swaps},
                     lattice_t_end=ser.fmt(ts[-1]))
 
 
@@ -302,77 +370,27 @@ def cmd_solve(cfg, out: Path, quiet: bool) -> int:
 
 
 def cmd_rate(cfg, out: Path, quiet: bool) -> int:
-    sec = cfg["rate"]
-    traj = _run_critical(cfg, quiet)
-    rows = _rate_series(traj)
-    lines = ["t,slope,method,fit_residual,d,d_time_err,l1,r"]
-    for r in rows:
-        lines.append(",".join([ser.fmt(r["t"]), ser.fmt(r["slope"]), r["method"],
-                               ser.fmt(r["fit_residual"]), ser.fmt(r["d"]),
-                               ser.fmt(r["d_time_err"]), ser.fmt(r["l1"]),
-                               ser.fmt(r["r"])]))
-    (out / "rate.csv").write_text("\n".join(lines) + "\n")
-
-    failures = []
-    w0, w1 = _floats(sec["d_window"])
-    dw = [r for r in rows if w0 - 1e-9 <= r["t"] <= w1 + 1e-9]
-    # d with its time-error bar must stay inside the bracket
-    bars = [r["d_time_err"] for r in dw]
-    d_low = [r["d"] - b for r, b in zip(dw, bars)]
-    d_high = [r["d"] + b for r, b in zip(dw, bars)]
-    if not dw:
-        failures.append("no samples in the d(t) window")
-    else:
-        d_lo, d_hi = float(sec["d_lo"]), float(sec["d_hi"])
-        if min(d_low) < d_lo or max(d_high) > d_hi:
-            failures.append(f"d(t) with its time-error bar left [{d_lo}, {d_hi}]: "
-                            f"range [{min(d_low):.4f}, {max(d_high):.4f}]")
-    trend_rows = [r for r in rows if r["t"] >= float(sec["trend_from"])]
-    slope_d = _trend_slope([r["t"] for r in trend_rows],
-                           [abs(r["d"] - 2.5) for r in trend_rows])
-    if slope_d > float(sec["trend_slope_tol"]):
-        failures.append(f"|d - 5/2| trend not decreasing (slope {slope_d:.2e})")
-    r_end = rows[-1]["r"]
-    if not (float(sec["r_lo"]) <= r_end <= float(sec["r_hi"])):
-        failures.append(f"L1 ratio at t_end = {r_end:.3f} outside bracket")
-    slope_r = _trend_slope([r["t"] for r in trend_rows],
-                           [abs(r["r"] - 1.0) for r in trend_rows])
-    if slope_r > float(sec["trend_slope_tol"]):
-        failures.append(f"|r - 1| trend not decreasing (slope {slope_r:.2e})")
-
-    _say(quiet, f"rate: d(t_end) = {rows[-1]['d']:.4f}, r(t_end) = {r_end:.3f}")
+    rows = _series(cfg, quiet)
+    cols = ("t", "slope", "method", "fit_residual", "d", "d_time_err", "l1", "r")
+    (out / "rate.csv").write_text("\n".join(
+        [",".join(cols)] + [",".join(r[c] if c == "method" else ser.fmt(r[c])
+                                     for c in cols) for r in rows]) + "\n")
+    failures, numbers = rate_gate(rows, cfg["rate"])
+    _say(quiet, f"rate: d(t_end) = {rows[-1]['d']:.4f}, r(t_end) = {rows[-1]['r']:.3f}")
     return _verdict(out / "rate_verdict.json", failures, quiet,
-                    d_final=ser.fmt(rows[-1]["d"]), r_final=ser.fmt(r_end),
-                    d_trend_slope=ser.fmt(slope_d), r_trend_slope=ser.fmt(slope_r),
-                    d_time_err=_fmt_or_none(max(bars, default=None)),
+                    **{k: _fmt_or_none(v) for k, v in numbers.items()},
                     n_ratio_fallbacks=sum(r["method"] == "ratio" for r in rows))
 
 
 def cmd_profile(cfg, out: Path, quiet: bool) -> int:
-    sec = cfg["profile"]
-    traj = _run_critical(cfg, quiet)
-    rows = []
-    fits = _slope_fits(traj)
-    for s, _, info in fits:
-        ahat = info.value
-        x = s.grid.nodes
-        E = float(np.max(np.abs((1.0 - s.values) * (1.0 + ahat * x) - (1.0 - x))))
-        rows.append((s.time, ahat, E))
-    (out / "profile.csv").write_text(
-        "\n".join(["t,ahat,E"] + [",".join(ser.fmt(v) for v in r) for r in rows])
-        + "\n")
-    failures = []
-    tail = [(t, E) for t, _, E in rows if t >= float(sec["decrease_from"])]
-    if any(e2 > e1 + 1e-12 for (_, e1), (_, e2) in zip(tail, tail[1:])):
-        failures.append("profile error E(t) not decreasing beyond "
-                        + sec["decrease_from"])
-    if rows and rows[-1][2] > float(sec["e_max"]):
-        failures.append(f"E(t_end) = {rows[-1][2]:.3f} > {sec['e_max']}")
-    _say(quiet, f"profile: E(t_end) = {rows[-1][2]:.4f}")
-    return _verdict(out / "profile_verdict.json", failures, quiet,
-                    E_final=ser.fmt(rows[-1][2]) if rows else None,
-                    n_ratio_fallbacks=sum(info.method == "ratio"
-                                          for *_, info in fits))
+    rows = _series(cfg, quiet)
+    (out / "profile.csv").write_text("\n".join(
+        ["t,ahat,E"] + [",".join(ser.fmt(r[c]) for c in ("t", "slope", "E"))
+                        for r in rows]) + "\n")
+    _say(quiet, f"profile: E(t_end) = {rows[-1]['E']:.4f}")
+    return _verdict(out / "profile_verdict.json", profile_gate(rows, cfg["profile"]),
+                    quiet, E_final=ser.fmt(rows[-1]["E"]),
+                    n_ratio_fallbacks=sum(r["method"] == "ratio" for r in rows))
 
 
 def cmd_sandwich(cfg, out: Path, quiet: bool) -> int:
@@ -387,10 +405,7 @@ def cmd_sandwich(cfg, out: Path, quiet: bool) -> int:
         lattice=float(sec["lattice"]), slack=float(sec["slack"]),
         t_min_upper=t_min_upper, lower_onset=bnd_lo.onset_t,
         upper_onset=bnd_up.onset_t)
-    # a barrier compared at no time orders nothing
-    ok = (report.n_times_lower > 0 and report.n_times_upper > 0
-          and report.worst_lower <= report.slack
-          and report.worst_upper <= report.slack)
+    failures = sandwich_gate(report)
     ser.dump_json({"T1": ser.fmt(report.T1), "T2": ser.fmt(report.T2),
                    "lower_onset": ser.fmt(report.lower_onset),
                    "upper_onset": ser.fmt(report.upper_onset),
@@ -400,9 +415,9 @@ def cmd_sandwich(cfg, out: Path, quiet: bool) -> int:
                    "n_times_upper": report.n_times_upper,
                    "max_t_lower": _fmt_or_none(report.max_t_lower),
                    "max_t_upper": _fmt_or_none(report.max_t_upper),
-                   "ok": bool(ok)}, out / "sandwich.json")
-    _say(quiet, f"sandwich: T1 = {report.T1}, T2 = {report.T2}, ok = {ok}")
-    return 0 if ok else 1
+                   "ok": not failures}, out / "sandwich.json")
+    _say(quiet, f"sandwich: T1 = {report.T1}, T2 = {report.T2}, ok = {not failures}")
+    return _report(failures, quiet)
 
 
 def cmd_all(cfg, out: Path, quiet: bool) -> int:
@@ -446,12 +461,14 @@ def _manifest(traj) -> dict:
 
 
 def main(argv=None) -> int:
+    # built per call, so a handler wrapped after import runs wrapped
+    commands = {"tabulate": cmd_tabulate, "match": cmd_match, "certify": cmd_certify,
+                "solve": cmd_solve, "rate": cmd_rate, "profile": cmd_profile,
+                "sandwich": cmd_sandwich, "all": cmd_all}
     parser = argparse.ArgumentParser(
         prog="ksgrowup",
         description="critical-mass chemotaxis grow-up experiments")
-    parser.add_argument("command",
-                        choices=["tabulate", "match", "certify", "solve",
-                                 "rate", "profile", "sandwich", "all"])
+    parser.add_argument("command", choices=commands)
     parser.add_argument("--config", default=None, help="INI config file")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--quiet", action="store_true")
@@ -461,16 +478,8 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        handler = {
-            "tabulate": cmd_tabulate, "match": cmd_match,
-            "certify": cmd_certify, "solve": cmd_solve, "rate": cmd_rate,
-            "profile": cmd_profile, "sandwich": cmd_sandwich, "all": cmd_all,
-        }[args.command]
-        return handler(cfg, out, args.quiet)
-    except NumericsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+        return commands[args.command](cfg, out, args.quiet)
+    except (NumericsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

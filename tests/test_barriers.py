@@ -275,7 +275,7 @@ class TestTimeShifts:
         # starting the comparison clock at 0 (barrier not yet a
         # subsolution) requires a small positive shift
         from ksgrowup.barriers import _lower_violation, _search_shift
-        t1 = _search_shift(
+        t1, _ = _search_shift(
             lambda s: _lower_violation(lower_med, fast_traj.snapshots, s, 6.0),
             shift_max=50.0, lattice=0.25, slack=1e-9)
         assert 0.0 <= t1 <= 5.0

@@ -151,6 +151,20 @@ class TestCommands:
         assert (a / "rate_verdict.json").read_bytes() == \
             (b / "rate_verdict.json").read_bytes()
 
+    def test_all_deterministic(self, small_cfg, tmp_path):
+        # every artifact of a run, not only rate's, is byte-identical on a
+        # re-run (each run builds its own config, so nothing is reused)
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["all", "--config", small_cfg, "--out", str(a),
+                     "--quiet"]) == main(["all", "--config", small_cfg,
+                                          "--out", str(b), "--quiet"])
+        names = sorted(p.name for p in a.iterdir())
+        assert names == sorted(p.name for p in b.iterdir())
+        assert {"summary.json", "sandwich.json", "rate.csv",
+                "special_table.csv", "trajectory.json"} <= set(names)
+        assert [n for n in names
+                if (a / n).read_bytes() != (b / n).read_bytes()] == []
+
     def test_match_defaults_pass(self, tmp_path):
         out = tmp_path / "m"
         assert main(["match", "--out", str(out), "--quiet"]) == 0
@@ -351,13 +365,19 @@ class TestCommands:
                      str(tmp_path / "s"), "--quiet"]) == 2
         assert "never holds" in capsys.readouterr().err
 
-    def test_sandwich_without_lower_comparison_fails(self, small_cfg, tmp_path):
+    def test_sandwich_without_lower_comparison_fails(self, small_cfg, tmp_path,
+                                                     capsys):
         # t_end = 3 ends before the lower onset (t ~ 5.8): no time compares
-        # the lower barrier, so the sandwich orders nothing there: exit 1
+        # the lower barrier, so the sandwich orders nothing there: exit 1.
+        # The failure is printed as every verdict prints its failures, and
+        # sandwich.json keeps its keys, with no "failures" entry
         out = tmp_path / "s"
-        assert main(["sandwich", "--config", small_cfg, "--out", str(out),
-                     "--quiet"]) == 1
+        assert main(["sandwich", "--config", small_cfg, "--out", str(out)]) == 1
+        printed = capsys.readouterr().out.splitlines()
+        assert [ln for ln in printed if ln.startswith("FAIL: ")] == [
+            "FAIL: no time compares the lower barrier"]
         verdict = json.loads((out / "sandwich.json").read_text())
         assert verdict["n_times_lower"] == 0
         assert verdict["n_times_upper"] > 0
         assert not verdict["ok"]
+        assert "failures" not in verdict
