@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, OrderingFailureError, RangeError
-from .grids import Snapshot
+from .grids import Snapshot, sorted_unique
 from .matching import MatchingPath
 from .specialfn import SpecialTable
 
@@ -59,6 +59,7 @@ def _at_times(path, t):
     t = np.asarray(t, dtype=float)
     if t.ndim == 0:
         return path.closed_forms_at(t)
+    # with return_inverse, np.unique skips its numpy.ma check (sorted_unique)
     times, where = np.unique(t, return_inverse=True)
     return [q[where] for q in path.closed_forms_at(times)]
 
@@ -172,6 +173,9 @@ def _scan_grid(a: float, per_decade: int) -> np.ndarray:
     points 10**(k/per_decade) strictly inside (y_floor, a), and y = a.  The
     lattice does not depend on a, so a point has the same bits at every
     time that scans it."""
+    if per_decade < 1:
+        raise ConstructionError(
+            f"y_resolution must be >= 1 point per decade, got {per_decade}")
     y_floor = min(1e-6, a * 1e-9)
     k = np.arange(np.floor(np.log10(y_floor) * per_decade),
                   np.ceil(np.log10(a) * per_decade) + 1.0)
@@ -199,7 +203,7 @@ def certify_sign(spec: BarrierSpec, ts, y_resolution: int) -> ResidualReport:
     forms = spec.path.closed_forms_at(ts)
     a = forms[0]
     ys = [_scan_grid(float(aj), y_resolution) for aj in a]
-    union = np.unique(np.concatenate([[0.0], *ys]))
+    union = sorted_unique(np.concatenate([[0.0], *ys]))
     table = spec.table.eval(union)
 
     def columns(y):
@@ -336,6 +340,8 @@ def _search_shift(violation, shift_max: float, lattice: float,
                   slack: float, start: float = 0.0) -> tuple[float, float]:
     """Smallest lattice shift with violation <= slack (coarse, then refine),
     and the violation at that shift."""
+    if not lattice > 0.0:
+        raise ConstructionError(f"the shift lattice must be > 0, got {lattice}")
     v_hi = violation(start)
     if v_hi <= slack:
         return start, v_hi

@@ -31,7 +31,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-import numpy.ma  # np.percentile and np.unique load it lazily; here, not mid-run
 
 from . import barriers as bar
 from . import matching as mat
@@ -436,8 +435,22 @@ def cmd_solve_from(traj, out: Path) -> None:
     ser.dump_json(_manifest(traj), out / "trajectory.json")
 
 
+def _percentiles(values, percents) -> np.ndarray:
+    """np.percentile(values, percents) by numpy's default "linear" rule, to
+    the bit: virtual index (n - 1) q, then numpy's _lerp with its t >= 0.5
+    branch.  np.percentile would import numpy.ma, which a run never uses."""
+    v = np.sort(np.asarray(values, dtype=float))
+    at = (len(v) - 1) * (np.asarray(percents, dtype=float) / 100)
+    lo = np.floor(at)
+    t = at - lo
+    lo = lo.astype(np.intp)
+    a, b = v[lo], v[np.minimum(lo + 1, len(v) - 1)]
+    diff = b - a
+    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+
+
 def _manifest(traj) -> dict:
-    dt_p10, dt_p50, dt_p90 = np.percentile(traj.step_sizes, [10, 50, 90])
+    dt_p10, dt_p50, dt_p90 = _percentiles(traj.step_sizes, [10, 50, 90])
     first = traj.snapshots[0]
     return {
         "n_steps": int(len(traj.step_times)),

@@ -78,6 +78,17 @@ def make_graded_grid(n: int, x_min: float, grading_ratio: float) -> GradedGrid:
     return GradedGrid(nodes=nodes, x_min=x_min, grading_ratio=grading_ratio)
 
 
+def sorted_unique(values) -> np.ndarray:
+    """np.unique(values) of a 1-D float array without NaN or -0.0, to the
+    bit: sorted, the first of each run of equal values kept.  np.unique asks
+    numpy.ma whether values are masked, which imports that package into a
+    run that uses no masked array."""
+    v = np.sort(np.asarray(values, dtype=float))
+    keep = np.ones(len(v), dtype=bool)
+    keep[1:] = v[1:] != v[:-1]
+    return v[keep]
+
+
 @dataclass(frozen=True)
 class Snapshot:
     """Solution values u on a grid at one time, with its boundary data."""

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidKError, RangeError, SolverFailureError
+from .grids import sorted_unique
 
 
 def _gp(s, K):
@@ -150,7 +151,7 @@ def integrate_a(K: float, t_end: float) -> MatchingPath:
     if t_end <= 0.0:
         raise RangeError("t_end must be positive")
 
-    samples = np.unique(np.clip(
+    samples = sorted_unique(np.clip(
         np.concatenate([[0.0], np.geomspace(1e-3, t_end, 240)]), 0.0, t_end))
     ell = _ell_at(float(K), samples)
     a, s = np.exp(ell), 1.0 / ell

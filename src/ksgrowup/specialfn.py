@@ -42,6 +42,7 @@ import numpy.polynomial  # numpy loads it lazily; here, not in a run's first bui
 
 from .errors import (ConstructionError, InfeasibleError, RangeError,
                      SingularInputError)
+from .grids import sorted_unique
 
 GL_ORDER = 10   # Gauss-Legendre points per panel, for every integral here
 _LIN_EDGE, _LIN_N = 1e-6, 8   # linear patch of the partition: [0, 1e-6], 8 panels
@@ -60,6 +61,8 @@ def build_partition(y_max: float, npd: int = 40) -> np.ndarray:
     smaller y_max gives a prefix of the partition."""
     if y_max < 10.0:
         raise ConstructionError(f"y_max must be >= 10, got {y_max}")
+    if npd < 1:
+        raise ConstructionError(f"npd must be >= 1 node per decade, got {npd}")
     k_hi = int(math.ceil(math.log10(y_max) * npd))
     logs = 10.0 ** (np.arange(round(math.log10(_LIN_EDGE) * npd), k_hi + 2) / npd)
     logs = logs[:np.searchsorted(logs, y_max) + 1]
@@ -67,7 +70,7 @@ def build_partition(y_max: float, npd: int = 40) -> np.ndarray:
     # extra density around the blend join at y = 2, where the tail 1/log(y)
     # has its largest higher derivatives
     join_patch = np.geomspace(1.0, 4.0, 97)
-    return np.unique(np.concatenate([lin, logs, [1.0, PhiBlend.join], join_patch]))
+    return sorted_unique(np.concatenate([lin, logs, [1.0, PhiBlend.join], join_patch]))
 
 
 @functools.cache

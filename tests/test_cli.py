@@ -1,13 +1,19 @@
 import configparser
 import json
+import os
 import re
+import subprocess
+import sys
+import warnings
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ksgrowup import cli
 from ksgrowup.cli import main
+from ksgrowup.grids import sorted_unique
 
 SMALL_SOLVE = """
 [solve]
@@ -90,6 +96,41 @@ class TestCommands:
                      str(tmp_path / "o"), "--quiet"]) == 2
         assert re.search(r"grid refused: face 1 .* Peclet number of 489 > 2",
                          capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command, text, name", [
+        ("tabulate", "[tabulate]\nnpd = 0\n", "npd"),
+        ("tabulate", "[tabulate]\nnpd = -3\n", "npd"),
+        ("certify", "[certify]\ny_resolution = 0\n", "y_resolution"),
+        ("certify", "[certify]\ny_resolution = -1\n", "y_resolution"),
+    ], ids=["npd_0", "npd_negative", "y_resolution_0", "y_resolution_negative"])
+    def test_resolution_below_one_per_decade_is_exit_2(self, tmp_path, capsys,
+                                                       command, text, name):
+        # no table partition, and no residual scan, has fewer than one
+        # point per decade: refused before anything is computed with it
+        cfg = tmp_path / "res.ini"
+        cfg.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", str(cfg), "--out",
+                         str(tmp_path / "o"), "--quiet"]) == 2
+        assert f"{name} must be >= 1" in capsys.readouterr().err
+        assert list((tmp_path / "o").glob("*.json")) == []
+
+    @pytest.mark.parametrize("lattice", ["0", "-0.25"])
+    def test_sandwich_nonpositive_lattice_is_exit_2(self, tmp_path, lattice):
+        # a shift search on a lattice <= 0 would never end; a fresh process
+        # with a timeout makes a regression fail instead of hang
+        cfg = tmp_path / "s.ini"
+        cfg.write_text(SMALL_SOLVE + f"\n[sandwich]\nlattice = {lattice}\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "ksgrowup.cli", "sandwich", "--config",
+             str(cfg), "--out", str(tmp_path / "s"), "--quiet"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 2
+        assert "lattice must be > 0" in proc.stderr
+        assert not (tmp_path / "s" / "sandwich.json").exists()
 
     def test_solve_writes_snapshots(self, small_cfg, tmp_path):
         out = tmp_path / "o"
@@ -381,3 +422,66 @@ class TestCommands:
         assert verdict["n_times_upper"] > 0
         assert not verdict["ok"]
         assert "failures" not in verdict
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+class TestNoMaskedArrayHelpers:
+    """The run's stand-ins for np.percentile and np.unique, which import
+    numpy.ma, give numpy's bits."""
+
+    @pytest.mark.parametrize("values", [
+        [0.3], [0.3, 0.1], [0.2, 0.2], [0.5, 0.1, 0.3], [0.1, 0.1, 0.1],
+        [0.1, 0.4, 0.1], [1e-7, 3e-3, 3e-3, 0.2, 1e-7],
+    ])
+    @pytest.mark.parametrize("percents", [
+        [10, 50, 90], [0, 25, 50, 75, 100], [30, 35, 65, 70],
+    ])
+    def test_percentiles_bits_of_np_percentile(self, values, percents):
+        assert _same_bits(cli._percentiles(values, percents),
+                          np.percentile(values, percents))
+
+    @pytest.mark.parametrize("values", [
+        [1.0], [2.0, 1.0], [1.0, 1.0], [3.0, 1.0, 2.0], [1.0, 1.0, 1.0],
+        [2.0, 1.0, 2.0], [0.0, 1e-300, 0.0], [0.1 + 0.2, 0.3, 0.3],
+        [1e-6, 0.0, 1e-6, 1.0, 2.0, 1.0],
+    ])
+    def test_sorted_unique_bits_of_np_unique(self, values):
+        assert _same_bits(sorted_unique(values), np.unique(values))
+
+    def test_sorted_unique_many_repeats(self):
+        rng = np.random.default_rng(0)
+        v = rng.integers(0, 7, 500) * 0.1 + rng.integers(0, 3, 500) * 1e-17
+        assert _same_bits(sorted_unique(v), np.unique(v))
+
+    def test_each_call_site_of_the_default_run(self, tmp_path, monkeypatch):
+        # the table partition, certify's scan union, the matching paths'
+        # samples and the manifest's step-size percentiles of `all` at the
+        # defaults: each input gives numpy's bits
+        from ksgrowup import barriers, matching, specialfn
+        calls = {}
+
+        def recording(site, fn):
+            def wrapped(*args):
+                out = fn(*args)
+                calls.setdefault(site, []).append((args, out))
+                return out
+            return wrapped
+
+        for mod in (specialfn, barriers, matching):
+            monkeypatch.setattr(mod, "sorted_unique",
+                                recording(mod.__name__, mod.sorted_unique))
+        monkeypatch.setattr(cli, "_percentiles",
+                            recording("percentiles", cli._percentiles))
+        assert main(["all", "--out", str(tmp_path / "a"), "--quiet"]) == 0
+        assert sorted(calls) == ["ksgrowup.barriers", "ksgrowup.matching",
+                                 "ksgrowup.specialfn", "percentiles"]
+        for site, records in calls.items():
+            for args, out in records:
+                want = (np.percentile(*args) if site == "percentiles"
+                        else np.unique(*args))
+                assert _same_bits(out, want), site

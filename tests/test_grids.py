@@ -105,11 +105,16 @@ class TestImport:
 
     def test_all_imports_nothing_after_the_package(self, tmp_path):
         # every import cost is paid with `import ksgrowup.cli`, not while a
-        # command runs; argparse's gettext alone loads locale lazily
+        # command runs; argparse's gettext alone loads locale lazily.  No
+        # computation uses a masked array, so numpy.ma, which np.unique and
+        # np.percentile import on first use, is never loaded
         code = ("import json, sys, ksgrowup.cli; before = set(sys.modules); "
                 f"rc = ksgrowup.cli.main(['all', '--out', {str(tmp_path)!r}, "
                 "'--quiet']); "
-                "print(json.dumps([rc, sorted(set(sys.modules) - before)]))")
-        rc, added = json.loads(_run_python(code))
+                "print(json.dumps([rc, sorted(set(sys.modules) - before), "
+                "sorted(m for m in sys.modules "
+                "if m.split('.')[:2] == ['numpy', 'ma'])]))")
+        rc, added, masked = json.loads(_run_python(code))
         assert rc == 0
         assert set(added) <= {"locale", "_locale"}
+        assert masked == []
