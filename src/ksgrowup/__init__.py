@@ -5,6 +5,6 @@ from .barriers import (BarrierSpec, certify_sign, check_boundary_matching,
 from .grids import GradedGrid, RadialField, Snapshot, make_graded_grid
 from .matching import MatchingPath, integrate_a
 from .pde import SolverConfig, Trajectory, slope_origin_info, solve, solve_w
-from .specialfn import SpecialFunctions, SpecialTable, check_asymptotics
+from .specialfn import SpecialFunctions, check_asymptotics
 
 __version__ = "0.1.0"

@@ -6,7 +6,7 @@ variable y = a(t) x:
     lower:  1 - 1/(y+1) + b f(y) - b^2 g(y)
     upper:  1 - 1/(y+1) + b f(y) - (1+eps) b^2 h(y),   eps = gamma
 
-with a, b, gamma from a MatchingPath and f, g, h from a SpecialTable.
+with a, b, gamma from a MatchingPath and f, g, h from a SpecialFunctions table.
 Applying the parabolic operator P v = v_t - x v_xx - 2 v v_x and using
 L f = w0, L g = tilde_f, L h = tilde_f + M phi collapses the residual to
 a * b^2 * A (lower) resp. a * b^2 * B (upper), with only first derivatives
@@ -28,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, OrderingFailureError, RangeError
-from .grids import Snapshot, sorted_unique
+from .grids import Snapshot, check_per_decade, sorted_unique
 from .matching import MatchingPath
-from .specialfn import SpecialTable
+from .specialfn import SpecialFunctions
 
 LOWER = "lower"
 UPPER = "upper"
@@ -42,15 +42,11 @@ class BarrierSpec:
 
     kind: str
     path: MatchingPath
-    table: SpecialTable
+    table: SpecialFunctions
 
     def __post_init__(self):
         if self.kind not in (LOWER, UPPER):
             raise ConstructionError(f"kind must be '{LOWER}' or '{UPPER}'")
-
-    @property
-    def M(self) -> float:
-        return self.table.M
 
 
 def _at_times(path, t):
@@ -105,7 +101,7 @@ def residual_reduced(spec: BarrierSpec, y, t, T=None, forms=None):
     eps = gam
     h, hp = T["h"], T["h_prime"]
     bracket = 2.0 * fp * h + 2.0 * f * hp - y * hp + 2.0 * (1.0 + gam) * h
-    return (gam * (2.0 * f * fp - y * fp) + spec.M * (1.0 + eps) * T["phi"]
+    return (gam * (2.0 * f * fp - y * fp) + spec.table.M * (1.0 + eps) * T["phi"]
             - (gamp / a) * h
             + (1.0 + eps) * b * bracket
             - 2.0 * (1.0 + eps) ** 2 * b * b * h * hp)
@@ -146,7 +142,7 @@ def time_lattice(t_lo: float, t_hi: float, n_t: int, t_reach: float) -> np.ndarr
                            t_hi * np.exp(step * np.arange(1, n_more + 1))])
 
 
-# Points per call of a batched scan.  A SpecialTable.eval call costs about
+# Points per call of a batched scan.  A SpecialFunctions.eval call costs about
 # 0.15 ms for one point and 1.2 ms for 4096 (2-core Xeon); batches this small
 # leave a default run's peak memory unchanged (unbounded ones add about 4 MB).
 _BATCH_POINTS = 4096
@@ -173,9 +169,7 @@ def _scan_grid(a: float, per_decade: int) -> np.ndarray:
     points 10**(k/per_decade) strictly inside (y_floor, a), and y = a.  The
     lattice does not depend on a, so a point has the same bits at every
     time that scans it."""
-    if per_decade < 1:
-        raise ConstructionError(
-            f"y_resolution must be >= 1 point per decade, got {per_decade}")
+    check_per_decade("y_resolution", per_decade)
     y_floor = min(1e-6, a * 1e-9)
     k = np.arange(np.floor(np.log10(y_floor) * per_decade),
                   np.ceil(np.log10(a) * per_decade) + 1.0)
@@ -235,7 +229,7 @@ def certify_sign(spec: BarrierSpec, ts, y_resolution: int) -> ResidualReport:
             return _value_and_slope(spec, y, a_t, b_t, eps_t, columns(y))[1]
         y0 = [np.concatenate([[0.0], y]) for y in ys[start:]]
         slope_ok = all(np.all(s > 0.0) for s in _batched(slope, y0, rows[start:]))
-    return ResidualReport(kind=spec.kind, K=spec.path.K, M=spec.M,
+    return ResidualReport(kind=spec.kind, K=spec.path.K, M=spec.table.M,
                           x_range=(0.0, 1.0), t_range=(float(ts[0]), float(ts[-1])),
                           threshold_T=None if j0 is None else float(ts[j0]),
                           worst_value=wv, worst_location=(wx, wt),
@@ -250,8 +244,6 @@ class BoundaryReport:
     K: float
     onset_t: float | None
     ok_beyond: bool
-    margins: np.ndarray     # relative margins, scaled by (a+1)
-    times: np.ndarray
 
 
 def boundary_margin(spec: BarrierSpec, t) -> np.ndarray:
@@ -296,7 +288,7 @@ def check_boundary_matching(spec: BarrierSpec, ts) -> BoundaryReport:
             lo, hi = float(pts[j]), float(pts[j + 1])
         onset = hi
     return BoundaryReport(kind=spec.kind, K=spec.path.K, onset_t=onset,
-                          ok_beyond=onset is not None, margins=margins, times=ts)
+                          ok_beyond=onset is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +328,17 @@ def _upper_violation(spec: BarrierSpec, snaps: list[Snapshot], T2: float,
                default=-np.inf)
 
 
+def check_shift_lattice(lattice: float) -> None:
+    """Refuse a shift lattice <= 0, on which the coarse search never moves."""
+    if not lattice > 0.0:
+        raise ConstructionError(f"the shift lattice must be > 0, got {lattice}")
+
+
 def _search_shift(violation, shift_max: float, lattice: float,
                   slack: float, start: float = 0.0) -> tuple[float, float]:
     """Smallest lattice shift with violation <= slack (coarse, then refine),
     and the violation at that shift."""
-    if not lattice > 0.0:
-        raise ConstructionError(f"the shift lattice must be > 0, got {lattice}")
+    check_shift_lattice(lattice)
     v_hi = violation(start)
     if v_hi <= slack:
         return start, v_hi

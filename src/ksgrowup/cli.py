@@ -8,8 +8,9 @@ or configuration failure.  Outputs are deterministic: fixed tolerances, no
 randomness, floats written with 17 significant digits.
 
 Every key has a default in the packaged ``defaults.ini``; a --config file
-overrides single keys, and an unknown section or key in it is a
-configuration failure.  Acceptance brackets (the numbers in that file) are
+overrides single keys.  An unknown section or key is a configuration
+failure, as is a grid, lattice or resolution out of bounds, which is refused
+before any command runs.  Acceptance brackets (the numbers in that file) are
 pre-registered there, not tuned after looking at a particular run.
 
 The barrier pair (``[barriers]``) is built once per run, on the run's one
@@ -37,7 +38,7 @@ from . import matching as mat
 from . import pde
 from . import serialize as ser
 from .errors import NumericsError
-from .grids import Snapshot, make_graded_grid
+from .grids import Snapshot, check_per_decade, make_graded_grid
 from .specialfn import SpecialFunctions, check_asymptotics
 
 class _Config(configparser.ConfigParser):
@@ -62,10 +63,6 @@ def _load_config(path: str | None) -> _Config:
 
 def _floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
-
-
-def _float_or_none(text: str) -> float | None:
-    return None if text.strip().lower() == "none" else float(text)
 
 
 def _fmt_or_none(x) -> str | None:
@@ -190,22 +187,37 @@ def sandwich_gate(report: bar.ShiftReport) -> list[str]:
 
 
 @functools.lru_cache(maxsize=1)
-def _run_critical(cfg, quiet: bool) -> pde.Trajectory:
-    """The run's one critical solve; solve, rate, profile and sandwich read it."""
+def _solve_inputs(cfg):
+    """The critical solve's u0 on the [solve] grid, SolverConfig, t_end and outputs."""
     sec = cfg["solve"]
     grid = make_graded_grid(int(sec["n"]), float(sec["x_min"]),
                             float(sec["grading_ratio"]))
     right_bc = float(sec["right_bc"])
+    pde.check_central_faces(grid, right_bc)
     u0 = Snapshot(grid=grid, values=right_bc * grid.nodes, time=0.0,
                   left_bc=0.0, right_bc=right_bc)
-    solver_cfg = pde.SolverConfig(
-        dt_max=_float_or_none(sec["dt_max"]),
-        local_error_tol=_float_or_none(sec["local_error_tol"]))
+    solver_cfg = pde.SolverConfig(local_error_tol=float(sec["local_error_tol"]))
     t_end, out_times = float(sec["t_end"]), _floats(sec["output_times"])
     # rate and profile read the last snapshot, and the manifest the first
     if not any(t > 0.0 for t in out_times):
         raise NumericsError("[solve] output_times needs a time > 0")
-    _say(quiet, f"solving to t = {t_end} on {grid.n} nodes ...")
+    return u0, solver_cfg, t_end, out_times
+
+
+def _refuse_bad_config(cfg) -> None:
+    """Each bound's own library check, on the configured values, before any command."""
+    _solve_inputs(cfg)
+    _lattice(cfg)
+    check_per_decade("npd", int(cfg["tabulate"]["npd"]))
+    check_per_decade("y_resolution", int(cfg["certify"]["y_resolution"]))
+    bar.check_shift_lattice(float(cfg["sandwich"]["lattice"]))
+
+
+@functools.lru_cache(maxsize=1)
+def _run_critical(cfg, quiet: bool) -> pde.Trajectory:
+    """The run's one critical solve; solve, rate, profile and sandwich read it."""
+    u0, solver_cfg, t_end, out_times = _solve_inputs(cfg)
+    _say(quiet, f"solving to t = {t_end} on {u0.grid.n} nodes ...")
     return pde.solve(u0, solver_cfg, t_end, out_times)
 
 
@@ -239,10 +251,10 @@ def _series(cfg, quiet: bool) -> list[dict]:
 def cmd_tabulate(cfg, out: Path, quiet: bool) -> int:
     sec = cfg["tabulate"]
     table = _barriers(cfg, quiet)[0].table
+    report = check_asymptotics(table, _floats(sec["sweep"]), float(sec["growth_tol"]))
     (out / "special_table.csv").write_text(ser.table_to_csv(table))
     ser.dump_json(ser.table_header_json(table), out / "special_table.json")
 
-    report = check_asymptotics(table, _floats(sec["sweep"]), float(sec["growth_tol"]))
     ser.dump_json({"y_maxes": [ser.fmt(v) for v in report.y_maxes],
                    "ratios": {k: [ser.fmt(v) for v in seq]
                               for k, seq in report.ratios.items()},
@@ -317,7 +329,7 @@ def _barriers(cfg, quiet: bool) -> tuple[bar.BarrierSpec, bar.BarrierSpec,
     y_max = max(float(path_up.closed_forms_at(_path_end(cfg))[0]) * 1.05,
                 max(_floats(tab["sweep"])))
     _say(quiet, f"building tables to y_max = {y_max:.3e} ...")
-    table = SpecialFunctions(y_max, npd=int(tab["npd"])).table()
+    table = SpecialFunctions(y_max, npd=int(tab["npd"]))
     specs = (bar.BarrierSpec(kind=bar.LOWER, path=path_lo, table=table),
              bar.BarrierSpec(kind=bar.UPPER, path=path_up, table=table))
     return specs + tuple(bar.check_boundary_matching(spec, _lattice(cfg))
@@ -489,6 +501,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_config(args.config)
+        _refuse_bad_config(cfg)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return commands[args.command](cfg, out, args.quiet)

@@ -16,15 +16,9 @@ from .errors import ConstructionError
 
 @dataclass(frozen=True)
 class GradedGrid:
-    """Strictly increasing nodes on [0, 1], geometrically refined near 0.
-
-    ``x_min`` is the first interior node (= width of the first cell) and
-    ``grading_ratio`` the geometric growth factor of the refined prefix.
-    """
+    """Strictly increasing nodes on [0, 1], geometrically refined near 0."""
 
     nodes: np.ndarray
-    x_min: float
-    grading_ratio: float
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -75,7 +69,13 @@ def make_graded_grid(n: int, x_min: float, grading_ratio: float) -> GradedGrid:
     if nodes[-1] <= nodes[-2]:
         raise ConstructionError("grid construction collapsed the last cell")
     nodes[-1] = 1.0
-    return GradedGrid(nodes=nodes, x_min=x_min, grading_ratio=grading_ratio)
+    return GradedGrid(nodes=nodes)
+
+
+def check_per_decade(name: str, n: int) -> None:
+    """Refuse a table partition or a scan of fewer than one point per decade."""
+    if n < 1:
+        raise ConstructionError(f"{name} must be >= 1 point per decade, got {n}")
 
 
 def sorted_unique(values) -> np.ndarray:

@@ -250,6 +250,19 @@ def _iteration_bands(coef, sub, diag, sup):
 # u-form spatial operator
 
 
+def check_central_faces(grid: GradedGrid, xi: float) -> None:
+    """Refuse a grid on which a central face (past x = 0) could reach a cell Peclet
+    number above 2 for u in [0, xi], where |1 - (u_l + u_r)| <= max(1, 2 xi - 1)."""
+    x = grid.nodes
+    pe = max(1.0, 2.0 * xi - 1.0) * np.diff(x)[1:] / np.sqrt(x[1:-1] * x[2:])
+    if np.any(pe > 2.0):
+        i = int(np.argmax(pe > 2.0)) + 1
+        raise ResolutionError(
+            f"grid refused: face {i} (x = {x[i]:.3g} to {x[i + 1]:.3g}) reaches a cell "
+            f"Peclet number of {pe[i - 1]:.3g} > 2 for u in [0, {xi:g}]; its central "
+            f"advective value needs a finer grid there")
+
+
 class _UProblem:
     ilo = 1   # first unknown slot (both boundary nodes are Dirichlet)
     newton = _newton
@@ -263,16 +276,7 @@ class _UProblem:
         # negated once: -a - b and -a/b have the bits of (-a) - b and a/(-b)
         self.neg_xhat_h, self.neg_dlt = -self.xhat_h, -self.dlt
         self.ones = np.ones(len(x) - 1)
-        # faces 1.. stay central: the bound on their cell Peclet number for
-        # u in [0, xi], where |1 - (u_l + u_r)| <= max(1, 2 xi - 1)
-        pe = max(1.0, 2.0 * xi - 1.0) * self.h[1:] / self.xhat[1:]
-        if np.any(pe > 2.0):
-            i = int(np.argmax(pe > 2.0)) + 1
-            raise ResolutionError(
-                f"grid refused: face {i} (x = {x[i]:.3g} to {x[i + 1]:.3g}) "
-                f"reaches a cell Peclet number of {pe[i - 1]:.3g} > 2 for u "
-                f"in [0, {xi:g}]; its central advective value needs a finer "
-                f"grid there")
+        check_central_faces(grid, xi)
         # quadratic extrapolation of u(1-u) to the last face when xi == 1
         self.extrapolate_last = (xi == 1.0)
         if self.extrapolate_last:

@@ -15,7 +15,7 @@ import numpy as np
 from .barriers import ResidualReport
 from .grids import Snapshot
 from .matching import MatchingPath
-from .specialfn import GL_ORDER, SpecialTable
+from .specialfn import GL_ORDER, SpecialFunctions
 
 
 def fmt(x: float) -> str:
@@ -40,20 +40,19 @@ def snapshot_to_csv(snap: Snapshot) -> str:
 # -- special-function tables -------------------------------------------------
 
 
-def table_to_csv(table: SpecialTable) -> str:
+def table_to_csv(table: SpecialFunctions) -> str:
     T = table.eval(table.y)
-    columns = (table.y, T["f"], T["f_prime"], table.funcs.tilde_f(table.y),
+    columns = (table.y, T["f"], T["f_prime"], table.tilde_f(table.y),
                T["g"], T["g_prime"], T["h"], T["h_prime"])
     return _csv(columns, ["y", "f", "f'", "tilde_f", "g", "g'", "h", "h'"])
 
 
-def table_header_json(table: SpecialTable) -> dict:
-    funcs = table.funcs
+def table_header_json(table: SpecialFunctions) -> dict:
     return {
         "M": fmt(table.M),
-        "y_max": fmt(funcs.y_max),
-        "phi_blend": {"join": fmt(funcs.phi.join), "slope0": fmt(funcs.phi.slope0)},
-        "nodes_per_decade": funcs.npd,
+        "y_max": fmt(table.y_max),
+        "phi_blend": {"join": fmt(table.phi.join), "slope0": fmt(table.phi.slope0)},
+        "nodes_per_decade": table.npd,
         "gauss_legendre_order": GL_ORDER,
         "n_nodes": int(len(table.y)),
     }

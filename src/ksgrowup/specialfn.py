@@ -28,13 +28,17 @@ g -> tilde_f -> f -> F -> G cost O(GL_ORDER) per point.  The factor
 ((t+1)/t)^2 is singular, but its product with the inner integral (= O(t^2))
 is bounded and smooth; Gauss points never touch t = 0, so no digits are lost
 at the 1/t^2 factor.
+
+A run's special-function table is one object, SpecialFunctions: it builds
+one partition, puts the inverses behind f, g and h on it, and evaluates
+every column through one panel lookup of that partition.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +46,7 @@ import numpy.polynomial  # numpy loads it lazily; here, not in a run's first bui
 
 from .errors import (ConstructionError, InfeasibleError, RangeError,
                      SingularInputError)
-from .grids import sorted_unique
+from .grids import check_per_decade, sorted_unique
 
 GL_ORDER = 10   # Gauss-Legendre points per panel, for every integral here
 _LIN_EDGE, _LIN_N = 1e-6, 8   # linear patch of the partition: [0, 1e-6], 8 panels
@@ -61,8 +65,7 @@ def build_partition(y_max: float, npd: int = 40) -> np.ndarray:
     smaller y_max gives a prefix of the partition."""
     if y_max < 10.0:
         raise ConstructionError(f"y_max must be >= 10, got {y_max}")
-    if npd < 1:
-        raise ConstructionError(f"npd must be >= 1 node per decade, got {npd}")
+    check_per_decade("npd", npd)
     k_hi = int(math.ceil(math.log10(y_max) * npd))
     logs = 10.0 ** (np.arange(round(math.log10(_LIN_EDGE) * npd), k_hi + 2) / npd)
     logs = logs[:np.searchsorted(logs, y_max) + 1]
@@ -178,21 +181,20 @@ def _w_and_slope(y, C: float, F, G):
 
 
 class OperatorInverse:
-    """w = L^{-1} psi with w(0) = w'(0) = 0, evaluable anywhere in [0, y_max].
+    """w = L^{-1} psi with w(0) = w'(0) = 0, evaluable on [0, nodes[-1]].
 
     ``kernel_coeff`` adds C * w0 to the solution (still solving L w = psi,
     since L w0 = 0); C=1 gives the slope-anchored branch with w'(0) = 1.
     """
 
-    def __init__(self, psi, y_max: float, npd: int = 40,
-                 kernel_coeff: float = 0.0, check_origin: bool = True):
+    def __init__(self, psi, nodes: np.ndarray, kernel_coeff: float = 0.0,
+                 check_origin: bool = True):
         if check_origin:
             _check_origin_smallness(psi)
         self.kernel_coeff = float(kernel_coeff)
-        self.nodes = build_partition(y_max, npd=npd)
-        self.G = CumulativeIntegral(psi, self.nodes)
-        self.F = CumulativeIntegral(lambda t: (1.0 + 1.0 / t) ** 2 * self.G(t),
-                                    self.nodes)
+        self.nodes = nodes
+        self.G = CumulativeIntegral(psi, nodes)
+        self.F = CumulativeIntegral(lambda t: (1.0 + 1.0 / t) ** 2 * self.G(t), nodes)
 
     def pair(self, loc: PanelLookup):
         """(w, w') at the points of a lookup, from one F and one G value."""
@@ -243,37 +245,9 @@ def smoothstep_cutoff(y):
     return s * s * (3.0 - 2.0 * s)
 
 
-@dataclass(frozen=True)
-class SpecialTable:
-    """The partition nodes y and the evaluation of f, g, h (values and
-    derivatives) anywhere in the range.
-
-    The range ends at the partition's last node, the first lattice node at
-    or above funcs.y_max.  eval reads the panel data and phi of funcs, the
-    SpecialFunctions that built the table, and h with the table's own M; at a
-    node it returns the cumulative node sums.
-    """
-
-    y: np.ndarray
-    M: float
-    funcs: SpecialFunctions = field(repr=False, compare=False)
-
-    def eval(self, yq):
-        """f, f', g, g', h, h', g4 = L^{-1} phi, g4', phi at yq (dict of
-        arrays), from one panel lookup shared by every column (the three
-        inverses share nodes)."""
-        fn = self.funcs
-        loc = locate(self.y, yq)
-        f, fp = fn._f.pair(loc)
-        g, gp = fn._g.pair(loc)
-        q, qp = fn._g4.pair(loc)
-        return {"f": f, "f_prime": fp, "g": g, "g_prime": gp,
-                "h": g + self.M * q, "h_prime": gp + self.M * qp,
-                "g4": q, "g4_prime": qp, "phi": fn.phi(loc.y)}
-
-
 class SpecialFunctions:
-    """The inverses behind f, g, h and the amplitude M.
+    """The special-function table: the inverses behind f, g, h on one
+    partition y, the amplitude M, and f, g, h anywhere up to y's last node.
 
     f  solves L f = w0 with f(0) = 0, f'(0) = 1 (kernel-anchored branch,
        f >= w0 >= 0);
@@ -282,11 +256,12 @@ class SpecialFunctions:
 
     M is the smallest multiple of 0.5 that is at least 3 (the sign
     argument needs M >= 3) and makes tilde_f + M phi nonnegative on the
-    nodes.  .table() gives the nodes and .eval, which reads the cached panel
-    data at O(GL_ORDER) cost per point.  The quadrature accumulates from
-    y = 0 on nodes that do not depend on y_max, so below a smaller y_max
-    every value equals, bit for bit, that of a build to the smaller y_max
-    (h as long as both choose the same M).
+    nodes.  y, built once and shared by the three inverses, ends at the
+    first lattice node at or above y_max; eval reads every inverse through
+    one panel lookup on it.  The quadrature accumulates from y = 0 on nodes
+    that do not depend on y_max, so below a smaller y_max every value
+    equals, bit for bit, that of a build to the smaller y_max (h as long as
+    both choose the same M).
     """
 
     phi = PhiBlend()
@@ -294,21 +269,20 @@ class SpecialFunctions:
     def __init__(self, y_max: float, npd: int = 40):
         self.y_max = float(y_max)
         self.npd = npd
-        self._f = OperatorInverse(w0, y_max, npd=npd, kernel_coeff=1.0)
-        self._g = OperatorInverse(self.tilde_f, y_max, npd=npd, check_origin=False)
-        self._g4 = OperatorInverse(self.phi, y_max, npd=npd, check_origin=False)
-        raw = self.required_m()
-        self.required_m_raw = raw
-        self.M = max(3.0, 0.5 * math.ceil(raw / 0.5))
+        self.y = build_partition(y_max, npd=npd)
+        self._f = OperatorInverse(w0, self.y, kernel_coeff=1.0)
+        self._g = OperatorInverse(self.tilde_f, self.y, check_origin=False)
+        self._g4 = OperatorInverse(self.phi, self.y, check_origin=False)
+        self.M = max(3.0, 0.5 * math.ceil(self.required_m() / 0.5))
 
     def tilde_f(self, y):
-        loc = locate(self._f.nodes, y)
+        loc = locate(self.y, y)
         fv, fp = self._f.pair(loc)
         return 2.0 * fv * fp - loc.y * fp + fv
 
     def required_m(self) -> float:
         """Smallest M with tilde_f + M*phi >= 0 on the node lattice."""
-        y = self._f.nodes[1:]
+        y = self.y[1:]
         gt = self.tilde_f(y)
         ph = self.phi(y)
         neg = gt < 0.0
@@ -321,13 +295,24 @@ class SpecialFunctions:
                 "this indicates a quadrature failure")
         return need
 
-    def table(self) -> SpecialTable:
-        """The partition nodes, and evaluation anywhere in the range."""
-        return SpecialTable(y=self._f.nodes, M=self.M, funcs=self)
+    def eval(self, yq):
+        """f, f', g, g', h, h', g4 = L^{-1} phi, g4', phi at yq (dict of
+        arrays), from one panel lookup shared by every column; at a node,
+        the cumulative node sums."""
+        loc = locate(self.y, yq)
+        f, fp = self._f.pair(loc)
+        g, gp = self._g.pair(loc)
+        q, qp = self._g4.pair(loc)
+        return {"f": f, "f_prime": fp, "g": g, "g_prime": gp,
+                "h": g + self.M * q, "h_prime": gp + self.M * qp,
+                "g4": q, "g4_prime": qp, "phi": self.phi(loc.y)}
 
 
-def build_component(i: int, y_max: float, npd: int = 40) -> OperatorInverse:
-    """The auxiliary inverses behind the g/h asymptotics:
+SpecialTable = SpecialFunctions   # a second name, which perfbench's tracer resolves
+
+
+def build_component(i: int, nodes: np.ndarray) -> OperatorInverse:
+    """The auxiliary inverses behind the g/h asymptotics, on the partition nodes:
 
     1: L^{-1} log(1+y); 2: L^{-1} of a C^1 cutoff (=1 for y >= 1);
     3: L^{-1} log^2(1+y)/(1+y).  The fourth, L^{-1} phi, is the table's g4.
@@ -340,7 +325,7 @@ def build_component(i: int, y_max: float, npd: int = 40) -> OperatorInverse:
         psi = lambda y: np.log1p(np.asarray(y, dtype=float)) ** 2 / (1.0 + np.asarray(y, dtype=float))
     else:
         raise ConstructionError(f"component index must be 1..3, got {i}")
-    return OperatorInverse(psi, y_max, npd=npd, check_origin=False)
+    return OperatorInverse(psi, nodes, check_origin=False)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +339,6 @@ class AsymptoticsReport:
     y_maxes: tuple
     ratios: dict           # claim name -> list of sup-ratios, one per y_max
     spot_checks: dict      # named absolute deviations at the largest y_max
-    growth_tol: float
     violations: list
 
     @property
@@ -380,32 +364,34 @@ _CLAIMS = {
 }
 
 
-def check_asymptotics(table: SpecialTable, y_maxes,
+def check_asymptotics(table: SpecialFunctions, y_maxes,
                       growth_tol: float) -> AsymptoticsReport:
     """Sup deviation ratios on [y_max/100, y_max] for each claim, across a
     sweep of y_max; a ratio that grows across the sweep is a violation.
 
     Every window is read off one table, and components 1-3 are built once,
-    to max(y_maxes), with the table's npd.  Values below any y_max
-    do not depend on how far the table reaches; a table ending below
-    max(y_maxes) raises.
+    on one partition to max(y_maxes) with the table's npd, and read through
+    one panel lookup per window.  Values below any y_max do not depend on
+    how far the table reaches; a table ending below max(y_maxes) raises.
     """
     y_maxes = tuple(sorted(float(v) for v in y_maxes))
     if y_maxes[0] < 1e4:
         raise ConstructionError("asymptotic window needs y_max >= 1e4")
     top = y_maxes[-1]
-    if table.funcs.y_max < top:
+    if table.y_max < top:
         raise ConstructionError(
-            f"the table ends at y_max = {table.funcs.y_max:g}, below the sweep's {top:g}")
-    comps = {i: build_component(i, top, npd=table.funcs.npd) for i in (1, 2, 3)}
+            f"the table ends at y_max = {table.y_max:g}, below the sweep's {top:g}")
+    nodes = build_partition(top, npd=table.npd)
+    comps = {i: build_component(i, nodes) for i in (1, 2, 3)}
     ratios = {name: [] for name in _CLAIMS}
     for ym in y_maxes:
         ys = np.geomspace(ym / 100.0, ym, 200)
         T = table.eval(ys)
         actual = {"f": T["f"], "f'": T["f_prime"], "g": T["g"], "g'": T["g_prime"],
                   "h": T["h"], "h'": T["h_prime"], "g4": T["g4"], "g4'": T["g4_prime"]}
+        loc = locate(nodes, ys)
         for i in (1, 2, 3):
-            actual[f"g{i}"], actual[f"g{i}'"] = comps[i](ys)
+            actual[f"g{i}"], actual[f"g{i}'"] = comps[i].pair(loc)
         for name, (lead, oterm) in _CLAIMS.items():
             dev = np.abs(actual[name] - lead(ys)) / np.abs(oterm(ys))
             ratios[name].append(float(np.max(dev)))
@@ -418,4 +404,4 @@ def check_asymptotics(table: SpecialTable, y_maxes,
         if len(seq) >= 2 and seq[-1] > growth_tol * seq[0] + 1e-9:
             violations.append(f"{name}: ratio grew {seq[0]:.3g} -> {seq[-1]:.3g}")
     return AsymptoticsReport(y_maxes=y_maxes, ratios=ratios, spot_checks=spot,
-                             growth_tol=growth_tol, violations=violations)
+                             violations=violations)

@@ -15,11 +15,6 @@ def funcs_med():
 
 
 @pytest.fixture(scope="session")
-def table_med(funcs_med):
-    return funcs_med.table()
-
-
-@pytest.fixture(scope="session")
 def funcs_big():
     """Tables reaching y_max = 1e35: covers a(t) up to t ~ 3000."""
     import time
@@ -27,11 +22,6 @@ def funcs_big():
     fn = SpecialFunctions(1e35)
     fn.build_seconds = time.perf_counter() - t0
     return fn
-
-
-@pytest.fixture(scope="session")
-def table_big(funcs_big):
-    return funcs_big.table()
 
 
 @pytest.fixture(scope="session")

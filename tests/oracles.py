@@ -153,11 +153,11 @@ def residual_fd(spec, x: float, t: float,
 _GEOM_TOL = 1e-12
 
 
-def geometric_prefix_len(grid: GradedGrid) -> int:
-    """Number of leading cells whose widths grow by grading_ratio."""
+def geometric_prefix_len(grid: GradedGrid, ratio: float) -> int:
+    """Number of leading cells whose widths grow by ratio."""
     w = np.diff(grid.nodes)
     k = 1
-    while k < len(w) and abs(w[k] / w[k - 1] - grid.grading_ratio) <= _GEOM_TOL * max(1.0, grid.grading_ratio):
+    while k < len(w) and abs(w[k] / w[k - 1] - ratio) <= _GEOM_TOL * max(1.0, ratio):
         k += 1
     return k
 

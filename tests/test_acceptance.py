@@ -9,13 +9,13 @@ import time
 import numpy as np
 import pytest
 
-from ksgrowup.barriers import (BarrierSpec, certify_sign,
+from ksgrowup.barriers import (BarrierSpec, boundary_margin, certify_sign,
                                check_boundary_matching, find_time_shifts)
 from ksgrowup.grids import Snapshot, make_graded_grid
 from ksgrowup.matching import integrate_a
 from ksgrowup.pde import SolverConfig, l1_to_one, slope_origin_info, solve
 from ksgrowup.specialfn import (OperatorInverse, SpecialFunctions,
-                                check_asymptotics, w0)
+                                build_partition, check_asymptotics, w0)
 from oracles import (apply_operator, ordered_pair_test,
                      queries_solve_the_time_integral, residual_fd,
                      residual_full, small_time_checks, steady_profile)
@@ -37,7 +37,7 @@ class TestCriterion1:
         ys = np.geomspace(0.01, 1e4, 400)
         sups = {}
         for name, psi in sources.items():
-            inv = OperatorInverse(psi, 1.5e4)
+            inv = OperatorInverse(psi, build_partition(1.5e4))
             d = 3e-4 * ys
             wpp = (inv(ys + d)[1] - inv(ys - d)[1]) / (2 * d)
             got = apply_operator(*inv(ys), wpp, ys)
@@ -52,7 +52,7 @@ class TestCriterion2:
     def test_special_function_asymptotics(self):
         """Deviation ratios bounded across y_max = 1e4 -> 1e6; spot values."""
         start = time.perf_counter()
-        table = SpecialFunctions(1e6).table()
+        table = SpecialFunctions(1e6)
         rep = check_asymptotics(table, (1e4, 1e5, 1e6), growth_tol=1.35)
         assert rep.ok, rep.violations
         f_dev = rep.spot_checks["f_dev_at_ymax"]
@@ -86,16 +86,16 @@ class TestCriterion3:
 
 
 class TestCriterion4:
-    def test_barrier_certification(self, path_k5_big, path_k6_big, table_big,
-                                   funcs_big, default_lattice):
+    def test_barrier_certification(self, path_k5_big, path_k6_big, funcs_big,
+                                   default_lattice):
         """On certify's one lattice (to t_end + shift_max): residual signs
         certify with thresholds <= 1000 and the lower barrier increases in x
         from there; boundary matching holds beyond finite onsets; K swaps
         fail as predicted."""
         start = time.perf_counter()
         ts = default_lattice
-        lower = BarrierSpec(kind="lower", path=path_k5_big, table=table_big)
-        upper = BarrierSpec(kind="upper", path=path_k6_big, table=table_big)
+        lower = BarrierSpec(kind="lower", path=path_k5_big, table=funcs_big)
+        upper = BarrierSpec(kind="upper", path=path_k6_big, table=funcs_big)
 
         rep_lo = certify_sign(lower, ts, 40)
         rep_up = certify_sign(upper, ts, 40)
@@ -108,12 +108,12 @@ class TestCriterion4:
         assert bnd_up.ok_beyond and bnd_up.onset_t < ts[-1]
 
         swap_lo = BarrierSpec(kind="lower", path=integrate_a(7.0, ts[-1]),
-                              table=table_big)
-        swap_up = BarrierSpec(kind="upper", path=path_k5_big, table=table_big)
+                              table=funcs_big)
+        swap_up = BarrierSpec(kind="upper", path=path_k5_big, table=funcs_big)
         rep_sl = check_boundary_matching(swap_lo, ts)
         rep_su = check_boundary_matching(swap_up, ts)
-        assert not rep_sl.ok_beyond and np.all(rep_sl.margins[-10:] < 0)
-        assert not rep_su.ok_beyond and np.all(rep_su.margins[-10:] < 0)
+        assert not rep_sl.ok_beyond and np.all(boundary_margin(swap_lo, ts)[-10:] < 0)
+        assert not rep_su.ok_beyond and np.all(boundary_margin(swap_up, ts)[-10:] < 0)
 
         elapsed = time.perf_counter() - start
         build = getattr(funcs_big, "build_seconds", 0.0)
@@ -125,11 +125,11 @@ class TestCriterion4:
 
 
 class TestCriterion5:
-    def test_residual_cross_check(self, table_med, path_k5, path_k6):
+    def test_residual_cross_check(self, funcs_med, path_k5, path_k6):
         """FD parabolic operator matches a b^2 (A|B) to second order at 100
         random points."""
-        lower = BarrierSpec(kind="lower", path=path_k5, table=table_med)
-        upper = BarrierSpec(kind="upper", path=path_k6, table=table_med)
+        lower = BarrierSpec(kind="lower", path=path_k5, table=funcs_med)
+        upper = BarrierSpec(kind="upper", path=path_k6, table=funcs_med)
         rng = np.random.default_rng(20260810)
         orders, rels = [], []
         for i in range(100):
@@ -250,12 +250,12 @@ class TestCriterion7:
 
 
 class TestCriterion8:
-    def test_sandwich(self, critical_traj, path_k5_big, path_k6_big, table_big,
+    def test_sandwich(self, critical_traj, path_k5_big, path_k6_big, funcs_big,
                       default_lattice):
         """Finite shifts order the numeric run between the barriers at all
         certified nodes/times."""
-        lower = BarrierSpec(kind="lower", path=path_k5_big, table=table_big)
-        upper = BarrierSpec(kind="upper", path=path_k6_big, table=table_big)
+        lower = BarrierSpec(kind="lower", path=path_k5_big, table=funcs_big)
+        upper = BarrierSpec(kind="upper", path=path_k6_big, table=funcs_big)
         # from the onsets of certify's boundary scan (criterion 4)
         onsets = [check_boundary_matching(spec, default_lattice).onset_t
                   for spec in (lower, upper)]

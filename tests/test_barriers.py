@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from ksgrowup.barriers import boundary_margin
 from ksgrowup.errors import ConstructionError, OrderingFailureError, RangeError
 from oracles import residual_fd, residual_full
 
-# the lattice of the desk-scale scans, inside the reach of table_med
+# the lattice of the desk-scale scans, inside the reach of funcs_med
 DESK = np.geomspace(1.0, 50.0, 96)
 
 
@@ -35,13 +35,13 @@ class StubPath:
 
 
 @pytest.fixture(scope="module")
-def lower_med(path_k5, table_med):
-    return BarrierSpec(kind="lower", path=path_k5, table=table_med)
+def lower_med(path_k5, funcs_med):
+    return BarrierSpec(kind="lower", path=path_k5, table=funcs_med)
 
 
 @pytest.fixture(scope="module")
-def upper_med(path_k6, table_med):
-    return BarrierSpec(kind="upper", path=path_k6, table=table_med)
+def upper_med(path_k6, funcs_med):
+    return BarrierSpec(kind="upper", path=path_k6, table=funcs_med)
 
 
 class TestEval:
@@ -59,8 +59,8 @@ class TestEval:
             assert abs(s[0] - a * (1.0 + b)) < 1e-9 * a
             assert abs(s[0] / a - 1.0) < 2.0 * b
 
-    def test_b_zero_reduces_to_steady_profile(self, table_med):
-        spec = BarrierSpec(kind="lower", path=StubPath(a=50.0, b=0.0), table=table_med)
+    def test_b_zero_reduces_to_steady_profile(self, funcs_med):
+        spec = BarrierSpec(kind="lower", path=StubPath(a=50.0, b=0.0), table=funcs_med)
         x = np.linspace(0, 1, 33)
         v, s = eval_barrier(spec, x, 1.0)
         assert np.max(np.abs(v - 50 * x / (50 * x + 1))) < 1e-12
@@ -70,9 +70,9 @@ class TestEval:
         with pytest.raises(RangeError):
             eval_barrier(lower_med, np.array([1.0]), 100.0)  # a(100) > y_max
 
-    def test_bad_kind(self, path_k5, table_med):
+    def test_bad_kind(self, path_k5, funcs_med):
         with pytest.raises(ConstructionError):
-            BarrierSpec(kind="middle", path=path_k5, table=table_med)
+            BarrierSpec(kind="middle", path=path_k5, table=funcs_med)
 
 
 class TestResidual:
@@ -80,11 +80,11 @@ class TestResidual:
         assert residual_reduced(lower_med, np.array([0.0]), 3.0)[0] == 0.0
         assert residual_reduced(upper_med, np.array([0.0]), 3.0)[0] == 0.0
 
-    def test_b_zero_residual(self, table_med):
+    def test_b_zero_residual(self, funcs_med):
         # with b = 0 and gamma = 0 the full residual a b^2 (A or B) vanishes
         for kind in ("lower", "upper"):
             spec = BarrierSpec(kind=kind, path=StubPath(b=0.0, gamma=0.0),
-                               table=table_med)
+                               table=funcs_med)
             y = np.geomspace(1e-3, 40.0, 30)
             assert np.max(np.abs(residual_full(spec, y, 1.0))) == 0.0
             A = residual_reduced(spec, y, 1.0)
@@ -118,9 +118,9 @@ class TestResidual:
         e2 = abs(residual_fd(lower_med, x, t, dx_rel=1e-3, dt_rel=2e-3) - ref)
         assert e2 < 0.4 * e1
 
-    def test_fd_on_steady_profile(self, table_med):
+    def test_fd_on_steady_profile(self, funcs_med):
         # b = 0 barrier is the steady profile; P(U_a) = 0
-        spec = BarrierSpec(kind="lower", path=StubPath(a=50.0, b=0.0), table=table_med)
+        spec = BarrierSpec(kind="lower", path=StubPath(a=50.0, b=0.0), table=funcs_med)
         fd = residual_fd(spec, 0.02, 1.0)
         assert abs(fd) < 1e-5
 
@@ -150,10 +150,11 @@ class TestCertify:
         assert rep.sign_ok
         assert rep.worst_value >= -1e-11
 
-    def test_upper_small_m_fails(self, path_k6, table_med):
+    def test_upper_small_m_fails(self, path_k6, funcs_med):
         # a counterfeit table with M = 0.02: h = g + M g4 and the M phi term
         # of the residual both read the table's M
-        weak = dataclasses.replace(table_med, M=0.02)
+        weak = copy.copy(funcs_med)
+        weak.M = 0.02
         spec = BarrierSpec(kind="upper", path=path_k6, table=weak)
         rep = certify_sign(spec, np.geomspace(1.0, 20.0, 16), 40)
         assert not rep.sign_ok
@@ -181,7 +182,7 @@ class TestCertify:
             class Funcs(SpecialFunctions):
                 phi = Blend()
             fn = Funcs(3e6, npd=20)
-            spec = BarrierSpec(kind="upper", path=path_k6, table=fn.table())
+            spec = BarrierSpec(kind="upper", path=path_k6, table=fn)
             rep = certify_sign(spec, np.geomspace(0.5, 50.0, 16), 40)
             assert rep.sign_ok
             thresholds.append(rep.threshold_T)
@@ -194,9 +195,9 @@ class TestMonotone:
         rep = certify_sign(lower_med, np.geomspace(0.5, 50.0, 24), 40)
         assert rep.threshold_T < 1.0 and rep.slope_ok
 
-    def test_huge_b_breaks_monotonicity(self, table_med):
+    def test_huge_b_breaks_monotonicity(self, funcs_med):
         spec = BarrierSpec(kind="lower", path=StubPath(a=50.0, b=5.0),
-                           table=table_med)
+                           table=funcs_med)
         assert certify_sign(spec, np.geomspace(1.0, 2.0, 24), 40).slope_ok is False
 
     def test_kind_guard(self, upper_med):
@@ -219,35 +220,35 @@ class TestBoundaryMatching:
         assert rep.ok_beyond
         assert rep.onset_t < 20.0
 
-    def test_lower_k7_fails(self, table_med):
+    def test_lower_k7_fails(self, funcs_med):
         path = integrate_a(7.0, 60.0)
-        spec = BarrierSpec(kind="lower", path=path, table=table_med)
+        spec = BarrierSpec(kind="lower", path=path, table=funcs_med)
         rep = check_boundary_matching(spec, DESK)
         assert not rep.ok_beyond
         assert rep.onset_t is None
-        assert np.all(rep.margins[-10:] < 0.0)
+        assert np.all(boundary_margin(spec, DESK)[-10:] < 0.0)
 
     def test_upper_k6_desk_scale_negative(self, upper_med):
         # the upper inequality needs the deep-asymptotic regime; margins are
         # still negative at t <= 50 and shrink toward zero
         rep = check_boundary_matching(upper_med, DESK)
         assert not rep.ok_beyond
-        m = rep.margins
+        m = boundary_margin(upper_med, DESK)
         assert np.all(m < 0.0)
         assert abs(m[-1]) < abs(m[0])
 
-    def test_upper_k6_certifies_eventually(self, path_k6_big, table_big,
+    def test_upper_k6_certifies_eventually(self, path_k6_big, funcs_big,
                                            default_lattice):
-        spec = BarrierSpec(kind="upper", path=path_k6_big, table=table_big)
+        spec = BarrierSpec(kind="upper", path=path_k6_big, table=funcs_big)
         rep = check_boundary_matching(spec, default_lattice)
         assert rep.ok_beyond
         assert 500.0 < rep.onset_t < 2000.0
 
-    def test_upper_k5_swap_fails(self, path_k5_big, table_big, default_lattice):
-        spec = BarrierSpec(kind="upper", path=path_k5_big, table=table_big)
+    def test_upper_k5_swap_fails(self, path_k5_big, funcs_big, default_lattice):
+        spec = BarrierSpec(kind="upper", path=path_k5_big, table=funcs_big)
         rep = check_boundary_matching(spec, default_lattice)
         assert not rep.ok_beyond
-        assert np.all(rep.margins[-10:] < 0.0)
+        assert np.all(boundary_margin(spec, default_lattice)[-10:] < 0.0)
 
 
 class TestTimeShifts:
@@ -290,10 +291,10 @@ class TestTimeShifts:
                              t_min_upper=0.5, lower_onset=lower_onset,
                              upper_onset=1150.6)
 
-    def test_path_horizon_guard(self, fast_traj, table_med, path_k5):
+    def test_path_horizon_guard(self, fast_traj, funcs_med, path_k5):
         short = integrate_a(6.0, 20.0)
-        spec_up = BarrierSpec(kind="upper", path=short, table=table_med)
-        spec_lo = BarrierSpec(kind="lower", path=path_k5, table=table_med)
+        spec_up = BarrierSpec(kind="upper", path=short, table=funcs_med)
+        spec_lo = BarrierSpec(kind="lower", path=path_k5, table=funcs_med)
         with pytest.raises(RangeError):
             find_time_shifts(spec_lo, spec_up, fast_traj.snapshots,
                              shift_max=100.0, lattice=0.25, slack=1e-9,
@@ -301,13 +302,14 @@ class TestTimeShifts:
                              upper_onset=1150.6)
 
     def test_lower_onset_at_the_scans_first_time_is_used_as_is(
-            self, fast_traj, lower_med, path_k6_big, table_big, default_lattice):
+            self, fast_traj, lower_med, path_k6_big, funcs_big, default_lattice):
         # a scan that starts past the true onset (t ~ 5.8) puts the onset at
         # its first time; the sandwich then compares exactly the snapshots
         # with t - T1 >= that time, and none below it
-        late = check_boundary_matching(lower_med, np.geomspace(7.0, 50.0, 96))
-        assert late.onset_t == late.times[0] == 7.0
-        upper = BarrierSpec(kind="upper", path=path_k6_big, table=table_big)
+        scan = np.geomspace(7.0, 50.0, 96)
+        late = check_boundary_matching(lower_med, scan)
+        assert late.onset_t == scan[0] == 7.0
+        upper = BarrierSpec(kind="upper", path=path_k6_big, table=funcs_big)
         upper_onset = check_boundary_matching(upper, default_lattice).onset_t
         rep = find_time_shifts(lower_med, upper, fast_traj.snapshots,
                                shift_max=2000.0, lattice=0.25, slack=1e-9,
@@ -410,9 +412,10 @@ class TestBatchedScans:
         ref = _certify_per_time(spec, ts, 30)
         assert (rep.threshold_T, rep.worst_value, rep.worst_location) == ref
 
-    def test_failing_certify_equals_per_time_loop(self, path_k6, table_med):
+    def test_failing_certify_equals_per_time_loop(self, path_k6, funcs_med):
         # M = 0 leaves the upper residual negative: no threshold
-        small = dataclasses.replace(table_med, M=0.0)
+        small = copy.copy(funcs_med)
+        small.M = 0.0
         spec = BarrierSpec(kind="upper", path=path_k6, table=small)
         ts = np.geomspace(0.5, 60.0, 20)
         rep = certify_sign(spec, ts, 30)
@@ -420,7 +423,7 @@ class TestBatchedScans:
         assert ref[0] is None
         assert (rep.threshold_T, rep.worst_value, rep.worst_location) == ref
 
-    def test_lower_monotone_equals_per_time_loop(self, lower_med, table_med):
+    def test_lower_monotone_equals_per_time_loop(self, lower_med, funcs_med):
         # the slope is checked from threshold_T on, at every lattice time
         # when the sign never certifies
         ts = np.geomspace(0.5, 60.0, 24)
@@ -428,7 +431,7 @@ class TestBatchedScans:
         assert rep.slope_ok == _monotone_per_time(
             lower_med, ts[ts >= rep.threshold_T], 40) is True
         steep = BarrierSpec(kind="lower", path=StubPath(a=50.0, b=5.0),
-                            table=table_med)
+                            table=funcs_med)
         ts = np.geomspace(1.0, 2.0, 24)
         rep = certify_sign(steep, ts, 40)
         assert rep.threshold_T is None
@@ -448,11 +451,11 @@ class TestBatchedScans:
 
     @pytest.mark.parametrize("kind", ["lower", "upper"])
     def test_onset_matches_bisection(self, kind, lower_med, path_k6_big,
-                                     table_big, default_lattice):
+                                     funcs_big, default_lattice):
         if kind == "lower":
             spec, ts = lower_med, DESK
         else:
-            spec = BarrierSpec(kind="upper", path=path_k6_big, table=table_big)
+            spec = BarrierSpec(kind="upper", path=path_k6_big, table=funcs_big)
             ts = default_lattice
         rep = check_boundary_matching(spec, ts)
         ref = _bisected_onset(spec, ts)
@@ -494,16 +497,15 @@ class TestScanLattice:
     def test_one_table_evaluation_per_certify(self, kind, lower_med, upper_med,
                                               monkeypatch):
         from ksgrowup.barriers import _BATCH_POINTS, _scan_grid
-        from ksgrowup.specialfn import SpecialTable
         spec = lower_med if kind == "lower" else upper_med
         sizes = []
-        original = SpecialTable.eval
+        original = SpecialFunctions.eval
 
         def counted(table, yq):
             sizes.append(np.size(yq))
             return original(table, yq)
 
-        monkeypatch.setattr(SpecialTable, "eval", counted)
+        monkeypatch.setattr(SpecialFunctions, "eval", counted)
         rep = certify_sign(spec, DESK, 40)
         assert rep.sign_ok and len(sizes) == 1
         # the scans hold several batches' worth of points, their union fewer
@@ -534,14 +536,14 @@ class TestLattice:
             time_lattice(1000.0, 0.5, 48, 2050.0)
 
     def test_default_thresholds_are_the_benchmark_references(
-            self, default_lattice, path_k5_big, path_k6_big, table_big):
+            self, default_lattice, path_k5_big, path_k6_big, funcs_big):
         # perfbench/workloads.py checks threshold_T against these lattice
         # points of geomspace(0.5, 1000, 48)
         assert len(default_lattice) == 53
         lower = certify_sign(BarrierSpec(kind="lower", path=path_k5_big,
-                                         table=table_big), default_lattice, 40)
+                                         table=funcs_big), default_lattice, 40)
         upper = certify_sign(BarrierSpec(kind="upper", path=path_k6_big,
-                                         table=table_big), default_lattice, 40)
+                                         table=funcs_big), default_lattice, 40)
         assert lower.threshold_T == 0.69093845710337354 and lower.slope_ok
         assert upper.threshold_T == 0.5
 
@@ -552,8 +554,8 @@ class TestLattice:
     # that onset more closely.
     @pytest.mark.parametrize("kind, rtol", [("lower", 1e-12), ("upper", 2e-11)])
     def test_onset_stands_a_four_times_denser_lattice(
-            self, kind, rtol, default_lattice, path_k5_big, path_k6_big, table_big):
-        spec = BarrierSpec(kind=kind, table=table_big,
+            self, kind, rtol, default_lattice, path_k5_big, path_k6_big, funcs_big):
+        spec = BarrierSpec(kind=kind, table=funcs_big,
                            path=path_k5_big if kind == "lower" else path_k6_big)
         onset = check_boundary_matching(spec, default_lattice).onset_t
         dense = time_lattice(0.5, 1000.0, 4 * 47 + 1, 2050.0)
@@ -561,17 +563,17 @@ class TestLattice:
         assert abs(onset - ref) <= rtol * ref
 
     @pytest.mark.parametrize("n_t", [43, 48, 53])
-    def test_signs_certify_and_swaps_fail_to_the_end(self, n_t, table_big,
+    def test_signs_certify_and_swaps_fail_to_the_end(self, n_t, funcs_big,
                                                      path_k5_big, path_k6_big):
         # certify's defaults with n_t scaled as the benchmark's seeds scale it
         ts = time_lattice(0.5, 1000.0, n_t, 2050.0)
         lower = certify_sign(BarrierSpec(kind="lower", path=path_k5_big,
-                                         table=table_big), ts, 40)
+                                         table=funcs_big), ts, 40)
         upper = certify_sign(BarrierSpec(kind="upper", path=path_k6_big,
-                                         table=table_big), ts, 40)
+                                         table=funcs_big), ts, 40)
         assert lower.sign_ok and lower.slope_ok and upper.sign_ok
         for kind, path in (("lower", integrate_a(7.0, ts[-1])),
                            ("upper", path_k5_big)):
-            rep = check_boundary_matching(
-                BarrierSpec(kind=kind, path=path, table=table_big), ts)
-            assert rep.onset_t is None and rep.margins[-1] < 0.0
+            spec = BarrierSpec(kind=kind, path=path, table=funcs_big)
+            rep = check_boundary_matching(spec, ts)
+            assert rep.onset_t is None and boundary_margin(spec, ts)[-1] < 0.0

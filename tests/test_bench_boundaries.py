@@ -59,7 +59,7 @@ def test_boundary_signatures():
 def test_special_function_metrics_are_entered(monkeypatch):
     # specialfn.quad_points and specialfn.table_eval_* read null unless a
     # build enters CumulativeIntegral.__call__ and a barrier evaluation
-    # enters SpecialTable.eval
+    # enters SpecialFunctions.eval
     tracer = tracing.Tracer()
     for key in ("specialfn.CumulativeIntegral.__call__",
                 "specialfn.SpecialTable.eval"):
@@ -67,7 +67,7 @@ def test_special_function_metrics_are_entered(monkeypatch):
         owner, attr, original = tracing._resolve(key)
         monkeypatch.setattr(owner, attr,
                             tracer._wrapper(key, span, original, measure))
-    table = SpecialFunctions(1e3).table()
+    table = SpecialFunctions(1e3)
     assert tracer.calls["specialfn.CumulativeIntegral.__call__"] > 0
     spec = BarrierSpec(kind="lower", path=integrate_a(5.0, 2.0), table=table)
     eval_barrier(spec, np.linspace(0.0, 1.0, 9), 1.0)

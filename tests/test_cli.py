@@ -66,11 +66,12 @@ class TestCommands:
         ("[barriers]\nsigma_step = 0.005\n", "sigma_step"),  # the paths are exact
         ("[match]\ndense_rtol = 1e-8\n", "dense_rtol"),      # nothing is interpolated
         ("[certify]\nboundary_t_hi = 3000\n", "boundary_t_hi"),  # one lattice
+        ("[solve]\ndt_max = 0.05\n", "dt_max"),  # the error test alone sizes steps
     ], ids=["key", "moved_key", "section", "derived_y_max", "moved_npd",
             "removed_scheme", "removed_match_t_end", "moved_sigma_step",
             "renamed_halving_rtol", "removed_newton_tol", "removed_reg_epsilon",
             "removed_dt_initial", "removed_sigma_step", "removed_dense_rtol",
-            "removed_boundary_t_hi"])
+            "removed_boundary_t_hi", "removed_dt_max"])
     def test_unknown_config_key_is_exit_2(self, tmp_path, capsys, text, name):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(text)
@@ -78,13 +79,39 @@ class TestCommands:
                      "--out", str(tmp_path / "o")]) == 2
         assert name in capsys.readouterr().err
 
-    def test_fixed_steps_without_dt_max_is_exit_2(self, tmp_path, capsys):
-        # fixed steps are of dt_max, which defaults to none (no cap)
+    def test_local_error_tol_none_is_exit_2(self, tmp_path, capsys):
+        # a run's steps are sized by the local-error test: the CLI takes no
+        # fixed steps (local_error_tol = none)
         cfg = tmp_path / "fixed.ini"
         cfg.write_text("[solve]\nlocal_error_tol = none\n")
         assert main(["solve", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
-        assert "dt_max" in capsys.readouterr().err
+        assert "none" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "[certify]\ny_resolution = 0\n", "[sandwich]\nlattice = 0\n",
+        "[solve]\nn = 3\n",
+    ], ids=["y_resolution", "lattice", "solve_n"])
+    def test_all_refuses_a_bad_value_before_any_file(self, tmp_path, text):
+        # each bound is checked before the first command runs, so a bad
+        # value late in the pipeline leaves no verdict of an earlier stage
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert main(["all", "--config", str(cfg), "--out", str(out),
+                     "--quiet"]) == 2
+        assert list(out.rglob("*")) == []
+
+    def test_sandwich_refuses_a_bad_lattice_before_the_solve(self, tmp_path,
+                                                            monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("pde.solve called for a refused configuration")
+
+        monkeypatch.setattr(cli.pde, "solve", no_solve)
+        cfg = tmp_path / "s.ini"
+        cfg.write_text("[sandwich]\nlattice = 0\n")
+        assert main(["sandwich", "--config", str(cfg), "--out",
+                     str(tmp_path / "s"), "--quiet"]) == 2
 
     def test_grid_with_an_unresolved_central_face_is_exit_2(self, tmp_path, capsys):
         # ratio 1 gives one cell of x_min, then equal cells of 2.4e-3: face 1
@@ -282,7 +309,7 @@ class TestCommands:
         paths = []
         integrate_a = matching.integrate_a
         init = specialfn.SpecialFunctions.__init__
-        table_eval = specialfn.SpecialTable.eval
+        table_eval = specialfn.SpecialFunctions.eval
 
         class RecordingConfig(cli._Config):
             def get(self, section, option, **kwargs):
@@ -303,7 +330,7 @@ class TestCommands:
 
         monkeypatch.setattr(cli, "_Config", RecordingConfig)
         monkeypatch.setattr(specialfn.SpecialFunctions, "__init__", counting_init)
-        monkeypatch.setattr(specialfn.SpecialTable, "eval", counting_eval)
+        monkeypatch.setattr(specialfn.SpecialFunctions, "eval", counting_eval)
         monkeypatch.setattr(matching, "integrate_a", counting_integrate_a)
         out = tmp_path / "all"
         t0 = time.perf_counter()

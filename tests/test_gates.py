@@ -55,8 +55,7 @@ def residual(kind, sign_ok=True, slope_ok=None):
 
 def boundary(kind, K, onset_t):
     return BoundaryReport(kind=kind, K=K, onset_t=onset_t,
-                          ok_beyond=onset_t is not None,
-                          margins=np.zeros(0), times=np.zeros(0))
+                          ok_beyond=onset_t is not None)
 
 
 class TestCertifyGate:

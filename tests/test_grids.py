@@ -23,7 +23,7 @@ class TestGradedGrid:
 
     def test_geometric_prefix_exact(self):
         g = make_graded_grid(200, 1e-8, 1.07)
-        k = geometric_prefix_len(g)
+        k = geometric_prefix_len(g, 1.07)
         assert k > 50
         w = np.diff(g.nodes)
         assert np.allclose(w[1:k] / w[:k - 1], 1.07, rtol=1e-12, atol=0)
@@ -43,7 +43,7 @@ class TestGradedGrid:
     def test_layer_resolving_grid(self):
         # x_min far below the layer width 1/A(50)
         g = make_graded_grid(400, 1e-12, 1.07)
-        assert g.x_min * closed_rate(50.0) <= 0.01
+        assert g.nodes[1] * closed_rate(50.0) <= 0.01
         assert g.n == 400
 
     def test_infeasible(self):

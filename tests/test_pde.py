@@ -164,8 +164,7 @@ class TestAdvectiveFace:
         u[-1] = xi
         if zero_node is not None:
             u[:zero_node + 1] = 0.0
-        problem = _UProblem(GradedGrid(nodes=x, x_min=x[1], grading_ratio=1.0),
-                            xi)
+        problem = _UProblem(GradedGrid(nodes=x), xi)
         got = np.array(problem._advective_face(u))
         ref = _faces_one_by_one(problem, u)
         for g, r in zip(got, ref):
@@ -175,7 +174,7 @@ class TestAdvectiveFace:
         # the jump from 0.1 to 0.9 gives face 30 a cell Peclet number of
         # 0.8 / 0.3 = 2.7 at |1 - (u_l + u_r)| = 1
         x = np.concatenate([[0.0], np.geomspace(1e-4, 0.1, 30), [0.9, 0.95, 1.0]])
-        grid = GradedGrid(nodes=x, x_min=x[1], grading_ratio=1.0)
+        grid = GradedGrid(nodes=x)
         with pytest.raises(ResolutionError, match="face 30 .* Peclet number of 2.67"):
             _UProblem(grid, 1.0)
 
@@ -534,7 +533,7 @@ class TestL1:
     def test_steady_profile_closed_form(self):
         a = 2.0
         x = np.linspace(0, 1, 2001)
-        grid = GradedGrid(nodes=x, x_min=x[1], grading_ratio=1.0)
+        grid = GradedGrid(nodes=x)
         snap = Snapshot(grid=grid, values=a * x / (a * x + 1), time=0.0,
                         right_bc=a / (1 + a))
         assert abs(l1_to_one(snap) - np.log(1 + a) / a) < 1e-6

@@ -30,22 +30,22 @@ class TestSnapshotRoundTrip:
 
 
 class TestTableCsv:
-    def test_columns_and_round_trip(self, table_med):
-        header, cols = parse_csv(ser.table_to_csv(table_med))
+    def test_columns_and_round_trip(self, funcs_med):
+        header, cols = parse_csv(ser.table_to_csv(funcs_med))
         assert header == ["y", "f", "f'", "tilde_f", "g", "g'", "h", "h'"]
-        assert np.array_equal(cols[0], table_med.y)
+        assert np.array_equal(cols[0], funcs_med.y)
         # the columns are eval and tilde_f at the nodes, bit for bit
-        T = table_med.eval(table_med.y)
-        T["tilde_f"] = table_med.funcs.tilde_f(table_med.y)
+        T = funcs_med.eval(funcs_med.y)
+        T["tilde_f"] = funcs_med.tilde_f(funcs_med.y)
         for col, name in zip(cols[1:], ("f", "f_prime", "tilde_f", "g",
                                         "g_prime", "h", "h_prime")):
             assert np.array_equal(col, T[name]), name
 
-    def test_header(self, table_med):
-        hdr = ser.table_header_json(table_med)
-        assert float(hdr["M"]) == table_med.M
-        assert float(hdr["y_max"]) == table_med.funcs.y_max
-        assert hdr["nodes_per_decade"] == table_med.funcs.npd
+    def test_header(self, funcs_med):
+        hdr = ser.table_header_json(funcs_med)
+        assert float(hdr["M"]) == funcs_med.M
+        assert float(hdr["y_max"]) == funcs_med.y_max
+        assert hdr["nodes_per_decade"] == funcs_med.npd
         assert "phi_blend" in hdr
 
 

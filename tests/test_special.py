@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ksgrowup.specialfn import (OperatorInverse, PhiBlend, SpecialFunctions,
                                 _w_and_slope, build_component,
-                                check_asymptotics, w0)
+                                build_partition, check_asymptotics, w0)
 from ksgrowup.errors import ConstructionError, RangeError, SingularInputError
 from oracles import apply_operator, phi_deriv, quintic_cutoff
 
@@ -44,12 +44,12 @@ class TestOperator:
 
 class TestInverse:
     def test_zero_source(self):
-        inv = OperatorInverse(lambda y: 0.0 * np.asarray(y), 100.0)
+        inv = OperatorInverse(lambda y: 0.0 * np.asarray(y), build_partition(100.0))
         y = np.geomspace(1e-6, 100, 50)
         assert np.max(np.abs(inv(y)[0])) == 0.0
 
     def test_linear_source_closed_form(self):
-        inv = OperatorInverse(lambda y: np.asarray(y, float), 100.0)
+        inv = OperatorInverse(lambda y: np.asarray(y, float), build_partition(100.0))
         y = np.geomspace(1e-3, 100, 80)
         exact = y * ((y + 1) ** 3 - 1) / (6 * (y + 1) ** 2)
         assert np.max(np.abs(inv(y)[0] - exact) / np.maximum(exact, 1e-12)) < 1e-12
@@ -62,7 +62,7 @@ class TestInverse:
         assert np.allclose(funcs_med._f.G(t), exact, rtol=1e-13)
 
     def test_positivity_preserved(self):
-        inv = OperatorInverse(lambda y: np.log1p(np.asarray(y)), 1e3)
+        inv = OperatorInverse(lambda y: np.log1p(np.asarray(y)), build_partition(1e3))
         y = np.geomspace(1e-6, 1e3, 200)
         assert np.all(inv(y)[0] >= 0.0)
 
@@ -70,9 +70,10 @@ class TestInverse:
         psi1 = lambda y: np.asarray(y, float)
         psi2 = lambda y: w0(y)
         a, b = 2.5, -0.75
-        comb = OperatorInverse(lambda y: a * psi1(y) + b * psi2(y), 200.0)
-        i1 = OperatorInverse(psi1, 200.0)
-        i2 = OperatorInverse(psi2, 200.0)
+        nodes = build_partition(200.0)
+        comb = OperatorInverse(lambda y: a * psi1(y) + b * psi2(y), nodes)
+        i1 = OperatorInverse(psi1, nodes)
+        i2 = OperatorInverse(psi2, nodes)
         y = np.geomspace(1e-4, 200, 100)
         lhs = comb(y)[0]
         rhs = a * i1(y)[0] + b * i2(y)[0]
@@ -80,16 +81,17 @@ class TestInverse:
 
     def test_singular_source_rejected(self):
         with pytest.raises(SingularInputError):
-            OperatorInverse(lambda y: np.sqrt(np.asarray(y, float)), 100.0)
+            OperatorInverse(lambda y: np.sqrt(np.asarray(y, float)),
+                            build_partition(100.0))
 
     def test_range_guard(self):
-        inv = OperatorInverse(lambda y: np.asarray(y, float), 50.0)
+        inv = OperatorInverse(lambda y: np.asarray(y, float), build_partition(50.0))
         with pytest.raises(RangeError):
             inv(np.array([60.0]))
 
     def test_round_trip_small(self):
         # independent second derivative: difference the identity-based w'
-        inv = OperatorInverse(lambda y: np.log1p(np.asarray(y)), 2e3)
+        inv = OperatorInverse(lambda y: np.log1p(np.asarray(y)), build_partition(2e3))
         y = np.geomspace(0.01, 1e3, 120)
         d = 3e-4 * y
         wpp = (inv(y + d)[1] - inv(y - d)[1]) / (2 * d)
@@ -100,7 +102,7 @@ class TestInverse:
     @given(st.floats(0.1, 5.0), st.floats(0.1, 5.0))
     def test_positivity_random_sources(self, c1, c2):
         inv = OperatorInverse(lambda y: c1 * np.asarray(y) / (1 + np.asarray(y))
-                              + c2 * w0(y), 100.0)
+                              + c2 * w0(y), build_partition(100.0))
         y = np.geomspace(1e-5, 100, 60)
         assert np.all(inv(y)[0] >= 0.0)
 
@@ -128,52 +130,52 @@ class TestPhi:
 
 
 class TestSpecialFunctions:
-    def test_f_anchors(self, table_med):
-        T = table_med.eval(0.0)
+    def test_f_anchors(self, funcs_med):
+        T = funcs_med.eval(0.0)
         assert T["f"] == 0.0
         assert T["f_prime"] == 1.0
         y = np.geomspace(1e-6, 3e6, 300)
-        assert np.all(table_med.eval(y)["f"] >= w0(y))
+        assert np.all(funcs_med.eval(y)["f"] >= w0(y))
 
-    def test_f_solves_ode(self, table_med):
+    def test_f_solves_ode(self, funcs_med):
         y = np.geomspace(0.01, 1e4, 60)
         d = 3e-4 * y
-        wpp = (table_med.eval(y + d)["f_prime"]
-               - table_med.eval(y - d)["f_prime"]) / (2 * d)
-        T = table_med.eval(y)
+        wpp = (funcs_med.eval(y + d)["f_prime"]
+               - funcs_med.eval(y - d)["f_prime"]) / (2 * d)
+        T = funcs_med.eval(y)
         got = apply_operator(T["f"], T["f_prime"], wpp, y)
         assert np.max(np.abs(got - w0(y))) < 1e-6
 
-    def test_f_asymptote(self, table_med):
+    def test_f_asymptote(self, funcs_med):
         y = 1e6
-        T = table_med.eval(y)
+        T = funcs_med.eval(y)
         assert abs(T["f"] - (math.log(y) - 2.0)) < 0.01
         assert abs(y * T["f_prime"] - 1.0) < 0.01
 
-    def test_g_anchors(self, table_med):
-        T = table_med.eval(0.0)
+    def test_g_anchors(self, funcs_med):
+        T = funcs_med.eval(0.0)
         assert T["g"] == 0.0
         assert T["g_prime"] == 0.0
 
-    def test_g_asymptote(self, table_med):
+    def test_g_asymptote(self, funcs_med):
         y = 1e6
-        T = table_med.eval(y)
+        T = funcs_med.eval(y)
         assert abs(T["g"] / y - (math.log(y) / 2 - 2.25)) < 0.02
         assert abs(T["g_prime"] - (math.log(y) / 2 - 1.75)) < 0.01
 
-    def test_h_is_g_plus_M_g4(self, table_med):
-        T = table_med.eval(np.geomspace(1e-5, 1e6, 100))
+    def test_h_is_g_plus_M_g4(self, funcs_med):
+        T = funcs_med.eval(np.geomspace(1e-5, 1e6, 100))
         lhs = T["h"]
-        rhs = T["g"] + table_med.M * T["g4"]
+        rhs = T["g"] + funcs_med.M * T["g4"]
         assert np.max(np.abs(lhs - rhs)) < 1e-10 * np.max(np.abs(lhs))
 
-    def test_h_nonnegative(self, table_med):
+    def test_h_nonnegative(self, funcs_med):
         y = np.geomspace(1e-6, 3e6, 400)
-        assert np.all(table_med.eval(y)["h"] >= 0.0)
+        assert np.all(funcs_med.eval(y)["h"] >= 0.0)
 
-    def test_g4_growth_bounded(self, table_med):
+    def test_g4_growth_bounded(self, funcs_med):
         y = np.geomspace(1e4, 3e6, 50)
-        ratio = table_med.eval(y)["g4"] / (y / np.log(y))
+        ratio = funcs_med.eval(y)["g4"] / (y / np.log(y))
         assert np.max(ratio) < 20.0
         assert np.max(ratio) / np.min(ratio) < 1.5  # no growth across the window
 
@@ -183,7 +185,7 @@ class TestSpecialFunctions:
         # clamp at 3
         y = np.geomspace(1e-6, 3e6, 500)
         assert np.min(funcs_med.tilde_f(y)) > -1e-12
-        assert funcs_med.required_m_raw == 0.0
+        assert funcs_med.required_m() == 0.0
 
     def test_min_m_clamped(self, funcs_med):
         assert funcs_med.M == 3.0
@@ -199,14 +201,14 @@ class TestSpecialFunctions:
         need2 = np.max(-np.minimum(shifted, 0.0) / (2.0 * ph))
         assert abs(need2 - need1 / 2.0) < 1e-12 * need1
 
-    def test_table_matches_exact(self, funcs_med, table_med):
+    def test_table_matches_exact(self, funcs_med):
         # eval's one shared lookup and each inverse's own read the same
         # panel data: the same bits between nodes, at nodes and at the
         # range's last node
         rng = np.random.default_rng(7)
         y = np.concatenate([[0.0], np.exp(rng.uniform(np.log(1e-5), np.log(2.9e6), 60)),
-                            table_med.y[::25], table_med.y[-1:]])
-        T = table_med.eval(y)
+                            funcs_med.y[::25], funcs_med.y[-1:]])
+        T = funcs_med.eval(y)
         (f, fp), (g, gp), (q, qp) = (inv(y) for inv in
                                      (funcs_med._f, funcs_med._g, funcs_med._g4))
         own = {"f": f, "f_prime": fp, "g": g, "g_prime": gp, "g4": q,
@@ -215,38 +217,38 @@ class TestSpecialFunctions:
         for name, values in own.items():
             assert np.array_equal(T[name], values), name
         # at the nodes, eval returns the cumulative node sums
-        nodes = table_med.y
-        at_nodes = table_med.eval(nodes)
+        nodes = funcs_med.y
+        at_nodes = funcs_med.eval(nodes)
         for name, inv in (("f", funcs_med._f), ("g", funcs_med._g), ("g4", funcs_med._g4)):
             w, dw = _w_and_slope(nodes, inv.kernel_coeff, inv.F.at_nodes, inv.G.at_nodes)
             assert np.array_equal(at_nodes[name], w), name
             assert np.array_equal(at_nodes[name + "_prime"], dw), name
 
-    def test_point_alone_equals_point_in_batch(self, funcs_med, table_med):
+    def test_point_alone_equals_point_in_batch(self, funcs_med):
         # every sum runs elementwise in a fixed order, so a value does not
         # depend on the other points of the query
         rng = np.random.default_rng(11)
         y = np.exp(rng.uniform(np.log(1e-7), np.log(2.9e6), 10_000))
         F_of_g = funcs_med._g.F      # the most deeply nested integral
-        batch, cols = F_of_g(y), table_med.eval(y)
+        batch, cols = F_of_g(y), funcs_med.eval(y)
         for i in rng.choice(y.size, 25, replace=False):
             assert np.array_equal(F_of_g(y[i]), batch[i])
-            alone = table_med.eval(y[i:i + 1])
+            alone = funcs_med.eval(y[i:i + 1])
             for name, col in cols.items():
                 assert np.array_equal(alone[name][0], col[i]), name
 
-    def test_table_anchors(self, table_med):
-        assert table_med.y[0] == 0.0
-        T = table_med.eval(table_med.y)
+    def test_table_anchors(self, funcs_med):
+        assert funcs_med.y[0] == 0.0
+        T = funcs_med.eval(funcs_med.y)
         assert T["f"][0] == 0.0 and T["g"][0] == 0.0 and T["h"][0] == 0.0
         assert T["f_prime"][0] == 1.0
         assert T["g_prime"][0] == 0.0 and T["h_prime"][0] == 0.0
         assert np.all(T["h"] >= 0.0)
-        assert np.all(T["f"] >= w0(table_med.y))
+        assert np.all(T["f"] >= w0(funcs_med.y))
 
-    def test_table_range_error(self, table_med):
+    def test_table_range_error(self, funcs_med):
         with pytest.raises(RangeError):
-            table_med.eval(np.array([1e7]))
+            funcs_med.eval(np.array([1e7]))
 
     def test_longer_table_extends_a_shorter_one(self):
         # the quadrature accumulates from 0 on nodes that do not depend on
@@ -254,36 +256,66 @@ class TestSpecialFunctions:
         # table per run can serve every smaller range
         short, long = SpecialFunctions(2e4), SpecialFunctions(1e6)
         assert short.M == long.M
-        ts, tl = short.table(), long.table()
         y = np.geomspace(2e2, 2e4, 97)
-        Ts, Tl = ts.eval(y), tl.eval(y)
+        Ts, Tl = short.eval(y), long.eval(y)
         for name in ("f", "f_prime", "g", "g_prime", "h", "h_prime",
                      "g4", "g4_prime"):
             assert np.array_equal(Ts[name], Tl[name]), name
-        common = np.intersect1d(ts.y[ts.y >= 2e2], tl.y[tl.y <= 2e4])
+        common = np.intersect1d(short.y[short.y >= 2e2], long.y[long.y <= 2e4])
         assert common.size > 70
-        Ts, Tl = ts.eval(common), tl.eval(common)
+        Ts, Tl = short.eval(common), long.eval(common)
         Ts["tilde_f"], Tl["tilde_f"] = short.tilde_f(common), long.tilde_f(common)
         for col in ("f", "f_prime", "tilde_f", "g", "g_prime", "h", "h_prime"):
             assert np.array_equal(Ts[col], Tl[col]), col
 
 
+class TestOnePartition:
+    def test_inverses_share_the_table_partition(self, funcs_med):
+        assert funcs_med._f.nodes is funcs_med._g.nodes is funcs_med._g4.nodes \
+            is funcs_med.y
+
+    def test_asymptotics_on_one_partition_and_one_lookup_per_window(
+            self, funcs_med, monkeypatch):
+        from ksgrowup import specialfn
+        partitions, lookups = [], []
+        build, find = specialfn.build_partition, specialfn.locate
+
+        def counting_build(*args, **kwargs):
+            partitions.append(build(*args, **kwargs))
+            return partitions[-1]
+
+        def counting_locate(nodes, y):
+            lookups.append((nodes, np.ndim(y)))
+            return find(nodes, y)
+
+        monkeypatch.setattr(specialfn, "build_partition", counting_build)
+        monkeypatch.setattr(specialfn, "locate", counting_locate)
+        y_maxes = (1e4, 1e5, 1e6)
+        check_asymptotics(funcs_med, y_maxes, 1.35)
+        assert len(partitions) == 1
+        # the component builds query G at their Gauss points (2-D); each
+        # window reads the three components through one 1-D lookup
+        windows = [nodes for nodes, ndim in lookups
+                   if nodes is partitions[0] and ndim == 1]
+        assert len(windows) == len(y_maxes)
+
+
 class TestComponents:
     def test_g1_asymptote(self):
-        c = build_component(1, 1e5)
+        c = build_component(1, build_partition(1e5))
         y = 1e5
         w, wp = c(y)
         assert abs(w - (y * math.log(y) / 2 - 0.75 * y)) < 40 * math.log(y)
         assert abs(wp - (math.log(y) / 2 - 0.25)) < 40 * math.log(y) / y
 
     def test_g2_asymptote(self):
-        c = build_component(2, 1e5)
+        c = build_component(2, build_partition(1e5))
         w, wp = c(1e5)
         assert abs(w - 0.5e5) < 20.0
         assert abs(wp - 0.5) < 1e-3
 
     def test_g3_log_cubed(self):
-        c = build_component(3, 1e5)
+        c = build_component(3, build_partition(1e5))
         y = np.geomspace(1e3, 1e5, 20)
         assert np.max(c(y)[0] / np.log(y) ** 3) < 5.0
 
@@ -291,13 +323,13 @@ class TestComponents:
         # L^{-1} phi is the table's g4, not a component
         for i in (4, 5):
             with pytest.raises(ConstructionError):
-                build_component(i, 1e4)
+                build_component(i, build_partition(1e4))
 
     def test_cutoff_blend_insensitivity(self):
         # the cutoff is free below y = 1; two C^1 choices shift the inverse
         # only by a bounded amount (the sources differ on [0, 1] only)
-        a = build_component(2, 1e5)
-        b = OperatorInverse(quintic_cutoff, 1e5, check_origin=False)
+        a = build_component(2, build_partition(1e5))
+        b = OperatorInverse(quintic_cutoff, build_partition(1e5), check_origin=False)
         y = np.geomspace(1.0, 1e5, 40)
         diff = np.abs(a(y)[0] - b(y)[0])
         assert np.max(diff) < 1.0
@@ -306,20 +338,20 @@ class TestComponents:
 
 class TestAsymptoticsReport:
     def test_small_sweep_clean(self):
-        rep = check_asymptotics(SpecialFunctions(1e5).table(), (1e4, 1e5), 1.35)
+        rep = check_asymptotics(SpecialFunctions(1e5), (1e4, 1e5), 1.35)
         assert rep.ok, rep.violations
         assert rep.spot_checks["f_dev_at_ymax"] < 0.01
         assert rep.spot_checks["g_over_y_dev_at_ymax"] < 0.02
 
-    def test_window_guard(self, table_med):
+    def test_window_guard(self, funcs_med):
         with pytest.raises(ConstructionError):
-            check_asymptotics(table_med, (100.0, 1000.0), 1.35)
+            check_asymptotics(funcs_med, (100.0, 1000.0), 1.35)
 
-    def test_big_table_gives_the_default_report(self, table_med):
+    def test_big_table_gives_the_default_report(self, funcs_med):
         # every window read off a longer table: the same report, bit for
         # bit, as off a table that ends at the sweep's largest member
-        default = check_asymptotics(SpecialFunctions(2e4).table(), (1e4, 2e4), 1.35)
-        shared = check_asymptotics(table_med, (1e4, 2e4), 1.35)
+        default = check_asymptotics(SpecialFunctions(2e4), (1e4, 2e4), 1.35)
+        shared = check_asymptotics(funcs_med, (1e4, 2e4), 1.35)
         assert shared.ratios == default.ratios
         assert shared.spot_checks == default.spot_checks
 
@@ -329,4 +361,4 @@ class TestAsymptoticsReport:
         # the table must reach the sweep's largest member, whatever order
         # the members are listed in; a shorter one is refused, not used
         with pytest.raises(ConstructionError, match="below the sweep"):
-            check_asymptotics(SpecialFunctions(1.5e4).table(), y_maxes, 1.35)
+            check_asymptotics(SpecialFunctions(1.5e4), y_maxes, 1.35)

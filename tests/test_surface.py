@@ -13,6 +13,8 @@ with every attribute of the same name.
 Likewise every parameter with a default, of any function, method or class in
 ``src/ksgrowup``, and every dataclass field with a default, must be passed by
 some call in the package or in ``perfbench/``; calls match by name here too.
+And every dataclass or NamedTuple field must be read as an attribute in the
+package or named in ``perfbench/``.
 """
 
 import ast
@@ -67,6 +69,27 @@ def test_every_public_definition_has_a_caller():
                              for m in _public(node.body, ast.FunctionDef)
                              if m.name not in read and not in_bench(m.name)]
     assert uncalled == []
+
+
+def test_every_record_field_is_read():
+    # a dataclass or NamedTuple field that nothing in the package reads
+    # (obj.name), and that perfbench/ does not name, is kept for tests alone
+    trees = [ast.parse(p.read_text())
+             for p in sorted((ROOT / "src" / "ksgrowup").glob("*.py"))]
+    read = set().union(*(_attributes(tree) for tree in trees))
+    bench = "\n".join(p.read_text()
+                      for p in sorted((ROOT / "perfbench").glob("*.py")))
+    unread = []
+    for node in (n for tree in trees for n in tree.body):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        kinds = {_call_name(getattr(d, "func", d)) for d in node.decorator_list}
+        kinds |= {_call_name(b) for b in node.bases}
+        if kinds & {"dataclass", "NamedTuple"}:
+            unread += [f"{node.name}.{s.target.id}" for s in node.body
+                       if isinstance(s, ast.AnnAssign) and s.target.id not in read
+                       and not re.search(rf"\b{s.target.id}\b", bench)]
+    assert unread == []
 
 
 
