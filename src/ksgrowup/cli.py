@@ -198,6 +198,7 @@ def _solve_inputs(cfg):
                   left_bc=0.0, right_bc=right_bc)
     solver_cfg = pde.SolverConfig(local_error_tol=float(sec["local_error_tol"]))
     t_end, out_times = float(sec["t_end"]), _floats(sec["output_times"])
+    pde.check_output_times(out_times, t_end)
     # rate and profile read the last snapshot, and the manifest the first
     if not any(t > 0.0 for t in out_times):
         raise NumericsError("[solve] output_times needs a time > 0")

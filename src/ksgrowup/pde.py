@@ -10,14 +10,15 @@ vertex-centered flux differences.  Face coefficients use geometric means,
 which makes every steady profile U_a(x) = a x/(a x + 1) an EXACT fixed
 point of the discretization (both factors reduce to a sqrt(x_i x_{i+1}) /
 ((1+a x_i)(1+a x_{i+1})) on U_a samples), so steady-state drift measures
-the time integrator alone.  When the advective face value degenerates
-(boundary value 1 at x = 1, or data outside [0,1] in supercritical
-diagnostics) a quadratic extrapolation / arithmetic-mean branch keeps the
-scheme consistent at second order.  Face 0 is the exception: x_0 = 0 gives
-it no diffusion, so it carries advection alone and takes the upwind value
-of u(1-u), node 0's when u_0 + u_1 < 1, else node 1's.  Its steady flux is
-then u_0(1-u_0) = 0, as U_a needs; the arithmetic mean u_1(1-u_1)/2 would
-not give it.  Every other face stays central, so a grid is refused
+the time integrator alone.  One rule gives every face value of
+w = u(1-u).  Face 0 has no diffusion (x_0 = 0), so it carries advection
+alone and takes the upwind value, node 0's w when u_0 + u_1 < 1, else
+node 1's: its steady flux is then u_0(1-u_0) = 0, as U_a needs.  Every
+other face takes the geometric mean sqrt(w_l w_r) where both nodes have
+w > 0, else the arithmetic mean (w_l + w_r)/2, still second order: the
+last face at the critical boundary value 1, where w(1) = 0, is one.  Each
+face couples only its two nodes, so the tridiagonal Jacobian is exact in
+every row.  Every face but face 0 is central, so a grid is refused
 (ResolutionError) when one of them could reach a cell Peclet number
 |1 - (u_l + u_r)| h / sqrt(x_l x_r) above 2 (Patankar, Numerical Heat
 Transfer and Fluid Flow, 1980, 5.2) for u in [0, xi], where
@@ -96,6 +97,11 @@ _MAX_NEWTON = 14
 _NEWTON_TOL = 1e-12
 # the first adaptive step; _advance caps it at dt_max
 _DT_INITIAL = 1e-7
+# an adaptive run fails at a proposed step below _DT_FLOOR or after more
+# than _MAX_REJECTED rejected steps: no Tier-1 solve rejects more than 6
+# (the default run none), a wrong Jacobian about 800 a second at dt ~ 1e-9
+_DT_FLOOR = 1e-12
+_MAX_REJECTED = 1000
 
 
 @dataclass
@@ -277,21 +283,14 @@ class _UProblem:
         self.neg_xhat_h, self.neg_dlt = -self.xhat_h, -self.dlt
         self.ones = np.ones(len(x) - 1)
         check_central_faces(grid, xi)
-        # quadratic extrapolation of u(1-u) to the last face when xi == 1
-        self.extrapolate_last = (xi == 1.0)
-        if self.extrapolate_last:
-            xf = 0.5 * (x[-2] + x[-1])
-            xa, xb, xc = x[-3], x[-2], x[-1]
-            self.cA = (xf - xb) * (xf - xc) / ((xa - xb) * (xa - xc))
-            self.cB = (xf - xa) * (xf - xc) / ((xb - xa) * (xb - xc))
 
     def _advective_face(self, u):
         """Face value of u(1-u) and its derivatives wrt (u_left, u_right).
 
         The geometric mean sqrt(w_l w_r) of w = u(1-u) where both nodes are
-        positive, else the arithmetic mean.  Face 0, which has no diffusion,
-        takes the upwind value instead: w_0 when u_0 + u_1 < 1, else w_1.
-        At xi = 1 the last face is extrapolated.
+        positive, else the arithmetic mean: so at xi = 1, where w(1) = 0,
+        the last face is arithmetic.  Face 0, which has no diffusion, takes
+        the upwind value instead: w_0 when u_0 + u_1 < 1, else w_1.
         """
         w = u * (1.0 - u)
         hs = 0.5 - u    # half of w' = 1 - 2u, bit for bit: halving is exact
@@ -309,20 +308,12 @@ class _UProblem:
             g_val[0], dl[0], dr[0] = w[0], 2.0 * hs[0], 0.0
         else:
             g_val[0], dl[0], dr[0] = w[1], 0.0, 2.0 * hs[1]
-        if self.extrapolate_last:
-            g_val[-1] = self.cA * w[-3] + self.cB * w[-2]
-            dl[-1] = self.cB * (2.0 * hs[-2])
-            dr[-1] = 0.0
         return g_val, dl, dr
 
     def rhs_and_jac(self, u):
         """F(u) at interior nodes, its Jacobian bands (sub, diag, sup) and the
-        face values of u(1-u), which term_size reads.
-
-        The extrapolated last face couples the last row to u[N-3] outside
-        the band; that entry is dropped from the Jacobian (the residual is
-        exact, so only the convergence rate of the last row is affected).
-        """
+        face values of u(1-u), which term_size reads.  Each face couples
+        only its two nodes, so the bands are the whole Jacobian."""
         s = (u[1:] - u[:-1]) / self.h
         g_val, g_dl, g_dr = self._advective_face(u)
         flux = self.xhat * s - g_val
@@ -407,6 +398,14 @@ def _step_once(problem, u, ev, dt, u_prev=None, dt_prev=None):
     return u2, True, its, est, ev_new
 
 
+def check_output_times(out_times, t_end: float) -> list[float]:
+    """The output times sorted, without repeats; RangeError unless each lies in [0, t_end]."""
+    times = sorted(set(float(t) for t in out_times))
+    if times and (times[0] < 0.0 or times[-1] > t_end + 1e-12):
+        raise RangeError("output times must lie in [0, t_end]")
+    return times
+
+
 def _advance(problem, u0_vec, t_end, out_times, cfg, post_check):
     """Integrate from t = 0 to t_end; keep the state at each output time.
 
@@ -415,16 +414,16 @@ def _advance(problem, u0_vec, t_end, out_times, cfg, post_check):
     follows err^(-1/3), as est is O(dt^3); only cfg.dt_max, when set, caps
     it.  A step rejected by that test or for a Newton failure is retried
     smaller; both causes are counted.  Without it, steps are fixed at
-    dt_max.  post_check(u, t, est) sees every accepted state with its
-    error estimate.  The initial state is evaluated here; every later
+    dt_max.  SolverFailureError ends a run at a proposed step below
+    _DT_FLOOR, after more than _MAX_REJECTED rejected steps, or at a Newton
+    failure of a fixed step.  post_check(u, t, est) sees every accepted
+    state with its error estimate.  The initial state is evaluated here; every later
     state's evaluation comes from the step that accepted it, and a
     rejected step leaves u and its evaluation as they were.  Returns
     (outputs, step times, step sizes, Newton iterations, rejection counts
     by cause).
     """
-    out_times = sorted(set(float(t) for t in out_times))
-    if out_times and (out_times[0] < 0.0 or out_times[-1] > t_end + 1e-12):
-        raise RangeError("output times must lie in [0, t_end]")
+    out_times = check_output_times(out_times, t_end)
     adaptive = cfg.local_error_tol is not None
     u = u0_vec.copy()
     ev = problem.rhs_and_jac(u)
@@ -441,6 +440,8 @@ def _advance(problem, u0_vec, t_end, out_times, cfg, post_check):
         if oi >= len(out_times):
             break
     while t < t_end:
+        if adaptive and dt < _DT_FLOOR:
+            raise SolverFailureError(f"step size fell to {dt:.3g} at t = {t:.6g}")
         target = out_times[oi] if oi < len(out_times) else t_end
         remaining = target - t
         dtc = dt if cfg.dt_max is None else min(dt, cfg.dt_max)
@@ -451,23 +452,19 @@ def _advance(problem, u0_vec, t_end, out_times, cfg, post_check):
         if not ok:
             if not adaptive:
                 raise SolverFailureError(f"Newton failed at t = {t:.6g} (fixed step)")
-            rejected["rejected_newton"] += 1
-            dt = dtc / 4.0
-            if dt < 1e-12:
-                raise SolverFailureError(
-                    f"Newton failed at t = {t:.6g} with dt at the floor")
-            continue
-        if adaptive:
+            cause, dt = "rejected_newton", dtc / 4.0
+        elif adaptive:
             err = float(np.abs(est).max()) / (
                 cfg.local_error_tol * problem.scale(un))
-            if err > 1.0:
-                rejected["rejected_error_test"] += 1
-                dt = dtc * max(0.2, 0.85 * err ** (-1.0 / 3.0))
-                if dt < 1e-12:
-                    raise SolverFailureError(
-                        f"local-error control stalled at t = {t:.6g}")
-                continue
-            dt = dtc * min(2.5, max(0.3, 0.85 * max(err, 1e-10) ** (-1.0 / 3.0)))
+            ok, cause = err <= 1.0, "rejected_error_test"
+            dt = dtc * (min(2.5, max(0.3, 0.85 * max(err, 1e-10) ** (-1.0 / 3.0)))
+                        if ok else max(0.2, 0.85 * err ** (-1.0 / 3.0)))
+        if not ok:
+            rejected[cause] += 1
+            if sum(rejected.values()) > _MAX_REJECTED:
+                raise SolverFailureError(
+                    f"more than {_MAX_REJECTED} steps rejected by t = {t:.6g}: {rejected}")
+            continue
         t = target if dtc == remaining else t + dtc
         post_check(un, t, est)
         u_prev, dt_prev, u, ev = u, dtc, un, ev_new
@@ -477,8 +474,6 @@ def _advance(problem, u0_vec, t_end, out_times, cfg, post_check):
         if t == target and oi < len(out_times):
             outs[target] = u.copy()
             oi += 1
-        if len(times) > 5_000_000:
-            raise SolverFailureError("step budget exhausted")
     return (outs, np.array(times), np.array(sizes), np.array(iters, dtype=int),
             rejected)
 

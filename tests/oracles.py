@@ -224,10 +224,6 @@ class ReferenceUProblem(_UProblem):
             g_val[0], dl[0], dr[0] = w[0], s[0], 0.0
         else:
             g_val[0], dl[0], dr[0] = w[1], 0.0, s[1]
-        if self.extrapolate_last:
-            g_val[-1] = self.cA * w[-3] + self.cB * w[-2]
-            dl[-1] = self.cB * s[-2]
-            dr[-1] = 0.0
         return g_val, dl, dr
 
     def rhs_and_jac(self, u):

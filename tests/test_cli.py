@@ -90,8 +90,8 @@ class TestCommands:
 
     @pytest.mark.parametrize("text", [
         "[certify]\ny_resolution = 0\n", "[sandwich]\nlattice = 0\n",
-        "[solve]\nn = 3\n",
-    ], ids=["y_resolution", "lattice", "solve_n"])
+        "[solve]\nn = 3\n", "[solve]\nt_end = 1\noutput_times = -1,1\n",
+    ], ids=["y_resolution", "lattice", "solve_n", "output_times"])
     def test_all_refuses_a_bad_value_before_any_file(self, tmp_path, text):
         # each bound is checked before the first command runs, so a bad
         # value late in the pipeline leaves no verdict of an earlier stage
@@ -357,6 +357,21 @@ class TestCommands:
         assert manifest["rejected_error_test"] + manifest["rejected_newton"] <= 5
         hist = manifest["newton_iters_histogram"]
         assert sum(hist.values()) == manifest["n_steps"]
+
+        # the headline numbers, pinned without freezing bits.  T1 and T2
+        # are points of the 0.25 shift lattice.  The onsets are roots whose
+        # sign is round-off over 1.8e-11 relative; 1e-9 admits that.  d(50)
+        # has a time bar of 9.9e-4 and a space error of 1.9e-3; a move
+        # below a tenth of the time bar is below what the run resolves, a
+        # larger one changes the science and must be recorded here
+        sandwich = json.loads((out / "sandwich.json").read_text())
+        assert (float(sandwich["T1"]), float(sandwich["T2"])) == (0.75, 1150.5)
+        assert float(sandwich["lower_onset"]) == pytest.approx(
+            5.8409964273109569, rel=1e-9, abs=0.0)
+        assert float(sandwich["upper_onset"]) == pytest.approx(
+            1150.6036543108676, rel=1e-9, abs=0.0)
+        d_final = float(json.loads((out / "rate_verdict.json").read_text())["d_final"])
+        assert abs(d_final - 2.0836119038994116) <= 1e-4
 
     def test_sandwich_compares_inside_the_certified_lattice(self, tmp_path):
         # certify checks both barriers on one lattice; every barrier time

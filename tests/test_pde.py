@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import scipy.integrate
 import scipy.linalg
 
 from ksgrowup import pde
-from ksgrowup.errors import RangeError, ResolutionError
+from ksgrowup.errors import RangeError, ResolutionError, SolverFailureError
 from ksgrowup.grids import GradedGrid, RadialField, Snapshot, make_graded_grid
 from ksgrowup.pde import SolverConfig, l1_to_one, slope_origin_info, solve, solve_w
 from ksgrowup.pde import _UProblem, _WProblem, _step_once
@@ -19,11 +20,11 @@ def critical_snapshot(grid):
                     left_bc=0.0, right_bc=1.0)
 
 
-def _u_problem():
+def _u_problem(xi=0.5):
     grid = make_graded_grid(120, 1e-6, 1.1)
     x = grid.nodes
-    u = 2.0 * x / (3.0 * x + 1.0) * (1.0 + 0.2 * x * (1.0 - x) * np.sin(5.0 * x))
-    return _UProblem(grid, 0.5), u
+    u = xi * 4.0 * x / (3.0 * x + 1.0) * (1.0 + 0.2 * x * (1.0 - x) * np.sin(5.0 * x))
+    return _UProblem(grid, xi), u
 
 
 def _w_problem():
@@ -33,10 +34,11 @@ def _w_problem():
 
 
 class TestJacobians:
-    @pytest.mark.parametrize("make", [_u_problem, _w_problem], ids=["u", "w"])
+    @pytest.mark.parametrize("make", [_u_problem, lambda: _u_problem(1.0), _w_problem],
+                             ids=["u", "u_xi_1", "w"])
     def test_bands_match_central_differences(self, make):
-        # xi != 1: the extrapolated last face of xi = 1 couples the last row
-        # to u[N-3], an entry the band leaves out on purpose
+        # xi = 1 is the run's own case: w(1) = 0 makes the last face
+        # arithmetic, and every face couples only its two nodes
         problem, u = make()
         _, sub, diag, sup, _ = problem.rhs_and_jac(u)
         J = np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
@@ -128,7 +130,7 @@ class TestNewtonStop:
         assert its == (0 if accepted else 1)
 
 
-def _faces_one_by_one(problem, u):
+def _faces_one_by_one(u):
     """Reference face values and derivatives, face by face by the case split:
     face 0 upwind by the sign of 1 - (u_0 + u_1), every other face geometric
     or arithmetic."""
@@ -144,10 +146,6 @@ def _faces_one_by_one(problem, u):
         else:
             face = (0.5 * (wl + wr), 0.5 * sl, 0.5 * sr)
         out[:, i] = face
-    if problem.extrapolate_last:
-        wa, wb = u[-3] * (1.0 - u[-3]), u[-2] * (1.0 - u[-2])
-        out[:, -1] = (problem.cA * wa + problem.cB * wb,
-                      problem.cB * (1.0 - 2.0 * u[-2]), 0.0)
     return out
 
 
@@ -166,7 +164,7 @@ class TestAdvectiveFace:
             u[:zero_node + 1] = 0.0
         problem = _UProblem(GradedGrid(nodes=x), xi)
         got = np.array(problem._advective_face(u))
-        ref = _faces_one_by_one(problem, u)
+        ref = _faces_one_by_one(u)
         for g, r in zip(got, ref):
             assert np.max(np.abs(g - r)) <= 1e-14 * np.max(np.abs(r))
 
@@ -187,7 +185,7 @@ def _kernel_case(case):
     """(xi, states) on the default grid for one kernel comparison case."""
     x = make_graded_grid(420, 1e-8, 1.07).nodes
     quasi = [(a + 1.0) * x / (a * x + 1.0) for a in (1.0, 1e3, 1e6, 1e9)]
-    if case == "xi_0.95":           # no extrapolated face
+    if case == "xi_0.95":           # w(1) > 0: the last face is geometric
         return 0.95, [0.95 * q for q in quasi]
     if case == "face_0_from_the_right":   # u_0 + u_1 >= 1, values above 1
         states = [1.5 * q for q in quasi[2:]]
@@ -744,6 +742,38 @@ class TestStepControl:
                             total_mass=8 * np.pi)
         with pytest.raises(RangeError, match=r"must lie in \[0, t_end\]"):
             solve_w(field, SolverConfig(dt_max=0.01), 1.0, times)
+
+    def test_wrong_jacobian_fails_fast(self, monkeypatch):
+        # with 1 + coef*diag in the iteration matrix, Newton converges only
+        # on steps near 1e-9, above the step floor: the run would crawl for
+        # hours.  The rejection budget stops it (measured: after 2510
+        # attempts, 1001 of them rejected, at t = 1.4e-6, in under 2 s)
+        def wrong(coef, sub, diag, sup):
+            return -coef * sub[1:], 1.0 + coef * diag, -coef * sup[:-1]
+
+        attempts = []
+
+        def counted(*args):
+            attempts.append(1)
+            assert len(attempts) <= 20_000, "the run was not stopped"
+            return _step_once(*args)
+        monkeypatch.setattr(pde, "_iteration_bands", wrong)
+        monkeypatch.setattr(pde, "_step_once", counted)
+        grid = make_graded_grid(420, 1e-8, 1.07)
+        t0 = time.perf_counter()
+        with pytest.raises(SolverFailureError, match="more than 1000 steps rejected"):
+            solve(critical_snapshot(grid), SolverConfig(), 50.0, [50.0])
+        assert time.perf_counter() - t0 < 15.0
+
+    def test_step_floor_applies_after_an_accepted_step(self, monkeypatch):
+        # steps of 1e-7 and then the 5e-9 left to the output time 1.05e-7
+        # are accepted, and the next proposal, 2.5 x 5e-9, lies below a
+        # floor of 5e-8: the run fails with no step rejected
+        monkeypatch.setattr(pde, "_DT_FLOOR", 5e-8)
+        grid = make_graded_grid(140, 1e-6, 1.12)
+        with pytest.raises(SolverFailureError,
+                           match=r"step size fell to 1\.25e-08 at t = 1\.05e-07"):
+            solve(critical_snapshot(grid), SolverConfig(), 1.0, [1.05e-7, 1.0])
 
     def test_fixed_steps_need_dt_max(self):
         # adaptive steps take no cap by default; fixed steps are of dt_max
