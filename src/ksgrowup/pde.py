@@ -29,13 +29,13 @@ w-form:  w_t = w_rr + 3 w_r / r + w^2 + (r/2) w w_r on (0,1), w_r(0,t)=0,
 w(1,t) = 8 xi; the diffusion is the radial Laplacian in 4 space dimensions,
 discretized by finite volumes with r^3 weights.
 
-Both forms share one implicit-step core: TR-BDF2, also for fixed steps,
-one Newton loop (`_newton`) on the full nonlinear system with
-the exact tridiagonal Jacobian, and local-error control by TR-BDF2's
-embedded error estimate (Hosea & Shampine, Appl. Numer. Math. 20, 1996),
-which costs one more tridiagonal solve per step.  That error test alone
-sizes adaptive steps unless `dt_max` sets a cap (the w-form's callers set
-one, as its blow-up detection relies on it).  The u-form sums the estimate,
+Both forms share one implicit-step core: TR-BDF2, one Newton loop
+(`_newton`) on the full nonlinear system with the exact tridiagonal
+Jacobian, and local-error control by TR-BDF2's embedded error estimate
+(Hosea & Shampine, Appl. Numer. Math. 20, 1996), which costs one more
+tridiagonal solve per step.  That error test (one finite positive
+`local_error_tol`) sizes every step; only `dt_max` caps it (the w-form's
+callers set one for blow-up detection).  The u-form sums the estimate,
 relative to u on the nodes the origin-slope fit reads, over the accepted
 steps, and reports it, times a safety factor, as a time-error bar on
 d(t) = log u_x(0,t) - sqrt(2t) at each snapshot.  Each form supplies only
@@ -95,9 +95,9 @@ _MAX_NEWTON = 14
 # the size of the row's terms (_newton); on the default run, values from
 # 1e-10 to 1e-14 fail no solve and give d(50) within 4e-10 of each other
 _NEWTON_TOL = 1e-12
-# the first adaptive step; _advance caps it at dt_max
+# the first step; _advance caps it at dt_max
 _DT_INITIAL = 1e-7
-# an adaptive run fails at a proposed step below _DT_FLOOR or after more
+# a run fails at a proposed step below _DT_FLOOR or after more
 # than _MAX_REJECTED rejected steps: no Tier-1 solve rejects more than 6
 # (the default run none), a wrong Jacobian about 800 a second at dt ~ 1e-9
 _DT_FLOOR = 1e-12
@@ -108,16 +108,17 @@ _MAX_REJECTED = 1000
 class SolverConfig:
     """How to integrate; the grid and the boundary value come with the data."""
 
-    dt_max: float | None = None         # step cap; fixed steps need it
-    local_error_tol: float | None = 1e-6  # None -> fixed steps of dt_max
+    dt_max: float | None = None         # step cap; None: the error test alone
+    local_error_tol: float = 1e-6       # bound of the local-error test
     blowup_cap: float = 1e6             # w-form blow-up detector
 
     def __post_init__(self):
-        if self.dt_max is not None and self.dt_max <= 0:
-            raise ValueError("dt_max must be positive")
-        if self.dt_max is None and self.local_error_tol is None:
-            raise ValueError("fixed steps (local_error_tol = none) need "
-                             "a step size: set dt_max")
+        # a tolerance < 0 or inf would pass every step unchecked, 0 or NaN fail the run
+        tol = self.local_error_tol
+        if tol is None or not 0.0 < tol < math.inf:
+            raise ValueError(f"local_error_tol must be finite and > 0, got {tol}")
+        if self.dt_max is not None and not self.dt_max > 0.0:
+            raise ValueError(f"dt_max must be None or > 0, got {self.dt_max}")
 
 
 @dataclass
@@ -399,48 +400,46 @@ def _step_once(problem, u, ev, dt, u_prev=None, dt_prev=None):
 
 
 def check_output_times(out_times, t_end: float) -> list[float]:
-    """The output times sorted, without repeats; RangeError unless each lies in [0, t_end]."""
+    """The output times sorted, without repeats.  RangeError unless each lies in
+    [0, t_end] and successive times, 0 counted among them, lie at least
+    _DT_FLOOR apart: a step between them would fall below a run's floor."""
     times = sorted(set(float(t) for t in out_times))
-    if times and (times[0] < 0.0 or times[-1] > t_end + 1e-12):
+    if not all(0.0 <= t <= t_end + 1e-12 for t in times):
         raise RangeError("output times must lie in [0, t_end]")
+    ends = sorted({0.0, *times})
+    if any(b - a < _DT_FLOOR for a, b in zip(ends, ends[1:])):
+        raise RangeError(f"output times must lie at least {_DT_FLOOR:g} apart "
+                         "and from 0")
     return times
 
 
 def _advance(problem, u0_vec, t_end, out_times, cfg, post_check):
     """Integrate from t = 0 to t_end; keep the state at each output time.
 
-    With cfg.local_error_tol set, a step is accepted when
-    err = max|est| / (local_error_tol * scale(u_new)) <= 1, and the next dt
-    follows err^(-1/3), as est is O(dt^3); only cfg.dt_max, when set, caps
-    it.  A step rejected by that test or for a Newton failure is retried
-    smaller; both causes are counted.  Without it, steps are fixed at
-    dt_max.  SolverFailureError ends a run at a proposed step below
-    _DT_FLOOR, after more than _MAX_REJECTED rejected steps, or at a Newton
-    failure of a fixed step.  post_check(u, t, est) sees every accepted
-    state with its error estimate.  The initial state is evaluated here; every later
-    state's evaluation comes from the step that accepted it, and a
-    rejected step leaves u and its evaluation as they were.  Returns
-    (outputs, step times, step sizes, Newton iterations, rejection counts
-    by cause).
+    A step is accepted when err = max|est| / (local_error_tol *
+    scale(u_new)) <= 1, and the next dt follows err^(-1/3), as est is
+    O(dt^3); only cfg.dt_max, when set, caps it.  A step rejected by that
+    test or for a Newton failure is retried smaller; both causes are
+    counted.  SolverFailureError ends a run at a proposed step below
+    _DT_FLOOR or after more than _MAX_REJECTED rejected steps.
+    post_check(u, t, est) sees every accepted state with its error
+    estimate.  The initial state is evaluated here, and is the output at
+    time 0; every later state's evaluation comes from the step that
+    accepted it, and a rejected step leaves u and its evaluation as they
+    were.  Returns (outputs, step times, step sizes, Newton iterations,
+    rejection counts by cause).
     """
     out_times = check_output_times(out_times, t_end)
-    adaptive = cfg.local_error_tol is not None
     u = u0_vec.copy()
     ev = problem.rhs_and_jac(u)
-    t = 0.0
-    dt = _DT_INITIAL if adaptive else cfg.dt_max
+    t, dt = 0.0, _DT_INITIAL
     u_prev = dt_prev = None   # the accepted state before u, for the predictor
-    outs = {}
+    outs = {0.0: u.copy()} if out_times[:1] == [0.0] else {}
+    oi = len(outs)            # the next output time to reach
     times, sizes, iters = [], [], []
     rejected = {"rejected_error_test": 0, "rejected_newton": 0}
-    oi = 0
-    while out_times and abs(out_times[oi] - 0.0) < 1e-15:
-        outs[out_times[oi]] = u.copy()
-        oi += 1
-        if oi >= len(out_times):
-            break
     while t < t_end:
-        if adaptive and dt < _DT_FLOOR:
+        if dt < _DT_FLOOR:
             raise SolverFailureError(f"step size fell to {dt:.3g} at t = {t:.6g}")
         target = out_times[oi] if oi < len(out_times) else t_end
         remaining = target - t
@@ -450,10 +449,8 @@ def _advance(problem, u0_vec, t_end, out_times, cfg, post_check):
         un, ok, n_newton, est, ev_new = _step_once(problem, u, ev, dtc,
                                                    u_prev, dt_prev)
         if not ok:
-            if not adaptive:
-                raise SolverFailureError(f"Newton failed at t = {t:.6g} (fixed step)")
             cause, dt = "rejected_newton", dtc / 4.0
-        elif adaptive:
+        else:
             err = float(np.abs(est).max()) / (
                 cfg.local_error_tol * problem.scale(un))
             ok, cause = err <= 1.0, "rejected_error_test"

@@ -370,7 +370,8 @@ def check_asymptotics(table: SpecialFunctions, y_maxes,
     sweep of y_max; a ratio that grows across the sweep is a violation.
 
     Every window is read off one table, and components 1-3 are built once,
-    on one partition to max(y_maxes) with the table's npd, and read through
+    on the table's partition up to its first node at or above max(y_maxes),
+    bit for bit the partition of a build to max(y_maxes), and read through
     one panel lookup per window.  Values below any y_max do not depend on
     how far the table reaches; a table ending below max(y_maxes) raises.
     """
@@ -381,7 +382,7 @@ def check_asymptotics(table: SpecialFunctions, y_maxes,
     if table.y_max < top:
         raise ConstructionError(
             f"the table ends at y_max = {table.y_max:g}, below the sweep's {top:g}")
-    nodes = build_partition(top, npd=table.npd)
+    nodes = table.y[:np.searchsorted(table.y, top) + 1]
     comps = {i: build_component(i, nodes) for i in (1, 2, 3)}
     ratios = {name: [] for name in _CLAIMS}
     for ym in y_maxes:
@@ -402,6 +403,8 @@ def check_asymptotics(table: SpecialFunctions, y_maxes,
     violations = []
     for name, seq in ratios.items():
         if len(seq) >= 2 and seq[-1] > growth_tol * seq[0] + 1e-9:
-            violations.append(f"{name}: ratio grew {seq[0]:.3g} -> {seq[-1]:.3g}")
+            violations.append(f"{name}: ratio {seq[-1]:.3g} at y_max = {top:g} above "
+                              f"growth_tol {growth_tol:g} x {seq[0]:.3g} at y_max = "
+                              f"{y_maxes[0]:g}")
     return AsymptoticsReport(y_maxes=y_maxes, ratios=ratios, spot_checks=spot,
                              violations=violations)

@@ -16,7 +16,7 @@ from ksgrowup.barriers import eval_barrier, residual_reduced
 from ksgrowup.errors import NumericsError, RangeError, ResolutionError
 from ksgrowup.grids import GradedGrid, RadialField, Snapshot
 from ksgrowup.matching import _gp, _hp
-from ksgrowup.pde import SolverConfig, Trajectory, _UProblem, solve
+from ksgrowup.pde import _SLIVER, SolverConfig, Trajectory, _step_once, _UProblem, solve
 
 # -- special functions ---------------------------------------------------------
 
@@ -251,6 +251,24 @@ def snapshot_at(traj: Trajectory, t: float) -> Snapshot:
         if abs(s.time - t) < 1e-12:
             return s
     raise RangeError(f"no snapshot stored at t = {t}")
+
+
+def fixed_step_values(u0: Snapshot, dt: float, t_end: float) -> np.ndarray:
+    """u at t_end after TR-BDF2 steps of dt from u0, the last one cut to end
+    at t_end, each started as pde._advance starts one (the predictor reads
+    the state before, the accepting evaluation is carried on), with no
+    error test: fixed steps for the convergence-order tests, which the
+    solver's own step control does not take."""
+    problem = _UProblem(u0.grid, u0.right_bc)
+    u, t, u_prev, dt_prev = u0.values.copy(), 0.0, None, None
+    ev = problem.rhs_and_jac(u)
+    while t < t_end:
+        step = dt if dt < (1.0 - _SLIVER) * (t_end - t) else t_end - t
+        un, ok, _, _, ev = _step_once(problem, u, ev, step, u_prev, dt_prev)
+        assert ok, f"Newton failed at t = {t}"
+        u_prev, dt_prev, u = u, step, un
+        t = t_end if step == t_end - t else t + step
+    return u
 
 
 def steady_profile(a: float, grid: GradedGrid) -> Snapshot:

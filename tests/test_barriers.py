@@ -281,6 +281,20 @@ class TestTimeShifts:
             shift_max=50.0, lattice=0.25, slack=1e-9)
         assert 0.0 <= t1 <= 5.0
 
+    def test_shift_search_refines_between_doublings(self):
+        # a violation above the slack below shift 3.3: the doublings bracket
+        # it in (2, 4], and the refinement halves to the lattice, failing at
+        # the midpoints 3 and 3.25 and holding at 3.5
+        from ksgrowup.barriers import _search_shift
+        probes = []
+
+        def violation(shift):
+            probes.append(shift)
+            return 1.0 if shift < 3.3 else shift * 1e-12
+        assert _search_shift(violation, shift_max=50.0, lattice=0.25,
+                             slack=1e-9) == (3.5, 3.5e-12)
+        assert probes == [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 3.0, 3.5, 3.25]
+
     def test_shift_search_raises_when_capped(self, fast_traj, lower_med,
                                              upper_med):
         # the K = 6 upper onset (t ~ 1150.6) needs a shift far above 5

@@ -91,10 +91,17 @@ class TestCommands:
     @pytest.mark.parametrize("text", [
         "[certify]\ny_resolution = 0\n", "[sandwich]\nlattice = 0\n",
         "[solve]\nn = 3\n", "[solve]\nt_end = 1\noutput_times = -1,1\n",
-    ], ids=["y_resolution", "lattice", "solve_n", "output_times"])
+        "[solve]\nlocal_error_tol = 0\n", "[solve]\nlocal_error_tol = -1e-6\n",
+        "[solve]\nlocal_error_tol = nan\n", "[solve]\nlocal_error_tol = inf\n",
+        "[solve]\nt_end = 2\noutput_times = 1,1.0000000000001,2\n",
+    ], ids=["y_resolution", "lattice", "solve_n", "output_times", "tol_0",
+            "tol_negative", "tol_nan", "tol_inf", "output_times_below_the_floor"])
     def test_all_refuses_a_bad_value_before_any_file(self, tmp_path, text):
         # each bound is checked before the first command runs, so a bad
-        # value late in the pipeline leaves no verdict of an earlier stage
+        # value late in the pipeline leaves no verdict of an earlier stage.
+        # A tolerance <= 0, NaN or infinite would leave the steps unchecked
+        # (a negative one lets 34 steps of up to 5.0 pass every verdict),
+        # and output times 1e-13 apart would fail the solve at its step floor
         cfg = tmp_path / "bad.ini"
         cfg.write_text(text)
         out = tmp_path / "o"
@@ -275,6 +282,43 @@ class TestCommands:
                          str(tmp_path / "w"), "--quiet"]) == 2
             assert "y_max >= 1e4" in capsys.readouterr().err
             assert not (tmp_path / "w" / "asymptotics.json").exists()
+
+    def test_tabulate_failing_ratio_is_exit_1(self, tmp_path, capsys):
+        # growth_tol = 0.5 asks each ratio to fall to half its first value:
+        # only h's and g2''s do, so 12 of the 14 claims fail, each naming
+        # the bound it broke
+        out = tmp_path / "t"
+        cfg = tmp_path / "t.ini"
+        cfg.write_text("[tabulate]\ngrowth_tol = 0.5\n")
+        assert main(["tabulate", "--config", str(cfg), "--out", str(out)]) == 1
+        rep = json.loads((out / "asymptotics.json").read_text())
+        assert rep["ok"] is False and len(rep["violations"]) == 12
+        assert ("FAIL: f: ratio 0.909 at y_max = 1e+06 above growth_tol 0.5 x 1.03 "
+                "at y_max = 10000") in capsys.readouterr().out.splitlines()
+
+    def test_tabulate_builds_one_partition(self, tmp_path, monkeypatch):
+        # the asymptotics sweep reads its components on a prefix of the
+        # table's partition: the run builds the table's alone
+        from ksgrowup import specialfn
+        builds = []
+        build = specialfn.build_partition
+
+        def counting_build(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(specialfn, "build_partition", counting_build)
+        assert main(["tabulate", "--out", str(tmp_path / "t"), "--quiet"]) == 0
+        assert len(builds) == 1
+
+    def test_solve_range_guard_is_exit_2(self, tmp_path, capsys):
+        # above the critical boundary value the discrete solution overshoots
+        # u(1) = 1.01 near t = 9.5, and the maximum-principle guard stops it
+        cfg = tmp_path / "r.ini"
+        cfg.write_text("[solve]\nright_bc = 1.01\n")
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 2
+        assert "values left [0, 1.01] at t = 9.50582" in capsys.readouterr().err
 
     def test_certify_short_window_fails_scientifically(self, small_cfg,
                                                        tmp_path):

@@ -7,12 +7,13 @@ import scipy.integrate
 import scipy.linalg
 
 from ksgrowup import pde
-from ksgrowup.errors import RangeError, ResolutionError, SolverFailureError
+from ksgrowup.errors import (MaximumPrincipleViolation, RangeError, ResolutionError,
+                             SolverFailureError)
 from ksgrowup.grids import GradedGrid, RadialField, Snapshot, make_graded_grid
 from ksgrowup.pde import SolverConfig, l1_to_one, slope_origin_info, solve, solve_w
 from ksgrowup.pde import _UProblem, _WProblem, _step_once
-from oracles import (ReferenceUProblem, ordered_pair_test, small_time_checks, snapshot_at,
-                     steady_profile, w_from_u)
+from oracles import (ReferenceUProblem, fixed_step_values, ordered_pair_test,
+                     small_time_checks, snapshot_at, steady_profile, w_from_u)
 
 
 def critical_snapshot(grid):
@@ -404,6 +405,21 @@ class TestMaximumPrinciple:
             assert s.values.max() <= 1.0 + 1e-9
             assert s.is_nondecreasing(tol=1e-8)
 
+    def test_monotonicity_loss_is_refused(self, monkeypatch):
+        # a step whose state drops by 1e-6 from one node to the next,
+        # inside [0, 1]: the guard stops the run at that step
+        def dropping(*args):
+            un, ok, its, est, ev = _step_once(*args)
+            if ok:
+                un = un.copy()
+                un[71] = un[70] - 1e-6
+            return un, ok, its, est, ev
+        monkeypatch.setattr(pde, "_step_once", dropping)
+        grid = make_graded_grid(140, 1e-6, 1.12)
+        with pytest.raises(MaximumPrincipleViolation, match=r"monotonicity lost "
+                           r"at t = 1e-07 \(worst drop -1\.000e-06\)"):
+            solve(critical_snapshot(grid), SolverConfig(), 1.0, [1.0])
+
     def test_rejects_decreasing_data(self):
         grid = make_graded_grid(60, 1e-4, 1.2)
         v = grid.nodes.copy()
@@ -607,8 +623,7 @@ class TestConvergence:
                       left_bc=0.0, right_bc=xi)
 
         def run(dt):
-            cfg = SolverConfig(dt_max=dt, local_error_tol=None)
-            return solve(u0, cfg, 1.0, [1.0]).snapshots[-1].values
+            return fixed_step_values(u0, dt, 1.0)
 
         ref = run(0.000625)
         errs = [np.max(np.abs(run(dt) - ref)) for dt in (0.04, 0.02, 0.01)]
@@ -622,8 +637,7 @@ class TestConvergence:
             grid = make_graded_grid(n, 1.0 / (n - 1), 1.0)
             u0 = Snapshot(grid=grid, values=xi * grid.nodes, time=0.0,
                           left_bc=0.0, right_bc=xi)
-            cfg = SolverConfig(dt_max=dt, local_error_tol=None)
-            return grid, solve(u0, cfg, 1.0, [1.0]).snapshots[-1].values
+            return grid, fixed_step_values(u0, dt, 1.0)
 
         ref_grid, ref = run(513)
         errs = []
@@ -656,9 +670,7 @@ class TestStepControl:
         grid = make_graded_grid(41, 1.0 / 40, 1.0)
         u0 = Snapshot(grid=grid, values=xi * grid.nodes, time=0.0,
                       left_bc=0.0, right_bc=xi)
-        cfg = SolverConfig(dt_max=1e-3, local_error_tol=None)
-        u = solve(u0, cfg, 0.2, [0.2]).snapshots[-1].values
-        return grid.nodes, u, _UProblem(grid, xi)
+        return grid.nodes, fixed_step_values(u0, 1e-3, 0.2), _UProblem(grid, xi)
 
     def test_estimate_matches_local_error(self):
         # one TR-BDF2 step from a smooth state: the embedded estimate agrees
@@ -731,9 +743,10 @@ class TestStepControl:
         assert len(attempts) == (len(traj.step_times) + traj.rejected_error_test
                                  + traj.rejected_newton)
 
-    @pytest.mark.parametrize("times", [[-1.0, 1.0], [1.0, 2.0]],
-                             ids=["negative", "beyond_t_end"])
+    @pytest.mark.parametrize("times", [[-1.0, 1.0], [1.0, 2.0], [math.nan, 1.0]],
+                             ids=["negative", "beyond_t_end", "nan"])
     def test_output_times_outside_the_run_are_refused(self, times):
+        # a NaN time is never reached: the run would drop its snapshot
         grid = make_graded_grid(140, 1e-6, 1.12)
         with pytest.raises(RangeError, match=r"must lie in \[0, t_end\]"):
             solve(critical_snapshot(grid), SolverConfig(), 1.0, times)
@@ -775,11 +788,36 @@ class TestStepControl:
                            match=r"step size fell to 1\.25e-08 at t = 1\.05e-07"):
             solve(critical_snapshot(grid), SolverConfig(), 1.0, [1.05e-7, 1.0])
 
-    def test_fixed_steps_need_dt_max(self):
-        # adaptive steps take no cap by default; fixed steps are of dt_max
-        with pytest.raises(ValueError, match="dt_max"):
-            SolverConfig(local_error_tol=None, dt_max=None)
+    def test_solver_config_refusals(self):
+        # the local-error test sizes every step: a tolerance < 0 or inf
+        # would pass every step unchecked, 0 or NaN fail the run; a cap <= 0
+        # would make steps of no or negative length, a NaN cap cap nothing.
+        # By default nothing caps the steps
+        for tol in (None, 0.0, -1e-6, math.nan, math.inf):
+            with pytest.raises(ValueError, match="local_error_tol must be finite and > 0"):
+                SolverConfig(local_error_tol=tol)
+        for cap in (0.0, -0.01, math.nan):
+            with pytest.raises(ValueError, match="dt_max must be None or > 0"):
+                SolverConfig(dt_max=cap)
         assert SolverConfig().dt_max is None
+
+    @pytest.mark.parametrize("times", [[1.0, 1.0 + 1e-13, 2.0], [1e-13, 2.0],
+                                       [0.0, 1e-13, 2.0]],
+                             ids=["apart", "from_0", "from_output_0"])
+    def test_output_times_closer_than_the_step_floor_are_refused(self, times):
+        # the step between them would lie below the floor of 1e-12, and the
+        # step after it be sized from it: refused before the run
+        grid = make_graded_grid(140, 1e-6, 1.12)
+        with pytest.raises(RangeError, match="at least 1e-12 apart"):
+            solve(critical_snapshot(grid), SolverConfig(), 2.0, times)
+
+    def test_output_times_at_the_floor_and_at_zero(self):
+        # 2e-12 apart runs, and output time 0 is the initial state itself
+        grid = make_graded_grid(140, 1e-6, 1.12)
+        u0 = critical_snapshot(grid)
+        traj = solve(u0, SolverConfig(), 2.0, [0.0, 1.0, 1.0 + 2e-12, 2.0])
+        assert [s.time for s in traj.snapshots] == [0.0, 1.0, 1.0 + 2e-12, 2.0]
+        assert np.array_equal(traj.snapshots[0].values, u0.values)
 
 
 class TestEvaluationReuse:

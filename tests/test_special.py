@@ -292,11 +292,17 @@ class TestOnePartition:
         monkeypatch.setattr(specialfn, "locate", counting_locate)
         y_maxes = (1e4, 1e5, 1e6)
         check_asymptotics(funcs_med, y_maxes, 1.35)
-        assert len(partitions) == 1
+        # components 1-3 are built on a prefix of the table's partition, the
+        # partition a build to the sweep's top would give, not on a new one
+        assert partitions == []
+        on_prefix = [(nodes, ndim) for nodes, ndim in lookups
+                     if nodes.base is funcs_med.y]
+        prefix = on_prefix[0][0]
+        assert all(nodes is prefix for nodes, _ in on_prefix)
+        assert np.array_equal(prefix, build(1e6, npd=funcs_med.npd))
         # the component builds query G at their Gauss points (2-D); each
         # window reads the three components through one 1-D lookup
-        windows = [nodes for nodes, ndim in lookups
-                   if nodes is partitions[0] and ndim == 1]
+        windows = [nodes for nodes, ndim in on_prefix if ndim == 1]
         assert len(windows) == len(y_maxes)
 
 
