@@ -115,9 +115,11 @@ def residual_reduced(spec: BarrierSpec, y, t, T=None, forms=None):
 class ResidualReport:
     """Result of a sign scan of A (lower) / B (upper) on a lattice of times.
 
-    slope_ok (lower barrier only, else None): whether the barrier's x-slope
-    is positive at every scanned point and x = 0, at the lattice times from
-    threshold_T on (at every lattice time when the sign never certifies)."""
+    threshold_T is None when the sign fails at the lattice's last time, so
+    the sign is certified exactly when it is a time.  slope_ok (lower
+    barrier only, else None): whether the barrier's x-slope is positive at
+    every scanned point and x = 0, at the lattice times from threshold_T on
+    (at every lattice time when the sign never certifies)."""
 
     kind: str
     K: float
@@ -127,7 +129,6 @@ class ResidualReport:
     threshold_T: float | None
     worst_value: float
     worst_location: tuple   # (x, t)
-    sign_ok: bool
     slope_ok: bool | None
 
 
@@ -233,17 +234,18 @@ def certify_sign(spec: BarrierSpec, ts, y_resolution: int) -> ResidualReport:
                           x_range=(0.0, 1.0), t_range=(float(ts[0]), float(ts[-1])),
                           threshold_T=None if j0 is None else float(ts[j0]),
                           worst_value=wv, worst_location=(wx, wt),
-                          sign_ok=j0 is not None, slope_ok=slope_ok)
+                          slope_ok=slope_ok)
 
 
 @dataclass
 class BoundaryReport:
-    """Matching of the barrier against the fixed boundary value at x = 1."""
+    """Matching of the barrier against the fixed boundary value at x = 1:
+    onset_t is the time from which it holds to the lattice's end, None when
+    it fails there."""
 
     kind: str
     K: float
     onset_t: float | None
-    ok_beyond: bool
 
 
 def boundary_margin(spec: BarrierSpec, t) -> np.ndarray:
@@ -287,8 +289,7 @@ def check_boundary_matching(spec: BarrierSpec, ts) -> BoundaryReport:
             j = failing[-1] + 1 if failing.size else 0
             lo, hi = float(pts[j]), float(pts[j + 1])
         onset = hi
-    return BoundaryReport(kind=spec.kind, K=spec.path.K, onset_t=onset,
-                          ok_beyond=onset is not None)
+    return BoundaryReport(kind=spec.kind, K=spec.path.K, onset_t=onset)
 
 
 # ---------------------------------------------------------------------------

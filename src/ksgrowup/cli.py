@@ -9,17 +9,18 @@ randomness, floats written with 17 significant digits.
 
 Every key has a default in the packaged ``defaults.ini``; a --config file
 overrides single keys.  An unknown section or key is a configuration
-failure, as is a grid, lattice or resolution out of bounds, which is refused
-before any command runs.  Acceptance brackets (the numbers in that file) are
-pre-registered there, not tuned after looking at a particular run.
+failure, as is a value that is not a list of finite numbers, or a grid,
+lattice or resolution out of bounds, which is refused before any command
+runs.  Acceptance brackets (the numbers in that file) are pre-registered
+there, not tuned after looking at a particular run.
 
 The barrier pair (``[barriers]``) is built once per run, on the run's one
 special-function table: tabulate writes that table and checks its
 asymptotics, match checks the barriers' matching paths, certify certifies
 the barriers, and sandwich orders the solution between exactly those
 barriers.  Each command builds its evidence once per run; a pure
-``*_gate`` of that evidence and its config section names the failures
-(``check_asymptotics`` for tabulate), and the command writes the files.
+``*_gate`` of that evidence and its config section names the failures, and
+the command writes the files, its verdict through ``_verdict``.
 """
 
 from __future__ import annotations
@@ -58,6 +59,13 @@ def _load_config(path: str | None) -> _Config:
             unknown = sorted(set(cfg[name]) - known.get(name, set()))
             if unknown:
                 raise NumericsError(f"{path}: [{name}] has no key {', '.join(unknown)}")
+    # every value is a list of finite numbers: inf overflows a lattice, and
+    # NaN passes the bound that reads it.  Raw items skip get(), so this
+    # check counts as no command's read of a key
+    for name in cfg.sections():
+        for key, text in cfg.items(name, raw=True):
+            if not all(np.isfinite(_floats(text))):
+                raise NumericsError(f"[{name}] {key} = {text}: a value is not finite")
     return cfg
 
 
@@ -74,17 +82,13 @@ def _say(quiet: bool, msg: str) -> None:
         print(msg)
 
 
-def _report(failures: list[str], quiet: bool) -> int:
-    """Print each failure; the exit status is 1 if a check failed, else 0."""
+def _verdict(path: Path, failures: list[str], quiet: bool, **extra) -> int:
+    """Write {"failures", "ok", **extra} to path and print each failure; the
+    exit status is 1 if a check failed, else 0."""
+    ser.dump_json({"failures": failures, "ok": not failures, **extra}, path)
     for f in failures:
         _say(quiet, "FAIL: " + f)
     return 1 if failures else 0
-
-
-def _verdict(path: Path, failures: list[str], quiet: bool, **extra) -> int:
-    """Write {"failures", "ok", **extra} to path and _report the failures."""
-    ser.dump_json({"failures": failures, "ok": not failures, **extra}, path)
-    return _report(failures, quiet)
 
 
 def _trend_slope(t, v):
@@ -98,6 +102,16 @@ def _trend_slope(t, v):
 
 # ---------------------------------------------------------------------------
 # verdict gates: evidence (and a config section) -> failure strings
+
+
+def asymptotics_gate(report, sec) -> list[str]:
+    """No deviation ratio of the sweep ends above [tabulate] growth_tol
+    times its start; a one-member sweep has no growth to check."""
+    tol, y0, y1 = float(sec["growth_tol"]), report.y_maxes[0], report.y_maxes[-1]
+    return [f"{name}: ratio {seq[-1]:.3g} at y_max = {y1:g} above growth_tol "
+            f"{tol:g} x {seq[0]:.3g} at y_max = {y0:g}"
+            for name, seq in report.ratios.items()
+            if len(seq) >= 2 and seq[-1] > tol * seq[0] + 1e-9]
 
 
 def match_gate(K: float, dev: np.ndarray, sec) -> list[str]:
@@ -116,14 +130,15 @@ def match_gate(K: float, dev: np.ndarray, sec) -> list[str]:
 
 def certify_gate(residuals, boundaries, swaps, t_last: float) -> list[str]:
     """Of the (lower, upper) ResidualReports, BoundaryReports and K-swap
-    BoundaryReports: each sign certified, the lower barrier increasing, each
-    x = 1 matching holding up to the lattice's t_last, and no swap's."""
+    BoundaryReports: each sign certified (a threshold_T), the lower barrier
+    increasing, each x = 1 matching holding up to the lattice's t_last (an
+    onset_t), and no swap's."""
     failures = [f"{rep.kind} residual sign not certified"
-                for rep in residuals if not rep.sign_ok]
+                for rep in residuals if rep.threshold_T is None]
     if not residuals[0].slope_ok:
         failures.append("lower barrier not increasing beyond threshold")
     failures += [f"{rep.kind} boundary matching never holds up to {t_last:g}"
-                 for rep in boundaries if not rep.ok_beyond]
+                 for rep in boundaries if rep.onset_t is None]
     return failures + [f"swapped {rep.kind} K={rep.K:g} unexpectedly matched"
                        for rep in swaps if rep.onset_t is not None]
 
@@ -252,22 +267,20 @@ def _series(cfg, quiet: bool) -> list[dict]:
 def cmd_tabulate(cfg, out: Path, quiet: bool) -> int:
     sec = cfg["tabulate"]
     table = _barriers(cfg, quiet)[0].table
-    report = check_asymptotics(table, _floats(sec["sweep"]), float(sec["growth_tol"]))
+    report = check_asymptotics(table, _floats(sec["sweep"]))
     (out / "special_table.csv").write_text(ser.table_to_csv(table))
     ser.dump_json(ser.table_header_json(table), out / "special_table.json")
 
-    ser.dump_json({"y_maxes": [ser.fmt(v) for v in report.y_maxes],
-                   "ratios": {k: [ser.fmt(v) for v in seq]
-                              for k, seq in report.ratios.items()},
-                   "spot_checks": {k: ser.fmt(v)
-                                   for k, v in report.spot_checks.items()},
-                   "violations": report.violations,
-                   "ok": report.ok}, out / "asymptotics.json")
+    failures = asymptotics_gate(report, sec)
     for name, seq in sorted(report.ratios.items()):
         _say(quiet, f"ratio {name:4s}: " + " ".join(f"{v:9.3g}" for v in seq))
-    if report.ok:
+    if not failures:
         _say(quiet, "tabulate: all ratio checks pass")
-    return _report(report.violations, quiet)
+    return _verdict(out / "asymptotics.json", failures, quiet,
+                    y_maxes=[ser.fmt(v) for v in report.y_maxes],
+                    ratios={k: [ser.fmt(v) for v in seq]
+                            for k, seq in report.ratios.items()},
+                    spot_checks={k: ser.fmt(v) for k, v in report.spot_checks.items()})
 
 
 def cmd_match(cfg, out: Path, quiet: bool) -> int:
@@ -344,14 +357,14 @@ def cmd_certify(cfg, out: Path, quiet: bool) -> int:
                  for spec in (lower, upper)]
     for rep in residuals:
         ser.dump_json(ser.residual_report_to_json(rep), out / f"residual_{rep.kind}.json")
-        _say(quiet, f"{rep.kind} residual: sign_ok={rep.sign_ok} "
+        _say(quiet, f"{rep.kind} residual: sign_ok={rep.threshold_T is not None} "
                     f"threshold_T={rep.threshold_T} worst={rep.worst_value:.3e}")
     _say(quiet, f"lower barrier slope > 0: {residuals[0].slope_ok}")
 
     for rep in (bnd_lo, bnd_up):
         ser.dump_json({"kind": rep.kind, "K": ser.fmt(rep.K),
                        "onset_t": _fmt_or_none(rep.onset_t),
-                       "ok_beyond": rep.ok_beyond},
+                       "ok_beyond": rep.onset_t is not None},
                       out / f"boundary_{rep.kind}.json")
         _say(quiet, f"{rep.kind} boundary matching onset: {rep.onset_t}")
 
@@ -416,18 +429,17 @@ def cmd_sandwich(cfg, out: Path, quiet: bool) -> int:
         t_min_upper=t_min_upper, lower_onset=bnd_lo.onset_t,
         upper_onset=bnd_up.onset_t)
     failures = sandwich_gate(report)
-    ser.dump_json({"T1": ser.fmt(report.T1), "T2": ser.fmt(report.T2),
-                   "lower_onset": ser.fmt(report.lower_onset),
-                   "upper_onset": ser.fmt(report.upper_onset),
-                   "worst_lower": ser.fmt(report.worst_lower),
-                   "worst_upper": ser.fmt(report.worst_upper),
-                   "n_times_lower": report.n_times_lower,
-                   "n_times_upper": report.n_times_upper,
-                   "max_t_lower": _fmt_or_none(report.max_t_lower),
-                   "max_t_upper": _fmt_or_none(report.max_t_upper),
-                   "ok": not failures}, out / "sandwich.json")
     _say(quiet, f"sandwich: T1 = {report.T1}, T2 = {report.T2}, ok = {not failures}")
-    return _report(failures, quiet)
+    return _verdict(out / "sandwich.json", failures, quiet,
+                    T1=ser.fmt(report.T1), T2=ser.fmt(report.T2),
+                    lower_onset=ser.fmt(report.lower_onset),
+                    upper_onset=ser.fmt(report.upper_onset),
+                    worst_lower=ser.fmt(report.worst_lower),
+                    worst_upper=ser.fmt(report.worst_upper),
+                    n_times_lower=report.n_times_lower,
+                    n_times_upper=report.n_times_upper,
+                    max_t_lower=_fmt_or_none(report.max_t_lower),
+                    max_t_upper=_fmt_or_none(report.max_t_upper))
 
 
 def cmd_all(cfg, out: Path, quiet: bool) -> int:

@@ -502,9 +502,11 @@ def solve(u0: Snapshot, config: SolverConfig, t_end: float,
 
     def post_check(u, t, est):
         if u.min() < -1e-8 or u.max() > hi + 1e-8:
+            excess = np.maximum(-u, u - hi)   # 4 digits of u would hide 1e-8
+            i = int(np.argmax(excess))
             raise MaximumPrincipleViolation(
-                f"values left [0, {hi}] at t = {t:.6g}: "
-                f"[{u.min():.3e}, {u.max():.3e}]")
+                f"values left [0, {hi}] at t = {t:.6g}: u = {u[i]:.10g} lies "
+                f"{excess[i]:.3e} past it at x = {grid.nodes[i]:.6g} (node {i})")
         drop = np.diff(u).min()
         if drop < -monotone_tol:
             raise MaximumPrincipleViolation(

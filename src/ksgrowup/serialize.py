@@ -85,7 +85,7 @@ def residual_report_to_json(rep: ResidualReport) -> dict:
         "threshold_T": None if rep.threshold_T is None else fmt(rep.threshold_T),
         "worst_value": fmt(rep.worst_value),
         "worst_location": [fmt(v) for v in rep.worst_location],
-        "sign_ok": bool(rep.sign_ok),
+        "sign_ok": rep.threshold_T is not None,
     }
 
 

@@ -9,13 +9,14 @@ import time
 import numpy as np
 import pytest
 
+from ksgrowup import cli
 from ksgrowup.barriers import (BarrierSpec, boundary_margin, certify_sign,
                                check_boundary_matching, find_time_shifts)
 from ksgrowup.grids import Snapshot, make_graded_grid
 from ksgrowup.matching import integrate_a
 from ksgrowup.pde import SolverConfig, l1_to_one, slope_origin_info, solve
 from ksgrowup.specialfn import (OperatorInverse, SpecialFunctions,
-                                build_partition, check_asymptotics, w0)
+                                build_partition, check_asymptotics, locate, w0)
 from oracles import (apply_operator, fixed_step_values, ordered_pair_test,
                      queries_solve_the_time_integral, residual_fd,
                      residual_full, small_time_checks, steady_profile)
@@ -39,8 +40,9 @@ class TestCriterion1:
         for name, psi in sources.items():
             inv = OperatorInverse(psi, build_partition(1.5e4))
             d = 3e-4 * ys
-            wpp = (inv(ys + d)[1] - inv(ys - d)[1]) / (2 * d)
-            got = apply_operator(*inv(ys), wpp, ys)
+            wpp = (inv.pair(locate(inv.nodes, ys + d))[1]
+                   - inv.pair(locate(inv.nodes, ys - d))[1]) / (2 * d)
+            got = apply_operator(*inv.pair(locate(inv.nodes, ys)), wpp, ys)
             sups[name] = float(np.max(np.abs(got - psi(ys))))
             assert sups[name] <= 1e-6, (name, sups[name])
         elapsed = time.perf_counter() - start
@@ -53,8 +55,8 @@ class TestCriterion2:
         """Deviation ratios bounded across y_max = 1e4 -> 1e6; spot values."""
         start = time.perf_counter()
         table = SpecialFunctions(1e6)
-        rep = check_asymptotics(table, (1e4, 1e5, 1e6), growth_tol=1.35)
-        assert rep.ok, rep.violations
+        rep = check_asymptotics(table, (1e4, 1e5, 1e6))
+        assert cli.asymptotics_gate(rep, {"growth_tol": "1.35"}) == []
         f_dev = rep.spot_checks["f_dev_at_ymax"]
         g_dev = rep.spot_checks["g_over_y_dev_at_ymax"]
         assert f_dev <= 0.01
@@ -99,21 +101,22 @@ class TestCriterion4:
 
         rep_lo = certify_sign(lower, ts, 40)
         rep_up = certify_sign(upper, ts, 40)
-        assert rep_lo.sign_ok and rep_lo.threshold_T <= 1000.0 and rep_lo.slope_ok
-        assert rep_up.sign_ok and rep_up.threshold_T <= 1000.0
+        assert rep_lo.threshold_T is not None and rep_lo.threshold_T <= 1000.0
+        assert rep_lo.slope_ok
+        assert rep_up.threshold_T is not None and rep_up.threshold_T <= 1000.0
 
         bnd_lo = check_boundary_matching(lower, ts)
         bnd_up = check_boundary_matching(upper, ts)
-        assert bnd_lo.ok_beyond and bnd_lo.onset_t < 100.0
-        assert bnd_up.ok_beyond and bnd_up.onset_t < ts[-1]
+        assert bnd_lo.onset_t is not None and bnd_lo.onset_t < 100.0
+        assert bnd_up.onset_t is not None and bnd_up.onset_t < ts[-1]
 
         swap_lo = BarrierSpec(kind="lower", path=integrate_a(7.0, ts[-1]),
                               table=funcs_big)
         swap_up = BarrierSpec(kind="upper", path=path_k5_big, table=funcs_big)
         rep_sl = check_boundary_matching(swap_lo, ts)
         rep_su = check_boundary_matching(swap_up, ts)
-        assert not rep_sl.ok_beyond and np.all(boundary_margin(swap_lo, ts)[-10:] < 0)
-        assert not rep_su.ok_beyond and np.all(boundary_margin(swap_up, ts)[-10:] < 0)
+        assert rep_sl.onset_t is None and np.all(boundary_margin(swap_lo, ts)[-10:] < 0)
+        assert rep_su.onset_t is None and np.all(boundary_margin(swap_up, ts)[-10:] < 0)
 
         elapsed = time.perf_counter() - start
         build = getattr(funcs_big, "build_seconds", 0.0)

@@ -141,13 +141,13 @@ class TestResidual:
 class TestCertify:
     def test_lower_certifies(self, lower_med):
         rep = certify_sign(lower_med, np.geomspace(0.5, 50.0, 24), 40)
-        assert rep.sign_ok
+        assert rep.threshold_T is not None
         assert rep.threshold_T <= 1.0
         assert rep.worst_value <= 1e-11
 
     def test_upper_certifies(self, upper_med):
         rep = certify_sign(upper_med, np.geomspace(0.5, 50.0, 24), 40)
-        assert rep.sign_ok
+        assert rep.threshold_T is not None
         assert rep.worst_value >= -1e-11
 
     def test_upper_small_m_fails(self, path_k6, funcs_med):
@@ -157,7 +157,7 @@ class TestCertify:
         weak.M = 0.02
         spec = BarrierSpec(kind="upper", path=path_k6, table=weak)
         rep = certify_sign(spec, np.geomspace(1.0, 20.0, 16), 40)
-        assert not rep.sign_ok
+        assert rep.threshold_T is None
         # the failure sits at moderate inner coordinate, where M phi is the
         # only positive contribution once gamma (2ff'-yf') turns negative
         a = path_k6.closed_forms_at(rep.worst_location[1])[0]
@@ -169,7 +169,7 @@ class TestCertify:
         coarse = certify_sign(lower_med, ts, 10)
         fine = certify_sign(lower_med, ts, 80)
         assert fine.worst_value >= coarse.worst_value - 1e-15
-        assert coarse.sign_ok and fine.sign_ok
+        assert coarse.threshold_T is not None and fine.threshold_T is not None
 
     def test_phi_blend_sensitivity(self, path_k6):
         # the blend segment of phi below the join is free; the certified
@@ -184,7 +184,7 @@ class TestCertify:
             fn = Funcs(3e6, npd=20)
             spec = BarrierSpec(kind="upper", path=path_k6, table=fn)
             rep = certify_sign(spec, np.geomspace(0.5, 50.0, 16), 40)
-            assert rep.sign_ok
+            assert rep.threshold_T is not None
             thresholds.append(rep.threshold_T)
         assert max(thresholds) <= 4.0 * max(min(thresholds), 0.5)
 
@@ -217,14 +217,13 @@ class TestBoundaryMatching:
 
     def test_lower_k5_holds(self, lower_med):
         rep = check_boundary_matching(lower_med, DESK)
-        assert rep.ok_beyond
+        assert rep.onset_t is not None
         assert rep.onset_t < 20.0
 
     def test_lower_k7_fails(self, funcs_med):
         path = integrate_a(7.0, 60.0)
         spec = BarrierSpec(kind="lower", path=path, table=funcs_med)
         rep = check_boundary_matching(spec, DESK)
-        assert not rep.ok_beyond
         assert rep.onset_t is None
         assert np.all(boundary_margin(spec, DESK)[-10:] < 0.0)
 
@@ -232,7 +231,7 @@ class TestBoundaryMatching:
         # the upper inequality needs the deep-asymptotic regime; margins are
         # still negative at t <= 50 and shrink toward zero
         rep = check_boundary_matching(upper_med, DESK)
-        assert not rep.ok_beyond
+        assert rep.onset_t is None
         m = boundary_margin(upper_med, DESK)
         assert np.all(m < 0.0)
         assert abs(m[-1]) < abs(m[0])
@@ -241,13 +240,13 @@ class TestBoundaryMatching:
                                            default_lattice):
         spec = BarrierSpec(kind="upper", path=path_k6_big, table=funcs_big)
         rep = check_boundary_matching(spec, default_lattice)
-        assert rep.ok_beyond
+        assert rep.onset_t is not None
         assert 500.0 < rep.onset_t < 2000.0
 
     def test_upper_k5_swap_fails(self, path_k5_big, funcs_big, default_lattice):
         spec = BarrierSpec(kind="upper", path=path_k5_big, table=funcs_big)
         rep = check_boundary_matching(spec, default_lattice)
-        assert not rep.ok_beyond
+        assert rep.onset_t is None
         assert np.all(boundary_margin(spec, default_lattice)[-10:] < 0.0)
 
 
@@ -521,7 +520,7 @@ class TestScanLattice:
 
         monkeypatch.setattr(SpecialFunctions, "eval", counted)
         rep = certify_sign(spec, DESK, 40)
-        assert rep.sign_ok and len(sizes) == 1
+        assert rep.threshold_T is not None and len(sizes) == 1
         # the scans hold several batches' worth of points, their union fewer
         a = spec.path.closed_forms_at(DESK)[0]
         scanned = sum(len(_scan_grid(float(aj), 40)) for aj in a)
@@ -585,7 +584,8 @@ class TestLattice:
                                          table=funcs_big), ts, 40)
         upper = certify_sign(BarrierSpec(kind="upper", path=path_k6_big,
                                          table=funcs_big), ts, 40)
-        assert lower.sign_ok and lower.slope_ok and upper.sign_ok
+        assert lower.threshold_T is not None and lower.slope_ok
+        assert upper.threshold_T is not None
         for kind, path in (("lower", integrate_a(7.0, ts[-1])),
                            ("upper", path_k5_big)):
             spec = BarrierSpec(kind=kind, path=path, table=funcs_big)

@@ -94,14 +94,25 @@ class TestCommands:
         "[solve]\nlocal_error_tol = 0\n", "[solve]\nlocal_error_tol = -1e-6\n",
         "[solve]\nlocal_error_tol = nan\n", "[solve]\nlocal_error_tol = inf\n",
         "[solve]\nt_end = 2\noutput_times = 1,1.0000000000001,2\n",
+        "[sandwich]\nshift_max = inf\n", "[solve]\nt_end = inf\noutput_times = 1\n",
+        "[tabulate]\nsweep = 1e4,nan\n",
+        "[solve]\nright_bc = 0.95\n[rate]\nd_lo = nan\ntrend_slope_tol = nan\n",
+        "[match]\nbracket_lo = nan\n", "[profile]\ne_max = nan\n",
+        "[sandwich]\nslack = nan\n",
     ], ids=["y_resolution", "lattice", "solve_n", "output_times", "tol_0",
-            "tol_negative", "tol_nan", "tol_inf", "output_times_below_the_floor"])
+            "tol_negative", "tol_nan", "tol_inf", "output_times_below_the_floor",
+            "shift_max_inf", "t_end_inf", "sweep_nan", "rate_brackets_nan",
+            "bracket_lo_nan", "e_max_nan", "slack_nan"])
     def test_all_refuses_a_bad_value_before_any_file(self, tmp_path, text):
         # each bound is checked before the first command runs, so a bad
         # value late in the pipeline leaves no verdict of an earlier stage.
         # A tolerance <= 0, NaN or infinite would leave the steps unchecked
         # (a negative one lets 34 steps of up to 5.0 pass every verdict),
-        # and output times 1e-13 apart would fail the solve at its step floor
+        # and output times 1e-13 apart would fail the solve at its step floor.
+        # No value may be infinite or NaN: an infinite lattice end overflows,
+        # a NaN sweep member passes every ratio check, and a NaN bracket
+        # turns its comparison false (the rate verdict of the subcritical
+        # right_bc = 0.95 fails 4 times with finite brackets, once with these)
         cfg = tmp_path / "bad.ini"
         cfg.write_text(text)
         out = tmp_path / "o"
@@ -292,7 +303,7 @@ class TestCommands:
         cfg.write_text("[tabulate]\ngrowth_tol = 0.5\n")
         assert main(["tabulate", "--config", str(cfg), "--out", str(out)]) == 1
         rep = json.loads((out / "asymptotics.json").read_text())
-        assert rep["ok"] is False and len(rep["violations"]) == 12
+        assert rep["ok"] is False and len(rep["failures"]) == 12
         assert ("FAIL: f: ratio 0.909 at y_max = 1e+06 above growth_tol 0.5 x 1.03 "
                 "at y_max = 10000") in capsys.readouterr().out.splitlines()
 
@@ -313,12 +324,14 @@ class TestCommands:
 
     def test_solve_range_guard_is_exit_2(self, tmp_path, capsys):
         # above the critical boundary value the discrete solution overshoots
-        # u(1) = 1.01 near t = 9.5, and the maximum-principle guard stops it
+        # u(1) = 1.01 near t = 9.5, next to the origin as it steepens, and the
+        # maximum-principle guard stops it, naming the excess and where
         cfg = tmp_path / "r.ini"
         cfg.write_text("[solve]\nright_bc = 1.01\n")
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"),
                      "--quiet"]) == 2
-        assert "values left [0, 1.01] at t = 9.50582" in capsys.readouterr().err
+        assert ("values left [0, 1.01] at t = 9.50582: u = 1.010000016 lies "
+                "1.605e-08 past it at x = 3.2149e-08 (node 3)") in capsys.readouterr().err
 
     def test_certify_short_window_fails_scientifically(self, small_cfg,
                                                        tmp_path):
@@ -381,7 +394,11 @@ class TestCommands:
         assert main(["all", "--out", str(out), "--quiet"]) == 0
         assert time.perf_counter() - t0 < 900.0
         assert json.loads((out / "summary.json").read_text())["ok"]
-        assert json.loads((out / "sandwich.json").read_text())["ok"]
+        # the six verdict files share one shape: failures and ok
+        for name in ("asymptotics", "match_verdict", "certify_verdict",
+                     "rate_verdict", "profile_verdict", "sandwich"):
+            verdict = json.loads((out / f"{name}.json").read_text())
+            assert (verdict["failures"], verdict["ok"]) == ([], True), name
 
         defaults = configparser.ConfigParser()
         defaults.read_string(
@@ -496,8 +513,8 @@ class TestCommands:
                                                      capsys):
         # t_end = 3 ends before the lower onset (t ~ 5.8): no time compares
         # the lower barrier, so the sandwich orders nothing there: exit 1.
-        # The failure is printed as every verdict prints its failures, and
-        # sandwich.json keeps its keys, with no "failures" entry
+        # The failure is printed, and recorded in sandwich.json, as every
+        # verdict prints and records its failures
         out = tmp_path / "s"
         assert main(["sandwich", "--config", small_cfg, "--out", str(out)]) == 1
         printed = capsys.readouterr().out.splitlines()
@@ -507,7 +524,7 @@ class TestCommands:
         assert verdict["n_times_lower"] == 0
         assert verdict["n_times_upper"] > 0
         assert not verdict["ok"]
-        assert "failures" not in verdict
+        assert verdict["failures"] == ["no time compares the lower barrier"]
 
 
 def _same_bits(got, want) -> bool:

@@ -12,6 +12,7 @@ import pytest
 
 from ksgrowup import cli
 from ksgrowup.barriers import BoundaryReport, ResidualReport, ShiftReport
+from ksgrowup.specialfn import AsymptoticsReport
 
 DEFAULTS = cli._load_config(None)
 
@@ -22,6 +23,33 @@ def section(name, **overrides):
 
 def only(failures, text):
     assert len(failures) == 1 and text in failures[0], failures
+
+
+# -- asymptotics ---------------------------------------------------------------
+
+
+def asymptotics(y_maxes=(1e4, 1e5, 1e6), **ratios):
+    return AsymptoticsReport(y_maxes=y_maxes, ratios=ratios, spot_checks={})
+
+
+class TestAsymptoticsGate:
+    def test_passes(self):
+        # f's and g1's ratios at the defaults: one falls, one grows by less
+        # than growth_tol = 1.35
+        report = asymptotics(f=[1.03, 0.924, 0.909], g1=[1.73, 1.78, 1.82])
+        assert cli.asymptotics_gate(report, section("tabulate")) == []
+
+    def test_ratio_grows_past_growth_tol(self):
+        report = asymptotics(f=[1.03, 0.924, 0.909], g1=[1.73, 1.78, 2.4])
+        only(cli.asymptotics_gate(report, section("tabulate")),
+             "g1: ratio 2.4 at y_max = 1e+06 above growth_tol 1.35 x 1.73 at "
+             "y_max = 10000")
+
+    def test_one_member_sweep_has_no_growth(self):
+        # a ratio is compared with itself only across two or more members,
+        # so a growth_tol below 1 fails nothing on one
+        report = asymptotics((1e4,), f=[1.03], g1=[1.73])
+        assert cli.asymptotics_gate(report, section("tabulate", growth_tol="0.5")) == []
 
 
 # -- match ---------------------------------------------------------------------
@@ -46,24 +74,20 @@ class TestMatchGate:
 # -- certify -------------------------------------------------------------------
 
 
-def residual(kind, sign_ok=True, slope_ok=None):
+def residual(kind, slope_ok=None):
     return ResidualReport(kind=kind, K=5.0, M=1.0, x_range=(0.0, 1.0),
-                          t_range=(0.5, 2244.8), threshold_T=0.7 if sign_ok else None,
+                          t_range=(0.5, 2244.8), threshold_T=0.7,
                           worst_value=-1e-9, worst_location=(0.5, 1.0),
-                          sign_ok=sign_ok, slope_ok=slope_ok)
-
-
-def boundary(kind, K, onset_t):
-    return BoundaryReport(kind=kind, K=K, onset_t=onset_t,
-                          ok_beyond=onset_t is not None)
+                          slope_ok=slope_ok)
 
 
 class TestCertifyGate:
     def evidence(self):
         return {"residuals": [residual("lower", slope_ok=True), residual("upper")],
-                "boundaries": [boundary("lower", 5.0, 5.84),
-                               boundary("upper", 6.0, 1150.6)],
-                "swaps": [boundary("lower", 7.0, None), boundary("upper", 5.0, None)],
+                "boundaries": [BoundaryReport("lower", 5.0, 5.84),
+                               BoundaryReport("upper", 6.0, 1150.6)],
+                "swaps": [BoundaryReport("lower", 7.0, None),
+                          BoundaryReport("upper", 5.0, None)],
                 "t_last": 2244.78}
 
     def test_passes(self):
@@ -72,7 +96,8 @@ class TestCertifyGate:
     @pytest.mark.parametrize("side", [0, 1])
     def test_residual_sign(self, side):
         ev = self.evidence()
-        ev["residuals"][side] = dataclasses.replace(ev["residuals"][side], sign_ok=False)
+        ev["residuals"][side] = dataclasses.replace(ev["residuals"][side],
+                                                    threshold_T=None)
         only(cli.certify_gate(**ev), f"{('lower', 'upper')[side]} residual sign")
 
     def test_lower_slope(self):
@@ -84,7 +109,7 @@ class TestCertifyGate:
     def test_boundary_matching(self, side):
         ev = self.evidence()
         rep = ev["boundaries"][side]
-        ev["boundaries"][side] = boundary(rep.kind, rep.K, None)
+        ev["boundaries"][side] = BoundaryReport(rep.kind, rep.K, None)
         only(cli.certify_gate(**ev),
              f"{rep.kind} boundary matching never holds up to 2244.78")
 
@@ -92,7 +117,7 @@ class TestCertifyGate:
     def test_swap_that_matches(self, side):
         ev = self.evidence()
         rep = ev["swaps"][side]
-        ev["swaps"][side] = boundary(rep.kind, rep.K, 100.0)
+        ev["swaps"][side] = BoundaryReport(rep.kind, rep.K, 100.0)
         only(cli.certify_gate(**ev), f"swapped {rep.kind} K={rep.K:g} unexpectedly")
 
 

@@ -5,11 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ksgrowup import cli
 from ksgrowup.specialfn import (OperatorInverse, PhiBlend, SpecialFunctions,
                                 _w_and_slope, build_component,
-                                build_partition, check_asymptotics, w0)
+                                build_partition, check_asymptotics, locate, w0)
 from ksgrowup.errors import ConstructionError, RangeError, SingularInputError
 from oracles import apply_operator, phi_deriv, quintic_cutoff
+
+
+def at(inv, y):
+    """(w, w') of an OperatorInverse at y, through one lookup on its nodes."""
+    return inv.pair(locate(inv.nodes, y))
 
 
 class TestOperator:
@@ -46,14 +52,14 @@ class TestInverse:
     def test_zero_source(self):
         inv = OperatorInverse(lambda y: 0.0 * np.asarray(y), build_partition(100.0))
         y = np.geomspace(1e-6, 100, 50)
-        assert np.max(np.abs(inv(y)[0])) == 0.0
+        assert np.max(np.abs(at(inv, y)[0])) == 0.0
 
     def test_linear_source_closed_form(self):
         inv = OperatorInverse(lambda y: np.asarray(y, float), build_partition(100.0))
         y = np.geomspace(1e-3, 100, 80)
         exact = y * ((y + 1) ** 3 - 1) / (6 * (y + 1) ** 2)
-        assert np.max(np.abs(inv(y)[0] - exact) / np.maximum(exact, 1e-12)) < 1e-12
-        assert abs(inv(1.0)[0] - 7.0 / 24.0) < 1e-14
+        assert np.max(np.abs(at(inv, y)[0] - exact) / np.maximum(exact, 1e-12)) < 1e-12
+        assert abs(at(inv, 1.0)[0] - 7.0 / 24.0) < 1e-14
 
     def test_inner_integral_of_w0(self, funcs_med):
         # int_0^t s/(s+1)^2 ds = log(t+1) - t/(t+1)
@@ -64,7 +70,7 @@ class TestInverse:
     def test_positivity_preserved(self):
         inv = OperatorInverse(lambda y: np.log1p(np.asarray(y)), build_partition(1e3))
         y = np.geomspace(1e-6, 1e3, 200)
-        assert np.all(inv(y)[0] >= 0.0)
+        assert np.all(at(inv, y)[0] >= 0.0)
 
     def test_linearity(self):
         psi1 = lambda y: np.asarray(y, float)
@@ -75,8 +81,8 @@ class TestInverse:
         i1 = OperatorInverse(psi1, nodes)
         i2 = OperatorInverse(psi2, nodes)
         y = np.geomspace(1e-4, 200, 100)
-        lhs = comb(y)[0]
-        rhs = a * i1(y)[0] + b * i2(y)[0]
+        lhs = at(comb, y)[0]
+        rhs = a * at(i1, y)[0] + b * at(i2, y)[0]
         assert np.max(np.abs(lhs - rhs)) < 1e-11 * np.max(np.abs(lhs))
 
     def test_singular_source_rejected(self):
@@ -87,15 +93,15 @@ class TestInverse:
     def test_range_guard(self):
         inv = OperatorInverse(lambda y: np.asarray(y, float), build_partition(50.0))
         with pytest.raises(RangeError):
-            inv(np.array([60.0]))
+            at(inv, np.array([60.0]))
 
     def test_round_trip_small(self):
         # independent second derivative: difference the identity-based w'
         inv = OperatorInverse(lambda y: np.log1p(np.asarray(y)), build_partition(2e3))
         y = np.geomspace(0.01, 1e3, 120)
         d = 3e-4 * y
-        wpp = (inv(y + d)[1] - inv(y - d)[1]) / (2 * d)
-        got = apply_operator(*inv(y), wpp, y)
+        wpp = (at(inv, y + d)[1] - at(inv, y - d)[1]) / (2 * d)
+        got = apply_operator(*at(inv, y), wpp, y)
         assert np.max(np.abs(got - np.log1p(y))) < 1e-6
 
     @settings(max_examples=20, deadline=None)
@@ -104,7 +110,7 @@ class TestInverse:
         inv = OperatorInverse(lambda y: c1 * np.asarray(y) / (1 + np.asarray(y))
                               + c2 * w0(y), build_partition(100.0))
         y = np.geomspace(1e-5, 100, 60)
-        assert np.all(inv(y)[0] >= 0.0)
+        assert np.all(at(inv, y)[0] >= 0.0)
 
 
 class TestPhi:
@@ -209,7 +215,7 @@ class TestSpecialFunctions:
         y = np.concatenate([[0.0], np.exp(rng.uniform(np.log(1e-5), np.log(2.9e6), 60)),
                             funcs_med.y[::25], funcs_med.y[-1:]])
         T = funcs_med.eval(y)
-        (f, fp), (g, gp), (q, qp) = (inv(y) for inv in
+        (f, fp), (g, gp), (q, qp) = (at(inv, y) for inv in
                                      (funcs_med._f, funcs_med._g, funcs_med._g4))
         own = {"f": f, "f_prime": fp, "g": g, "g_prime": gp, "g4": q,
                "g4_prime": qp, "h": g + funcs_med.M * q,
@@ -291,7 +297,7 @@ class TestOnePartition:
         monkeypatch.setattr(specialfn, "build_partition", counting_build)
         monkeypatch.setattr(specialfn, "locate", counting_locate)
         y_maxes = (1e4, 1e5, 1e6)
-        check_asymptotics(funcs_med, y_maxes, 1.35)
+        check_asymptotics(funcs_med, y_maxes)
         # components 1-3 are built on a prefix of the table's partition, the
         # partition a build to the sweep's top would give, not on a new one
         assert partitions == []
@@ -310,20 +316,20 @@ class TestComponents:
     def test_g1_asymptote(self):
         c = build_component(1, build_partition(1e5))
         y = 1e5
-        w, wp = c(y)
+        w, wp = at(c, y)
         assert abs(w - (y * math.log(y) / 2 - 0.75 * y)) < 40 * math.log(y)
         assert abs(wp - (math.log(y) / 2 - 0.25)) < 40 * math.log(y) / y
 
     def test_g2_asymptote(self):
         c = build_component(2, build_partition(1e5))
-        w, wp = c(1e5)
+        w, wp = at(c, 1e5)
         assert abs(w - 0.5e5) < 20.0
         assert abs(wp - 0.5) < 1e-3
 
     def test_g3_log_cubed(self):
         c = build_component(3, build_partition(1e5))
         y = np.geomspace(1e3, 1e5, 20)
-        assert np.max(c(y)[0] / np.log(y) ** 3) < 5.0
+        assert np.max(at(c, y)[0] / np.log(y) ** 3) < 5.0
 
     def test_invalid_index(self):
         # L^{-1} phi is the table's g4, not a component
@@ -335,29 +341,29 @@ class TestComponents:
         # the cutoff is free below y = 1; two C^1 choices shift the inverse
         # only by a bounded amount (the sources differ on [0, 1] only)
         a = build_component(2, build_partition(1e5))
-        b = OperatorInverse(quintic_cutoff, build_partition(1e5), check_origin=False)
+        b = OperatorInverse(quintic_cutoff, build_partition(1e5))
         y = np.geomspace(1.0, 1e5, 40)
-        diff = np.abs(a(y)[0] - b(y)[0])
+        diff = np.abs(at(a, y)[0] - at(b, y)[0])
         assert np.max(diff) < 1.0
-        assert abs(a(1e5)[0] - b(1e5)[0]) < 1.0
+        assert abs(at(a, 1e5)[0] - at(b, 1e5)[0]) < 1.0
 
 
 class TestAsymptoticsReport:
     def test_small_sweep_clean(self):
-        rep = check_asymptotics(SpecialFunctions(1e5), (1e4, 1e5), 1.35)
-        assert rep.ok, rep.violations
+        rep = check_asymptotics(SpecialFunctions(1e5), (1e4, 1e5))
+        assert cli.asymptotics_gate(rep, {"growth_tol": "1.35"}) == []
         assert rep.spot_checks["f_dev_at_ymax"] < 0.01
         assert rep.spot_checks["g_over_y_dev_at_ymax"] < 0.02
 
     def test_window_guard(self, funcs_med):
         with pytest.raises(ConstructionError):
-            check_asymptotics(funcs_med, (100.0, 1000.0), 1.35)
+            check_asymptotics(funcs_med, (100.0, 1000.0))
 
     def test_big_table_gives_the_default_report(self, funcs_med):
         # every window read off a longer table: the same report, bit for
         # bit, as off a table that ends at the sweep's largest member
-        default = check_asymptotics(SpecialFunctions(2e4), (1e4, 2e4), 1.35)
-        shared = check_asymptotics(funcs_med, (1e4, 2e4), 1.35)
+        default = check_asymptotics(SpecialFunctions(2e4), (1e4, 2e4))
+        shared = check_asymptotics(funcs_med, (1e4, 2e4))
         assert shared.ratios == default.ratios
         assert shared.spot_checks == default.spot_checks
 
@@ -367,4 +373,4 @@ class TestAsymptoticsReport:
         # the table must reach the sweep's largest member, whatever order
         # the members are listed in; a shorter one is refused, not used
         with pytest.raises(ConstructionError, match="below the sweep"):
-            check_asymptotics(SpecialFunctions(1.5e4), y_maxes, 1.35)
+            check_asymptotics(SpecialFunctions(1.5e4), y_maxes)
