@@ -64,7 +64,11 @@ def _load_config(path: str | None) -> _Config:
     # check counts as no command's read of a key
     for name in cfg.sections():
         for key, text in cfg.items(name, raw=True):
-            if not all(np.isfinite(_floats(text))):
+            try:
+                finite = all(np.isfinite(_floats(text)))
+            except ValueError as exc:   # names the key, as float() does not
+                raise NumericsError(f"[{name}] {key} = {text}: {exc}") from None
+            if not finite:
                 raise NumericsError(f"[{name}] {key} = {text}: a value is not finite")
     return cfg
 
@@ -240,22 +244,21 @@ def _run_critical(cfg, quiet: bool) -> pde.Trajectory:
 @functools.lru_cache(maxsize=1)
 def _series(cfg, quiet: bool) -> list[dict]:
     """The run's one observable series, a row per output time t > 0: the
-    origin slope and its fit (rate and profile count the early fallbacks to
-    the one-sided ratio), d = log slope - sqrt(2t) with its time-error bar,
-    the L1 distance l1 to 1 over sqrt(2t) e^(-5/2 - sqrt(2t)) as r, and the
-    profile error E against (1 - x)/(1 + slope x)."""
+    origin slope (pde.origin_slope, read at node 1), d = log slope -
+    sqrt(2t) with its time-error bar, the L1 distance l1 to 1 over
+    sqrt(2t) e^(-5/2 - sqrt(2t)) as r, and the profile error E against
+    (1 - x)/(1 + slope x).  Rate and profile read these same rows."""
     traj = _run_critical(cfg, quiet)
     rows = []
     for s, bar_d in zip(traj.snapshots, traj.d_time_err):
         if s.time > 0.0:
-            info, l1, x = pde.slope_origin_info(s), pde.l1_to_one(s), s.grid.nodes
+            slope, l1, x = pde.origin_slope(s), pde.l1_to_one(s), s.grid.nodes
             root = np.sqrt(2.0 * s.time)
             rows.append({
-                "t": s.time, "slope": info.value, "method": info.method,
-                "fit_residual": info.fit_residual,
-                "d": float(np.log(info.value) - root), "d_time_err": float(bar_d),
+                "t": s.time, "slope": slope,
+                "d": float(np.log(slope) - root), "d_time_err": float(bar_d),
                 "l1": l1, "r": float(l1 / (root * np.exp(-2.5 - root))),
-                "E": float(np.max(np.abs((1.0 - s.values) * (1.0 + info.value * x)
+                "E": float(np.max(np.abs((1.0 - s.values) * (1.0 + slope * x)
                                          - (1.0 - x))))})
     return rows
 
@@ -394,26 +397,21 @@ def cmd_solve(cfg, out: Path, quiet: bool) -> int:
 
 def cmd_rate(cfg, out: Path, quiet: bool) -> int:
     rows = _series(cfg, quiet)
-    cols = ("t", "slope", "method", "fit_residual", "d", "d_time_err", "l1", "r")
-    (out / "rate.csv").write_text("\n".join(
-        [",".join(cols)] + [",".join(r[c] if c == "method" else ser.fmt(r[c])
-                                     for c in cols) for r in rows]) + "\n")
+    cols = ("t", "slope", "d", "d_time_err", "l1", "r")
+    (out / "rate.csv").write_text(ser._csv([[r[c] for r in rows] for c in cols], cols))
     failures, numbers = rate_gate(rows, cfg["rate"])
     _say(quiet, f"rate: d(t_end) = {rows[-1]['d']:.4f}, r(t_end) = {rows[-1]['r']:.3f}")
     return _verdict(out / "rate_verdict.json", failures, quiet,
-                    **{k: _fmt_or_none(v) for k, v in numbers.items()},
-                    n_ratio_fallbacks=sum(r["method"] == "ratio" for r in rows))
+                    **{k: _fmt_or_none(v) for k, v in numbers.items()})
 
 
 def cmd_profile(cfg, out: Path, quiet: bool) -> int:
     rows = _series(cfg, quiet)
-    (out / "profile.csv").write_text("\n".join(
-        ["t,ahat,E"] + [",".join(ser.fmt(r[c]) for c in ("t", "slope", "E"))
-                        for r in rows]) + "\n")
+    (out / "profile.csv").write_text(ser._csv(
+        [[r[c] for r in rows] for c in ("t", "slope", "E")], ("t", "ahat", "E")))
     _say(quiet, f"profile: E(t_end) = {rows[-1]['E']:.4f}")
     return _verdict(out / "profile_verdict.json", profile_gate(rows, cfg["profile"]),
-                    quiet, E_final=ser.fmt(rows[-1]["E"]),
-                    n_ratio_fallbacks=sum(r["method"] == "ratio" for r in rows))
+                    quiet, E_final=ser.fmt(rows[-1]["E"]))
 
 
 def cmd_sandwich(cfg, out: Path, quiet: bool) -> int:

@@ -35,9 +35,9 @@ Jacobian, and local-error control by TR-BDF2's embedded error estimate
 (Hosea & Shampine, Appl. Numer. Math. 20, 1996), which costs one more
 tridiagonal solve per step.  That error test (one finite positive
 `local_error_tol`) sizes every step; only `dt_max` caps it (the w-form's
-callers set one for blow-up detection).  The u-form sums the estimate,
-relative to u on the nodes the origin-slope fit reads, over the accepted
-steps, and reports it, times a safety factor, as a time-error bar on
+callers set one for blow-up detection).  The u-form sums the estimate at
+node 1, through which origin_slope reads u_x(0), over the accepted steps,
+and reports it, times a safety factor, as a time-error bar on
 d(t) = log u_x(0,t) - sqrt(2t) at each snapshot.  Each form supplies only
 its residual with the Jacobian bands (`rhs_and_jac`), the size of each
 residual row's terms (`term_size`, which reads the u-form's face values
@@ -79,13 +79,9 @@ _TRBDF2_K = (-3.0 * _TRBDF2_GAMMA ** 2 + 4.0 * _TRBDF2_GAMMA - 2.0) / (
 # a step that would leave less than this fraction of itself before its
 # target goes to the target, so the round-off of t makes no sliver step
 _SLIVER = 1e-6
-# the inner-coordinate window y = s x of the origin-slope fit, and the
-# largest relative fit residual it accepts before falling back to the ratio
-_Y_WINDOW = (0.02, 0.5)
-_FIT_TOL = 2e-3
 # the time-error bar on d is this times the summed embedded estimate.  The
 # sum ignores how earlier errors grow or decay, and on the default run it
-# measured 0.97x and 1.29x the true time error of d at t = 20 and t = 50
+# measured 0.92x and 1.26x the true time error of d at t = 20 and t = 50
 # (against a run at local_error_tol = 1e-8): 2 covers an underestimate of
 # that size with room to spare
 _TIME_ERR_SAFETY = 2.0
@@ -511,7 +507,7 @@ def solve(u0: Snapshot, config: SolverConfig, t_end: float,
         if drop < -monotone_tol:
             raise MaximumPrincipleViolation(
                 f"monotonicity lost at t = {t:.6g} (worst drop {drop:.3e})")
-        d_errs.append(_d_step_error(grid.nodes, u, est))
+        d_errs.append(_d_step_error(u, est))
 
     outs, times, sizes, iters, rejected = _advance(
         problem, u0.values.copy(), t_end, output_times, config, post_check)
@@ -526,19 +522,14 @@ def solve(u0: Snapshot, config: SolverConfig, t_end: float,
                       data_K=data_K, **rejected)
 
 
-def _d_step_error(x, u, est):
+def _d_step_error(u, est):
     """One step's contribution to the time error of d = log u_x(0) - sqrt(2t).
 
-    max |est_i| / u_i over the interior nodes whose inner coordinate
-    y = (u_1/x_1) x lies in the slope fit's window _Y_WINDOW (one slice: y
-    rises with x, or is never positive): the relative error of the profile
-    the fit reads, and so the error of log u_x(0).  With no node in the
-    window, node 1, whose ratio the fit falls back to.
+    |est_1| / (u_1 (1 - u_1)), est_1 the step's error estimate at node 1:
+    the first-order change of log(u_1 / (x_1 (1 - u_1))), the log of
+    origin_slope's value, under an error est_1 in u_1.
     """
-    y = (u[1] / x[1]) * x[1:-1]
-    lo, hi = np.searchsorted(y, _Y_WINDOW[0]), np.searchsorted(y, _Y_WINDOW[1], "right")
-    lo, hi = (lo, hi) if lo < hi else (0, 1)
-    return float((np.abs(est[lo:hi]) / u[1 + lo:1 + hi]).max())
+    return float(abs(est[0]) / (u[1] * (1.0 - u[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -651,56 +642,24 @@ class _BlowUp(Exception):
 # observables
 
 
-@dataclass
-class SlopeFit:
-    value: float
-    method: str          # "fit" | "ratio"
-    fit_residual: float
+def origin_slope(snap: Snapshot) -> float:
+    """The origin slope u_x(0) of a snapshot, read at node 1 alone.
 
-
-def slope_origin_info(snap: Snapshot) -> SlopeFit:
-    """Origin-slope observable from the inner profile.
-
-    Fits z = 1/(1-u) = p + q x on nodes with estimated inner coordinate
-    y = s*x inside _Y_WINDOW (the model is exact on the quasi-steady
-    family, where the fitted rate is ahat = q/p).  When the fit residual
-    exceeds _FIT_TOL (profile not yet quasi-steady) the one-sided ratio
-    u(x1)/x1 is returned instead, with method "ratio".  Raises
-    ResolutionError only when the first node fails to resolve the layer.
+    Every steady profile U_a = a x/(1 + a x) has u/(x(1 - u)) = a at every
+    node, and the scheme keeps each U_a as an exact discrete fixed point, so
+    ahat = u_1/(x_1 (1 - u_1)) returns a on U_a.  Raises ValueError on a
+    snapshot that is not nondecreasing, and ResolutionError when node 1
+    lies outside the inner layer: y_1 = ahat x_1 above 0.01.
     """
     if not snap.is_nondecreasing(tol=1e-9):
         raise ValueError("slope extraction expects a monotone snapshot")
-    x = snap.grid.nodes
-    u = snap.values
-    ratio = float(u[1] / x[1])
-    s_est = max(ratio, 1e-30)
-    ahat, resid, n_win = ratio, np.inf, 0
-    for _ in range(4):
-        yy = s_est * x
-        m = (yy >= _Y_WINDOW[0]) & (yy <= _Y_WINDOW[1]) & (x > 0) & (u < 1.0)
-        n_win = int(m.sum())
-        if n_win < 4:
-            break
-        z = 1.0 / (1.0 - u[m])
-        A = np.vstack([np.ones(n_win), x[m]]).T
-        coef, *_ = np.linalg.lstsq(A, z, rcond=None)
-        p, q = coef
-        new = q / p
-        resid = float(np.max(np.abs(A @ coef - z) / z))
-        if abs(new - s_est) < 1e-10 * abs(s_est):
-            s_est = new
-            break
-        s_est = new
-    ahat = s_est
-    layer_resolved = x[1] * max(ratio, ahat) <= 0.01
-    if n_win >= 4 and resid <= _FIT_TOL:
-        return SlopeFit(value=float(ahat), method="fit", fit_residual=resid)
-    if not layer_resolved and (
-            n_win < 4 or abs(ahat - ratio) > 0.1 * max(abs(ahat), abs(ratio))):
-        raise ResolutionError(
-            f"layer unresolved: x1 = {x[1]:.2e}, slope ~ {ahat:.3e}, "
-            f"fit residual {resid:.2e}")
-    return SlopeFit(value=ratio, method="ratio", fit_residual=resid)
+    x1, u1 = snap.grid.nodes[1], snap.values[1]
+    ahat = float(u1 / (x1 * (1.0 - u1)))
+    y1 = ahat * x1
+    if not y1 <= 0.01:
+        raise ResolutionError(f"layer unresolved: x1 = {x1:.2e}, slope ahat = "
+                              f"{ahat:.3e}, y1 = ahat x1 = {y1:.3g} > 0.01")
+    return ahat
 
 
 def l1_to_one(snap: Snapshot) -> float:

@@ -128,9 +128,9 @@ TIMES = [1.0, 10.0, 20.0, 30.0, 40.0, 50.0]
 
 def rows(d=lambda t: 2.5 - 1.0 / t, r=lambda t: 1.0 + 1.0 / t,
          E=lambda t: 1.0 / t):
-    # |d - 5/2|, |r - 1| and E all decrease; the first row took the ratio
-    return [{"t": t, "method": "ratio" if t < 10 else "fit", "d": d(t),
-             "d_time_err": 1e-3, "r": r(t), "E": E(t)} for t in TIMES]
+    # |d - 5/2|, |r - 1| and E all decrease
+    return [{"t": t, "d": d(t), "d_time_err": 1e-3, "r": r(t), "E": E(t)}
+            for t in TIMES]
 
 
 class TestRateGate:
