@@ -35,13 +35,16 @@ Jacobian, and local-error control by TR-BDF2's embedded error estimate
 (Hosea & Shampine, Appl. Numer. Math. 20, 1996), which costs one more
 tridiagonal solve per step.  That error test (one finite positive
 `local_error_tol`) sizes every step; only `dt_max` caps it (the w-form's
-callers set one for blow-up detection).  The u-form sums the estimate at
-node 1, through which origin_slope reads u_x(0), over the accepted steps,
-and reports it, times a safety factor, as a time-error bar on
-d(t) = log u_x(0,t) - sqrt(2t) at each snapshot.  Each form supplies only
-its residual with the Jacobian bands (`rhs_and_jac`), the size of each
-residual row's terms (`term_size`, which reads the u-form's face values
-from that evaluation) and the scale of its local-error test (`scale`).
+callers set one for blow-up detection).  Output times steer no step: a
+snapshot inside a step is the cubic Hermite interpolant of its two ends
+and their F(u) (Hairer, Norsett & Wanner, Solving ODEs I, II.6).  The
+u-form sums the estimate at node 1, through which origin_slope reads
+u_x(0), over the accepted steps, and reports it, times a safety factor, as
+a time-error bar on d(t) = log u_x(0,t) - sqrt(2t) at each snapshot, summed
+through the step that covers it.  Each form supplies only its residual
+with the Jacobian bands (`rhs_and_jac`), the size of each residual row's
+terms (`term_size`, which reads the u-form's face values from that
+evaluation) and the scale of its local-error test (`scale`).
 Every tridiagonal system goes through `solve_banded`, one LAPACK ?gtsv
 call into the OpenBLAS that numpy's wheels bundle (scipy's LAPACK where
 numpy has none), so a run needs no scipy.  Newton starts each TR-BDF2
@@ -76,14 +79,15 @@ _TRBDF2_GAMMA = 2.0 - math.sqrt(2.0)
 # error constant of TR-BDF2: its local error is about k dt^3 d3u/dt3
 _TRBDF2_K = (-3.0 * _TRBDF2_GAMMA ** 2 + 4.0 * _TRBDF2_GAMMA - 2.0) / (
     12.0 * (2.0 - _TRBDF2_GAMMA))
-# a step that would leave less than this fraction of itself before its
-# target goes to the target, so the round-off of t makes no sliver step
+# a step that would leave less than this fraction of itself before t_end
+# goes to t_end, so the round-off of t makes no sliver step
 _SLIVER = 1e-6
 # the time-error bar on d is this times the summed embedded estimate.  The
 # sum ignores how earlier errors grow or decay, and on the default run it
-# measured 0.92x and 1.26x the true time error of d at t = 20 and t = 50
-# (against a run at local_error_tol = 1e-8): 2 covers an underestimate of
-# that size with room to spare
+# measured 0.93x and 1.27x the true time error of d at t = 20 and t = 50
+# (against a run at local_error_tol = 1e-8 with dt_max = 0.02): 2 covers
+# an underestimate of that size with room to spare.  Before the rate
+# verdict's d window it covers less: at t = 5 the bar is 1.06x the error
 _TIME_ERR_SAFETY = 2.0
 # Newton iterations per stage solve before the step is retried smaller
 _MAX_NEWTON = 14
@@ -125,7 +129,8 @@ class Trajectory:
     step_sizes: np.ndarray
     newton_iters: np.ndarray
     # time-error bar on d(t) at each snapshot: _TIME_ERR_SAFETY times the
-    # embedded estimate summed over the steps up to it (_d_step_error)
+    # embedded estimate summed over the steps through the one that covers
+    # it, those that start before its time (_d_step_error)
     d_time_err: np.ndarray
     data_K: float = np.nan
     rejected_error_test: int = 0   # steps rejected by the local-error test
@@ -397,16 +402,23 @@ def _step_once(problem, u, ev, dt, u_prev=None, dt_prev=None):
 
 def check_output_times(out_times, t_end: float) -> list[float]:
     """The output times sorted, without repeats.  RangeError unless each lies in
-    [0, t_end] and successive times, 0 counted among them, lie at least
-    _DT_FLOOR apart: a step between them would fall below a run's floor."""
+    [0, t_end]: the run steps to t_end and no further."""
     times = sorted(set(float(t) for t in out_times))
-    if not all(0.0 <= t <= t_end + 1e-12 for t in times):
+    if not all(0.0 <= t <= t_end for t in times):
         raise RangeError("output times must lie in [0, t_end]")
-    ends = sorted({0.0, *times})
-    if any(b - a < _DT_FLOOR for a, b in zip(ends, ends[1:])):
-        raise RangeError(f"output times must lie at least {_DT_FLOOR:g} apart "
-                         "and from 0")
     return times
+
+
+def _hermite(problem, u, F0, un, F1, dt, theta):
+    """The state at theta in (0, 1] of the step of size dt from u to un: on
+    the unknown rows the cubic Hermite interpolant of both ends and their
+    slopes F0 = F(u), F1 = F(un); the boundary rows keep their values."""
+    sl = slice(problem.ilo, len(u) - 1)
+    v = un.copy()
+    du = un[sl] - u[sl]
+    v[sl] = u[sl] + theta * du + theta * (theta - 1.0) * (
+        (1.0 - 2.0 * theta) * du + dt * ((theta - 1.0) * F0 + theta * F1))
+    return v
 
 
 def _advance(problem, u0_vec, t_end, out_times, cfg, post_check):
@@ -419,11 +431,13 @@ def _advance(problem, u0_vec, t_end, out_times, cfg, post_check):
     counted.  SolverFailureError ends a run at a proposed step below
     _DT_FLOOR or after more than _MAX_REJECTED rejected steps.
     post_check(u, t, est) sees every accepted state with its error
-    estimate.  The initial state is evaluated here, and is the output at
-    time 0; every later state's evaluation comes from the step that
-    accepted it, and a rejected step leaves u and its evaluation as they
-    were.  Returns (outputs, step times, step sizes, Newton iterations,
-    rejection counts by cause).
+    estimate.  Output times steer no step: one inside an accepted step
+    (t, t + dt] gets _hermite's value, one at its end the state itself.
+    The initial state is evaluated here, and is the output at time 0; every
+    later state's evaluation comes from the step that accepted it, and a
+    rejected step leaves u and its evaluation as they were.  Returns
+    (outputs, step times, step sizes, Newton iterations, rejection counts
+    by cause).
     """
     out_times = check_output_times(out_times, t_end)
     u = u0_vec.copy()
@@ -431,14 +445,13 @@ def _advance(problem, u0_vec, t_end, out_times, cfg, post_check):
     t, dt = 0.0, _DT_INITIAL
     u_prev = dt_prev = None   # the accepted state before u, for the predictor
     outs = {0.0: u.copy()} if out_times[:1] == [0.0] else {}
-    oi = len(outs)            # the next output time to reach
+    oi = len(outs)            # the next output time to write
     times, sizes, iters = [], [], []
     rejected = {"rejected_error_test": 0, "rejected_newton": 0}
     while t < t_end:
         if dt < _DT_FLOOR:
             raise SolverFailureError(f"step size fell to {dt:.3g} at t = {t:.6g}")
-        target = out_times[oi] if oi < len(out_times) else t_end
-        remaining = target - t
+        remaining = t_end - t
         dtc = dt if cfg.dt_max is None else min(dt, cfg.dt_max)
         if dtc >= (1.0 - _SLIVER) * remaining:
             dtc = remaining
@@ -458,15 +471,17 @@ def _advance(problem, u0_vec, t_end, out_times, cfg, post_check):
                 raise SolverFailureError(
                     f"more than {_MAX_REJECTED} steps rejected by t = {t:.6g}: {rejected}")
             continue
-        t = target if dtc == remaining else t + dtc
-        post_check(un, t, est)
-        u_prev, dt_prev, u, ev = u, dtc, un, ev_new
+        t_new = t_end if dtc == remaining else t + dtc
+        post_check(un, t_new, est)
+        while oi < len(out_times) and out_times[oi] <= t_new:
+            s = out_times[oi]
+            outs[s] = un.copy() if s == t_new else _hermite(
+                problem, u, ev[0], un, ev_new[0], dtc, (s - t) / dtc)
+            oi += 1
+        u_prev, dt_prev, u, ev, t = u, dtc, un, ev_new, t_new
         times.append(t)
         sizes.append(dtc)
         iters.append(n_newton)
-        if t == target and oi < len(out_times):
-            outs[target] = u.copy()
-            oi += 1
     return (outs, np.array(times), np.array(sizes), np.array(iters, dtype=int),
             rejected)
 
@@ -482,8 +497,8 @@ def solve(u0: Snapshot, config: SolverConfig, t_end: float,
     Admissibility: u0 continuous (it is tabulated), u0(0) = 0,
     nondecreasing, and u0 <= K x for the recorded K = max u0/x.  The
     solution keeps u0's grid and its boundary value u0(1) = right_bc.
-    Every accepted step is checked against the discrete maximum principle
-    (range and monotonicity).
+    Every accepted step and every snapshot is checked against the discrete
+    maximum principle (range and monotonicity).
     """
     grid, hi = u0.grid, u0.right_bc
     if u0.left_bc != 0.0:
@@ -496,26 +511,32 @@ def solve(u0: Snapshot, config: SolverConfig, t_end: float,
     monotone_tol = 1e-8
     d_errs = []
 
-    def post_check(u, t, est):
+    def check(u, t, what):
         if u.min() < -1e-8 or u.max() > hi + 1e-8:
             excess = np.maximum(-u, u - hi)   # 4 digits of u would hide 1e-8
             i = int(np.argmax(excess))
             raise MaximumPrincipleViolation(
-                f"values left [0, {hi}] at t = {t:.6g}: u = {u[i]:.10g} lies "
+                f"values left [0, {hi}] at {what} = {t:.6g}: u = {u[i]:.10g} lies "
                 f"{excess[i]:.3e} past it at x = {grid.nodes[i]:.6g} (node {i})")
         drop = np.diff(u).min()
         if drop < -monotone_tol:
             raise MaximumPrincipleViolation(
-                f"monotonicity lost at t = {t:.6g} (worst drop {drop:.3e})")
+                f"monotonicity lost at {what} = {t:.6g} (worst drop {drop:.3e})")
+
+    def post_check(u, t, est):
+        check(u, t, "t")
         d_errs.append(_d_step_error(u, est))
 
     outs, times, sizes, iters, rejected = _advance(
         problem, u0.values.copy(), t_end, output_times, config, post_check)
+    for tt, v in sorted(outs.items()):
+        check(v, tt, "the snapshot t")
     snaps = [Snapshot(grid=grid, values=np.clip(v, 0.0, hi), time=tt,
                       left_bc=0.0, right_bc=hi)
              for tt, v in sorted(outs.items())]
     summed = np.concatenate([[0.0], np.cumsum(d_errs)])
-    steps = np.searchsorted(times, [s.time for s in snaps], side="right")
+    starts = np.concatenate([[0.0], times[:-1]])
+    steps = np.searchsorted(starts, [s.time for s in snaps], side="left")
     return Trajectory(config=config, snapshots=snaps, step_times=times,
                       step_sizes=sizes, newton_iters=iters,
                       d_time_err=_TIME_ERR_SAFETY * summed[steps],

@@ -94,22 +94,20 @@ class TestCommands:
         "[solve]\nn = 3\n", "[solve]\nt_end = 1\noutput_times = -1,1\n",
         "[solve]\nlocal_error_tol = 0\n", "[solve]\nlocal_error_tol = -1e-6\n",
         "[solve]\nlocal_error_tol = nan\n", "[solve]\nlocal_error_tol = inf\n",
-        "[solve]\nt_end = 2\noutput_times = 1,1.0000000000001,2\n",
         "[sandwich]\nshift_max = inf\n", "[solve]\nt_end = inf\noutput_times = 1\n",
         "[tabulate]\nsweep = 1e4,nan\n",
         "[solve]\nright_bc = 0.95\n[rate]\nd_lo = nan\ntrend_slope_tol = nan\n",
         "[match]\nbracket_lo = nan\n", "[profile]\ne_max = nan\n",
         "[sandwich]\nslack = nan\n",
     ], ids=["y_resolution", "lattice", "solve_n", "output_times", "tol_0",
-            "tol_negative", "tol_nan", "tol_inf", "output_times_below_the_floor",
-            "shift_max_inf", "t_end_inf", "sweep_nan", "rate_brackets_nan",
-            "bracket_lo_nan", "e_max_nan", "slack_nan"])
+            "tol_negative", "tol_nan", "tol_inf", "shift_max_inf", "t_end_inf",
+            "sweep_nan", "rate_brackets_nan", "bracket_lo_nan", "e_max_nan",
+            "slack_nan"])
     def test_all_refuses_a_bad_value_before_any_file(self, tmp_path, text):
         # each bound is checked before the first command runs, so a bad
         # value late in the pipeline leaves no verdict of an earlier stage.
         # A tolerance <= 0, NaN or infinite would leave the steps unchecked
-        # (a negative one lets 34 steps of up to 5.0 pass every verdict),
-        # and output times 1e-13 apart would fail the solve at its step floor.
+        # (a negative one lets 34 steps of up to 5.0 pass every verdict).
         # No value may be infinite or NaN: an infinite lattice end overflows,
         # a NaN sweep member passes every ratio check, and a NaN bracket
         # turns its comparison false (the rate verdict of the subcritical
@@ -331,14 +329,14 @@ class TestCommands:
 
     def test_solve_range_guard_is_exit_2(self, tmp_path, capsys):
         # above the critical boundary value the discrete solution overshoots
-        # u(1) = 1.01 near t = 9.5, next to the origin as it steepens, and the
+        # u(1) = 1.01 near t = 9.9, next to the origin as it steepens, and the
         # maximum-principle guard stops it, naming the excess and where
         cfg = tmp_path / "r.ini"
         cfg.write_text("[solve]\nright_bc = 1.01\n")
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"),
                      "--quiet"]) == 2
-        assert ("values left [0, 1.01] at t = 9.50582: u = 1.010000016 lies "
-                "1.605e-08 past it at x = 3.2149e-08 (node 3)") in capsys.readouterr().err
+        assert ("values left [0, 1.01] at t = 9.87824: u = 1.010000011 lies "
+                "1.133e-08 past it at x = 1e-08 (node 1)") in capsys.readouterr().err
 
     def test_certify_short_window_fails_scientifically(self, small_cfg,
                                                        tmp_path):

@@ -420,6 +420,26 @@ class TestMaximumPrinciple:
                            r"at t = 1e-07 \(worst drop -1\.000e-06\)"):
             solve(critical_snapshot(grid), SolverConfig(), 1.0, [1.0])
 
+    @pytest.mark.parametrize("node, value, message", [
+        (5, 1.0 + 1e-6, r"values left \[0, 1\.0\] at the snapshot t = 0\.5: "
+                        r"u = 1\.000001 lies 1\.000e-06 past it"),
+        (71, None, r"monotonicity lost at the snapshot t = 0\.5 "
+                   r"\(worst drop -1\.000e-06\)"),
+    ], ids=["range", "monotonicity"])
+    def test_snapshot_is_checked(self, monkeypatch, node, value, message):
+        # an interpolated snapshot passes the accepted states' checks, with
+        # their tolerances: an overshoot of the interpolant stops the run
+        hermite = pde._hermite
+
+        def overshooting(*args):
+            v = hermite(*args)
+            v[node] = v[node - 1] - 1e-6 if value is None else value
+            return v
+        monkeypatch.setattr(pde, "_hermite", overshooting)
+        grid = make_graded_grid(140, 1e-6, 1.12)
+        with pytest.raises(MaximumPrincipleViolation, match=message):
+            solve(critical_snapshot(grid), SolverConfig(), 1.0, [0.5, 1.0])
+
     def test_rejects_decreasing_data(self):
         grid = make_graded_grid(60, 1e-4, 1.2)
         v = grid.nodes.copy()
@@ -702,8 +722,8 @@ class TestStepControl:
 
     def test_no_sliver_step(self, critical_traj):
         # with a cap of 0.05 most steps run at the cap, and the round-off of
-        # t summed over them must not leave a sliver step before an output
-        # time (uncapped, the default run takes too few steps to show it)
+        # t summed over them must not leave a sliver step before t_end
+        # (uncapped, the default run takes too few steps to show it)
         grid = critical_traj.snapshots[0].grid
         traj = solve(critical_snapshot(grid),
                      SolverConfig(dt_max=0.05), 50.0,
@@ -775,14 +795,27 @@ class TestStepControl:
         assert time.perf_counter() - t0 < 15.0
 
     def test_step_floor_applies_after_an_accepted_step(self, monkeypatch):
-        # steps of 1e-7 and then the 5e-9 left to the output time 1.05e-7
-        # are accepted, and the next proposal, 2.5 x 5e-9, lies below a
-        # floor of 5e-8: the run fails with no step rejected
-        monkeypatch.setattr(pde, "_DT_FLOOR", 5e-8)
+        # the first step of 1e-7 is accepted, and every later one fails
+        # Newton: each retry is a quarter of the last, and the run fails
+        # once the proposal lies below the floor of 1e-12.  A floor above
+        # the first step fails the run at t = 0
+        attempts = []
+
+        def failing_after_one(problem, u, ev, dt, *args):
+            attempts.append(dt)
+            if len(attempts) == 1:
+                return _step_once(problem, u, ev, dt, *args)
+            return u, False, 0, None, None
+        monkeypatch.setattr(pde, "_step_once", failing_after_one)
         grid = make_graded_grid(140, 1e-6, 1.12)
         with pytest.raises(SolverFailureError,
-                           match=r"step size fell to 1\.25e-08 at t = 1\.05e-07"):
-            solve(critical_snapshot(grid), SolverConfig(), 1.0, [1.05e-7, 1.0])
+                           match=r"step size fell to \S+ at t = 1e-07$"):
+            solve(critical_snapshot(grid), SolverConfig(), 1.0, [1.0])
+        assert 1 < len(attempts) < 20 and min(attempts) >= 1e-12
+        monkeypatch.setattr(pde, "_DT_FLOOR", 1e-6)
+        with pytest.raises(SolverFailureError,
+                           match=r"step size fell to 1e-07 at t = 0$"):
+            solve(critical_snapshot(grid), SolverConfig(), 1.0, [1.0])
 
     def test_solver_config_refusals(self):
         # the local-error test sizes every step: a tolerance < 0 or inf
@@ -800,20 +833,60 @@ class TestStepControl:
     @pytest.mark.parametrize("times", [[1.0, 1.0 + 1e-13, 2.0], [1e-13, 2.0],
                                        [0.0, 1e-13, 2.0]],
                              ids=["apart", "from_0", "from_output_0"])
-    def test_output_times_closer_than_the_step_floor_are_refused(self, times):
-        # the step between them would lie below the floor of 1e-12, and the
-        # step after it be sized from it: refused before the run
-        grid = make_graded_grid(140, 1e-6, 1.12)
-        with pytest.raises(RangeError, match="at least 1e-12 apart"):
-            solve(critical_snapshot(grid), SolverConfig(), 2.0, times)
-
-    def test_output_times_at_the_floor_and_at_zero(self):
-        # 2e-12 apart runs, and output time 0 is the initial state itself
+    def test_output_times_closer_than_the_step_floor_run(self, times):
+        # no step lands on an output time, so times closer than the step
+        # floor of 1e-12 run, with one snapshot each and the steps of a run
+        # without them
         grid = make_graded_grid(140, 1e-6, 1.12)
         u0 = critical_snapshot(grid)
-        traj = solve(u0, SolverConfig(), 2.0, [0.0, 1.0, 1.0 + 2e-12, 2.0])
-        assert [s.time for s in traj.snapshots] == [0.0, 1.0, 1.0 + 2e-12, 2.0]
+        steps = solve(u0, SolverConfig(), 2.0, [2.0]).step_times
+        traj = solve(u0, SolverConfig(), 2.0, times)
+        assert [s.time for s in traj.snapshots] == times
+        assert np.array_equal(traj.step_times, steps)
+
+    def test_output_times_at_the_floor_and_at_zero(self):
+        # 2e-12 apart runs with the steps of a run without them, and output
+        # time 0 is the initial state itself
+        grid = make_graded_grid(140, 1e-6, 1.12)
+        u0 = critical_snapshot(grid)
+        steps = solve(u0, SolverConfig(), 2.0, [2.0]).step_times
+        times = [0.0, 1.0, 1.0 + 2e-12, 2.0]
+        traj = solve(u0, SolverConfig(), 2.0, times)
+        assert [s.time for s in traj.snapshots] == times
+        assert np.array_equal(traj.step_times, steps)
         assert np.array_equal(traj.snapshots[0].values, u0.values)
+
+    @pytest.mark.parametrize("form", ["u", "w"])
+    def test_output_times_do_not_steer_the_steps(self, form):
+        # two runs asking for different output times take the same steps
+        # and agree bit for bit at every time they share; an output time on
+        # a step's end, t_end among them, gets that accepted state itself
+        if form == "u":
+            grid = make_graded_grid(140, 1e-6, 1.12)
+            problem, v0 = _UProblem(grid, 1.0), grid.nodes.copy()
+            t_end, cfg = 2.0, SolverConfig()
+        else:
+            r = _radial_grid()
+            problem, v0 = _WProblem(r), np.full_like(r, 8.0)
+            t_end, cfg = 0.5, SolverConfig(dt_max=0.005)
+
+        def run(times):
+            accepted = {}
+
+            def keep(v, t, est):
+                accepted[t] = v.copy()
+            outs, steps, *_ = pde._advance(problem, v0, t_end, times, cfg, keep)
+            return outs, steps, accepted
+
+        few, steps, accepted = run([0.3 * t_end, t_end])
+        on_step = float(steps[len(steps) // 2])
+        many, many_steps, _ = run([0.0, 0.1 * t_end, 0.3 * t_end, on_step,
+                                   0.7 * t_end, t_end])
+        assert np.array_equal(steps, many_steps)
+        for t in (0.3 * t_end, t_end):
+            assert _same_bits(few[t], many[t]), t
+        for t in (on_step, t_end):
+            assert _same_bits(many[t], accepted[t]), t
 
 
 class TestEvaluationReuse:
@@ -919,6 +992,17 @@ class TestTimeErrorBar:
         ua = steady_profile(1e4, grid)
         traj = solve(ua, SolverConfig(), 0.5, [0.5])
         assert np.all(np.isfinite(traj.d_time_err))
+
+    def test_bar_sums_through_the_covering_step(self):
+        # a snapshot inside an accepted step (t_k, t_k+1] carries the bar
+        # through that step, as one at t_k+1 does; output 0 carries none
+        grid = make_graded_grid(140, 1e-6, 1.12)
+        u0 = critical_snapshot(grid)
+        steps = solve(u0, SolverConfig(), 2.0, [2.0]).step_times
+        a, b = float(steps[9]), float(steps[10])
+        bar = solve(u0, SolverConfig(), 2.0,
+                    [0.0, a, 0.5 * (a + b), b, 2.0]).d_time_err
+        assert bar[0] == 0.0 and 0.0 < bar[1] < bar[2] == bar[3]
 
     def test_bar_grows(self, critical_traj):
         # the bar sums one nonnegative term per step, so it never decreases
